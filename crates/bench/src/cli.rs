@@ -3,8 +3,7 @@
 //! One binary drives every experiment of the paper's evaluation from a
 //! declarative [`ExperimentSpec`] — a shipped preset or a JSON spec file —
 //! replacing the former `experiment1`/`experiment2`/`experiment3`/`validate`/
-//! `paper_scale` one-off binaries (which remain as thin forwarding wrappers
-//! for one release):
+//! `paper_scale` one-off binaries:
 //!
 //! ```text
 //! bneck run (--preset NAME | SPEC.json) [overrides] [--json] [--out PATH]

@@ -187,6 +187,13 @@ impl SubscriberSet {
         self.subscribers.is_empty()
     }
 
+    /// `true` when some subscriber opted in to per-packet callbacks — lets a
+    /// host whose clock is not free skip reading it for
+    /// [`SubscriberSet::note_packet`].
+    pub fn wants_packets(&self) -> bool {
+        self.wants_packets
+    }
+
     /// Delivers one rate event to every subscriber.
     pub fn emit_rate(&mut self, event: &RateEvent) {
         for subscriber in &mut self.subscribers {

@@ -1,19 +1,14 @@
 //! The simulation harness: runs the B-Neck tasks over a network on the
 //! discrete-event engine.
 //!
-//! The harness owns one [`RouterLink`] task per directed link (created lazily
-//! when the first session crosses the link), one [`SourceNode`] and one
-//! [`DestinationNode`] per session, and forwards the packets produced by the
-//! task handlers hop by hop over the network's links, each modelled as a
-//! simulator channel with the link's bandwidth and propagation delay.
-//!
-//! All world state is keyed by dense indices through the shared plumbing of
-//! [`crate::world`]: router-link tasks live in a vector indexed by
-//! [`LinkId`] alongside a [`LinkTable`], and per-session tasks and notified
-//! rates live in vectors indexed by the *session slot* a shared
-//! [`SessionArena`] assigns at join (resolved once per packet through a
-//! single id → slot map). Task handlers emit into one reusable
-//! [`ActionBuffer`], so steady-state packet processing allocates nothing.
+//! The tasks themselves — one [`RouterLink`] per directed link, one
+//! [`SourceNode`] and one `DestinationNode` per session — the session slots
+//! and all routing between tasks live in the host-independent [`TaskHost`].
+//! The harness is its simulator adapter: a [`Sink`] that forwards every
+//! packet the handlers emit over the network's links, each modelled as a
+//! simulator channel with the link's bandwidth and propagation delay (with
+//! recovery on, inside a sequenced frame with a retransmission timer event),
+//! plus the workload-facing `API.Join` / `API.Leave` / `API.Change`.
 //!
 //! Quiescence detection is inherited from the simulator: the network is
 //! quiescent exactly when no protocol packet is in flight or pending, which is
@@ -24,20 +19,19 @@
 //! interface as any other protocol-under-test.
 
 use crate::config::BneckConfig;
-use crate::destination::DestinationNode;
 use crate::events::{
-    snapshot, PacketLogRecorder, RateCause, RateEvent, RateEvents, RateHistoryRecorder, Recording,
-    Subscriber, SubscriberSet,
+    snapshot, PacketLogRecorder, RateEvents, RateHistoryRecorder, Recording, Subscriber,
 };
+use crate::host::{ApiCall, Sink, Target, TaskHost};
 use crate::packet::{Packet, PacketKind};
-use crate::recovery::{Lane, PendingFrame, RecoveryState, RecoveryStats};
+use crate::recovery::{RecoveryState, RecoveryStats};
 use crate::router_link::RouterLink;
 use crate::source::SourceNode;
 use crate::stats::PacketStats;
-use crate::task::{Action, ActionBuffer, RateNotification};
-use crate::world::{LinkTable, SessionArena};
+use crate::task::RateNotification;
+use crate::world::LinkTable;
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
-use bneck_net::{LinkId, Network, NodeId, Path, Router};
+use bneck_net::{Delay, LinkId, Network, NodeId, Path, Router};
 use bneck_sim::{
     Address, ChannelId, Context, Engine, FaultCounters, FaultPlan, RunReport, ScheduleCursor,
     SimTime, Simulation, World,
@@ -47,32 +41,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// The session API primitives, delivered to a session's source task.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ApiCall {
-    Join { limit: RateLimit },
-    Leave,
-    Change { limit: RateLimit },
-}
-
-/// Where a simulated message is headed. Sources and destinations are
-/// addressed by their dense session slot; links carry, in addition to the
-/// dense link identifier, the hop index of the link within the carried
-/// packet's session path and that session's slot, so forwarding the packet a
-/// further hop needs neither an id → slot lookup nor a path position scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Target {
-    Source(u32),
-    Link {
-        link: LinkId,
-        /// Index of `link` within the session path of the envelope's packet.
-        hop: u32,
-        /// Session slot of the envelope's packet.
-        slot: u32,
-    },
-    Destination(u32),
-}
 
 /// A simulated message: an API call or a protocol packet, with its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,40 +206,112 @@ impl From<RunReport> for QuiescenceReport {
     }
 }
 
-/// The simulation world: all protocol tasks plus the shared routing and
-/// session-slot state of [`crate::world`], in dense per-link /
-/// per-session-slot vectors.
+/// The simulation world: the task host plus the simulator-side delivery
+/// state (the channel of every link, the recovery lanes).
 pub(crate) struct BneckWorld {
-    config: BneckConfig,
-    /// Channels, capacities and the reverse-link table, indexed by `LinkId`.
+    pub(crate) host: TaskHost,
+    /// Channels of the links and of their reverses, indexed by `LinkId`.
     links: LinkTable,
-    /// The `RouterLink` task of each directed link, indexed by
-    /// `LinkId::index()`; `None` until a session first crosses the link.
-    router_links: Vec<Option<RouterLink>>,
-    /// Per-session tasks, indexed by session slot (parallel to `arena`).
-    /// Entries persist after a leave (stray packets may still be in flight)
-    /// and are overwritten when the identifier rejoins.
-    sources: Vec<SourceNode>,
-    destinations: Vec<DestinationNode>,
-    /// Last notified rate per session slot; `NaN` = never notified / cleared.
-    notified: Vec<Rate>,
-    /// The shared session-slot arena: id ↔ slot, paths, limits, active set
-    /// and the cached oracle snapshot.
-    arena: SessionArena,
-    /// What a slot's *next* `API.Rate` notification means: `Joined` after a
-    /// join, `Changed` after a change, `Converged` once the first
-    /// notification of the incarnation went out. Indexed by slot.
-    causes: Vec<RateCause>,
-    /// Reusable buffer the task handlers emit into.
-    scratch: ActionBuffer,
-    stats: PacketStats,
-    /// The registered observers ([`RateEvents`] writers, recorders, user
-    /// callbacks).
-    subscribers: SubscriberSet,
     /// The recovery layer's sequencing/retransmission state, present only
     /// when [`BneckConfig::recovery`] is set. Boxed so paper-mode worlds pay
     /// one pointer, and the hot paths pay one null check.
-    recovery: Option<Box<RecoveryState<Target>>>,
+    recovery: Option<Box<RecoveryState>>,
+}
+
+/// The simulator's delivery: every transmission goes out on the channel of
+/// the link it travels over.
+struct ChannelSink<'a, 'c> {
+    ctx: &'a mut Context<'c, Envelope>,
+    links: &'a LinkTable,
+    recovery: Option<&'a mut RecoveryState>,
+}
+
+impl Sink for ChannelSink<'_, '_> {
+    fn now(&self) -> SimTime {
+        self.ctx.now()
+    }
+
+    fn transmit(&mut self, over: LinkId, to: Target, packet: Packet) {
+        if let Some(recovery) = self.recovery.as_deref_mut() {
+            let (seq, rto) = (recovery.frame(over, to, packet), recovery.config.rto);
+            return self.send_frame(rto, over, to, seq, packet);
+        }
+        self.ctx.send(
+            self.links.channel(over),
+            Address(0),
+            Envelope {
+                target: to,
+                payload: Payload::Protocol(packet),
+            },
+        );
+    }
+}
+
+impl ChannelSink<'_, '_> {
+    /// Sends (or resends) recovery frame `seq` of lane
+    /// `(packet.session(), over)` and arms its retransmission timer.
+    #[cold]
+    #[inline(never)]
+    fn send_frame(&mut self, rto: Delay, over: LinkId, to: Target, seq: u32, packet: Packet) {
+        let envelope = |payload| Envelope {
+            target: to,
+            payload,
+        };
+        let (session, link) = (packet.session(), over);
+        let data = Payload::Data { link, seq, packet };
+        self.ctx
+            .send(self.links.channel(over), Address(0), envelope(data));
+        let timer = Payload::Retransmit { session, link, seq };
+        self.ctx.schedule_after(rto, Address(0), envelope(timer));
+    }
+
+    /// Handles the recovery layer's own messages: data frames (ack, then
+    /// deliver in order / buffer / drop duplicates), acknowledgements, and
+    /// retransmission timers.
+    #[cold]
+    #[inline(never)]
+    fn handle_recovery(&mut self, host: &mut TaskHost, envelope: Envelope) {
+        let recovery = self
+            .recovery
+            .as_deref_mut()
+            .expect("recovery messages only exist when recovery is configured");
+        match envelope.payload {
+            Payload::Data { link, seq, packet } => {
+                let session = packet.session();
+                // The ack rides the same faulty substrate as data, over the
+                // lane's reverse channel; a lost ack is repaired by the
+                // sender's retransmission (which is then re-acked as a
+                // duplicate). Acks are consumed here, never routed to a
+                // task, so their target is a placeholder.
+                self.ctx.send(
+                    self.links.reverse_channel(link),
+                    Address(0),
+                    Envelope {
+                        target: Target::Source(u32::MAX),
+                        payload: Payload::Ack { session, link, seq },
+                    },
+                );
+                let mut next = recovery.receive(link, seq, envelope.target, packet);
+                while let Some((to, packet)) = next {
+                    host.deliver(to, packet, self);
+                    let recovery = self.recovery.as_deref_mut().expect("checked above");
+                    next = recovery.release(session, link);
+                }
+            }
+            Payload::Ack { session, link, seq } => {
+                recovery.acked(session, link, seq);
+            }
+            Payload::Retransmit { session, link, seq } => {
+                // Acked in the meantime → the timer is stale; its firing is
+                // the RTO tail that delays quiescence.
+                if let Some(frame) = recovery.still_unacked(session, link, seq) {
+                    let rto = recovery.config.rto;
+                    self.send_frame(rto, frame.over, frame.target, seq, frame.packet);
+                }
+            }
+            Payload::Api(_) | Payload::Protocol(_) => unreachable!("routed by handle"),
+        }
+    }
 }
 
 impl BneckWorld {
@@ -285,519 +325,11 @@ impl BneckWorld {
         engine: &mut Engine<Envelope>,
         config: BneckConfig,
     ) -> Self {
-        let links = LinkTable::new(network, engine, config.packet_bits);
-        let mut router_links = Vec::new();
-        router_links.resize_with(network.link_count(), || None);
         BneckWorld {
-            config,
-            links,
-            router_links,
-            sources: Vec::new(),
-            destinations: Vec::new(),
-            notified: Vec::new(),
-            arena: SessionArena::new(),
-            causes: Vec::new(),
-            scratch: ActionBuffer::new(),
-            stats: PacketStats::new(),
-            subscribers: SubscriberSet::new(),
+            host: TaskHost::new(TaskHost::link_tables(network), config.tolerance),
+            links: LinkTable::new(network, engine, config.packet_bits),
             recovery: config.recovery.map(|rc| Box::new(RecoveryState::new(rc))),
         }
-    }
-
-    /// Activates `session` in the arena and installs its source and
-    /// destination tasks, returning the assigned slot. The caller performs
-    /// the duplicate-session and source-host-uniqueness checks; slot
-    /// assignment itself is deterministic, so replicated worlds that apply
-    /// the same registrations in the same order assign the same slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is already active.
-    pub(crate) fn register_session(
-        &mut self,
-        session: SessionId,
-        path: Path,
-        limit: RateLimit,
-    ) -> u32 {
-        let first_link = path.first_link();
-        let first_capacity = self.links.capacity(first_link);
-        let source_task =
-            SourceNode::new(session, first_link, first_capacity, self.config.tolerance);
-        let joined = self
-            .arena
-            .join(session, path, limit)
-            .expect("the session must not be active");
-        let slot = joined.slot;
-        if joined.reused {
-            let i = slot as usize;
-            self.sources[i] = source_task;
-            self.destinations[i] = DestinationNode::new(session);
-            self.notified[i] = f64::NAN;
-            self.causes[i] = RateCause::Joined;
-        } else {
-            self.sources.push(source_task);
-            self.destinations.push(DestinationNode::new(session));
-            self.notified.push(f64::NAN);
-            self.causes.push(RateCause::Joined);
-        }
-        slot
-    }
-
-    /// Deactivates `session`, clearing its notified rate. Returns the slot it
-    /// occupied, or `None` if the session was not active.
-    pub(crate) fn deregister_session(&mut self, session: SessionId) -> Option<u32> {
-        let slot = self.arena.leave(session)?;
-        self.notified[slot as usize] = f64::NAN;
-        Some(slot)
-    }
-
-    /// Updates `session`'s requested rate limit in the arena. Returns its
-    /// slot, or `None` if the session is not active.
-    pub(crate) fn change_session(&mut self, session: SessionId, limit: RateLimit) -> Option<u32> {
-        self.arena.change(session, limit)
-    }
-
-    /// The shared session-slot arena.
-    pub(crate) fn arena(&self) -> &SessionArena {
-        &self.arena
-    }
-
-    /// Cumulative packet counts recorded by this world.
-    pub(crate) fn stats(&self) -> &PacketStats {
-        &self.stats
-    }
-
-    /// The last rate notified to the source task in `slot` (`NaN` when the
-    /// slot has never been notified since its last join).
-    pub(crate) fn notified_rate(&self, slot: u32) -> Rate {
-        self.notified[slot as usize]
-    }
-
-    fn dispatch(&mut self, ctx: &mut Context<'_, Envelope>, envelope: Envelope) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        // The session the delivered message belongs to; actions for this
-        // session reuse the slot (and hop) carried by the envelope's target,
-        // so the common forward-one-hop case resolves no map at all.
-        let origin_session = match (envelope.target, envelope.payload) {
-            (Target::Source(slot), Payload::Api(call)) => {
-                let Some(source) = self.sources.get_mut(slot as usize) else {
-                    self.scratch = actions;
-                    return;
-                };
-                let session = source.session();
-                match call {
-                    ApiCall::Join { limit } => source.api_join(limit, &mut actions),
-                    ApiCall::Leave => {
-                        // The `Left` marker carries the last rate the source
-                        // was using before the departure tore it down.
-                        let final_rate = source.current_rate();
-                        source.api_leave(&mut actions);
-                        self.subscribers.emit_rate(&RateEvent {
-                            at: ctx.now(),
-                            session,
-                            rate: final_rate,
-                            cause: RateCause::Left,
-                        });
-                    }
-                    ApiCall::Change { limit } => {
-                        // Tag the cause when the change is *processed* (at
-                        // simulated time), not when it was scheduled — a
-                        // re-convergence notification that fires before the
-                        // change takes effect must stay `Converged`.
-                        self.causes[slot as usize] = RateCause::Changed;
-                        source.api_change(limit, &mut actions);
-                    }
-                }
-                session
-            }
-            (Target::Source(slot), Payload::Protocol(packet)) => {
-                if let Some(source) = self.sources.get_mut(slot as usize) {
-                    source.handle(packet, &mut actions);
-                }
-                packet.session()
-            }
-            (Target::Link { link: e, .. }, Payload::Protocol(packet)) => {
-                let capacity = self.links.capacity(e);
-                let entry = &mut self.router_links[e.index()];
-                let link = entry
-                    .get_or_insert_with(|| RouterLink::new(e, capacity, self.config.tolerance));
-                link.handle(packet, &mut actions);
-                packet.session()
-            }
-            (Target::Destination(slot), Payload::Protocol(packet)) => {
-                if let Some(destination) = self.destinations.get(slot as usize) {
-                    destination.handle(packet, &mut actions);
-                }
-                packet.session()
-            }
-            // Recovery frames, acks and timers are handled by the harness
-            // itself, off the protocol hot path.
-            (_, Payload::Data { .. })
-            | (_, Payload::Ack { .. })
-            | (_, Payload::Retransmit { .. }) => {
-                self.scratch = actions;
-                self.handle_recovery(ctx, envelope);
-                return;
-            }
-            // API calls are only ever addressed to sources.
-            (_, Payload::Api(_)) => {
-                self.scratch = actions;
-                return;
-            }
-        };
-        for action in actions.drain() {
-            self.perform(ctx, envelope.target, origin_session, action);
-        }
-        self.scratch = actions;
-    }
-
-    /// Turns a task action into a packet transmission (or a rate notification
-    /// record), routing it to the next hop of the session's path.
-    fn perform(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        origin: Target,
-        origin_session: SessionId,
-        action: Action,
-    ) {
-        match action {
-            Action::NotifyRate { session, rate } => {
-                let cause = match self.arena.slot_of(session) {
-                    Some(slot) => {
-                        self.notified[slot as usize] = rate;
-                        std::mem::replace(&mut self.causes[slot as usize], RateCause::Converged)
-                    }
-                    None => RateCause::Converged,
-                };
-                if !self.subscribers.is_empty() {
-                    self.subscribers.emit_rate(&RateEvent {
-                        at: ctx.now(),
-                        session,
-                        rate,
-                        cause,
-                    });
-                }
-            }
-            Action::SendDownstream(packet) => {
-                let session = packet.session();
-                let (channel_link, next) = match origin {
-                    Target::Source(origin_slot) => {
-                        let slot = if session == origin_session {
-                            origin_slot
-                        } else {
-                            match self.arena.slot_of(session) {
-                                Some(s) => s,
-                                None => return,
-                            }
-                        };
-                        let links = self.arena.path(slot).links();
-                        let next = if links.len() > 1 {
-                            Target::Link {
-                                link: links[1],
-                                hop: 1,
-                                slot,
-                            }
-                        } else {
-                            Target::Destination(slot)
-                        };
-                        (links[0], next)
-                    }
-                    Target::Link { link, hop, slot } => {
-                        // Trust the carried coordinates for fresh envelopes;
-                        // re-resolve (or drop) stale hops from a previous
-                        // incarnation of the session.
-                        let Some((slot, hop)) =
-                            self.arena
-                                .resolve_hop(session, origin_session, slot, hop, link)
-                        else {
-                            return;
-                        };
-                        let hop = hop as usize;
-                        let links = self.arena.path(slot).links();
-                        let next = if hop + 1 < links.len() {
-                            Target::Link {
-                                link: links[hop + 1],
-                                hop: hop as u32 + 1,
-                                slot,
-                            }
-                        } else {
-                            Target::Destination(slot)
-                        };
-                        (links[hop], next)
-                    }
-                    Target::Destination(_) => return,
-                };
-                self.transmit(ctx, channel_link, next, packet);
-            }
-            Action::SendUpstream(packet) => {
-                let session = packet.session();
-                let (forward_link, next) = match origin {
-                    Target::Destination(origin_slot) => {
-                        let slot = if session == origin_session {
-                            origin_slot
-                        } else {
-                            match self.arena.slot_of(session) {
-                                Some(s) => s,
-                                None => return,
-                            }
-                        };
-                        let links = self.arena.path(slot).links();
-                        let last = links.len() - 1;
-                        let next = if last >= 1 {
-                            Target::Link {
-                                link: links[last],
-                                hop: last as u32,
-                                slot,
-                            }
-                        } else {
-                            Target::Source(slot)
-                        };
-                        (links[last], next)
-                    }
-                    Target::Link { link, hop, slot } => {
-                        // See the downstream arm: re-resolve (or drop) stale
-                        // hops from a previous incarnation of the session.
-                        let Some((slot, hop)) =
-                            self.arena
-                                .resolve_hop(session, origin_session, slot, hop, link)
-                        else {
-                            return;
-                        };
-                        let hop = hop as usize;
-                        if hop == 0 {
-                            // The first link is owned by the source task; a
-                            // hop of zero can only come from a stale packet
-                            // whose link happens to be the new path's access
-                            // link. There is no upstream neighbour to route
-                            // to — drop it.
-                            return;
-                        }
-                        let links = self.arena.path(slot).links();
-                        let next = if hop > 1 {
-                            Target::Link {
-                                link: links[hop - 1],
-                                hop: hop as u32 - 1,
-                                slot,
-                            }
-                        } else {
-                            Target::Source(slot)
-                        };
-                        (links[hop - 1], next)
-                    }
-                    Target::Source(_) => return,
-                };
-                // Upstream packets travel over the reverse link of the hop.
-                let Some(reverse) = self.links.reverse(forward_link) else {
-                    return;
-                };
-                self.transmit(ctx, reverse, next, packet);
-            }
-        }
-    }
-
-    fn transmit(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        over: LinkId,
-        target: Target,
-        packet: Packet,
-    ) {
-        self.stats.record(packet.kind());
-        self.subscribers.note_packet(ctx.now(), packet.kind());
-        if self.recovery.is_some() {
-            return self.transmit_recovered(ctx, over, target, packet);
-        }
-        ctx.send(
-            self.links.channel(over),
-            Address(0),
-            Envelope {
-                target,
-                payload: Payload::Protocol(packet),
-            },
-        );
-    }
-
-    /// The envelope target of acknowledgements. Acks are consumed by the
-    /// harness's central recovery state, never routed to a task, so the
-    /// target is a placeholder (every task lookup of this slot misses).
-    const ACK_TARGET: Target = Target::Source(u32::MAX);
-
-    /// Sends `packet` inside a sequenced recovery frame and arms its
-    /// retransmission timer. Only reached when recovery is configured.
-    #[cold]
-    #[inline(never)]
-    fn transmit_recovered(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        over: LinkId,
-        target: Target,
-        packet: Packet,
-    ) {
-        let recovery = self.recovery.as_mut().expect("checked by transmit");
-        let lane = Lane::new(packet.session(), over);
-        let seq = recovery.assign_seq(lane);
-        recovery.unacked.insert(
-            (lane, seq),
-            PendingFrame {
-                over,
-                target,
-                packet,
-            },
-        );
-        recovery.stats.frames_sent += 1;
-        let rto = recovery.config.rto;
-        ctx.send(
-            self.links.channel(over),
-            Address(0),
-            Envelope {
-                target,
-                payload: Payload::Data {
-                    link: over,
-                    seq,
-                    packet,
-                },
-            },
-        );
-        ctx.schedule_after(
-            rto,
-            Address(0),
-            Envelope {
-                target,
-                payload: Payload::Retransmit {
-                    session: packet.session(),
-                    link: over,
-                    seq,
-                },
-            },
-        );
-    }
-
-    /// Handles the recovery layer's own messages: data frames (ack, then
-    /// deliver in order / buffer / drop duplicates), acknowledgements, and
-    /// retransmission timers.
-    #[cold]
-    #[inline(never)]
-    fn handle_recovery(&mut self, ctx: &mut Context<'_, Envelope>, envelope: Envelope) {
-        match envelope.payload {
-            Payload::Data { link, seq, packet } => {
-                let session = packet.session();
-                let lane = Lane::new(session, link);
-                // Every frame is acked, duplicates included: the duplicate
-                // usually means the previous ack was lost.
-                self.send_ack(ctx, session, link, seq);
-                let recovery = self.recovery.as_mut().expect("recovery frame received");
-                let expected = *recovery.expected.entry(lane).or_insert(0);
-                if seq < expected {
-                    recovery.stats.duplicates_dropped += 1;
-                    return;
-                }
-                if seq > expected {
-                    // A gap: hold the frame until its predecessors arrive.
-                    let frame = PendingFrame {
-                        over: link,
-                        target: envelope.target,
-                        packet,
-                    };
-                    if recovery.buffered.insert((lane, seq), frame).is_none() {
-                        recovery.stats.reordered_buffered += 1;
-                    } else {
-                        recovery.stats.duplicates_dropped += 1;
-                    }
-                    return;
-                }
-                // In order: deliver, then flush any buffered successors the
-                // gap was holding back.
-                *recovery
-                    .expected
-                    .get_mut(&lane)
-                    .expect("entry created above") += 1;
-                self.deliver_frame(ctx, envelope.target, packet);
-                loop {
-                    let recovery = self.recovery.as_mut().expect("still configured");
-                    let next = *recovery.expected.get(&lane).expect("entry created above");
-                    let Some(frame) = recovery.buffered.remove(&(lane, next)) else {
-                        break;
-                    };
-                    *recovery
-                        .expected
-                        .get_mut(&lane)
-                        .expect("entry created above") += 1;
-                    self.deliver_frame(ctx, frame.target, frame.packet);
-                }
-            }
-            Payload::Ack { session, link, seq } => {
-                let recovery = self.recovery.as_mut().expect("recovery ack received");
-                recovery.unacked.remove(&(Lane::new(session, link), seq));
-            }
-            Payload::Retransmit { session, link, seq } => {
-                let recovery = self.recovery.as_mut().expect("recovery timer fired");
-                let lane = Lane::new(session, link);
-                // Acked in the meantime → the timer is stale; its firing is
-                // the RTO tail that delays quiescence.
-                let Some(frame) = recovery.unacked.get(&(lane, seq)).copied() else {
-                    return;
-                };
-                recovery.stats.retransmits += 1;
-                let rto = recovery.config.rto;
-                ctx.send(
-                    self.links.channel(frame.over),
-                    Address(0),
-                    Envelope {
-                        target: frame.target,
-                        payload: Payload::Data {
-                            link,
-                            seq,
-                            packet: frame.packet,
-                        },
-                    },
-                );
-                ctx.schedule_after(
-                    rto,
-                    Address(0),
-                    Envelope {
-                        target: frame.target,
-                        payload: Payload::Retransmit { session, link, seq },
-                    },
-                );
-            }
-            Payload::Api(_) | Payload::Protocol(_) => unreachable!("routed by dispatch"),
-        }
-    }
-
-    /// Sends the acknowledgement of frame `(session, link, seq)` over the
-    /// lane's reverse channel. The ack rides the same faulty substrate as
-    /// data; a lost ack is repaired by the sender's retransmission (which the
-    /// receiver then re-acks as a duplicate).
-    fn send_ack(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        session: SessionId,
-        link: LinkId,
-        seq: u32,
-    ) {
-        let recovery = self.recovery.as_mut().expect("acking a recovery frame");
-        recovery.stats.acks_sent += 1;
-        ctx.send(
-            self.links.reverse_channel(link),
-            Address(0),
-            Envelope {
-                target: Self::ACK_TARGET,
-                payload: Payload::Ack { session, link, seq },
-            },
-        );
-    }
-
-    /// Hands a recovered in-order packet to the protocol task it was
-    /// addressed to, exactly as an unframed delivery would have.
-    fn deliver_frame(&mut self, ctx: &mut Context<'_, Envelope>, target: Target, packet: Packet) {
-        self.dispatch(
-            ctx,
-            Envelope {
-                target,
-                payload: Payload::Protocol(packet),
-            },
-        );
     }
 }
 
@@ -805,104 +337,22 @@ impl World for BneckWorld {
     type Message = Envelope;
 
     fn handle(&mut self, ctx: &mut Context<'_, Envelope>, _to: Address, msg: Envelope) {
-        self.dispatch(ctx, msg);
-    }
-
-    /// Protocol packets are keyed by their destination link, so the engine
-    /// drains a same-instant burst through one [`World::handle_batch`] call
-    /// with the link task's state hot. API calls and end-host deliveries are
-    /// not batched — they are rare and carry per-session state anyway.
-    fn batch_key(&self, msg: &Envelope) -> Option<u64> {
+        let mut sink = ChannelSink {
+            ctx,
+            links: &self.links,
+            recovery: self.recovery.as_deref_mut(),
+        };
         match (msg.target, msg.payload) {
-            (Target::Link { link, .. }, Payload::Protocol(_)) => Some(link.index() as u64),
-            (
-                _,
-                Payload::Api(_)
-                | Payload::Protocol(_)
-                | Payload::Data { .. }
-                | Payload::Ack { .. }
-                | Payload::Retransmit { .. },
-            ) => None,
-        }
-    }
-
-    /// Touches the state the next delivery will need: the link task record
-    /// (plus its id → slot entry and member line) for link-targeted packets,
-    /// the per-session task for end-host deliveries. At paper scale these
-    /// records live far apart in a multi-hundred-megabyte working set, so
-    /// starting their loads one event early overlaps part of the miss
-    /// latency with the current handler. (A shallower variant that touched
-    /// only the first line of each chain measured *worse* than this on the
-    /// 50k preset — the member line is the one that matters.)
-    fn warm(&self, msg: &Envelope) {
-        match msg.target {
-            Target::Link { link: e, hop, slot } => {
-                if let Some(Some(task)) = self.router_links.get(e.index()) {
-                    if let Payload::Protocol(packet) = msg.payload {
-                        task.warm(packet.session());
-                    }
-                }
-                // The forwarding side of the delivery: the session's path
-                // record (next-hop lookup) and the reverse-link entry
-                // (upstream responses) — independent lines, loaded in
-                // parallel with the task chain above.
-                if (slot as usize) < self.arena.slot_count() {
-                    std::hint::black_box(self.arena.link_at(slot, hop));
-                }
-                std::hint::black_box(self.links.reverse(e));
-            }
-            Target::Source(slot) => {
-                if let Some(source) = self.sources.get(slot as usize) {
-                    std::hint::black_box(source.session());
-                }
-            }
-            Target::Destination(slot) => {
-                if let Some(destination) = self.destinations.get(slot as usize) {
-                    std::hint::black_box(destination);
-                }
+            (target, Payload::Protocol(packet)) => self.host.deliver(target, packet, &mut sink),
+            (Target::Source(slot), Payload::Api(call)) => self.host.api(slot, call, &mut sink),
+            // API calls are only ever addressed to sources.
+            (_, Payload::Api(_)) => {}
+            // Recovery frames, acks and timers are handled by the adapter
+            // itself, off the protocol hot path.
+            (_, Payload::Data { .. } | Payload::Ack { .. } | Payload::Retransmit { .. }) => {
+                sink.handle_recovery(&mut self.host, msg)
             }
         }
-    }
-
-    /// Delivers a same-instant run of packets to one link: the link task is
-    /// resolved once per packet from an already-hot cache line, and the
-    /// *next* packet's member record is touched before the current one is
-    /// handled, so its id → slot probe and member line are in flight while
-    /// the handler works (a software prefetch by early load).
-    fn handle_batch(
-        &mut self,
-        ctx: &mut Context<'_, Envelope>,
-        batch: &mut Vec<(Address, Envelope)>,
-    ) {
-        for i in 0..batch.len() {
-            let envelope = batch[i].1;
-            let (Target::Link { link: e, .. }, Payload::Protocol(packet)) =
-                (envelope.target, envelope.payload)
-            else {
-                // `batch_key` only groups link-targeted protocol packets;
-                // anything else would be an engine bug, but dispatching it
-                // keeps the harness honest.
-                self.dispatch(ctx, envelope);
-                continue;
-            };
-            let mut actions = std::mem::take(&mut self.scratch);
-            actions.clear();
-            let capacity = self.links.capacity(e);
-            let entry = &mut self.router_links[e.index()];
-            let link =
-                entry.get_or_insert_with(|| RouterLink::new(e, capacity, self.config.tolerance));
-            if let Some((_, next)) = batch.get(i + 1) {
-                if let Payload::Protocol(next_packet) = next.payload {
-                    link.warm(next_packet.session());
-                }
-            }
-            link.handle(packet, &mut actions);
-            for action in actions.drain() {
-                self.perform(ctx, envelope.target, packet.session(), action);
-            }
-            self.scratch = actions;
-        }
-        batch.clear();
     }
 }
 
@@ -925,7 +375,7 @@ impl<'a> fmt::Debug for BneckSimulation<'a> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BneckSimulation")
             .field("now", &self.engine.now())
-            .field("active_sessions", &self.world.arena.active_count())
+            .field("active_sessions", &self.world.host.arena().active_count())
             .field("pending_events", &self.engine.pending_events())
             .finish()
     }
@@ -954,14 +404,14 @@ impl<'a> BneckSimulation<'a> {
             let log = Recording::default();
             sim.rate_history = Some(Arc::clone(&log));
             sim.world
-                .subscribers
+                .host
                 .subscribe(Box::new(RateHistoryRecorder { log }));
         }
         if config.record_packet_log {
             let log = Recording::default();
             sim.packet_log = Some(Arc::clone(&log));
             sim.world
-                .subscribers
+                .host
                 .subscribe(Box::new(PacketLogRecorder { log }));
         }
         sim
@@ -972,13 +422,13 @@ impl<'a> BneckSimulation<'a> {
     /// every transmitted packet. Closures `FnMut(&RateEvent)` are
     /// subscribers.
     pub fn subscribe<S: Subscriber + 'static>(&mut self, subscriber: S) {
-        self.world.subscribers.subscribe(Box::new(subscriber));
+        self.world.host.subscribe(Box::new(subscriber));
     }
 
     /// Registers a boxed observer (the object-safe form used behind
     /// `dyn ProtocolWorld`).
     pub fn subscribe_boxed(&mut self, subscriber: Box<dyn Subscriber>) {
-        self.world.subscribers.subscribe(subscriber);
+        self.world.host.subscribe(subscriber);
     }
 
     /// Opens a drainable stream of this simulation's [`RateEvent`]s.
@@ -988,7 +438,7 @@ impl<'a> BneckSimulation<'a> {
     /// returns the convergence's events, and running further adds nothing.
     pub fn rate_events(&mut self) -> RateEvents {
         let (events, writer) = RateEvents::channel();
-        self.world.subscribers.subscribe(writer);
+        self.world.host.subscribe(writer);
         events
     }
 
@@ -1045,7 +495,7 @@ impl<'a> BneckSimulation<'a> {
         path: Path,
         limit: RateLimit,
     ) -> Result<SessionHandle, JoinError> {
-        if self.world.arena.is_active(session) {
+        if self.world.host.arena().is_active(session) {
             return Err(JoinError::DuplicateSession(session));
         }
         if let Some(existing) = self.source_hosts.get(&path.source()) {
@@ -1055,7 +505,7 @@ impl<'a> BneckSimulation<'a> {
             });
         }
         self.source_hosts.insert(path.source(), session);
-        let slot = self.world.register_session(session, path, limit);
+        let slot = self.world.host.register_session(session, path, limit);
         self.engine.inject(
             at,
             Address(0),
@@ -1074,7 +524,7 @@ impl<'a> BneckSimulation<'a> {
     ///
     /// Returns [`UnknownSession`] if the session is not active.
     pub fn leave(&mut self, at: SimTime, session: SessionId) -> Result<(), UnknownSession> {
-        let Some(slot) = self.world.deregister_session(session) else {
+        let Some(slot) = self.world.host.deregister_session(session) else {
             return Err(UnknownSession(session));
         };
         self.source_hosts.retain(|_, s| *s != session);
@@ -1101,7 +551,7 @@ impl<'a> BneckSimulation<'a> {
         session: SessionId,
         limit: RateLimit,
     ) -> Result<(), UnknownSession> {
-        let Some(slot) = self.world.change_session(session, limit) else {
+        let Some(slot) = self.world.host.change_session(session, limit) else {
             return Err(UnknownSession(session));
         };
         self.engine.inject(
@@ -1137,9 +587,7 @@ impl<'a> BneckSimulation<'a> {
     /// quiescent network stay silent, like the protocol itself).
     fn announce_quiescence(&mut self, report: &RunReport) {
         if report.quiescent && report.events_processed > 0 {
-            self.world
-                .subscribers
-                .announce_quiescent(report.quiescent_at);
+            self.world.host.announce_quiescent(report.quiescent_at);
         }
     }
 
@@ -1155,7 +603,7 @@ impl<'a> BneckSimulation<'a> {
 
     /// The identifiers of the currently active sessions.
     pub fn active_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.world.arena.active_sessions()
+        self.world.host.arena().active_sessions()
     }
 
     /// The rates last notified through `API.Rate`, for active sessions.
@@ -1163,8 +611,8 @@ impl<'a> BneckSimulation<'a> {
     /// After [`BneckSimulation::run_to_quiescence`] in a steady state, this is
     /// the max-min fair allocation (Theorem 1 of the paper).
     pub fn allocation(&self) -> Allocation {
-        self.world.arena.collect_rates(|slot| {
-            let rate = self.world.notified[slot as usize];
+        self.world.host.arena().collect_rates(|slot| {
+            let rate = self.world.host.notified_rate(slot);
             (!rate.is_nan()).then_some(rate)
         })
     }
@@ -1172,15 +620,14 @@ impl<'a> BneckSimulation<'a> {
     /// The rate currently assigned to a session at its source (B-Neck's
     /// transient rate before convergence), or `None` for unknown sessions.
     pub fn current_rate(&self, session: SessionId) -> Option<Rate> {
-        let slot = self.world.arena.slot_of(session)?;
-        Some(self.world.sources[slot as usize].current_rate())
+        Some(self.source_task(session)?.current_rate())
     }
 
     /// The transient rates of all active sessions.
     pub fn current_rates(&self) -> Allocation {
-        self.world
-            .arena
-            .collect_rates(|slot| Some(self.world.sources[slot as usize].current_rate()))
+        let host = &self.world.host;
+        host.arena()
+            .collect_rates(|slot| Some(host.source(slot)?.current_rate()))
     }
 
     /// The active sessions as a [`SessionSet`] (paths plus requested limits),
@@ -1191,12 +638,12 @@ impl<'a> BneckSimulation<'a> {
     /// per-tick oracle cross-checks) are O(1) — callers get a shared handle to
     /// the same set.
     pub fn session_set(&self) -> Arc<SessionSet> {
-        self.world.arena.session_set()
+        self.world.host.arena().session_set()
     }
 
     /// Cumulative packet counts by kind.
     pub fn packet_stats(&self) -> &PacketStats {
-        &self.world.stats
+        self.world.host.stats()
     }
 
     /// A snapshot of the timestamped log of transmitted packets (empty unless
@@ -1242,11 +689,7 @@ impl<'a> BneckSimulation<'a> {
     /// conditions of Definition 2. Together with [`Self::is_quiescent`], this
     /// is the paper's notion of a stable network.
     pub fn links_stable(&self) -> bool {
-        self.world
-            .router_links
-            .iter()
-            .flatten()
-            .all(|rl| rl.is_stable())
+        self.world.host.link_tasks().all(|rl| rl.is_stable())
     }
 
     /// The `RouterLink` task of a link, if any session ever crossed it.
@@ -1254,18 +697,18 @@ impl<'a> BneckSimulation<'a> {
     /// Mainly useful for tests and debugging tools that want to inspect the
     /// per-link protocol state (`R_e`, `F_e`, `μ`, `λ`, `B_e`).
     pub fn link_task(&self, link: LinkId) -> Option<&RouterLink> {
-        self.world.router_links.get(link.index())?.as_ref()
+        self.world.host.link_task(link)
     }
 
     /// The `SourceNode` task of a session, if the session ever joined.
     pub fn source_task(&self, session: SessionId) -> Option<&SourceNode> {
-        let slot = self.world.arena.slot_of(session)?;
-        self.world.sources.get(slot as usize)
+        let host = &self.world.host;
+        host.source(host.arena().slot_of(session)?)
     }
 
     /// The path a session was routed along, if the session ever joined.
     pub fn session_path(&self, session: SessionId) -> Option<&Path> {
-        self.world.arena.path_of(session)
+        self.world.host.arena().path_of(session)
     }
 
     /// Injects channel faults (drops, duplicates, reorder jitter) into every
@@ -1300,7 +743,10 @@ impl<'a> BneckSimulation<'a> {
     /// Sent recovery frames not yet acknowledged (0 in paper mode, and 0
     /// again once a recovered run reaches quiescence).
     pub fn unacked_frames(&self) -> usize {
-        self.world.recovery.as_ref().map_or(0, |r| r.unacked.len())
+        self.world
+            .recovery
+            .as_ref()
+            .map_or(0, |r| r.unacked_frames())
     }
 
     /// Processes the next event group like [`Simulation::step`], but lets
@@ -1346,6 +792,7 @@ impl<'a> Simulation for BneckSimulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{RateCause, RateEvent};
     use bneck_maxmin::prelude::*;
     use bneck_net::prelude::*;
 

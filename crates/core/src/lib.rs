@@ -18,9 +18,15 @@
 //!   bottlenecks.
 //! * [`packet`] — the seven protocol packets (`Join`, `Probe`, `Response`,
 //!   `Update`, `Bottleneck`, `SetBottleneck`, `Leave`).
-//! * [`harness`] — [`harness::BneckSimulation`], which wires the tasks to the
-//!   discrete-event simulator, forwards packets hop by hop over the network's
-//!   links (modelling transmission and propagation delays) and exposes the
+//! * [`host`] — [`host::TaskHost`], the host-independent substrate under the
+//!   tasks: it owns them, dispatches delivered packets and API calls to them
+//!   and routes every packet they emit to the next hop of the session's
+//!   path. A host of the protocol (the simulation harness here, the
+//!   `bneck-node` runtime on sockets) supplies only delivery, as a
+//!   [`host::Sink`].
+//! * [`harness`] — [`harness::BneckSimulation`], the simulator host: it
+//!   carries packets over the network's links on the discrete-event engine
+//!   (modelling transmission and propagation delays) and exposes the
 //!   `API.Join` / `API.Leave` / `API.Change` primitives plus quiescence
 //!   detection and packet accounting.
 //! * [`world`] — the shared world plumbing every protocol harness in the
@@ -33,8 +39,8 @@
 //! The task state machines are pure: every handler consumes an input and
 //! emits [`task::Action`]s (packets to send upstream or downstream, or an
 //! `API.Rate` notification) into a reusable [`task::ActionBuffer`]. This makes
-//! the protocol logic unit-testable without a simulator, keeps the harness a
-//! thin routing layer, and keeps steady-state packet processing free of
+//! the protocol logic unit-testable without a simulator, keeps every host a
+//! thin delivery layer, and keeps steady-state packet processing free of
 //! per-packet allocation.
 //!
 //! ## Quickstart
@@ -66,6 +72,7 @@ pub mod config;
 pub mod destination;
 pub mod events;
 pub mod harness;
+pub mod host;
 pub mod packet;
 pub mod partition;
 pub mod recovery;
@@ -79,9 +86,10 @@ pub mod world;
 pub use config::BneckConfig;
 pub use events::{RateCause, RateEvent, RateEvents, Subscriber, SubscriberSet};
 pub use harness::{BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession};
+pub use host::{ApiCall, Sink, Target, TaskHost};
 pub use packet::{Packet, PacketKind, ResponseKind};
 pub use partition::WorldPartition;
-pub use recovery::{Lane, PendingFrame, RecoveryConfig, RecoveryState, RecoveryStats};
+pub use recovery::{PendingFrame, RecoveryConfig, RecoveryState, RecoveryStats};
 pub use sharded::ShardedBneckSimulation;
 pub use stats::PacketStats;
 pub use task::{Action, ActionBuffer, RateNotification};

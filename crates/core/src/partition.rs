@@ -22,7 +22,8 @@
 //! the paper topology's real propagation delays, which is what makes a
 //! conservative scheme profitable here.
 
-use crate::harness::{Envelope, Target};
+use crate::harness::Envelope;
+use crate::host::Target;
 use bneck_net::{Network, NodeId, Path};
 use bneck_sim::{Address, ChannelSpec, Partition};
 
@@ -144,15 +145,18 @@ impl WorldPartition {
         self.source_shard[slot as usize] as usize
     }
 
-    /// The shard owning session slot `slot`'s destination task.
-    pub fn dest_shard(&self, slot: u32) -> usize {
-        self.dest_shard[slot as usize] as usize
-    }
-
-    /// The shard owning link `link`'s `RouterLink` task (the shard of the
-    /// link's source node).
-    pub fn link_shard(&self, link: bneck_net::LinkId) -> usize {
-        self.link_shard[link.index()] as usize
+    /// The shard owning the task `target` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target's slot or link is out of range.
+    pub fn owner(&self, target: Target) -> usize {
+        let shard = match target {
+            Target::Source(slot) => self.source_shard[slot as usize],
+            Target::Destination(slot) => self.dest_shard[slot as usize],
+            Target::Link { link, .. } => self.link_shard[link.index()],
+        };
+        shard as usize
     }
 
     /// Number of shards of this partition.
@@ -167,11 +171,7 @@ impl Partition<Envelope> for WorldPartition {
     }
 
     fn shard_of(&self, _to: Address, msg: &Envelope) -> usize {
-        match msg.target {
-            Target::Source(slot) => self.source_shard[slot as usize] as usize,
-            Target::Destination(slot) => self.dest_shard[slot as usize] as usize,
-            Target::Link { link, .. } => self.link_shard[link.index()] as usize,
-        }
+        self.owner(msg.target)
     }
 
     fn lookahead_ns(&self, from: usize, to: usize) -> Option<u64> {

@@ -202,28 +202,6 @@ impl RouterLink {
         self.index.get(session).map(|i| i as usize)
     }
 
-    /// Touches the id → slot entry and member record of `session` without
-    /// acting on them: a software prefetch by early load. The engine's batch
-    /// loop calls this for packet *i + 1* before handling packet *i*, so the
-    /// next packet's two dependent cache lines are already in flight while
-    /// the current handler runs. Unknown sessions cost one probe and warm
-    /// the table all the same.
-    pub fn warm(&self, session: SessionId) {
-        if self.members.len() <= Self::SCAN_MEMBERS {
-            // Small link: the lookup is a scan of the member records, so
-            // loading the first record warms the line(s) the scan will walk.
-            if let Some(m) = self.members.first() {
-                std::hint::black_box(m.in_r);
-            }
-            return;
-        }
-        if let Some(i) = self.index.get(session) {
-            if let Some(m) = self.members.get(i as usize) {
-                std::hint::black_box(m.in_r);
-            }
-        }
-    }
-
     /// Ensures a slot for `session`, creating it in `F_e` with no probe state
     /// and no rate, and returns its index.
     fn ensure_slot(&mut self, session: SessionId) -> usize {

@@ -12,9 +12,9 @@
 //!
 //! # How replication works
 //!
-//! Every shard holds a full `BneckWorld` (channel table, task vectors, the
-//! session arena). Session registrations are applied to *all* worlds in the
-//! same order — slot assignment is deterministic, so the replicas agree on
+//! Every shard holds a full `BneckWorld` (channel table plus the task host:
+//! task vectors, the session arena). Session registrations are applied to
+//! *all* worlds in the same order — slot assignment is deterministic, so the replicas agree on
 //! slots, paths and limits. Protocol messages, however, are only ever
 //! delivered on the shard owning the receiving task, so task state evolves
 //! on exactly one replica: reading a result (a notified rate, a packet
@@ -25,16 +25,19 @@
 //!
 //! - The recovery layer keeps central retransmission state and is rejected
 //!   (`config.recovery` must be `None`).
-//! - Observers (subscribers, packet logs, rate histories) would require a
-//!   cross-shard merge of notification order and are rejected too.
+//! - Recorders (packet logs, rate histories) would require a cross-shard
+//!   merge of notification order and are rejected too; rate events are only
+//!   available as one stream per shard
+//!   ([`ShardedBneckSimulation::rate_events`]).
 //! - A session identifier that rejoins must keep its source and destination
 //!   hosts on the same shards (see [`WorldPartition::note_join`]).
 
 use crate::config::BneckConfig;
+use crate::events::RateEvents;
 use crate::harness::{
-    ApiCall, BneckWorld, Envelope, JoinError, Payload, QuiescenceReport, SessionHandle, Target,
-    UnknownSession,
+    BneckWorld, Envelope, JoinError, Payload, QuiescenceReport, SessionHandle, UnknownSession,
 };
+use crate::host::{ApiCall, Target};
 use crate::partition::WorldPartition;
 use crate::stats::PacketStats;
 use bneck_maxmin::{Allocation, RateLimit, SessionId, SessionSet};
@@ -156,7 +159,7 @@ impl<'a> ShardedBneckSimulation<'a> {
         path: Path,
         limit: RateLimit,
     ) -> Result<SessionHandle, JoinError> {
-        if self.worlds[0].arena().is_active(session) {
+        if self.worlds[0].host.arena().is_active(session) {
             return Err(JoinError::DuplicateSession(session));
         }
         if let Some(existing) = self.source_hosts.get(&path.source()) {
@@ -168,7 +171,7 @@ impl<'a> ShardedBneckSimulation<'a> {
         self.source_hosts.insert(path.source(), session);
         let mut slot = 0;
         for (k, world) in self.worlds.iter_mut().enumerate() {
-            let assigned = world.register_session(session, path.clone(), limit);
+            let assigned = world.host.register_session(session, path.clone(), limit);
             debug_assert!(
                 k == 0 || assigned == slot,
                 "replicated worlds must assign the same slot"
@@ -196,7 +199,7 @@ impl<'a> ShardedBneckSimulation<'a> {
     pub fn leave(&mut self, at: SimTime, session: SessionId) -> Result<(), UnknownSession> {
         let mut slot = None;
         for world in &mut self.worlds {
-            slot = world.deregister_session(session);
+            slot = world.host.deregister_session(session);
         }
         let Some(slot) = slot else {
             return Err(UnknownSession(session));
@@ -227,7 +230,7 @@ impl<'a> ShardedBneckSimulation<'a> {
     ) -> Result<(), UnknownSession> {
         let mut slot = None;
         for world in &mut self.worlds {
-            slot = world.change_session(session, limit);
+            slot = world.host.change_session(session, limit);
         }
         let Some(slot) = slot else {
             return Err(UnknownSession(session));
@@ -267,7 +270,7 @@ impl<'a> ShardedBneckSimulation<'a> {
 
     /// The identifiers of the currently active sessions.
     pub fn active_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.worlds[0].arena().active_sessions()
+        self.worlds[0].host.arena().active_sessions()
     }
 
     /// The rates last notified through `API.Rate`, for active sessions.
@@ -275,16 +278,16 @@ impl<'a> ShardedBneckSimulation<'a> {
     /// A slot's notified rate lives on the shard owning its source task, so
     /// the merge reads each slot from its owning world.
     pub fn allocation(&self) -> Allocation {
-        self.worlds[0].arena().collect_rates(|slot| {
+        self.worlds[0].host.arena().collect_rates(|slot| {
             let owner = self.partition.source_shard(slot);
-            let rate = self.worlds[owner].notified_rate(slot);
+            let rate = self.worlds[owner].host.notified_rate(slot);
             (!rate.is_nan()).then_some(rate)
         })
     }
 
     /// The active sessions as a [`SessionSet`], for the centralized oracle.
     pub fn session_set(&self) -> Arc<SessionSet> {
-        self.worlds[0].arena().session_set()
+        self.worlds[0].host.arena().session_set()
     }
 
     /// Cumulative packet counts by kind, summed over all shards (each packet
@@ -292,9 +295,22 @@ impl<'a> ShardedBneckSimulation<'a> {
     pub fn packet_stats(&self) -> PacketStats {
         let mut total = PacketStats::new();
         for world in &self.worlds {
-            total += *world.stats();
+            total += *world.host.stats();
         }
         total
+    }
+
+    /// Opens one drainable stream of [`crate::RateEvent`]s per shard. A
+    /// session's events all come from the shard owning its source task, so
+    /// each session's own order is the serial harness's; how sessions
+    /// interleave within a shard's stream depends on the shard count.
+    pub fn rate_events(&mut self) -> Vec<RateEvents> {
+        let open = |world: &mut BneckWorld| {
+            let (events, writer) = RateEvents::channel();
+            world.host.subscribe(writer);
+            events
+        };
+        self.worlds.iter_mut().map(open).collect()
     }
 
     /// Events processed per shard since construction (the load-balance

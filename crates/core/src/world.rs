@@ -22,7 +22,7 @@
 //! were still in flight — is detected and re-resolved (or dropped) by
 //! [`SessionArena::resolve_hop`].
 
-use bneck_maxmin::{Allocation, FastMap, Rate, RateLimit, Session, SessionId, SessionSet};
+use bneck_maxmin::{Allocation, IdSlotMap, Rate, RateLimit, Session, SessionId, SessionSet};
 use bneck_net::{LinkId, Network, Path};
 use bneck_sim::{ChannelId, ChannelSpec, Engine};
 use std::cell::RefCell;
@@ -131,7 +131,7 @@ pub struct SlotJoin {
 pub struct SessionArena {
     /// Session id → slot. Entries persist across a leave so stray packets
     /// can still be routed.
-    slot_of: FastMap<SessionId, u32>,
+    slot_of: IdSlotMap,
     /// Session identifier of each slot (the current or last incarnation).
     ids: Vec<SessionId>,
     /// Path of each slot's session. Persists after a leave, overwritten on
@@ -160,7 +160,7 @@ impl SessionArena {
     /// The slot of a session identifier, if it ever joined. Persists across
     /// a leave.
     pub fn slot_of(&self, session: SessionId) -> Option<u32> {
-        self.slot_of.get(&session).copied()
+        self.slot_of.get(session)
     }
 
     /// The session identifier occupying a slot.
@@ -187,7 +187,7 @@ impl SessionArena {
     pub fn active_slots(&self) -> impl Iterator<Item = (SessionId, u32)> + '_ {
         self.active
             .iter()
-            .filter_map(move |s| Some((*s, *self.slot_of.get(s)?)))
+            .filter_map(move |s| Some((*s, self.slot_of.get(*s)?)))
     }
 
     /// Activates `session` along `path`, assigning a slot (reusing the
@@ -197,8 +197,8 @@ impl SessionArena {
         if self.active.contains(&session) {
             return None;
         }
-        let joined = match self.slot_of.get(&session) {
-            Some(&slot) => {
+        let joined = match self.slot_of.get(session) {
+            Some(slot) => {
                 let i = slot as usize;
                 self.paths[i] = path;
                 self.limits[i] = limit;
@@ -258,10 +258,11 @@ impl SessionArena {
         self.limits[slot as usize]
     }
 
-    /// The link at hop `hop` of a slot's path, or `None` when a stale hop
-    /// index runs past the (current) path.
+    /// The link at hop `hop` of a slot's path, or `None` when the slot was
+    /// never assigned or a stale hop index runs past the (current) path.
     pub fn link_at(&self, slot: u32, hop: u32) -> Option<LinkId> {
-        self.paths[slot as usize].links().get(hop as usize).copied()
+        let path = self.paths.get(slot as usize)?;
+        path.links().get(hop as usize).copied()
     }
 
     /// Number of links on a slot's path.

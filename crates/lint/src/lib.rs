@@ -76,6 +76,7 @@ impl Default for Config {
                 "crates/sim/src/event.rs",
                 "crates/sim/src/par.rs",
                 "crates/core/src/router_link.rs",
+                "crates/core/src/host.rs",
                 "crates/maxmin/src/idmap.rs",
             ]),
             handler_files: s(&[
@@ -84,7 +85,9 @@ impl Default for Config {
                 "crates/core/src/destination.rs",
                 "crates/core/src/recovery.rs",
                 "crates/core/src/harness.rs",
+                "crates/core/src/host.rs",
                 "crates/node/src/codec.rs",
+                "crates/node/src/runtime.rs",
             ]),
             protocol_enums: vec![
                 (

@@ -56,8 +56,8 @@ fn is_method_call(tokens: &[Token], i: usize, name: &str) -> bool {
 /// random seed, which is the classic silent determinism killer for a sharded
 /// engine that must produce bit-identical reports at any thread count. The
 /// rule flags every *mention* of the types, not just iteration: a map that
-/// exists will eventually be iterated, and lookup-only or fixed-hasher uses
-/// (e.g. `FastMap`) carry an `xlint: allow` with the invariant as reason.
+/// exists will eventually be iterated, and a lookup-only use carries an
+/// `xlint: allow` with the invariant as reason.
 pub fn det001(ctx: &FileContext) -> Vec<Finding> {
     let mut findings = Vec::new();
     for t in &ctx.tokens {

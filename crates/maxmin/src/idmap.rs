@@ -1,14 +1,14 @@
 //! An inline open-addressing id → slot table for the per-link hot path.
 //!
-//! [`FastMap`](crate::fastmap::FastMap) already removed the SipHash cost from
-//! the id → dense-slot lookups, but a `HashMap` still routes every probe
-//! through its own heap allocation (SwissTable control bytes plus a separate
-//! entry array), which is one dependent cache miss per packet on top of the
-//! member record itself. [`IdSlotMap`] flattens the table into a single boxed
-//! slice of 16-byte entries — key, value and occupancy state share one entry,
-//! four entries share one cache line — probed linearly from a Fibonacci-hash
-//! bucket, so a lookup touches one or two *predictable* cache lines and the
-//! owning struct (e.g. `RouterLink`) needs no second pointer chase.
+//! A `HashMap` routes every probe through its own heap allocation
+//! (SwissTable control bytes plus a separate entry array), which is one
+//! dependent cache miss per packet on top of the member record itself (and
+//! the std hasher adds SipHash on top). [`IdSlotMap`] flattens the table into
+//! a single boxed slice of 16-byte entries — key, value and occupancy state
+//! share one entry, four entries share one cache line — probed linearly from
+//! a Fibonacci-hash bucket, so a lookup touches one or two *predictable*
+//! cache lines and the owning struct (e.g. `RouterLink`) needs no second
+//! pointer chase.
 //!
 //! Deletions leave tombstones so probe chains stay intact; the table rehashes
 //! in place (same capacity) when tombstones crowd it and doubles when it is
@@ -23,8 +23,7 @@
 
 use crate::session::SessionId;
 
-/// `2^64 / φ`, the Fibonacci hashing multiplier (same constant as
-/// [`crate::fastmap::FastHasher`]).
+/// `2^64 / φ`, the Fibonacci hashing multiplier.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 const EMPTY: u8 = 0;

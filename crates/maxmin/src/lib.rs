@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod centralized;
-pub mod fastmap;
 pub mod idmap;
 #[cfg(test)]
 pub(crate) mod naive;
@@ -59,7 +58,6 @@ pub mod waterfill;
 pub mod workspace;
 
 pub use centralized::{CentralizedBneck, CentralizedSolution, LinkBottleneck};
-pub use fastmap::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use idmap::IdSlotMap;
 pub use rate::{Rate, RateLimit, Tolerance};
 pub use session::{Allocation, Session, SessionId, SessionSet};

@@ -27,6 +27,10 @@ use bneck_maxmin::{RateLimit, SessionId};
 use bneck_net::LinkId;
 use std::fmt;
 
+/// The receiving task of a routed frame: the task host's own target type, so
+/// a decoded frame is delivered without translation.
+pub use bneck_core::Target as NodeTarget;
+
 /// The only wire format version this build speaks.
 pub const WIRE_VERSION: u8 = 1;
 
@@ -37,27 +41,6 @@ pub const MAX_FRAME_LEN: usize = 1024;
 
 /// Bytes of the length prefix in front of every frame payload.
 pub const LEN_PREFIX: usize = 4;
-
-/// The receiving task of a routed frame, mirroring the harness's internal
-/// `Target`: a session slot's source task, a session slot's destination
-/// task, or the `RouterLink` task of a directed link (with the slot's hop
-/// index along the path, so the receiver can forward without a path lookup).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeTarget {
-    /// The source task of session slot `0`'s value.
-    Source(u32),
-    /// A `RouterLink` task, addressed by directed link.
-    Link {
-        /// The directed link whose task receives the frame.
-        link: LinkId,
-        /// Hop index of `link` on the slot's path (`links()[hop] == link`).
-        hop: u32,
-        /// The session slot the frame belongs to.
-        slot: u32,
-    },
-    /// The destination task of session slot `0`'s value.
-    Destination(u32),
-}
 
 /// Everything that travels between nodes, one enum variant per frame tag.
 #[derive(Debug, Clone, Copy, PartialEq)]

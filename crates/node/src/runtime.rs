@@ -3,9 +3,12 @@
 //!
 //! The design reuses the repository's existing layers unchanged:
 //!
-//! * the pure task handlers ([`SourceNode`], [`DestinationNode`],
-//!   [`RouterLink`]) run exactly as they do under the simulation harness —
-//!   they consume packets and emit [`Action`]s into an [`ActionBuffer`];
+//! * each node owns a [`TaskHost`] — the same task dispatch, API-call
+//!   handling, `API.Rate` cause tracking and next-hop routing the simulation
+//!   harness runs, tasks included. The runtime supplies only *delivery*, as
+//!   the host's [`Sink`]: a hop to a task on the same node joins the node's
+//!   FIFO `pending` queue, any other hop is encoded and handed to the
+//!   [`Transport`];
 //! * task placement comes from [`WorldPartition`], the same topology-aware
 //!   partition the sharded engine uses: routers split into contiguous rank
 //!   blocks, hosts inherit their router's node, the `RouterLink` task of
@@ -15,7 +18,14 @@
 //!   sequencing, acks and retransmission over transports that may lose or
 //!   reorder — on reliable loopback it is off by default, because each lane
 //!   has a single sending thread and both transports preserve per-connection
-//!   FIFO, which implies the per-lane FIFO the paper assumes.
+//!   FIFO, which implies the per-lane FIFO the paper assumes. The runtime
+//!   adds the wall clock and a queue of retransmission timers.
+//!
+//! Every node builds its host from the plan's whole session list, so every
+//! node can route for every session; a task only ever *runs* on the node
+//! that owns it, because frames naming a task hosted elsewhere — like frames
+//! naming a slot, link, hop or sender that does not exist — are counted in
+//! [`NodeOutcome::decode_errors`] and dropped before they reach the host.
 //!
 //! ## Quiescence without a simulator
 //!
@@ -34,19 +44,16 @@
 //! counters after a settle delay, making the silence *measurable* rather
 //! than merely inferred.
 
-use crate::codec::{self, NodeTarget, WireFrame};
+use crate::codec::{self, WireFrame};
 use crate::transport::Transport;
-use bneck_core::destination::DestinationNode;
-use bneck_core::router_link::RouterLink;
-use bneck_core::source::SourceNode;
 use bneck_core::{
-    Action, ActionBuffer, Lane, PacketStats, PendingFrame, RateCause, RateEvent, RateEvents,
-    RecoveryConfig, RecoveryState, RecoveryStats, SubscriberSet, WorldPartition,
+    ApiCall, Packet, PacketStats, RateEvent, RateEvents, RecoveryConfig, RecoveryState,
+    RecoveryStats, Sink, Target, TaskHost, WorldPartition,
 };
 use bneck_maxmin::{Allocation, Rate, RateLimit, Session, SessionId, SessionSet, Tolerance};
 use bneck_net::{LinkId, Network, Path};
 use bneck_sim::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,32 +89,23 @@ impl Default for NodeConfig {
     }
 }
 
-/// Per-slot placement and path data, fixed for the lifetime of the cluster.
-#[derive(Debug, Clone)]
-struct SlotPlan {
-    session: SessionId,
-    path: Path,
-    limit: RateLimit,
-    source_owner: u16,
-    dest_owner: u16,
-}
-
 /// The immutable cluster layout every node shares: which node owns which
-/// task, each session slot's path, per-link capacities and reverse links.
+/// task, the session list every node builds its [`TaskHost`] from, and the
+/// per-link capacities and reverse links the hosts route with.
 ///
 /// Built once from a [`Network`] and a session list; the runtime never
 /// changes membership placement after spawn (sessions may join, change and
-/// leave, but their slots and paths are fixed — the arena's slot-reuse
-/// machinery is a simulator-only concern).
+/// leave, but their slots — their positions in the list — and paths are
+/// fixed).
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
     nodes: usize,
     tolerance: Tolerance,
-    link_owner: Vec<u16>,
-    link_capacity: Vec<Rate>,
-    reverse: Vec<Option<LinkId>>,
-    slots: Vec<SlotPlan>,
-    slot_of: HashMap<SessionId, u32>,
+    /// Task placement, with one shard per node.
+    placement: WorldPartition,
+    /// The [`TaskHost::link_tables`] of the network.
+    links: (Vec<Rate>, Vec<Option<LinkId>>),
+    sessions: Vec<(SessionId, Path, RateLimit)>,
 }
 
 impl ClusterPlan {
@@ -127,35 +125,23 @@ impl ClusterPlan {
         tolerance: Tolerance,
     ) -> Self {
         assert!(nodes >= 1 && nodes <= u16::MAX as usize, "node count range");
+        let mut ids: Vec<SessionId> = sessions.iter().map(|(id, ..)| *id).collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("duplicate session id {:?}", pair[0]);
+        }
         // packet_bits only affects the partition's lookahead matrix, which
         // the runtime does not use; any positive value works.
-        let mut partition = WorldPartition::new(network, 256, nodes);
-        let mut slots = Vec::with_capacity(sessions.len());
-        let mut slot_of = HashMap::with_capacity(sessions.len());
-        for (slot, (session, path, limit)) in sessions.iter().enumerate() {
-            partition.note_join(slot as u32, path);
-            let previous = slot_of.insert(*session, slot as u32);
-            assert!(previous.is_none(), "duplicate session id {session:?}");
-            slots.push(SlotPlan {
-                session: *session,
-                path: path.clone(),
-                limit: *limit,
-                source_owner: partition.source_shard(slot as u32) as u16,
-                dest_owner: partition.dest_shard(slot as u32) as u16,
-            });
+        let mut placement = WorldPartition::new(network, 256, nodes);
+        for (slot, (_, path, _)) in sessions.iter().enumerate() {
+            placement.note_join(slot as u32, path);
         }
         ClusterPlan {
             nodes,
             tolerance,
-            link_owner: (0..network.link_count())
-                .map(|l| partition.link_shard(LinkId(l as u32)) as u16)
-                .collect(),
-            link_capacity: network.links().map(|l| l.capacity().as_bps()).collect(),
-            reverse: (0..network.link_count())
-                .map(|l| network.reverse_link(LinkId(l as u32)))
-                .collect(),
-            slots,
-            slot_of,
+            placement,
+            links: TaskHost::link_tables(network),
+            sessions: sessions.to_vec(),
         }
     }
 
@@ -166,47 +152,40 @@ impl ClusterPlan {
 
     /// Number of session slots.
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.sessions.len()
     }
 
     /// The session occupying `slot`.
     pub fn session(&self, slot: u32) -> SessionId {
-        self.slots[slot as usize].session
-    }
-
-    /// The slot of `session`, if it is part of the plan.
-    pub fn slot_of(&self, session: SessionId) -> Option<u32> {
-        self.slot_of.get(&session).copied()
+        self.sessions[slot as usize].0
     }
 
     /// The node hosting `slot`'s source task.
     pub fn source_owner(&self, slot: u32) -> usize {
-        self.slots[slot as usize].source_owner as usize
+        self.placement.source_shard(slot)
     }
 
     /// The demand limit of `slot`'s session.
     pub fn limit(&self, slot: u32) -> RateLimit {
-        self.slots[slot as usize].limit
+        self.sessions[slot as usize].2
     }
 
     /// The sessions as a [`SessionSet`], for feeding the centralized oracle.
     pub fn session_set(&self) -> SessionSet {
-        self.slots
+        self.sessions
             .iter()
-            .map(|s| Session::new(s.session, s.path.clone(), s.limit))
+            .map(|(id, path, limit)| Session::new(*id, path.clone(), *limit))
             .collect()
     }
 
-    fn links(&self, slot: u32) -> &[LinkId] {
-        self.slots[slot as usize].path.links()
-    }
-
-    fn owner_of(&self, target: NodeTarget) -> usize {
-        match target {
-            NodeTarget::Source(slot) => self.slots[slot as usize].source_owner as usize,
-            NodeTarget::Destination(slot) => self.slots[slot as usize].dest_owner as usize,
-            NodeTarget::Link { link, .. } => self.link_owner[link.index()] as usize,
+    /// A fresh task host over the plan's links with every session of the
+    /// plan registered, slot `i` being the `i`-th session.
+    fn host(&self) -> TaskHost {
+        let mut host = TaskHost::new(self.links.clone(), self.tolerance);
+        for (session, path, limit) in &self.sessions {
+            host.register_session(*session, path.clone(), *limit);
         }
+        host
     }
 }
 
@@ -222,6 +201,19 @@ struct Shared {
     notified: Vec<AtomicU64>,
 }
 
+impl Shared {
+    fn new(slots: usize) -> Self {
+        Shared {
+            sent: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            unacked: AtomicU64::new(0),
+            notified: (0..slots)
+                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
+                .collect(),
+        }
+    }
+}
+
 /// What a node reports when it exits.
 #[derive(Debug)]
 pub struct NodeOutcome {
@@ -231,136 +223,221 @@ pub struct NodeOutcome {
     pub stats: PacketStats,
     /// Recovery-layer counters, when recovery was enabled.
     pub recovery: Option<RecoveryStats>,
-    /// Frames that failed to decode (hostile or corrupt input; always zero
-    /// in a healthy cluster).
+    /// Frames dropped as hostile or corrupt: they failed to decode, or they
+    /// decoded but named a slot, link, hop or sender that does not exist or
+    /// a task this node does not host. Always zero in a healthy cluster.
     pub decode_errors: u64,
     /// Transport send failures (peer torn down mid-send).
     pub transport_errors: u64,
 }
 
-/// A pending retransmission check: at `due`, resend `(lane, seq)` if it is
-/// still unacked. The RTO is constant, so push order equals due order and a
-/// queue suffices — no timer wheel needed.
+/// A pending retransmission check: at `due`, resend frame `seq` of lane
+/// `(session, link)` if it is still unacked. The RTO is constant, so push
+/// order equals due order and a queue suffices — no timer wheel needed.
 struct Retransmit {
     due: Instant,
-    lane: Lane,
+    session: SessionId,
+    link: LinkId,
     seq: u32,
 }
 
+/// One node: the task host plus the node's side of delivery.
 struct NodeWorker {
+    host: TaskHost,
+    io: NodeIo,
+    poll: Duration,
+    done: bool,
+}
+
+/// Everything of a node that is not the protocol: where it sits in the
+/// cluster, its transport endpoint, the queue of node-local deliveries, and
+/// the recovery lanes with their wall-clock timers. This is the [`Sink`] the
+/// node's [`TaskHost`] transmits into.
+struct NodeIo {
     node: usize,
     plan: Arc<ClusterPlan>,
     shared: Arc<Shared>,
     transport: Box<dyn Transport>,
     start: Instant,
-    poll: Duration,
-    sources: Vec<Option<SourceNode>>,
-    destinations: Vec<Option<DestinationNode>>,
-    router_links: Vec<Option<RouterLink>>,
-    causes: Vec<RateCause>,
-    subscribers: SubscriberSet,
-    stats: PacketStats,
-    scratch: ActionBuffer,
-    pending: VecDeque<(NodeTarget, bneck_core::Packet)>,
-    recovery: Option<RecoveryState<NodeTarget>>,
+    pending: VecDeque<(Target, Packet)>,
+    recovery: Option<RecoveryState>,
     timers: VecDeque<Retransmit>,
     encode_buf: Vec<u8>,
     decode_errors: u64,
     transport_errors: u64,
-    done: bool,
 }
 
 impl NodeWorker {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    fn new(
+        node: usize,
+        plan: &Arc<ClusterPlan>,
+        shared: &Arc<Shared>,
+        transport: Box<dyn Transport>,
+        start: Instant,
+        config: NodeConfig,
+    ) -> Self {
+        NodeWorker {
+            host: plan.host(),
+            io: NodeIo {
+                node,
+                plan: Arc::clone(plan),
+                shared: Arc::clone(shared),
+                transport,
+                start,
+                pending: VecDeque::new(),
+                recovery: config.recovery.map(RecoveryState::new),
+                timers: VecDeque::new(),
+                encode_buf: Vec::with_capacity(128),
+                decode_errors: 0,
+                transport_errors: 0,
+            },
+            poll: config.poll,
+            done: false,
+        }
     }
 
     fn run(mut self) -> NodeOutcome {
         while !self.done {
-            match self.transport.recv_timeout(self.poll) {
+            match self.io.transport.recv_timeout(self.poll) {
                 Ok(Some(bytes)) => self.handle_wire(&bytes),
                 Ok(None) => {}
                 Err(_) => break,
             }
-            self.fire_due_retransmits();
+            self.io.fire_due_retransmits();
         }
         NodeOutcome {
-            node: self.node,
-            stats: self.stats,
-            recovery: self.recovery.as_ref().map(|r| r.stats),
-            decode_errors: self.decode_errors,
-            transport_errors: self.transport_errors,
+            node: self.io.node,
+            stats: *self.host.stats(),
+            recovery: self.io.recovery.as_ref().map(|r| r.stats),
+            decode_errors: self.io.decode_errors,
+            transport_errors: self.io.transport_errors,
         }
     }
 
     /// Processes one blob delivered by the transport. The `received` counter
     /// is incremented only after the cascade of local deliveries the frame
-    /// triggered has fully drained — the ordering the silence argument needs.
+    /// triggered has fully drained — the ordering the silence argument needs
+    /// — and for every blob, whatever it held, so bad input cannot wedge it.
     fn handle_wire(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             match codec::decode_frame(bytes) {
                 Ok(Some((from, frame, consumed))) => {
                     bytes = &bytes[consumed..];
                     self.handle_frame(from, frame);
-                    self.drain_pending();
+                    // Every action a handler emits either re-enters this
+                    // queue (same-node target) or goes out through the
+                    // transport, so the cascade terminates exactly when the
+                    // protocol stops talking.
+                    while let Some((target, packet)) = self.io.pending.pop_front() {
+                        self.host.deliver(target, packet, &mut self.io);
+                    }
                 }
-                Ok(None) => {
-                    // A truncated tail: the transport only delivers whole
-                    // frames, so this is corruption.
-                    self.decode_errors += 1;
-                    break;
-                }
-                Err(_) => {
-                    self.decode_errors += 1;
+                // `Ok(None)` is a truncated tail: the transport only delivers
+                // whole frames, so that is corruption too.
+                Ok(None) | Err(_) => {
+                    self.io.decode_errors += 1;
                     break;
                 }
             }
         }
-        self.shared.received.fetch_add(1, Ordering::SeqCst);
+        self.io.shared.received.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// `true` when `target` names an existing task that lives on this node.
+    /// Targets arrive off the wire, so nothing about them is trusted.
+    fn hosts(&self, target: Target) -> bool {
+        self.host.knows(target) && self.io.plan.placement.owner(target) == self.io.node
     }
 
     fn handle_frame(&mut self, from: u16, frame: WireFrame) {
         match frame {
-            WireFrame::Packet { to, packet } => self.pending.push_back((to, packet)),
+            WireFrame::Packet { to, packet } if self.hosts(to) => {
+                self.io.pending.push_back((to, packet));
+            }
+            // The ack goes back to `from`, which must be an endpoint of the
+            // mesh (a node, or the coordinator one past the last node).
             WireFrame::Data {
                 to,
                 link,
                 seq,
                 packet,
-            } => self.recv_data(from, to, link, seq, packet),
+            } if self.hosts(to) && usize::from(from) <= self.io.plan.nodes => {
+                self.io.receive_framed(from, to, link, seq, packet);
+            }
             WireFrame::Ack { session, link, seq } => {
-                if let Some(recovery) = self.recovery.as_mut() {
-                    if recovery
-                        .unacked
-                        .remove(&(Lane::new(session, link), seq))
-                        .is_some()
-                    {
-                        self.shared.unacked.fetch_sub(1, Ordering::SeqCst);
-                    }
+                let recovery = self.io.recovery.as_mut();
+                if recovery.is_some_and(|r| r.acked(session, link, seq)) {
+                    self.io.shared.unacked.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            WireFrame::Join { slot, limit } => self.api(slot, ApiOp::Join(limit)),
-            WireFrame::Leave { slot } => self.api(slot, ApiOp::Leave),
-            WireFrame::Change { slot, limit } => self.api(slot, ApiOp::Change(limit)),
+            WireFrame::Join { slot, limit } => self.api(slot, ApiCall::Join { limit }),
+            WireFrame::Leave { slot } => self.api(slot, ApiCall::Leave),
+            WireFrame::Change { slot, limit } => self.api(slot, ApiCall::Change { limit }),
             WireFrame::Shutdown => self.done = true,
+            WireFrame::Packet { .. } | WireFrame::Data { .. } => self.io.decode_errors += 1,
         }
     }
 
-    /// The receive half of the recovery layer, mirroring the harness: ack
-    /// every frame (the duplicate's ack replaces a lost one), drop
-    /// duplicates, buffer past-gap frames, deliver in order and flush.
-    fn recv_data(
-        &mut self,
-        from: u16,
-        to: NodeTarget,
-        link: LinkId,
-        seq: u32,
-        packet: bneck_core::Packet,
-    ) {
-        let session = packet.session();
-        if let Some(recovery) = self.recovery.as_mut() {
-            recovery.stats.acks_sent += 1;
+    /// Applies an API call to the slot's source task, if this node hosts it.
+    fn api(&mut self, slot: u32, call: ApiCall) {
+        if self.hosts(Target::Source(slot)) {
+            self.host.api(slot, call, &mut self.io);
+        } else {
+            self.io.decode_errors += 1;
         }
+    }
+}
+
+impl Sink for NodeIo {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    fn notified(&mut self, slot: u32, rate: Rate) {
+        self.shared.notified[slot as usize].store(rate.to_bits(), Ordering::SeqCst);
+    }
+
+    /// A same-node target short-circuits through the local queue — the
+    /// lane's endpoints never straddle nodes-vs-local, because a lane's
+    /// receiving task has a fixed owner, so skipping the recovery framing
+    /// for local hops is safe.
+    fn transmit(&mut self, over: LinkId, to: Target, packet: Packet) {
+        let owner = self.plan.placement.owner(to);
+        if owner == self.node {
+            self.pending.push_back((to, packet));
+            return;
+        }
+        let frame = match self.recovery.as_mut() {
+            None => WireFrame::Packet { to, packet },
+            Some(recovery) => {
+                let seq = recovery.frame(over, to, packet);
+                self.shared.unacked.fetch_add(1, Ordering::SeqCst);
+                let rto = Duration::from_nanos(recovery.config.rto.as_nanos());
+                self.timers.push_back(Retransmit {
+                    due: wall_now() + rto,
+                    session: packet.session(),
+                    link: over,
+                    seq,
+                });
+                WireFrame::Data {
+                    to,
+                    link: over,
+                    seq,
+                    packet,
+                }
+            }
+        };
+        self.send_frame(owner, &frame);
+    }
+}
+
+impl NodeIo {
+    /// Takes a sequenced frame off the wire: acks it to its sender `from`
+    /// and queues whatever the lane releases for in-order delivery.
+    fn receive_framed(&mut self, from: u16, to: Target, link: LinkId, seq: u32, packet: Packet) {
+        let session = packet.session();
+        // Every frame is acked, duplicates included: the duplicate's ack
+        // replaces a lost one.
         self.send_frame(from as usize, &WireFrame::Ack { session, link, seq });
         let Some(recovery) = self.recovery.as_mut() else {
             // Config mismatch (a recovered peer talking to a bare node):
@@ -369,310 +446,11 @@ impl NodeWorker {
             self.pending.push_back((to, packet));
             return;
         };
-        let lane = Lane::new(session, link);
-        let expected = *recovery.expected.entry(lane).or_insert(0);
-        if seq < expected {
-            recovery.stats.duplicates_dropped += 1;
-            return;
+        let mut next = recovery.receive(link, seq, to, packet);
+        while let Some(delivery) = next {
+            self.pending.push_back(delivery);
+            next = recovery.release(session, link);
         }
-        if seq > expected {
-            let frame = PendingFrame {
-                over: link,
-                target: to,
-                packet,
-            };
-            if recovery.buffered.insert((lane, seq), frame).is_none() {
-                recovery.stats.reordered_buffered += 1;
-            } else {
-                recovery.stats.duplicates_dropped += 1;
-            }
-            return;
-        }
-        *recovery
-            .expected
-            .get_mut(&lane)
-            .expect("entry created above") += 1;
-        self.pending.push_back((to, packet));
-        loop {
-            let recovery = self.recovery.as_mut().expect("still configured");
-            let next = *recovery.expected.get(&lane).expect("entry created above");
-            let Some(frame) = recovery.buffered.remove(&(lane, next)) else {
-                break;
-            };
-            *recovery
-                .expected
-                .get_mut(&lane)
-                .expect("entry created above") += 1;
-            self.pending.push_back((frame.target, frame.packet));
-        }
-    }
-
-    /// Applies an API call to the slot's source task (if this node owns it).
-    fn api(&mut self, slot: u32, op: ApiOp) {
-        let Some(source) = self.sources.get_mut(slot as usize).and_then(|s| s.as_mut()) else {
-            return; // Misrouted or unknown slot: ignore.
-        };
-        let session = source.session();
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        match op {
-            ApiOp::Join(limit) => source.api_join(limit, &mut actions),
-            ApiOp::Leave => {
-                let final_rate = source.current_rate();
-                source.api_leave(&mut actions);
-                let event = RateEvent {
-                    at: self.now(),
-                    session,
-                    rate: final_rate,
-                    cause: RateCause::Left,
-                };
-                self.subscribers.emit_rate(&event);
-            }
-            ApiOp::Change(limit) => {
-                self.causes[slot as usize] = RateCause::Changed;
-                source.api_change(limit, &mut actions);
-            }
-        }
-        for action in actions.drain() {
-            self.perform(NodeTarget::Source(slot), session, action);
-        }
-        self.scratch = actions;
-    }
-
-    /// Dispatches queued local deliveries until none remain. Every action a
-    /// handler emits either re-enters this queue (same-node target) or goes
-    /// out through the transport, so the cascade terminates exactly when the
-    /// protocol stops talking.
-    fn drain_pending(&mut self) {
-        while let Some((target, packet)) = self.pending.pop_front() {
-            self.dispatch(target, packet);
-        }
-    }
-
-    fn dispatch(&mut self, target: NodeTarget, packet: bneck_core::Packet) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
-        match target {
-            NodeTarget::Source(slot) => {
-                if let Some(Some(source)) = self.sources.get_mut(slot as usize) {
-                    source.handle(packet, &mut actions);
-                }
-            }
-            NodeTarget::Link { link, .. } => {
-                let capacity = self.plan.link_capacity[link.index()];
-                let tolerance = self.plan.tolerance;
-                let entry = &mut self.router_links[link.index()];
-                let task = entry.get_or_insert_with(|| RouterLink::new(link, capacity, tolerance));
-                task.handle(packet, &mut actions);
-            }
-            NodeTarget::Destination(slot) => {
-                if let Some(Some(destination)) = self.destinations.get(slot as usize) {
-                    destination.handle(packet, &mut actions);
-                }
-            }
-        }
-        for action in actions.drain() {
-            self.perform(target, packet.session(), action);
-        }
-        self.scratch = actions;
-    }
-
-    /// Resolves the slot and hop an action's packet belongs to. Envelope
-    /// coordinates are trusted when the action is for the origin packet's
-    /// own session; actions for *other* sessions (a `RouterLink` notifying
-    /// its other members) are resolved against the plan. Slots are never
-    /// reused in the runtime, so — unlike the simulator arena — there are no
-    /// stale incarnations to guard against.
-    fn hop_of(
-        &self,
-        session: SessionId,
-        origin_session: SessionId,
-        slot: u32,
-        hop: u32,
-        link: LinkId,
-    ) -> Option<(u32, u32)> {
-        if session == origin_session {
-            return Some((slot, hop));
-        }
-        let slot = self.plan.slot_of(session)?;
-        let hop = self.plan.links(slot).iter().position(|l| *l == link)?;
-        Some((slot, hop as u32))
-    }
-
-    /// Turns a task action into a frame transmission or a rate notification,
-    /// mirroring the harness's routing exactly.
-    fn perform(&mut self, origin: NodeTarget, origin_session: SessionId, action: Action) {
-        match action {
-            Action::NotifyRate { session, rate } => {
-                let cause = match self.plan.slot_of(session) {
-                    Some(slot) => {
-                        self.shared.notified[slot as usize].store(rate.to_bits(), Ordering::SeqCst);
-                        std::mem::replace(&mut self.causes[slot as usize], RateCause::Converged)
-                    }
-                    None => RateCause::Converged,
-                };
-                if !self.subscribers.is_empty() {
-                    let event = RateEvent {
-                        at: self.now(),
-                        session,
-                        rate,
-                        cause,
-                    };
-                    self.subscribers.emit_rate(&event);
-                }
-            }
-            Action::SendDownstream(packet) => {
-                let session = packet.session();
-                let (over, next) = match origin {
-                    NodeTarget::Source(origin_slot) => {
-                        let slot = if session == origin_session {
-                            origin_slot
-                        } else {
-                            match self.plan.slot_of(session) {
-                                Some(s) => s,
-                                None => return,
-                            }
-                        };
-                        let links = self.plan.links(slot);
-                        let next = if links.len() > 1 {
-                            NodeTarget::Link {
-                                link: links[1],
-                                hop: 1,
-                                slot,
-                            }
-                        } else {
-                            NodeTarget::Destination(slot)
-                        };
-                        (links[0], next)
-                    }
-                    NodeTarget::Link { link, hop, slot } => {
-                        let Some((slot, hop)) =
-                            self.hop_of(session, origin_session, slot, hop, link)
-                        else {
-                            return;
-                        };
-                        let hop = hop as usize;
-                        let links = self.plan.links(slot);
-                        let next = if hop + 1 < links.len() {
-                            NodeTarget::Link {
-                                link: links[hop + 1],
-                                hop: hop as u32 + 1,
-                                slot,
-                            }
-                        } else {
-                            NodeTarget::Destination(slot)
-                        };
-                        (links[hop], next)
-                    }
-                    NodeTarget::Destination(_) => return,
-                };
-                self.transmit(over, next, packet);
-            }
-            Action::SendUpstream(packet) => {
-                let session = packet.session();
-                let (forward, next) = match origin {
-                    NodeTarget::Destination(origin_slot) => {
-                        let slot = if session == origin_session {
-                            origin_slot
-                        } else {
-                            match self.plan.slot_of(session) {
-                                Some(s) => s,
-                                None => return,
-                            }
-                        };
-                        let links = self.plan.links(slot);
-                        let last = links.len() - 1;
-                        let next = if last >= 1 {
-                            NodeTarget::Link {
-                                link: links[last],
-                                hop: last as u32,
-                                slot,
-                            }
-                        } else {
-                            NodeTarget::Source(slot)
-                        };
-                        (links[last], next)
-                    }
-                    NodeTarget::Link { link, hop, slot } => {
-                        let Some((slot, hop)) =
-                            self.hop_of(session, origin_session, slot, hop, link)
-                        else {
-                            return;
-                        };
-                        let hop = hop as usize;
-                        if hop == 0 {
-                            // The source task owns the first link; nothing
-                            // lives upstream of it.
-                            return;
-                        }
-                        let links = self.plan.links(slot);
-                        let next = if hop > 1 {
-                            NodeTarget::Link {
-                                link: links[hop - 1],
-                                hop: hop as u32 - 1,
-                                slot,
-                            }
-                        } else {
-                            NodeTarget::Source(slot)
-                        };
-                        (links[hop - 1], next)
-                    }
-                    NodeTarget::Source(_) => return,
-                };
-                // Upstream packets travel over the reverse link of the hop.
-                let Some(reverse) = self.plan.reverse[forward.index()] else {
-                    return;
-                };
-                self.transmit(reverse, next, packet);
-            }
-        }
-    }
-
-    /// Sends `packet` over directed link `over` to the task `target`. A
-    /// same-node target short-circuits through the local queue — the lane's
-    /// endpoints never straddle nodes-vs-local, because a lane's receiving
-    /// task has a fixed owner, so skipping the recovery framing for local
-    /// hops is safe.
-    fn transmit(&mut self, over: LinkId, target: NodeTarget, packet: bneck_core::Packet) {
-        self.stats.record(packet.kind());
-        if !self.subscribers.is_empty() {
-            self.subscribers.note_packet(self.now(), packet.kind());
-        }
-        let owner = self.plan.owner_of(target);
-        if owner == self.node {
-            self.pending.push_back((target, packet));
-            return;
-        }
-        let frame = match self.recovery.as_mut() {
-            None => WireFrame::Packet { to: target, packet },
-            Some(recovery) => {
-                let lane = Lane::new(packet.session(), over);
-                let seq = recovery.assign_seq(lane);
-                recovery.unacked.insert(
-                    (lane, seq),
-                    PendingFrame {
-                        over,
-                        target,
-                        packet,
-                    },
-                );
-                recovery.stats.frames_sent += 1;
-                self.shared.unacked.fetch_add(1, Ordering::SeqCst);
-                let rto = Duration::from_nanos(recovery.config.rto.as_nanos());
-                self.timers.push_back(Retransmit {
-                    due: wall_now() + rto,
-                    lane,
-                    seq,
-                });
-                WireFrame::Data {
-                    to: target,
-                    link: over,
-                    seq,
-                    packet,
-                }
-            }
-        };
-        self.send_frame(owner, &frame);
     }
 
     fn send_frame(&mut self, peer: usize, frame: &WireFrame) {
@@ -691,48 +469,38 @@ impl NodeWorker {
 
     /// Resends every due still-unacked frame and re-arms its timer.
     fn fire_due_retransmits(&mut self) {
-        if self.recovery.is_none() || self.timers.is_empty() {
+        if self.timers.is_empty() {
             return;
         }
         let now = wall_now();
-        let mut due = Vec::new();
-        while let Some(front) = self.timers.front() {
-            if front.due > now {
-                break;
-            }
+        // A re-armed timer is due strictly after `now`, so the loop ends.
+        while self.timers.front().is_some_and(|timer| timer.due <= now) {
             let timer = self.timers.pop_front().expect("peeked above");
-            due.push((timer.lane, timer.seq));
-        }
-        for (lane, seq) in due {
-            let recovery = self.recovery.as_mut().expect("checked above");
-            let Some(frame) = recovery.unacked.get(&(lane, seq)).copied() else {
+            let recovery = self
+                .recovery
+                .as_mut()
+                .expect("timers are only armed with recovery on");
+            let (session, link, seq) = (timer.session, timer.link, timer.seq);
+            let Some(frame) = recovery.still_unacked(session, link, seq) else {
                 continue; // Acked in the meantime: the timer is stale.
             };
-            recovery.stats.retransmits += 1;
             let rto = Duration::from_nanos(recovery.config.rto.as_nanos());
             self.timers.push_back(Retransmit {
                 due: now + rto,
-                lane,
-                seq,
+                ..timer
             });
-            let owner = self.plan.owner_of(frame.target);
+            let owner = self.plan.placement.owner(frame.target);
             self.send_frame(
                 owner,
                 &WireFrame::Data {
                     to: frame.target,
-                    link: frame.over,
+                    link,
                     seq,
                     packet: frame.packet,
                 },
             );
         }
     }
-}
-
-enum ApiOp {
-    Join(RateLimit),
-    Leave,
-    Change(RateLimit),
 }
 
 /// The silence wait gave up: frames were still in flight (or unacked) when
@@ -794,61 +562,15 @@ impl NodeRuntime {
         );
         let coordinator = endpoints.pop().expect("length checked above");
         let plan = Arc::new(plan);
-        let shared = Arc::new(Shared {
-            sent: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            unacked: AtomicU64::new(0),
-            notified: (0..plan.slot_count())
-                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
-                .collect(),
-        });
+        let shared = Arc::new(Shared::new(plan.slot_count()));
         let start = wall_now();
         let mut handles = Vec::with_capacity(plan.nodes());
         let mut events = Vec::with_capacity(plan.nodes());
         for (node, transport) in endpoints.into_iter().enumerate() {
             let (reader, subscriber) = RateEvents::channel();
             events.push(reader);
-            let mut subscribers = SubscriberSet::new();
-            subscribers.subscribe(subscriber);
-            let mut sources: Vec<Option<SourceNode>> = Vec::with_capacity(plan.slot_count());
-            let mut destinations: Vec<Option<DestinationNode>> =
-                Vec::with_capacity(plan.slot_count());
-            for sp in &plan.slots {
-                sources.push((sp.source_owner as usize == node).then(|| {
-                    let first = sp.path.links()[0];
-                    SourceNode::new(
-                        sp.session,
-                        first,
-                        plan.link_capacity[first.index()],
-                        plan.tolerance,
-                    )
-                }));
-                destinations.push(
-                    (sp.dest_owner as usize == node).then(|| DestinationNode::new(sp.session)),
-                );
-            }
-            let worker = NodeWorker {
-                node,
-                plan: Arc::clone(&plan),
-                shared: Arc::clone(&shared),
-                transport,
-                start,
-                poll: config.poll,
-                sources,
-                destinations,
-                router_links: (0..plan.link_owner.len()).map(|_| None).collect(),
-                causes: vec![RateCause::Joined; plan.slot_count()],
-                subscribers,
-                stats: PacketStats::new(),
-                scratch: ActionBuffer::default(),
-                pending: VecDeque::new(),
-                recovery: config.recovery.map(RecoveryState::new),
-                timers: VecDeque::new(),
-                encode_buf: Vec::with_capacity(128),
-                decode_errors: 0,
-                transport_errors: 0,
-                done: false,
-            };
+            let mut worker = NodeWorker::new(node, &plan, &shared, transport, start, config);
+            worker.host.subscribe(subscriber);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("bneck-node-{node}"))
@@ -988,5 +710,122 @@ impl NodeRuntime {
             .drain(..)
             .map(|h| h.join().expect("node worker panicked"))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::channel_mesh;
+    use bneck_net::topology::synthetic;
+    use bneck_net::{Capacity, Delay};
+
+    /// Node 0 of a two-node dumbbell cluster with recovery on, wired to a
+    /// three-endpoint channel mesh (two nodes and the coordinator) whose
+    /// other ends are returned so sends keep succeeding.
+    fn worker() -> (NodeWorker, Vec<LinkId>, Vec<crate::ChannelEndpoint>) {
+        let network = synthetic::dumbbell(
+            1,
+            Capacity::from_mbps(100.0),
+            Capacity::from_mbps(60.0),
+            Delay::from_micros(1),
+        );
+        let hosts: Vec<_> = network.hosts().map(|h| h.id()).collect();
+        let path = network.shortest_path(hosts[0], hosts[1]).unwrap();
+        let links = path.links().to_vec();
+        let sessions = [(SessionId(0), path, RateLimit::unlimited())];
+        let plan = Arc::new(ClusterPlan::new(
+            &network,
+            &sessions,
+            2,
+            Tolerance::default(),
+        ));
+        let shared = Arc::new(Shared::new(plan.slot_count()));
+        let mut mesh = channel_mesh(3);
+        let endpoint = Box::new(mesh.remove(0));
+        let config = NodeConfig {
+            recovery: Some(RecoveryConfig::default()),
+            ..NodeConfig::default()
+        };
+        let worker = NodeWorker::new(0, &plan, &shared, endpoint, wall_now(), config);
+        (worker, links, mesh)
+    }
+
+    /// Hands the worker one encoded frame, as the transport would.
+    fn feed(worker: &mut NodeWorker, from: u16, frame: WireFrame) {
+        let mut bytes = Vec::new();
+        codec::encode_frame(from, &frame, &mut bytes);
+        worker.handle_wire(&bytes);
+    }
+
+    #[test]
+    fn hostile_but_decodable_frames_are_counted_and_dropped() {
+        let (mut worker, links, _peers) = worker();
+        let packet = Packet::Update {
+            session: SessionId(0),
+        };
+        // The trunk link's task lives on node 0 at hop 1 of slot 0's path;
+        // every variation below is well-formed on the wire.
+        let good = Target::Link {
+            link: links[1],
+            hop: 1,
+            slot: 0,
+        };
+        assert!(worker.hosts(good));
+        let link = |link: u32, hop: u32, slot: u32| Target::Link {
+            link: LinkId(link),
+            hop,
+            slot,
+        };
+        let hostile = [
+            link(u32::MAX, 1, 0),          // link out of range
+            link(links[1].0, 1, u32::MAX), // slot out of range
+            link(links[1].0, u32::MAX, 0), // hop out of range
+            link(links[1].0, 0, 0),        // hop names another link
+            Target::Source(u32::MAX),      // slot out of range
+            Target::Destination(7),        // slot out of range
+            Target::Destination(0),        // a task node 1 hosts
+        ];
+        let mut blobs = 0;
+        for to in hostile {
+            let errors = worker.io.decode_errors;
+            feed(&mut worker, 1, WireFrame::Packet { to, packet });
+            let data = WireFrame::Data {
+                to,
+                link: links[1],
+                seq: 0,
+                packet,
+            };
+            feed(&mut worker, 1, data);
+            blobs += 2;
+            assert_eq!(worker.io.decode_errors, errors + 2, "{to:?}");
+        }
+        // A sequenced frame whose sender is no endpoint of the mesh cannot
+        // be acked; an API call for a slot that does not exist has no task.
+        let errors = worker.io.decode_errors;
+        let data = WireFrame::Data {
+            to: good,
+            link: links[1],
+            seq: 0,
+            packet,
+        };
+        feed(&mut worker, u16::MAX, data);
+        feed(&mut worker, 2, WireFrame::Leave { slot: u32::MAX });
+        blobs += 2;
+        assert_eq!(worker.io.decode_errors, errors + 2);
+        assert!(worker.io.pending.is_empty());
+        assert_eq!(worker.host.stats().total(), 0, "no handler ever ran");
+        // Silence cannot wedge: every blob was counted as received, and
+        // nothing was sent on behalf of a dropped frame.
+        let received = worker.io.shared.received.load(Ordering::SeqCst);
+        assert_eq!(received, blobs);
+        assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 0);
+
+        // The well-formed twin of the frames above is acked and delivered.
+        feed(&mut worker, 1, data);
+        assert_eq!(worker.io.decode_errors, errors + 2);
+        assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 1, "the ack");
+        let stats = worker.io.recovery.as_ref().unwrap().stats;
+        assert_eq!(stats.acks_sent, 1);
     }
 }

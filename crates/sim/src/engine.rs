@@ -42,45 +42,6 @@ pub trait World {
 
     /// Handles the delivery of `msg` to `to` at the context's current time.
     fn handle(&mut self, ctx: &mut Context<'_, Self::Message>, to: Address, msg: Self::Message);
-
-    /// Batching hint: messages delivered at the *same instant* that report
-    /// the same non-`None` key are handed to [`World::handle_batch`] in one
-    /// call, in exact delivery order. Return the destination's identity (the
-    /// B-Neck harness keys protocol packets by their target link) so the
-    /// engine can drain a same-destination run while that destination's
-    /// state is hot in cache. `None` (the default) delivers the message
-    /// individually through [`World::handle`].
-    ///
-    /// Batching is purely a locality optimization: the engine only ever
-    /// groups a *prefix* of the globally ordered pending events, so the
-    /// sequence of handler invocations — and therefore every observable
-    /// outcome — is identical with batching on or off.
-    fn batch_key(&self, _msg: &Self::Message) -> Option<u64> {
-        None
-    }
-
-    /// Warming hint: called by [`Engine::run_until`] with the *next* pending
-    /// message right before the current one is handled, so the world can
-    /// touch (and thereby start loading) the state that message will need —
-    /// a software prefetch by early load that overlaps the next event's
-    /// cache misses with the current handler's work. Must not observe
-    /// anything: the engine may warm a message that never arrives next (a
-    /// handler can still schedule ahead of it). The default does nothing.
-    fn warm(&self, _msg: &Self::Message) {}
-
-    /// Handles a batch of same-instant messages that share a
-    /// [`World::batch_key`]. Implementations must drain `batch` (the engine
-    /// reuses the buffer) and must process the messages in order; the default
-    /// simply forwards each message to [`World::handle`].
-    fn handle_batch(
-        &mut self,
-        ctx: &mut Context<'_, Self::Message>,
-        batch: &mut Vec<(Address, Self::Message)>,
-    ) {
-        for (to, msg) in batch.drain(..) {
-            self.handle(ctx, to, msg);
-        }
-    }
 }
 
 /// Cross-shard delivery hook used by the parallel engine (see [`crate::par`]).
@@ -549,14 +510,6 @@ impl<M> Engine<M> {
     /// `horizon`. Events at exactly `horizon` are processed. When the run
     /// stops at the horizon, the engine's clock is advanced to `horizon` so a
     /// subsequent run continues from there.
-    ///
-    /// Consecutive events at the same instant whose messages share a
-    /// [`World::batch_key`] are drained in one [`World::handle_batch`] call,
-    /// so a burst of packets to one destination runs with that destination's
-    /// state hot in cache. The grouping never reorders deliveries (only a
-    /// prefix of the already-ordered pending events is grouped, and anything
-    /// a handler schedules carries a later sequence number), so a batched
-    /// run and a [`Engine::step`]-by-step run are indistinguishable.
     pub fn run_until<W: World<Message = M>>(
         &mut self,
         world: &mut W,
@@ -567,8 +520,8 @@ impl<M> Engine<M> {
 
     /// [`Engine::run_until`] with a cross-shard router installed: every
     /// channel send is offered to `route` first. The parallel engine drives
-    /// each shard through this entry point so the batched-delivery/warm hot
-    /// path is shared with the serial engine, not duplicated.
+    /// each shard through this entry point, so the event loop is shared with
+    /// the serial engine, not duplicated.
     pub(crate) fn run_until_routed<W: World<Message = M>>(
         &mut self,
         world: &mut W,
@@ -584,53 +537,12 @@ impl<M> Engine<M> {
         horizon: SimTime,
         mut route: Option<&mut dyn MessageRouter<M>>,
     ) -> RunReport {
-        /// Upper bound on one batch, so the reusable buffer stays small and a
-        /// mega-burst cannot starve the clock of progress bookkeeping.
-        const MAX_BATCH: usize = 128;
         let start_events = self.events_processed;
         let start_messages = self.messages_sent;
         let mut last_event_time = self.now;
-        // xlint: allow(HOT001, reason = "one reusable batch buffer per run_until call; drained in place, never reallocated per event")
-        let mut batch: Vec<(Address, M)> = Vec::new();
         while let Some(event) = self.queue.pop_at_most(horizon) {
             last_event_time = event.at;
-            let Some(key) = world.batch_key(&event.msg) else {
-                if let Some(next) = self.queue.peek_msg() {
-                    world.warm(next);
-                }
-                self.process(world, event, reborrow_route(&mut route));
-                continue;
-            };
-            let at = event.at;
-            batch.push((event.to, event.msg));
-            while batch.len() < MAX_BATCH {
-                let Some(follow) = self
-                    .queue
-                    .pop_if_at(at, |_, msg| world.batch_key(msg) == Some(key))
-                else {
-                    break;
-                };
-                batch.push((follow.to, follow.msg));
-            }
-            // Start loading the state the *next* event will touch while this
-            // one is handled (its cache misses overlap the handler's work).
-            if let Some(next) = self.queue.peek_msg() {
-                world.warm(next);
-            }
-            debug_assert!(at >= self.now, "time must not go backwards");
-            self.now = at;
-            self.events_processed += batch.len() as u64;
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-                channels: &mut self.channels,
-                messages_sent: &mut self.messages_sent,
-                faults: self.faults.as_deref_mut(),
-                route: reborrow_route(&mut route),
-            };
-            world.handle_batch(&mut ctx, &mut batch);
-            debug_assert!(batch.is_empty(), "handle_batch must drain the batch");
-            batch.clear();
+            self.process(world, event, reborrow_route(&mut route));
         }
         let quiescent = self.queue.is_empty();
         if !quiescent && horizon != SimTime::MAX && horizon > self.now {
@@ -784,80 +696,48 @@ mod tests {
         engine.inject(SimTime::from_micros(1), Address(0), 0);
     }
 
-    /// A world that batches messages by destination address and logs every
-    /// delivery plus the batch boundaries.
-    struct Batcher {
+    /// A world whose first generation fans out same-instant follow-ups and
+    /// channel sends, logging every delivery.
+    struct FanOut {
         log: Vec<(u64, u32, u32)>,
-        batch_sizes: Vec<usize>,
         forward: ChannelId,
     }
 
-    impl World for Batcher {
+    impl World for FanOut {
         type Message = u32;
         fn handle(&mut self, ctx: &mut Context<'_, u32>, to: Address, msg: u32) {
             self.log.push((ctx.now().as_nanos(), to.0, msg));
-            // The first generation fans out same-instant follow-ups: the
-            // first five to one destination, the next five to another, so
-            // the engine sees two same-key runs to batch.
             if msg < 10 {
                 ctx.deliver_now(Address(msg / 5), msg + 10);
                 ctx.send(self.forward, Address(2), msg + 100);
             }
         }
-        fn batch_key(&self, msg: &u32) -> Option<u64> {
-            // Group everything but the seed generation.
-            (*msg >= 10).then(|| ((*msg - 10) / 5) as u64)
-        }
-        fn handle_batch(&mut self, ctx: &mut Context<'_, u32>, batch: &mut Vec<(Address, u32)>) {
-            self.batch_sizes.push(batch.len());
-            for (to, msg) in batch.drain(..) {
-                self.handle(ctx, to, msg);
-            }
-        }
     }
 
     #[test]
-    fn batched_runs_deliver_in_the_exact_step_by_step_order() {
+    fn run_and_step_by_step_deliver_the_same_log() {
         let build = || {
             let mut engine = Engine::new();
             let forward = engine.add_channel(ChannelSpec::new(1e9, Delay::from_micros(10), 1000));
-            let world = Batcher {
+            for i in 0..10u32 {
+                engine.inject(SimTime::from_micros(1), Address(9), i);
+            }
+            let world = FanOut {
                 log: Vec::new(),
-                batch_sizes: Vec::new(),
                 forward,
             };
             (engine, world)
         };
-        // Reference order: step() never batches.
         let (mut engine, mut stepped) = build();
-        for i in 0..10u32 {
-            engine.inject(SimTime::from_micros(1), Address(9), i);
-        }
         let mut steps = 0u64;
         while engine.step(&mut stepped) {
             steps += 1;
         }
-        assert!(stepped.batch_sizes.is_empty(), "step() must not batch");
-
-        // Batched run: identical log, same event count, and the same-instant
-        // same-key runs actually grouped.
-        let (mut engine, mut batched) = build();
-        for i in 0..10u32 {
-            engine.inject(SimTime::from_micros(1), Address(9), i);
-        }
-        let report = engine.run(&mut batched);
-        assert_eq!(batched.log, stepped.log);
+        let (mut engine, mut ran) = build();
+        let report = engine.run(&mut ran);
+        assert_eq!(ran.log, stepped.log);
         assert_eq!(report.events_processed, steps);
-        assert!(
-            batched.batch_sizes.iter().any(|&n| n > 1),
-            "expected at least one multi-event batch, got {:?}",
-            batched.batch_sizes
-        );
-        assert_eq!(
-            batched.batch_sizes.iter().sum::<usize>() as u64 + 10,
-            steps,
-            "every non-seed event flows through handle_batch"
-        );
+        assert_eq!(steps, 30, "10 seeds, 10 same-instant and 10 channel events");
     }
 
     #[test]

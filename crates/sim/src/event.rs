@@ -138,12 +138,6 @@ pub(crate) struct EventQueue<M> {
     slab: Vec<Option<(Address, M)>>,
     /// Vacant slab slots.
     free: Vec<u32>,
-    /// Memoized result of [`EventQueue::head`]: `Some(answer)` while no
-    /// mutation happened since it was computed, `None` when it must be
-    /// recomputed. The engine locates the head up to three times per
-    /// delivery (pop, batch probe, prefetch peek); the memo makes every
-    /// repeat after the last mutation free.
-    head_cache: Option<Option<(u128, HeadSource)>>,
     /// FIFO bucket of events at `now_time`.
     now: VecDeque<Event<M>>,
     /// The current instant: timestamp of the last event popped from the
@@ -176,7 +170,6 @@ impl<M> Default for EventQueue<M> {
             slab: Vec::new(),
             // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
             free: Vec::new(),
-            head_cache: None,
             now: VecDeque::new(),
             now_time: SimTime::ZERO,
             inject_seq: 0,
@@ -238,13 +231,6 @@ impl<M> EventQueue<M> {
     }
 
     fn push_with(&mut self, at: SimTime, seq: u64, to: Address, msg: M) {
-        // A push can only change the head when it lands *before* it; handler
-        // sends — future deliveries behind the imminent next event — leave
-        // the memo valid, so steady state recomputes the head once per pop.
-        match self.head_cache {
-            Some(Some((k, _))) if key(at, seq) >= k => {}
-            _ => self.head_cache = None,
-        }
         self.len += 1;
         // The engine never schedules into the simulated past, so `at` is
         // either exactly the current instant (fast path) or in the future.
@@ -407,11 +393,8 @@ impl<M> EventQueue<M> {
     /// [`EventQueue::calendar_peek`]); the returned source stays valid until
     /// the next mutation.
     fn head(&mut self) -> Option<(u128, HeadSource)> {
-        if let Some(cached) = self.head_cache {
-            return cached;
-        }
         let calendar = self.calendar_peek();
-        let answer = match (self.now.front(), calendar) {
+        match (self.now.front(), calendar) {
             (Some(f), None) => Some((f.key(), HeadSource::Fifo)),
             (None, Some((k, in_ring))) => Some((k, HeadSource::calendar(in_ring))),
             (Some(f), Some((k, in_ring))) => {
@@ -423,14 +406,11 @@ impl<M> EventQueue<M> {
                 }
             }
             (None, None) => None,
-        };
-        self.head_cache = Some(answer);
-        answer
+        }
     }
 
     /// Removes and returns the head event located by [`EventQueue::head`].
     fn take(&mut self, src: HeadSource) -> Event<M> {
-        self.head_cache = None;
         self.len -= 1;
         match src {
             HeadSource::Fifo => self.now.pop_front().expect("peeked FIFO head"),
@@ -477,40 +457,6 @@ impl<M> EventQueue<M> {
         Some(self.take(src))
     }
 
-    /// Pops the next event only when it is scheduled at exactly `at` (the
-    /// current instant) *and* its message satisfies `matches` — the engine's
-    /// same-destination batch collector. One head location serves both the
-    /// peek and the take, so a declined event costs one key comparison.
-    pub(crate) fn pop_if_at(
-        &mut self,
-        at: SimTime,
-        matches: impl FnOnce(Address, &M) -> bool,
-    ) -> Option<Event<M>> {
-        let (head_key, src) = self.head()?;
-        if (head_key >> 64) as u64 != at.as_nanos() {
-            return None;
-        }
-        let ok = match src {
-            HeadSource::Fifo => {
-                let f = self.now.front().expect("peeked FIFO head");
-                matches(f.to, &f.msg)
-            }
-            HeadSource::Ring => {
-                let slot = (self.cursor & (RING_LEN as u64 - 1)) as usize;
-                let e = self.ring[slot].last().expect("peeked ring head");
-                matches(e.to, &e.msg)
-            }
-            // A far head due at the current instant would have been migrated
-            // into the ring by `calendar_peek`; never batch across it.
-            HeadSource::Far => false,
-        };
-        if ok {
-            Some(self.take(src))
-        } else {
-            None
-        }
-    }
-
     /// Pops *every* event scheduled at the head timestamp into `buf`, in the
     /// canonical FIFO order — the whole same-instant group, across tiers.
     /// Used by the interleaving explorer: the caller delivers one member and
@@ -539,28 +485,6 @@ impl<M> EventQueue<M> {
     /// queue's current instant).
     pub(crate) fn now_time(&self) -> SimTime {
         self.now_time
-    }
-
-    /// The message of the globally next event, without popping it. Used by
-    /// the engine to warm the next event's destination state while the
-    /// current handler runs; like every peek, it may sort the cursor bucket
-    /// and migrate due overflow events as a side effect.
-    pub(crate) fn peek_msg(&mut self) -> Option<&M> {
-        let (_, src) = self.head()?;
-        Some(match src {
-            HeadSource::Fifo => &self.now.front().expect("peeked FIFO head").msg,
-            HeadSource::Ring => {
-                let slot = (self.cursor & (RING_LEN as u64 - 1)) as usize;
-                &self.ring[slot].last().expect("peeked ring head").msg
-            }
-            HeadSource::Far => {
-                let &Reverse((_, idx)) = self.overflow.peek().expect("peeked overflow head");
-                &self.slab[idx as usize]
-                    .as_ref()
-                    .expect("slab slot occupied")
-                    .1
-            }
-        })
     }
 
     /// The timestamp of the globally next event, without popping it. The

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! Each worker loops: read peer clocks, drain inbound mailboxes, run the
-//! shard's serial engine up to `safe(k) - 1` (the batched-delivery/warm hot
-//! path of [`Engine::run_until`], shared, not duplicated), flush outbound
+//! shard's serial engine up to `safe(k) - 1` (the event loop of
+//! [`Engine::run_until`], shared, not duplicated), flush outbound
 //! sends, then publish its own clock `min(local head, safe(k))`. Clocks are
 //! monotone and every publish happens after the matching mailbox flush, so a
 //! reader that observes a clock value also observes every message sent before

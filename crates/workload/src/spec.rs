@@ -667,8 +667,8 @@ impl ExperimentSpec {
                 shards: vec![1],
             }),
             // Beyond the paper's largest point (300k): one million sessions
-            // on the Medium LAN network, exercising the cache-local hot path,
-            // batched delivery and parallel planning end to end.
+            // on the Medium LAN network, exercising the cache-local hot path
+            // and parallel planning end to end.
             "paper_1m" => ExperimentKind::Scale(ScaleSpec {
                 sessions: vec![1_000_000],
                 validate: true,

@@ -26,9 +26,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The collapsed binary list: every src/bin/*.rs must be a declared [[bin]]
-# target (the CLI plus the experiment1/2/3 deprecation wrappers — an
-# undeclared file would silently never build).
+# Every src/bin/*.rs must be a declared [[bin]] target (an undeclared file
+# would silently never build).
 bins="$(sed -n '/^\[\[bin\]\]/,/^$/{s/^name = "\(.*\)"$/\1/p}' crates/bench/Cargo.toml)"
 for f in crates/bench/src/bin/*.rs; do
   base="$(basename "$f" .rs)"
