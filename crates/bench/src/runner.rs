@@ -489,13 +489,6 @@ pub struct ScaleTimings {
     /// platform does not expose it. Cumulative across points run in the same
     /// process: a high-water mark never goes back down.
     pub peak_rss_bytes: u64,
-    /// Engine shards the point ran on (1 = the serial engine). Lives here
-    /// rather than in [`ScaleReport`] because the report is bit-identical at
-    /// any shard count — only the wall clock changes.
-    pub shards: usize,
-    /// Events processed per shard (one entry per shard; a single entry for a
-    /// serial run). The load-balance diagnostic for the partition.
-    pub shard_events: Vec<u64>,
 }
 
 /// Peak resident set size (`VmHWM`) of the current process in bytes, or 0
@@ -529,14 +522,8 @@ pub struct ScaleRun {
 /// Runs one paper-scale point: builds the network, applies the join
 /// schedule, drives to quiescence, and — unless `validate` is off —
 /// cross-checks the final rates against the centralized oracle.
-///
-/// `shards <= 1` runs the serial engine; larger values run the same
-/// workload on the conservative parallel engine
-/// ([`ShardedBneckSimulation`]), whose report is bit-identical to the
-/// serial one — only the wall-clock timings (and their new `shards` /
-/// `shard_events` fields) differ.
 #[allow(clippy::disallowed_methods)] // wall-clock phase timing, mirrored by the xlint DET002 allows below
-pub fn run_scale_point(config: &Experiment1Config, validate: bool, shards: usize) -> ScaleRun {
+pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
     use std::fmt::Write as _;
     use std::time::Instant;
 
@@ -560,33 +547,23 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool, shards: usize
 
     // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
     let t2 = Instant::now();
-    let (stats, report, shard_events, oracle_state) = if shards > 1 {
-        let mut sim = ShardedBneckSimulation::new(&network, BneckConfig::default(), shards);
-        let stats = schedule.apply(&mut sim);
-        let report = sim.run_to_quiescence();
-        let events = sim.shard_events();
-        let state = validate.then(|| (sim.session_set(), sim.allocation()));
-        (stats, report, events, state)
-    } else {
+    let (stats, report, oracle_state) = {
         let mut sim = BneckSimulation::new(&network, BneckConfig::default());
         let stats = schedule.apply(&mut sim);
         let report = sim.run_to_quiescence();
-        let events = vec![report.events_processed];
         let state = validate.then(|| (sim.session_set(), sim.allocation()));
-        (stats, report, events, state)
+        (stats, report, state)
     };
     let t_run = t2.elapsed();
     let _ = write!(
         detail,
-        "[scale] {} joins applied, quiescent={} at {}us after {} events / {} packets ({:.2?}, {} shard{})",
+        "[scale] {} joins applied, quiescent={} at {}us after {} events / {} packets ({:.2?})",
         stats.joins,
         report.quiescent,
         report.quiescent_at.as_micros(),
         report.events_processed,
         report.packets_sent,
         t_run,
-        shards.max(1),
-        if shards > 1 { "s" } else { "" },
     );
 
     let mut mismatches = None;
@@ -615,8 +592,6 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool, shards: usize
         oracle_s: t_oracle.as_secs_f64(),
         total_s: t0.elapsed().as_secs_f64(),
         peak_rss_bytes: peak_rss_bytes(),
-        shards: shards.max(1),
-        shard_events,
     };
     let _ = write!(
         detail,
@@ -653,8 +628,6 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool, shards: usize
 pub struct ScaleCurvePoint {
     /// Number of sessions the point planned.
     pub sessions: usize,
-    /// Engine shards the point ran on (1 = the serial engine).
-    pub shards: usize,
     /// Events processed during the run.
     pub events_processed: u64,
     /// Packets transmitted over links.
@@ -686,7 +659,6 @@ impl ScaleCurvePoint {
     pub fn new(report: &ScaleReport, timings: &ScaleTimings) -> Self {
         ScaleCurvePoint {
             sessions: report.sessions,
-            shards: timings.shards,
             events_processed: report.events_processed,
             packets_sent: report.packets_sent,
             packets_per_session: report.packets_per_session,
@@ -946,28 +918,14 @@ pub fn run_fault_sweep(
     runner.run(configs, |_, config| run_fault_point(&config))
 }
 
-/// Runs every paper-scale point at every shard count (config-major order),
-/// fanned across the runner's worker threads; reports come back in point
-/// order, bit-identical at any thread count *and* any shard count (only the
-/// timings differ across shard counts).
-///
-/// An empty `shards` list means serial (`[1]`).
+/// Runs every paper-scale point, fanned across the runner's worker threads;
+/// reports come back in point order, bit-identical at any thread count.
 pub fn run_scale_sweep(
     configs: Vec<Experiment1Config>,
     validate: bool,
-    shards: &[usize],
     runner: &SweepRunner,
 ) -> Vec<ScaleRun> {
-    let shard_counts: &[usize] = if shards.is_empty() { &[1] } else { shards };
-    let mut points = Vec::with_capacity(configs.len() * shard_counts.len());
-    for config in configs {
-        for &shards in shard_counts {
-            points.push((config, shards.max(1)));
-        }
-    }
-    runner.run(points, |_, (config, shards)| {
-        run_scale_point(&config, validate, shards)
-    })
+    runner.run(configs, |_, config| run_scale_point(&config, validate))
 }
 
 #[cfg(test)]

@@ -209,8 +209,7 @@ mod spec_equivalence {
                 Experiment1Config::paper_scale(300),
                 Experiment1Config::paper_scale(500),
             ];
-            let runs =
-                bneck_bench::run_scale_sweep(configs, true, &[1], &SweepRunner::new(threads));
+            let runs = bneck_bench::run_scale_sweep(configs, true, &SweepRunner::new(threads));
             assert!(runs.iter().all(|r| r.report.ok()));
             let reports: Vec<_> = runs.into_iter().map(|r| r.report).collect();
             sweep_bytes.push(
@@ -240,93 +239,6 @@ mod spec_equivalence {
             spec_bytes.iter().all(|b| b == &spec_bytes[0]),
             "spec-path report bytes differ across planner thread counts"
         );
-    }
-
-    /// The tentpole determinism contract of the sharded engine: the same
-    /// paper-scale point run at 1, 2, 4 and 8 engine shards must serialize
-    /// to byte-identical scale reports (only the timings — `shards`,
-    /// `shard_events`, wall clocks — may differ).
-    #[test]
-    fn scale_reports_are_byte_identical_at_shards_1_2_4_8() {
-        let shards = [1usize, 2, 4, 8];
-        let runs = bneck_bench::run_scale_sweep(
-            vec![Experiment1Config::paper_scale(400)],
-            true,
-            &shards,
-            &SweepRunner::new(2),
-        );
-        assert_eq!(runs.len(), shards.len());
-        let bytes: Vec<String> = runs
-            .iter()
-            .map(|r| {
-                serde_json::to_value(&r.report)
-                    .expect("infallible in the shim")
-                    .to_json_pretty()
-            })
-            .collect();
-        for (i, b) in bytes.iter().enumerate() {
-            assert_eq!(
-                b, &bytes[0],
-                "report bytes at {} shards differ from serial",
-                shards[i]
-            );
-        }
-        for (run, &k) in runs.iter().zip(&shards) {
-            assert!(run.report.ok(), "run at {k} shards failed");
-            assert_eq!(run.timings.shards, k);
-            assert_eq!(run.timings.shard_events.len(), k);
-            assert_eq!(
-                run.timings.shard_events.iter().sum::<u64>(),
-                run.report.events_processed,
-                "per-shard event counts must sum to the total at {k} shards"
-            );
-        }
-    }
-
-    /// The same contract under an active fault plan: injected drops,
-    /// duplicates and delays are keyed per channel (owned by exactly one
-    /// shard), so a faulty horizon-bounded run serializes identically at
-    /// any shard count.
-    #[test]
-    fn sharded_scale_runs_are_byte_identical_under_faults() {
-        use bneck_core::{BneckConfig, BneckSimulation, ShardedBneckSimulation};
-        use bneck_sim::{FaultPlan, SimTime};
-
-        let config = Experiment1Config::paper_scale(150);
-        let network = config.scenario.build();
-        let schedule = config.schedule(&network);
-        let horizon = SimTime::from_millis(40);
-        let plan = FaultPlan::new(77, 0.02, 0.01, 0.05, 2);
-
-        let (serial_stats, serial_report, serial_allocation) = {
-            let mut sim = BneckSimulation::new(&network, BneckConfig::default());
-            sim.set_fault_plan(plan);
-            let stats = schedule.apply(&mut sim);
-            let report = sim.run_until(horizon);
-            (stats, report, sim.allocation())
-        };
-        let serial_bytes = serde_json::to_value(&serial_report)
-            .expect("infallible in the shim")
-            .to_json_pretty();
-        for shards in [2usize, 4, 8] {
-            let mut sim = ShardedBneckSimulation::new(&network, BneckConfig::default(), shards);
-            sim.set_fault_plan(plan);
-            let stats = schedule.apply(&mut sim);
-            let report = sim.run_until(horizon);
-            assert_eq!(stats, serial_stats, "apply stats at {shards} shards");
-            let bytes = serde_json::to_value(&report)
-                .expect("infallible in the shim")
-                .to_json_pretty();
-            assert_eq!(
-                bytes, serial_bytes,
-                "faulty report bytes at {shards} shards differ from serial"
-            );
-            assert_eq!(
-                sim.allocation(),
-                serial_allocation,
-                "allocation at {shards} shards"
-            );
-        }
     }
 
     /// The validate preset runs the same points as the former `validate`

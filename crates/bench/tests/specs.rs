@@ -45,6 +45,10 @@ fn every_preset_round_trips_through_json() {
         let compact = serde_json::to_string(&spec).expect("serialization is infallible");
         let back: ExperimentSpec = serde_json::from_str(&compact).unwrap();
         assert_eq!(back, spec);
+        // Spec files written when scale specs had a `shards` field keep
+        // parsing: unknown keys are ignored.
+        let old = text.replace("\"validate\": true", "\"validate\": true, \"shards\": [1]");
+        assert_eq!(serde_json::from_str::<ExperimentSpec>(&old).unwrap(), spec);
     }
 }
 

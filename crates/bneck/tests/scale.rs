@@ -64,9 +64,9 @@ fn paper_scale_250k_parallel_planning_matches_sequential_report() {
     // counts are invisible in every deterministic output by design, so
     // flipping the variable here cannot disturb concurrently running tests.
     std::env::set_var("BNECK_THREADS", "1");
-    let sequential = run_scale_point(&config, true, 1);
+    let sequential = run_scale_point(&config, true);
     std::env::set_var("BNECK_THREADS", "4");
-    let parallel = run_scale_point(&config, true, 1);
+    let parallel = run_scale_point(&config, true);
     std::env::remove_var("BNECK_THREADS");
 
     assert!(parallel.report.quiescent);

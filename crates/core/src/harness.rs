@@ -44,13 +44,13 @@ use std::sync::Arc;
 
 /// A simulated message: an API call or a protocol packet, with its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Envelope {
-    pub(crate) target: Target,
-    pub(crate) payload: Payload,
+struct Envelope {
+    target: Target,
+    payload: Payload,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Payload {
+enum Payload {
     Api(ApiCall),
     Protocol(Packet),
     /// A protocol packet framed by the recovery layer: sequenced per
@@ -157,10 +157,6 @@ pub struct SessionHandle {
 }
 
 impl SessionHandle {
-    pub(crate) fn new(session: SessionId, slot: u32) -> Self {
-        SessionHandle { session, slot }
-    }
-
     /// The session's identifier.
     pub fn id(&self) -> SessionId {
         self.session
@@ -208,8 +204,8 @@ impl From<RunReport> for QuiescenceReport {
 
 /// The simulation world: the task host plus the simulator-side delivery
 /// state (the channel of every link, the recovery lanes).
-pub(crate) struct BneckWorld {
-    pub(crate) host: TaskHost,
+struct BneckWorld {
+    host: TaskHost,
     /// Channels of the links and of their reverses, indexed by `LinkId`.
     links: LinkTable,
     /// The recovery layer's sequencing/retransmission state, present only
@@ -317,14 +313,8 @@ impl ChannelSink<'_, '_> {
 impl BneckWorld {
     /// Builds a world over `network`, registering every directed link as a
     /// channel on `engine`. Channels are registered in link order, so channel
-    /// identifiers equal link identifiers on every engine the same network is
-    /// registered with — the property the sharded engine relies on for
-    /// cross-shard event keys.
-    pub(crate) fn new(
-        network: &Network,
-        engine: &mut Engine<Envelope>,
-        config: BneckConfig,
-    ) -> Self {
+    /// identifiers equal link identifiers.
+    fn new(network: &Network, engine: &mut Engine<Envelope>, config: BneckConfig) -> Self {
         BneckWorld {
             host: TaskHost::new(TaskHost::link_tables(network), config.tolerance),
             links: LinkTable::new(network, engine, config.packet_bits),

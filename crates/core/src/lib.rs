@@ -74,10 +74,8 @@ pub mod events;
 pub mod harness;
 pub mod host;
 pub mod packet;
-pub mod partition;
 pub mod recovery;
 pub mod router_link;
-pub mod sharded;
 pub mod source;
 pub mod stats;
 pub mod task;
@@ -88,9 +86,7 @@ pub use events::{RateCause, RateEvent, RateEvents, Subscriber, SubscriberSet};
 pub use harness::{BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession};
 pub use host::{ApiCall, Sink, Target, TaskHost};
 pub use packet::{Packet, PacketKind, ResponseKind};
-pub use partition::WorldPartition;
 pub use recovery::{PendingFrame, RecoveryConfig, RecoveryState, RecoveryStats};
-pub use sharded::ShardedBneckSimulation;
 pub use stats::PacketStats;
 pub use task::{Action, ActionBuffer, RateNotification};
 pub use world::{LinkTable, SessionArena, SlotJoin};
@@ -103,9 +99,7 @@ pub mod prelude {
         BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession,
     };
     pub use crate::packet::{Packet, PacketKind, ResponseKind};
-    pub use crate::partition::WorldPartition;
     pub use crate::recovery::{RecoveryConfig, RecoveryStats};
-    pub use crate::sharded::ShardedBneckSimulation;
     pub use crate::stats::PacketStats;
     pub use crate::task::{Action, ActionBuffer, RateNotification};
     pub use crate::world::{LinkTable, SessionArena, SlotJoin};

@@ -74,7 +74,6 @@ impl Default for Config {
             hot_path_files: s(&[
                 "crates/sim/src/engine.rs",
                 "crates/sim/src/event.rs",
-                "crates/sim/src/par.rs",
                 "crates/core/src/router_link.rs",
                 "crates/core/src/host.rs",
                 "crates/maxmin/src/idmap.rs",

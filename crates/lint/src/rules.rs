@@ -53,7 +53,7 @@ fn is_method_call(tokens: &[Token], i: usize, name: &str) -> bool {
 /// DET001: no std `HashMap`/`HashSet` in deterministic crates.
 ///
 /// Iteration order of the std hash collections depends on a per-process
-/// random seed, which is the classic silent determinism killer for a sharded
+/// random seed, which is the classic silent determinism killer for an
 /// engine that must produce bit-identical reports at any thread count. The
 /// rule flags every *mention* of the types, not just iteration: a map that
 /// exists will eventually be iterated, and a lookup-only use carries an

@@ -5,9 +5,9 @@
 //!
 //! Everything above the byte-moving layer is shared with the simulation
 //! harness — the same pure [`bneck_core::source`] / [`bneck_core::destination`]
-//! / [`bneck_core::router_link`] handlers, the same [`bneck_core::partition`]
-//! placement, the same config-gated [`bneck_core::recovery`] layer. What this
-//! crate adds is the part the simulator faked:
+//! / [`bneck_core::router_link`] handlers behind the same
+//! [`bneck_core::TaskHost`], the same config-gated [`bneck_core::recovery`]
+//! layer. What this crate adds is the part the simulator faked:
 //!
 //! * [`codec`] — a compact, versioned, length-prefixed binary format for
 //!   protocol packets, recovery envelopes and API calls. Decoding is total:
@@ -45,6 +45,7 @@
 
 pub mod cluster;
 pub mod codec;
+mod partition;
 pub mod runtime;
 pub mod transport;
 

@@ -9,11 +9,11 @@
 //!   the host's [`Sink`]: a hop to a task on the same node joins the node's
 //!   FIFO `pending` queue, any other hop is encoded and handed to the
 //!   [`Transport`];
-//! * task placement comes from [`WorldPartition`], the same topology-aware
-//!   partition the sharded engine uses: routers split into contiguous rank
-//!   blocks, hosts inherit their router's node, the `RouterLink` task of
-//!   link `e` lives on the node of `src(e)`. With that placement only
-//!   router→router trunk hops ever cross a node boundary;
+//! * task placement is topology-aware (the crate's `partition` module):
+//!   routers split into contiguous rank blocks, hosts inherit their router's
+//!   node, the `RouterLink` task of link `e` lives on the node of `src(e)`.
+//!   With that placement only router→router trunk hops ever cross a node
+//!   boundary;
 //! * the config-gated recovery layer ([`RecoveryState`]) provides per-lane
 //!   sequencing, acks and retransmission over transports that may lose or
 //!   reorder — on reliable loopback it is off by default, because each lane
@@ -45,10 +45,11 @@
 //! than merely inferred.
 
 use crate::codec::{self, WireFrame};
+use crate::partition::WorldPartition;
 use crate::transport::Transport;
 use bneck_core::{
     ApiCall, Packet, PacketStats, RateEvent, RateEvents, RecoveryConfig, RecoveryState,
-    RecoveryStats, Sink, Target, TaskHost, WorldPartition,
+    RecoveryStats, Sink, Target, TaskHost,
 };
 use bneck_maxmin::{Allocation, Rate, RateLimit, Session, SessionId, SessionSet, Tolerance};
 use bneck_net::{LinkId, Network, Path};
@@ -112,7 +113,7 @@ impl ClusterPlan {
     /// Lays out `sessions` over `network` on `nodes` nodes.
     ///
     /// Each session is `(id, path, demand limit)`; session ids must be
-    /// unique. Placement follows [`WorldPartition`] with `nodes` shards.
+    /// unique. Routers are placed in contiguous rank blocks over `nodes`.
     ///
     /// # Panics
     ///
@@ -130,11 +131,9 @@ impl ClusterPlan {
         if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
             panic!("duplicate session id {:?}", pair[0]);
         }
-        // packet_bits only affects the partition's lookahead matrix, which
-        // the runtime does not use; any positive value works.
-        let mut placement = WorldPartition::new(network, 256, nodes);
-        for (slot, (_, path, _)) in sessions.iter().enumerate() {
-            placement.note_join(slot as u32, path);
+        let mut placement = WorldPartition::new(network, nodes);
+        for (_, path, _) in sessions {
+            placement.place_session(path);
         }
         ClusterPlan {
             nodes,

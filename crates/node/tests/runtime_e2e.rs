@@ -130,6 +130,26 @@ fn tcp_cluster_matches_oracle() {
 }
 
 #[test]
+fn more_nodes_than_routers_leave_idle_nodes_and_stay_oracle_exact() {
+    // Five nodes over two routers: the rank-block placement leaves three
+    // nodes hosting no task at all. They must idle without stalling the
+    // silence detection (a timeout fails the `expect`).
+    let report = run_cluster(ClusterSpec {
+        nodes: 5,
+        routers: 2,
+        sessions: 12,
+        transport: ClusterTransport::Channel,
+        settle: SETTLE,
+        timeout: TIMEOUT,
+        ..ClusterSpec::default()
+    })
+    .expect("cluster run with idle nodes");
+    assert_eq!(report.mismatches, 0, "{report}");
+    assert_eq!(report.decode_errors, 0, "{report}");
+    assert_eq!(report.transport_errors, 0, "{report}");
+}
+
+#[test]
 fn recovery_layer_stays_oracle_exact_on_reliable_transport() {
     let report = run_cluster(ClusterSpec {
         nodes: 2,

@@ -1,12 +1,10 @@
-//! One scenario, three hosts of the same [`bneck_core::TaskHost`]: the serial
-//! simulation harness, the sharded harness and the node runtime on real
-//! threads. They must agree on what the protocol computes — final rates bit
-//! for bit, and for every session the same story of `API.Rate` causes — while
-//! differing freely in how deliveries of different sessions interleave.
+//! One scenario, two hosts of the same [`bneck_core::TaskHost`]: the
+//! simulation harness and the node runtime on real threads. They must agree
+//! on what the protocol computes — final rates bit for bit, and for every
+//! session the same story of `API.Rate` causes — while differing freely in
+//! how deliveries of different sessions interleave.
 
-use bneck_core::{
-    BneckConfig, BneckSimulation, RateCause, RateEvent, RateEvents, ShardedBneckSimulation,
-};
+use bneck_core::{BneckConfig, BneckSimulation, RateCause, RateEvent};
 use bneck_maxmin::{
     compare_allocations, Allocation, CentralizedBneck, RateLimit, SessionId, Tolerance,
 };
@@ -78,25 +76,6 @@ fn serial(network: &Network, sessions: &[(SessionId, Path, RateLimit)]) -> Outco
     (rates, vec![events.drain()])
 }
 
-fn sharded(network: &Network, sessions: &[(SessionId, Path, RateLimit)]) -> Outcome {
-    let mut sim = ShardedBneckSimulation::new(network, BneckConfig::default(), 2);
-    let events = sim.rate_events();
-    for (id, path, limit) in sessions {
-        sim.join_with_path(SimTime::ZERO, *id, path.clone(), *limit)
-            .unwrap();
-    }
-    assert!(sim.run_to_quiescence().quiescent);
-    sim.change(sim.now(), CHANGED, RateLimit::finite(NEW_LIMIT))
-        .unwrap();
-    assert!(sim.run_to_quiescence().quiescent);
-    sim.leave(sim.now(), LEFT).unwrap();
-    assert!(sim.run_to_quiescence().quiescent);
-    (
-        sim.allocation(),
-        events.iter().map(RateEvents::drain).collect(),
-    )
-}
-
 fn runtime(network: &Network, sessions: &[(SessionId, Path, RateLimit)]) -> Outcome {
     let plan = ClusterPlan::new(network, sessions, 2, Tolerance::default());
     let slot_of = |id: SessionId| sessions.iter().position(|s| s.0 == id).unwrap() as u32;
@@ -136,11 +115,10 @@ fn causes(streams: &[Vec<RateEvent>], session: SessionId) -> Vec<RateCause> {
 }
 
 #[test]
-fn three_hosts_agree_on_rates_and_on_each_sessions_story() {
+fn two_hosts_agree_on_rates_and_on_each_sessions_story() {
     let (network, sessions) = scenario();
     let hosts = [
         ("serial", serial(&network, &sessions)),
-        ("sharded", sharded(&network, &sessions)),
         ("runtime", runtime(&network, &sessions)),
     ];
     let (_, (reference, _)) = &hosts[0];

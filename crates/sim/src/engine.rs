@@ -44,40 +44,6 @@ pub trait World {
     fn handle(&mut self, ctx: &mut Context<'_, Self::Message>, to: Address, msg: Self::Message);
 }
 
-/// Cross-shard delivery hook used by the parallel engine (see [`crate::par`]).
-///
-/// When installed on a [`Context`], every channel send is offered to the
-/// router first: a send whose destination lives on another shard is diverted
-/// to that shard's mailbox (stamped with its arrival time and canonical
-/// sequence word) instead of the local queue.
-pub(crate) trait MessageRouter<M> {
-    /// Returns the message back when its destination is local to this shard;
-    /// consumes it (queueing it for its owning shard) and returns `None`
-    /// otherwise.
-    fn try_route(&mut self, at: SimTime, key: u64, to: Address, msg: M) -> Option<M>;
-
-    /// `true` when `to` is owned by this shard. Backs the debug assertion
-    /// that channel-less scheduling ([`Context::schedule_after`],
-    /// [`Context::deliver_now`]) stays on the owning shard — such events
-    /// bypass routing entirely, so a cross-shard destination would silently
-    /// deliver to the wrong replica and diverge.
-    fn is_local(&self, _to: Address, _msg: &M) -> bool {
-        true
-    }
-}
-
-/// Reborrows an optional router for one event delivery. The explicit return
-/// type is a coercion site that shortens the trait object's lifetime bound,
-/// so the per-event borrow does not entangle the caller's longer one.
-fn reborrow_route<'s, M>(
-    route: &'s mut Option<&mut dyn MessageRouter<M>>,
-) -> Option<&'s mut dyn MessageRouter<M>> {
-    match route {
-        Some(r) => Some(&mut **r),
-        None => None,
-    }
-}
-
 /// Scheduling facilities available to a [`World`] while it handles an event.
 pub struct Context<'a, M> {
     now: SimTime,
@@ -87,9 +53,6 @@ pub struct Context<'a, M> {
     /// Active fault injection, if any. `None` in paper mode: the pristine
     /// send path pays one never-taken null check and nothing else.
     faults: Option<&'a mut FaultState<M>>,
-    /// Cross-shard routing, if any. `None` on the serial engine: like
-    /// `faults`, the single-engine send path pays one null check.
-    route: Option<&'a mut dyn MessageRouter<M>>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -112,20 +75,7 @@ impl<'a, M> Context<'a, M> {
         let arrival = ch.accept(self.now);
         let key = crate::event::channel_seq(channel.0, ch.sent);
         *self.messages_sent += 1;
-        self.push_routed(arrival, key, to, msg);
-    }
-
-    /// Hands a channel delivery to the local queue, or to the cross-shard
-    /// router when one is installed and the destination lives elsewhere.
-    fn push_routed(&mut self, at: SimTime, key: u64, to: Address, msg: M) {
-        let msg = match self.route.as_mut() {
-            Some(r) => match r.try_route(at, key, to, msg) {
-                Some(m) => m,
-                None => return,
-            },
-            None => msg,
-        };
-        self.queue.push_channel(at, key, to, msg);
+        self.queue.push_channel(arrival, key, to, msg);
     }
 
     /// The faulty arm of [`Context::send`]: rolls the message against the
@@ -141,8 +91,7 @@ impl<'a, M> Context<'a, M> {
         *self.messages_sent += 1;
         // The channel's send counter is the per-packet nonce: deterministic,
         // thread-independent, unique per (channel, transmission). It is also
-        // the event's canonical sequence word, so fault decisions and
-        // delivery order survive sharding unchanged.
+        // the event's canonical sequence word.
         let send = ch.sent;
         let key = crate::event::channel_seq(channel.0, send);
         let flight_ns = ch.flight().as_nanos().max(1);
@@ -176,35 +125,24 @@ impl<'a, M> Context<'a, M> {
             let dup_arrival = ch.accept(self.now);
             let dup_key = crate::event::channel_seq(channel.0, ch.sent);
             *self.messages_sent += 1;
-            self.push_routed(dup_arrival, dup_key, to, copy);
+            self.queue.push_channel(dup_arrival, dup_key, to, copy);
         }
         if !dropped {
             let at = SimTime::from_nanos(arrival.as_nanos() + jitter_ns);
-            self.push_routed(at, key, to, msg);
+            self.queue.push_channel(at, key, to, msg);
         }
     }
 
     /// Schedules `msg` for delivery to `to` after `delay`, without involving
-    /// any channel (used for timers and locally generated events). In a
-    /// sharded run `to` must be owned by the handling shard: timers bypass
-    /// the cross-shard router (they have no channel, hence no lookahead).
+    /// any channel (used for timers and locally generated events).
     pub fn schedule_after(&mut self, delay: Delay, to: Address, msg: M) {
-        debug_assert!(
-            self.route.as_ref().map_or(true, |r| r.is_local(to, &msg)),
-            "schedule_after must target the handling shard; {to} is remote"
-        );
         self.queue.push_timer(self.now + delay, to, msg);
     }
 
     /// Delivers `msg` to `to` at the current time, after all events already
-    /// scheduled for this instant. In a sharded run `to` must be owned by
-    /// the handling shard, like [`Context::schedule_after`].
+    /// scheduled for this instant.
     pub fn deliver_now(&mut self, to: Address, msg: M) {
         debug_assert_eq!(self.now, self.queue.now_time());
-        debug_assert!(
-            self.route.as_ref().map_or(true, |r| r.is_local(to, &msg)),
-            "deliver_now must target the handling shard; {to} is remote"
-        );
         self.queue.push_now(to, msg);
     }
 }
@@ -385,41 +323,6 @@ impl<M> Engine<M> {
         self.queue.push_injected(at, to, msg);
     }
 
-    /// Injects an event under a caller-assigned [`crate::event::CLASS_INJECT`]
-    /// sequence word. The sharded engine numbers injections with one global
-    /// counter so the canonical order is independent of the shard count.
-    pub(crate) fn inject_keyed(&mut self, at: SimTime, seq: u64, to: Address, msg: M) {
-        assert!(at >= self.now, "cannot inject an event in the past");
-        self.queue.push_injected_keyed(at, seq, to, msg);
-    }
-
-    /// Timestamp of the next pending event, if any (the shard-local lower
-    /// bound of the parallel engine's horizon computation).
-    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Enqueues a channel delivery that was accepted on another shard; its
-    /// arrival time and canonical sequence word were computed by the sender.
-    pub(crate) fn enqueue_remote(&mut self, at: SimTime, key: u64, to: Address, msg: M) {
-        self.queue.push_channel(at, key, to, msg);
-    }
-
-    /// Re-synchronizes the clock after a sharded run: while a shard waits for
-    /// global termination its clock creeps ahead of the last real event, so
-    /// the parallel driver rewinds (or advances) every shard to one fleet-wide
-    /// end time — matching the serial contract that `now` is the last event
-    /// time after a quiescent run, or the horizon after a bounded one.
-    ///
-    /// Only sound when no pending event precedes `at`.
-    pub(crate) fn set_clock(&mut self, at: SimTime) {
-        debug_assert!(
-            self.queue.peek_time().map_or(true, |head| head >= at),
-            "cannot move the clock past a pending event"
-        );
-        self.now = at;
-    }
-
     /// Runs until the event queue is empty, returning a report whose
     /// `quiescent_at` is the timestamp of the last processed event.
     pub fn run<W: World<Message = M>>(&mut self, world: &mut W) -> RunReport {
@@ -432,7 +335,7 @@ impl<M> Engine<M> {
     pub fn step<W: World<Message = M>>(&mut self, world: &mut W) -> bool {
         match self.queue.pop_at_most(SimTime::MAX) {
             Some(event) => {
-                self.process(world, event, None);
+                self.process(world, event);
                 true
             }
             None => false,
@@ -442,12 +345,7 @@ impl<M> Engine<M> {
     /// Delivers one popped event: advances the clock and hands the message to
     /// the world with a scheduling context (shared by [`Engine::step`] and
     /// [`Engine::run_until`], so the two can never diverge).
-    fn process<W: World<Message = M>>(
-        &mut self,
-        world: &mut W,
-        event: crate::event::Event<M>,
-        mut route: Option<&mut dyn MessageRouter<M>>,
-    ) {
+    fn process<W: World<Message = M>>(&mut self, world: &mut W, event: crate::event::Event<M>) {
         debug_assert!(event.at >= self.now, "time must not go backwards");
         self.now = event.at;
         self.events_processed += 1;
@@ -457,7 +355,6 @@ impl<M> Engine<M> {
             channels: &mut self.channels,
             messages_sent: &mut self.messages_sent,
             faults: self.faults.as_deref_mut(),
-            route: reborrow_route(&mut route),
         };
         world.handle(&mut ctx, event.to, event.msg);
     }
@@ -501,7 +398,6 @@ impl<M> Engine<M> {
                 to,
                 msg,
             },
-            None,
         );
         true
     }
@@ -515,34 +411,12 @@ impl<M> Engine<M> {
         world: &mut W,
         horizon: SimTime,
     ) -> RunReport {
-        self.run_until_inner(world, horizon, None)
-    }
-
-    /// [`Engine::run_until`] with a cross-shard router installed: every
-    /// channel send is offered to `route` first. The parallel engine drives
-    /// each shard through this entry point, so the event loop is shared with
-    /// the serial engine, not duplicated.
-    pub(crate) fn run_until_routed<W: World<Message = M>>(
-        &mut self,
-        world: &mut W,
-        horizon: SimTime,
-        route: &mut dyn MessageRouter<M>,
-    ) -> RunReport {
-        self.run_until_inner(world, horizon, Some(route))
-    }
-
-    fn run_until_inner<W: World<Message = M>>(
-        &mut self,
-        world: &mut W,
-        horizon: SimTime,
-        mut route: Option<&mut dyn MessageRouter<M>>,
-    ) -> RunReport {
         let start_events = self.events_processed;
         let start_messages = self.messages_sent;
         let mut last_event_time = self.now;
         while let Some(event) = self.queue.pop_at_most(horizon) {
             last_event_time = event.at;
-            self.process(world, event, reborrow_route(&mut route));
+            self.process(world, event);
         }
         let quiescent = self.queue.is_empty();
         if !quiescent && horizon != SimTime::MAX && horizon > self.now {

@@ -10,12 +10,11 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug, Clone)]
 pub(crate) struct Event<M> {
     pub(crate) at: SimTime,
-    /// Canonical tie-break among equal timestamps: a partition-independent
-    /// sequence word whose top two bits carry the event class (see the
-    /// `CLASS_*` constants). Channel deliveries are keyed by
-    /// `(channel, transmission)` — a property of the send itself, not of
-    /// which queue it was pushed through — so the same workload produces the
-    /// same global order whether one engine or many shards run it.
+    /// Canonical tie-break among equal timestamps: a sequence word whose top
+    /// two bits carry the event class (see the `CLASS_*` constants). Channel
+    /// deliveries are keyed by `(channel, transmission)`: same-instant
+    /// arrivals order by channel, then by transmission, whatever order their
+    /// sends were pushed in.
     pub(crate) seq: u64,
     pub(crate) to: Address,
     pub(crate) msg: M,
@@ -38,8 +37,7 @@ pub(crate) const CLASS_NOW: u64 = 0b11 << 62;
 
 /// The canonical sequence word of a channel delivery: the channel identifier
 /// in bits 32..62 and the 1-based transmission number in the low 32 bits.
-/// Both are properties of the simulated network, so the key is identical at
-/// any shard count.
+/// Both are properties of the simulated network.
 ///
 /// The transmission-number bound is a hard assert even in release builds: a
 /// channel past 2^32 sends would silently alias sequence words (fault rolls
@@ -189,14 +187,6 @@ impl<M> EventQueue<M> {
         self.push_with(at, seq, to, msg);
     }
 
-    /// Schedules an injected event carrying a caller-assigned sequence word
-    /// (the sharded engine numbers injections with one *global* counter so
-    /// every shard count sees the same canonical order).
-    pub(crate) fn push_injected_keyed(&mut self, at: SimTime, seq: u64, to: Address, msg: M) {
-        debug_assert_eq!(seq & CLASS_MASK, CLASS_INJECT);
-        self.push_with(at, seq, to, msg);
-    }
-
     /// Schedules a timer. A zero-delay timer lands at the current instant and
     /// takes a [`CLASS_NOW`] word (it must sort after everything already
     /// scheduled for the instant, like any other same-instant push).
@@ -222,8 +212,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Schedules a channel delivery under its canonical
-    /// `(channel, transmission)` sequence word — computed by the sender,
-    /// possibly on another shard.
+    /// `(channel, transmission)` sequence word.
     pub(crate) fn push_channel(&mut self, at: SimTime, seq: u64, to: Address, msg: M) {
         debug_assert_eq!(seq & CLASS_MASK, CLASS_CHANNEL);
         debug_assert!(at > self.now_time, "channel flight times are positive");
@@ -487,19 +476,6 @@ impl<M> EventQueue<M> {
         self.now_time
     }
 
-    /// The timestamp of the globally next event, without popping it. The
-    /// sharded engine uses this as a shard's local lower bound when
-    /// computing its safe horizon.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        let calendar = self.calendar_peek();
-        match (self.now.front(), calendar) {
-            (Some(f), None) => Some(f.at),
-            (None, Some((k, _))) => Some(SimTime::from_nanos((k >> 64) as u64)),
-            (Some(f), Some((k, _))) => Some(SimTime::from_nanos((k.min(f.key()) >> 64) as u64)),
-            (None, None) => None,
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -538,15 +514,6 @@ mod tests {
             assert_eq!(e.msg, i);
             assert_eq!(e.to, Address(i));
         }
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::default();
-        assert_eq!(q.peek_time(), None);
-        q.push_timer(SimTime::from_micros(8), Address(0), ());
-        q.push_timer(SimTime::from_micros(2), Address(0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
     }
 
     #[test]

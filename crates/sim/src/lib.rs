@@ -48,7 +48,6 @@ pub mod engine;
 pub mod event;
 pub mod explore;
 pub mod fault;
-pub mod par;
 pub mod simulation;
 pub mod time;
 
@@ -56,7 +55,6 @@ pub use channel::{ChannelId, ChannelSpec};
 pub use engine::{Address, Context, Engine, RunReport, World};
 pub use explore::{explore_schedules, ExploreStats, ScheduleCursor};
 pub use fault::{FaultCounters, FaultPlan};
-pub use par::{Partition, ShardedEngine};
 pub use simulation::Simulation;
 pub use time::SimTime;
 
@@ -66,7 +64,6 @@ pub mod prelude {
     pub use crate::engine::{Address, Context, Engine, RunReport, World};
     pub use crate::explore::{explore_schedules, ExploreStats, ScheduleCursor};
     pub use crate::fault::{FaultCounters, FaultPlan};
-    pub use crate::par::{Partition, ShardedEngine};
     pub use crate::simulation::Simulation;
     pub use crate::time::SimTime;
 }

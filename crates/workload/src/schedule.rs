@@ -1,7 +1,7 @@
 //! Timed workload event schedules.
 
 use crate::sessions::SessionRequest;
-use bneck_core::{BneckSimulation, ShardedBneckSimulation};
+use bneck_core::BneckSimulation;
 use bneck_maxmin::{RateLimit, SessionId};
 
 use bneck_sim::SimTime;
@@ -81,21 +81,6 @@ pub trait ScheduleTarget {
 }
 
 impl ScheduleTarget for BneckSimulation<'_> {
-    fn apply_join(&mut self, at: SimTime, request: &SessionRequest) -> bool {
-        self.join_with_path(at, request.session, request.path.clone(), request.limit)
-            .is_ok()
-    }
-
-    fn apply_leave(&mut self, at: SimTime, session: SessionId) -> bool {
-        self.leave(at, session).is_ok()
-    }
-
-    fn apply_change(&mut self, at: SimTime, session: SessionId, limit: RateLimit) -> bool {
-        self.change(at, session, limit).is_ok()
-    }
-}
-
-impl ScheduleTarget for ShardedBneckSimulation<'_> {
     fn apply_join(&mut self, at: SimTime, request: &SessionRequest) -> bool {
         self.join_with_path(at, request.session, request.path.clone(), request.limit)
             .is_ok()

@@ -398,39 +398,17 @@ pub struct ScaleSpec {
     pub sessions: Vec<usize>,
     /// Cross-check the final rates against the centralized oracle.
     pub validate: bool,
-    /// The engine shard counts to run every session count at. `[1]` (the
-    /// default) keeps the serial engine; larger entries run the same point on
-    /// the conservative parallel engine — reports are bit-identical at any
-    /// shard count, only wall-clock timings differ.
-    #[cfg_attr(feature = "serde", serde(default = "default_shards"))]
-    pub shards: Vec<usize>,
-}
-
-#[cfg(feature = "serde")]
-#[allow(dead_code)] // referenced by `serde(default = ...)`; the offline shim
-                    // ignores the attribute (real serde_derive calls it)
-fn default_shards() -> Vec<usize> {
-    vec![1]
 }
 
 impl ScaleSpec {
-    /// Lowers to one [`Experiment1Config`] per session count. The shard list
-    /// is validated here but crosses with the configs in the driver (each
-    /// config runs once per shard count).
+    /// Lowers to one [`Experiment1Config`] per session count.
     ///
     /// # Errors
     ///
-    /// [`SpecError::Empty`] when no session count or shard count is given,
-    /// [`SpecError::Invalid`] on a zero shard count.
+    /// [`SpecError::Empty`] when no session count is given.
     pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.sessions.is_empty() {
             return Err(SpecError::Empty("sessions"));
-        }
-        if self.shards.is_empty() {
-            return Err(SpecError::Empty("shards"));
-        }
-        if self.shards.contains(&0) {
-            return Err(SpecError::Invalid("shards"));
         }
         Ok(self
             .sessions
@@ -664,7 +642,6 @@ impl ExperimentSpec {
             "paper_scale" => ExperimentKind::Scale(ScaleSpec {
                 sessions: vec![50_000],
                 validate: true,
-                shards: vec![1],
             }),
             // Beyond the paper's largest point (300k): one million sessions
             // on the Medium LAN network, exercising the cache-local hot path
@@ -672,12 +649,10 @@ impl ExperimentSpec {
             "paper_1m" => ExperimentKind::Scale(ScaleSpec {
                 sessions: vec![1_000_000],
                 validate: true,
-                shards: vec![1],
             }),
             PAPER_FULL => ExperimentKind::Scale(ScaleSpec {
                 sessions: vec![300_000],
                 validate: true,
-                shards: vec![1],
             }),
             // Robustness sweep (not a paper figure): the exp1-style join
             // workload over hostile channels, raw and recovered.
@@ -841,32 +816,15 @@ mod tests {
         let spec = ScaleSpec {
             sessions: vec![],
             validate: true,
-            shards: vec![1],
         };
         assert_eq!(spec.configs(), Err(SpecError::Empty("sessions")));
         let spec = ScaleSpec {
             sessions: vec![1_000, 2_000],
             validate: false,
-            shards: vec![1, 4],
         };
         let configs = spec.configs().unwrap();
         assert_eq!(configs.len(), 2);
         assert_eq!(configs[0], Experiment1Config::paper_scale(1_000));
-    }
-
-    #[test]
-    fn scale_specs_validate_their_shard_list() {
-        let base = ScaleSpec {
-            sessions: vec![1_000],
-            validate: false,
-            shards: vec![1],
-        };
-        let mut bad = base.clone();
-        bad.shards = vec![];
-        assert_eq!(bad.configs(), Err(SpecError::Empty("shards")));
-        let mut bad = base;
-        bad.shards = vec![2, 0];
-        assert_eq!(bad.configs(), Err(SpecError::Invalid("shards")));
     }
 
     #[test]
