@@ -77,6 +77,8 @@ impl Default for Config {
                 "crates/core/src/router_link.rs",
                 "crates/core/src/host.rs",
                 "crates/maxmin/src/idmap.rs",
+                "crates/node/src/runtime.rs",
+                "crates/node/src/transport.rs",
             ]),
             handler_files: s(&[
                 "crates/core/src/router_link.rs",

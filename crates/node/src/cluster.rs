@@ -13,7 +13,7 @@ use crate::runtime::{ClusterPlan, NodeConfig, NodeRuntime, SilenceTimeout};
 use crate::transport::{channel_mesh, tcp_mesh, Transport};
 use bneck_core::{RecoveryConfig, RecoveryStats};
 use bneck_maxmin::{compare_allocations, CentralizedBneck, RateLimit, SessionId, Tolerance};
-use bneck_net::{Capacity, Delay, Network, NetworkBuilder, Path};
+use bneck_net::{Capacity, Delay, Network, NetworkBuilder, Path, Router};
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -84,6 +84,11 @@ pub struct ClusterReport {
     pub frames: u64,
     /// Throughput over the join → silent interval.
     pub frames_per_sec: f64,
+    /// Transport writes the nodes made, summed (the coordinator's one write
+    /// per API call is not in it): `frames / writes` is the batching reached.
+    pub writes: u64,
+    /// Blobs the nodes received, summed.
+    pub blobs: u64,
     /// Wall time from the first join frame to the counters first matching.
     pub join_to_silent: Duration,
     /// Sessions whose final notified rate disagrees with the centralized
@@ -116,9 +121,11 @@ impl fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "  frames={} ({:.0} frames/s) join->silent={:.3}s silent=confirmed(settle {:?})",
+            "  frames={} ({:.0} frames/s) writes={} blobs={} join->silent={:.3}s silent=confirmed(settle {:?})",
             self.frames,
             self.frames_per_sec,
+            self.writes,
+            self.blobs,
             self.join_to_silent.as_secs_f64(),
             self.spec.settle,
         )?;
@@ -205,12 +212,15 @@ pub fn build_cluster_topology(spec: &ClusterSpec) -> (Network, Vec<(SessionId, P
         hosts.push((src, dst));
     }
     let network = builder.build();
+    // One router for the list: a fresh whole-network search per session made
+    // set-up quadratic, and the chain has one simple path per host pair.
+    let mut router = Router::new(&network);
     let sessions = hosts
         .into_iter()
         .enumerate()
         .map(|(i, (src, dst))| {
-            let path = network
-                .shortest_path(src, dst)
+            let path = router
+                .host_path_cached(src, dst)
                 .expect("the chain is connected");
             (SessionId(i as u64), path, RateLimit::unlimited())
         })
@@ -261,6 +271,8 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
     let outcomes = runtime.shutdown();
     let decode_errors = outcomes.iter().map(|o| o.decode_errors).sum();
     let transport_errors = outcomes.iter().map(|o| o.transport_errors).sum();
+    let writes = outcomes.iter().map(|o| o.writes).sum();
+    let blobs = outcomes.iter().map(|o| o.blobs).sum();
     let recovery = spec.recovery.map(|_| {
         let mut total = RecoveryStats::default();
         for stats in outcomes.iter().filter_map(|o| o.recovery) {
@@ -281,6 +293,8 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         } else {
             0.0
         },
+        writes,
+        blobs,
         join_to_silent,
         mismatches,
         rate_events,
@@ -288,4 +302,31 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         transport_errors,
         recovery,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_router_plans_the_paths_a_search_per_session_finds() {
+        let spec = ClusterSpec {
+            routers: 5,
+            sessions: 40,
+            long_every: 4,
+            ..ClusterSpec::default()
+        };
+        let (network, sessions) = build_cluster_topology(&spec);
+        assert_eq!(sessions.len(), 40);
+        let mut hops = std::collections::BTreeSet::new();
+        for (id, path, _) in &sessions {
+            let searched = network
+                .shortest_path(path.source(), path.destination())
+                .expect("the chain is connected");
+            assert_eq!(path.links(), searched.links(), "{id:?}");
+            hops.insert(path.hop_count());
+        }
+        // One-trunk sessions and chain-spanning ones are both in the list.
+        assert_eq!(hops.into_iter().collect::<Vec<_>>(), [3, 6]);
+    }
 }

@@ -14,7 +14,7 @@
 //!   malformed bytes become a typed [`codec::DecodeError`], never a panic.
 //! * [`transport`] — the [`transport::Transport`] trait with two meshes:
 //!   in-process channels (deterministic tests) and loopback TCP sockets
-//!   (the real thing, `TCP_NODELAY`, one reader thread per connection).
+//!   (`TCP_NODELAY`, one bulk-reading thread per connection, frames in batches).
 //! * [`runtime`] — [`runtime::NodeRuntime`]: one worker thread per node,
 //!   counting-argument silence detection, per-node rate-event subscriptions,
 //!   and a coordinator handle for `API.Join` / `API.Leave` / `API.Change`.

@@ -7,8 +7,8 @@
 //!   handling, `API.Rate` cause tracking and next-hop routing the simulation
 //!   harness runs, tasks included. The runtime supplies only *delivery*, as
 //!   the host's [`Sink`]: a hop to a task on the same node joins the node's
-//!   FIFO `pending` queue, any other hop is encoded and handed to the
-//!   [`Transport`];
+//!   FIFO `pending` queue, any other hop is encoded into the peer's send
+//!   buffer, and a whole buffer goes to the [`Transport`] in one write;
 //! * task placement is topology-aware (the crate's `partition` module):
 //!   routers split into contiguous rank blocks, hosts inherit their router's
 //!   node, the `RouterLink` task of link `e` lives on the node of `src(e)`.
@@ -31,14 +31,33 @@
 //!
 //! The simulator detects quiescence by an empty event queue; a real cluster
 //! has no such oracle. The runtime uses the classic counting argument
-//! instead: a global `sent` counter is incremented *before* a frame is
-//! handed to the transport and a global `received` counter *after* the
-//! receiver has fully processed it (cascaded local deliveries included).
+//! instead, over two global counters of *frames*, `sent` and `received`.
+//! Frames travel in batches — a worker receives a *blob* (every whole frame
+//! one read held), appends what it produces to one send buffer per peer (its
+//! outbox) and writes a whole buffer at once — so the argument rests on three
+//! invariants:
+//!
+//! * **I1** — a frame is in `sent` before the bytes carrying it reach
+//!   [`Transport::send_to`]: `sent` advances by a buffer's frame count
+//!   immediately before that buffer's write.
+//! * **I2** — `received` is credited with a blob's frames only after every
+//!   cascade they triggered has drained `pending` *and* every frame those
+//!   cascades produced is in `sent`: the outbox is flushed at blob end, then
+//!   comes the credit.
+//! * **I3** — a worker never blocks in receive, and never exits, with a
+//!   non-empty outbox; every coordinator method has written what it buffered
+//!   before it returns.
+//!
+//! The outbox is flushed at blob end, before blocking, when a peer's buffer
+//! reaches 64 KiB, and every 256 handler deliveries into a blob's cascades (a
+//! count, never a clock read): batches grow with load, a lone frame still
+//! leaves at once, and a long local cascade does not sit on its output.
+//!
 //! The coordinator reads `received` first, then `sent`: since
 //! `received ≤ sent` always, reading `received = r` and then `sent = s`
-//! with `r == s` proves every frame sent up to that point was fully
-//! processed — and since nodes only act on arriving frames, no new frame
-//! can appear. With recovery enabled, a third counter of unacked frames
+//! with `r == s` proves no frame sits in a buffer, a socket, an inbox or a
+//! cascade — and since nodes only act on arriving frames, no new frame can
+//! appear. With recovery enabled, a third counter of unacked frames
 //! must also be zero, or a retransmission timer could fire after the
 //! counters match. [`NodeRuntime::await_silence`] additionally re-reads the
 //! counters after a settle delay, making the silence *measurable* rather
@@ -46,7 +65,7 @@
 
 use crate::codec::{self, WireFrame};
 use crate::partition::WorldPartition;
-use crate::transport::Transport;
+use crate::transport::{whole_frame, Transport};
 use bneck_core::{
     ApiCall, Packet, PacketStats, RateEvent, RateEvents, RecoveryConfig, RecoveryState,
     RecoveryStats, Sink, Target, TaskHost,
@@ -56,6 +75,7 @@ use bneck_net::{LinkId, Network, Path};
 use bneck_sim::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -140,6 +160,7 @@ impl ClusterPlan {
             tolerance,
             placement,
             links: TaskHost::link_tables(network),
+            // xlint: allow(HOT001, reason = "plan construction, once before any frame")
             sessions: sessions.to_vec(),
         }
     }
@@ -173,6 +194,7 @@ impl ClusterPlan {
     pub fn session_set(&self) -> SessionSet {
         self.sessions
             .iter()
+            // xlint: allow(HOT001, reason = "oracle input, built off the frame path")
             .map(|(id, path, limit)| Session::new(*id, path.clone(), *limit))
             .collect()
     }
@@ -180,8 +202,10 @@ impl ClusterPlan {
     /// A fresh task host over the plan's links with every session of the
     /// plan registered, slot `i` being the `i`-th session.
     fn host(&self) -> TaskHost {
+        // xlint: allow(HOT001, reason = "host construction, once per node before any frame")
         let mut host = TaskHost::new(self.links.clone(), self.tolerance);
         for (session, path, limit) in &self.sessions {
+            // xlint: allow(HOT001, reason = "host construction, once per node before any frame")
             host.register_session(*session, path.clone(), *limit);
         }
         host
@@ -226,8 +250,12 @@ pub struct NodeOutcome {
     /// decoded but named a slot, link, hop or sender that does not exist or
     /// a task this node does not host. Always zero in a healthy cluster.
     pub decode_errors: u64,
-    /// Transport send failures (peer torn down mid-send).
+    /// Transport send failures (peer torn down mid-send), one per write.
     pub transport_errors: u64,
+    /// [`Transport::send_to`] calls this node made, one per flushed buffer.
+    pub writes: u64,
+    /// Blobs this node received, each holding one or more frames.
+    pub blobs: u64,
 }
 
 /// A pending retransmission check: at `due`, resend frame `seq` of lane
@@ -240,6 +268,85 @@ struct Retransmit {
     seq: u32,
 }
 
+/// Handler deliveries a blob's cascades may run between two flushes of the
+/// outbox: about 20 µs of local work, under a loopback round trip.
+const FLUSH_EVERY: u32 = 256;
+
+/// Bytes a peer's send buffer may reach before it is written out.
+const OUTBOX_CAP: usize = 64 * 1024;
+
+/// The one encode → count → write path of workers and coordinator alike: a
+/// frame is appended to its peer's buffer, and a whole buffer leaves in one
+/// [`Transport::send_to`].
+struct Outbox {
+    from: u16,
+    shared: Arc<Shared>,
+    transport: Box<dyn Transport>,
+    /// Per peer: the encoded frames not yet written, and how many they are.
+    peers: Vec<(Vec<u8>, u64)>,
+    writes: u64,
+    transport_errors: u64,
+}
+
+impl Outbox {
+    fn new(
+        from: usize,
+        plan: &ClusterPlan,
+        shared: &Arc<Shared>,
+        transport: Box<dyn Transport>,
+    ) -> Self {
+        Outbox {
+            from: from as u16,
+            shared: Arc::clone(shared),
+            transport,
+            // xlint: allow(HOT001, reason = "one-time construction; the buffers are reused for the life of the endpoint")
+            peers: (0..=plan.nodes).map(|_| (Vec::new(), 0)).collect(),
+            writes: 0,
+            transport_errors: 0,
+        }
+    }
+
+    fn push(&mut self, peer: usize, frame: &WireFrame) {
+        let (buf, frames) = &mut self.peers[peer];
+        codec::encode_frame(self.from, frame, buf);
+        *frames += 1;
+        if buf.len() >= OUTBOX_CAP {
+            let _ = self.flush_peer(peer);
+        }
+    }
+
+    /// Writes every non-empty buffer and returns the first failure. A failed
+    /// write is also counted here, and its frames — which will never arrive —
+    /// credited to `received`, so a dead peer cannot wedge the silence
+    /// condition; that is all a node does about one, so nodes drop the result.
+    fn flush(&mut self) -> io::Result<()> {
+        let mut first = Ok(());
+        for peer in 0..self.peers.len() {
+            first = first.and(self.flush_peer(peer));
+        }
+        first
+    }
+
+    fn flush_peer(&mut self, peer: usize) -> io::Result<()> {
+        let (buf, frames) = &mut self.peers[peer];
+        if *frames == 0 {
+            return Ok(());
+        }
+        let frames = std::mem::take(frames);
+        // I1: in `sent` strictly before the transport sees the bytes, so no
+        // receiver can count `received` for a frame not yet in `sent`.
+        self.shared.sent.fetch_add(frames, Ordering::SeqCst);
+        self.writes += 1;
+        let written = self.transport.send_to(peer, buf);
+        buf.clear();
+        if written.is_err() {
+            self.transport_errors += 1;
+            self.shared.received.fetch_add(frames, Ordering::SeqCst);
+        }
+        written
+    }
+}
+
 /// One node: the task host plus the node's side of delivery.
 struct NodeWorker {
     host: TaskHost,
@@ -249,21 +356,20 @@ struct NodeWorker {
 }
 
 /// Everything of a node that is not the protocol: where it sits in the
-/// cluster, its transport endpoint, the queue of node-local deliveries, and
-/// the recovery lanes with their wall-clock timers. This is the [`Sink`] the
-/// node's [`TaskHost`] transmits into.
+/// cluster, its transport endpoint behind the outbox, the queue of node-local
+/// deliveries, and the recovery lanes with their wall-clock timers. This is
+/// the [`Sink`] the node's [`TaskHost`] transmits into.
 struct NodeIo {
     node: usize,
     plan: Arc<ClusterPlan>,
     shared: Arc<Shared>,
-    transport: Box<dyn Transport>,
+    out: Outbox,
     start: Instant,
     pending: VecDeque<(Target, Packet)>,
     recovery: Option<RecoveryState>,
     timers: VecDeque<Retransmit>,
-    encode_buf: Vec<u8>,
     decode_errors: u64,
-    transport_errors: u64,
+    blobs: u64,
 }
 
 impl NodeWorker {
@@ -281,14 +387,13 @@ impl NodeWorker {
                 node,
                 plan: Arc::clone(plan),
                 shared: Arc::clone(shared),
-                transport,
+                out: Outbox::new(node, plan, shared, transport),
                 start,
                 pending: VecDeque::new(),
                 recovery: config.recovery.map(RecoveryState::new),
                 timers: VecDeque::new(),
-                encode_buf: Vec::with_capacity(128),
                 decode_errors: 0,
-                transport_errors: 0,
+                blobs: 0,
             },
             poll: config.poll,
             done: false,
@@ -297,49 +402,62 @@ impl NodeWorker {
 
     fn run(mut self) -> NodeOutcome {
         while !self.done {
-            match self.io.transport.recv_timeout(self.poll) {
-                Ok(Some(bytes)) => self.handle_wire(&bytes),
+            // I3: what is due goes into the outbox and the outbox onto the
+            // wire before the worker waits; `handle_wire` ends on a flush
+            // too, which covers exit.
+            self.io.fire_due_retransmits();
+            let _ = self.io.out.flush();
+            match self.io.out.transport.recv_blob(self.poll) {
+                Ok(Some(blob)) => self.handle_wire(&blob),
                 Ok(None) => {}
                 Err(_) => break,
             }
-            self.io.fire_due_retransmits();
         }
         NodeOutcome {
             node: self.io.node,
             stats: *self.host.stats(),
             recovery: self.io.recovery.as_ref().map(|r| r.stats),
             decode_errors: self.io.decode_errors,
-            transport_errors: self.io.transport_errors,
+            transport_errors: self.io.out.transport_errors,
+            writes: self.io.out.writes,
+            blobs: self.io.blobs,
         }
     }
 
-    /// Processes one blob delivered by the transport. The `received` counter
-    /// is incremented only after the cascade of local deliveries the frame
-    /// triggered has fully drained — the ordering the silence argument needs
-    /// — and for every blob, whatever it held, so bad input cannot wedge it.
+    /// Processes one blob delivered by the transport, frame by frame along
+    /// the length prefixes. An undecodable payload costs that frame only;
+    /// bytes that cannot be framed end the blob uncredited, so a torn stream
+    /// shows as a silence timeout instead of a false match. `received` is
+    /// credited with the frames walked, bad ones included, and only after the
+    /// cascades they triggered have drained and their output is in `sent`
+    /// (I2). A `Shutdown` does not cut the blob short.
     fn handle_wire(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            match codec::decode_frame(bytes) {
-                Ok(Some((from, frame, consumed))) => {
-                    bytes = &bytes[consumed..];
-                    self.handle_frame(from, frame);
-                    // Every action a handler emits either re-enters this
-                    // queue (same-node target) or goes out through the
-                    // transport, so the cascade terminates exactly when the
-                    // protocol stops talking.
-                    while let Some((target, packet)) = self.io.pending.pop_front() {
-                        self.host.deliver(target, packet, &mut self.io);
-                    }
-                }
-                // `Ok(None)` is a truncated tail: the transport only delivers
-                // whole frames, so that is corruption too.
-                Ok(None) | Err(_) => {
-                    self.io.decode_errors += 1;
-                    break;
+        self.io.blobs += 1;
+        let (mut frames, mut deliveries) = (0, 0u32);
+        while let Some(len) = whole_frame(bytes) {
+            let (frame, rest) = bytes.split_at(len);
+            bytes = rest;
+            frames += 1;
+            match codec::decode_payload(&frame[codec::LEN_PREFIX..]) {
+                Ok((from, frame)) => self.handle_frame(from, frame),
+                Err(_) => self.io.decode_errors += 1,
+            }
+            // Every action a handler emits either re-enters this queue
+            // (same-node target) or goes into the outbox, so the cascade
+            // terminates exactly when the protocol stops talking.
+            while let Some((target, packet)) = self.io.pending.pop_front() {
+                self.host.deliver(target, packet, &mut self.io);
+                deliveries += 1;
+                if deliveries % FLUSH_EVERY == 0 {
+                    let _ = self.io.out.flush();
                 }
             }
         }
-        self.io.shared.received.fetch_add(1, Ordering::SeqCst);
+        if !bytes.is_empty() {
+            self.io.decode_errors += 1;
+        }
+        let _ = self.io.out.flush();
+        self.io.shared.received.fetch_add(frames, Ordering::SeqCst);
     }
 
     /// `true` when `target` names an existing task that lives on this node.
@@ -426,7 +544,7 @@ impl Sink for NodeIo {
                 }
             }
         };
-        self.send_frame(owner, &frame);
+        self.out.push(owner, &frame);
     }
 }
 
@@ -437,7 +555,8 @@ impl NodeIo {
         let session = packet.session();
         // Every frame is acked, duplicates included: the duplicate's ack
         // replaces a lost one.
-        self.send_frame(from as usize, &WireFrame::Ack { session, link, seq });
+        self.out
+            .push(from as usize, &WireFrame::Ack { session, link, seq });
         let Some(recovery) = self.recovery.as_mut() else {
             // Config mismatch (a recovered peer talking to a bare node):
             // deliver the payload anyway, the sender will stop retransmitting
@@ -452,21 +571,8 @@ impl NodeIo {
         }
     }
 
-    fn send_frame(&mut self, peer: usize, frame: &WireFrame) {
-        self.encode_buf.clear();
-        codec::encode_frame(self.node as u16, frame, &mut self.encode_buf);
-        // `sent` strictly before the transport sees the frame: the receiver
-        // cannot count `received` for a frame not yet in `sent`.
-        self.shared.sent.fetch_add(1, Ordering::SeqCst);
-        if self.transport.send_to(peer, &self.encode_buf).is_err() {
-            self.transport_errors += 1;
-            // The frame will never arrive; take it back out of `sent` so a
-            // dead peer cannot wedge the silence condition.
-            self.shared.received.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Resends every due still-unacked frame and re-arms its timer.
+    /// Queues every due still-unacked frame for resending and re-arms its
+    /// timer.
     fn fire_due_retransmits(&mut self) {
         if self.timers.is_empty() {
             return;
@@ -489,15 +595,13 @@ impl NodeIo {
                 ..timer
             });
             let owner = self.plan.placement.owner(frame.target);
-            self.send_frame(
-                owner,
-                &WireFrame::Data {
-                    to: frame.target,
-                    link,
-                    seq,
-                    packet: frame.packet,
-                },
-            );
+            let data = WireFrame::Data {
+                to: frame.target,
+                link,
+                seq,
+                packet: frame.packet,
+            };
+            self.out.push(owner, &data);
         }
     }
 }
@@ -532,10 +636,10 @@ impl std::error::Error for SilenceTimeout {}
 pub struct NodeRuntime {
     plan: Arc<ClusterPlan>,
     shared: Arc<Shared>,
-    coordinator: Box<dyn Transport>,
+    /// The coordinator's endpoint, flushed before a public method returns (I3).
+    out: Outbox,
     handles: Vec<JoinHandle<NodeOutcome>>,
     events: Vec<RateEvents>,
-    encode_buf: Vec<u8>,
 }
 
 impl NodeRuntime {
@@ -563,7 +667,9 @@ impl NodeRuntime {
         let plan = Arc::new(plan);
         let shared = Arc::new(Shared::new(plan.slot_count()));
         let start = wall_now();
+        // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
         let mut handles = Vec::with_capacity(plan.nodes());
+        // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
         let mut events = Vec::with_capacity(plan.nodes());
         for (node, transport) in endpoints.into_iter().enumerate() {
             let (reader, subscriber) = RateEvents::channel();
@@ -572,18 +678,18 @@ impl NodeRuntime {
             worker.host.subscribe(subscriber);
             handles.push(
                 std::thread::Builder::new()
+                    // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
                     .name(format!("bneck-node-{node}"))
                     .spawn(move || worker.run())
                     .expect("spawn node worker thread"),
             );
         }
         NodeRuntime {
+            out: Outbox::new(plan.nodes(), &plan, &shared, coordinator),
             plan,
             shared,
-            coordinator,
             handles,
             events,
-            encode_buf: Vec::with_capacity(64),
         }
     }
 
@@ -593,15 +699,10 @@ impl NodeRuntime {
     }
 
     /// Sends one API frame from the coordinator to the node owning the
-    /// slot's source task.
+    /// slot's source task: one write per call.
     fn send_api(&mut self, slot: u32, frame: WireFrame) {
-        let owner = self.plan.source_owner(slot);
-        self.encode_buf.clear();
-        codec::encode_frame(self.plan.nodes() as u16, &frame, &mut self.encode_buf);
-        self.shared.sent.fetch_add(1, Ordering::SeqCst);
-        self.coordinator
-            .send_to(owner, &self.encode_buf)
-            .expect("coordinator send to a live node");
+        self.out.push(self.plan.source_owner(slot), &frame);
+        self.out.flush().expect("coordinator send to a live node");
     }
 
     /// Issues `API.Join` for `slot` with its planned demand limit.
@@ -610,7 +711,9 @@ impl NodeRuntime {
         self.send_api(slot, WireFrame::Join { slot, limit });
     }
 
-    /// Issues `API.Join` for every slot of the plan, in slot order.
+    /// Issues `API.Join` for every slot of the plan, in slot order — one
+    /// write each: handed over as one block per node, the joins redo more
+    /// protocol work before the first cross-node frame arrives.
     pub fn join_all(&mut self) {
         for slot in 0..self.plan.slot_count() as u32 {
             self.join(slot);
@@ -696,15 +799,10 @@ impl NodeRuntime {
     /// returning their outcomes in node order.
     pub fn shutdown(mut self) -> Vec<NodeOutcome> {
         for node in 0..self.plan.nodes() {
-            self.encode_buf.clear();
-            codec::encode_frame(
-                self.plan.nodes() as u16,
-                &WireFrame::Shutdown,
-                &mut self.encode_buf,
-            );
-            self.shared.sent.fetch_add(1, Ordering::SeqCst);
-            let _ = self.coordinator.send_to(node, &self.encode_buf);
+            self.out.push(node, &WireFrame::Shutdown);
         }
+        // A node that is already gone needs no telling.
+        let _ = self.out.flush();
         self.handles
             .drain(..)
             .map(|h| h.join().expect("node worker panicked"))
@@ -718,11 +816,24 @@ mod tests {
     use crate::transport::channel_mesh;
     use bneck_net::topology::synthetic;
     use bneck_net::{Capacity, Delay};
+    use std::sync::Mutex;
 
     /// Node 0 of a two-node dumbbell cluster with recovery on, wired to a
     /// three-endpoint channel mesh (two nodes and the coordinator) whose
     /// other ends are returned so sends keep succeeding.
     fn worker() -> (NodeWorker, Vec<LinkId>, Vec<crate::ChannelEndpoint>) {
+        let mut mesh = channel_mesh(3);
+        let endpoint = Box::new(mesh.remove(0));
+        let (worker, links, _) = worker_over(|_, _| endpoint, RecoveryConfig::default());
+        (worker, links, mesh)
+    }
+
+    /// Node 0 of the same cluster over the endpoint `transport` builds from
+    /// the cluster's shared counters (returned too) and slot 0's links.
+    fn worker_over(
+        transport: impl FnOnce(&Arc<Shared>, &[LinkId]) -> Box<dyn Transport>,
+        recovery: RecoveryConfig,
+    ) -> (NodeWorker, Vec<LinkId>, Arc<Shared>) {
         let network = synthetic::dumbbell(
             1,
             Capacity::from_mbps(100.0),
@@ -740,21 +851,36 @@ mod tests {
             Tolerance::default(),
         ));
         let shared = Arc::new(Shared::new(plan.slot_count()));
-        let mut mesh = channel_mesh(3);
-        let endpoint = Box::new(mesh.remove(0));
         let config = NodeConfig {
-            recovery: Some(RecoveryConfig::default()),
+            recovery: Some(recovery),
             ..NodeConfig::default()
         };
+        let endpoint = transport(&shared, &links);
         let worker = NodeWorker::new(0, &plan, &shared, endpoint, wall_now(), config);
-        (worker, links, mesh)
+        (worker, links, shared)
+    }
+
+    fn encoded(from: u16, frames: &[WireFrame]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            codec::encode_frame(from, frame, &mut bytes);
+        }
+        bytes
+    }
+
+    fn frames_in(mut bytes: &[u8]) -> u64 {
+        let mut frames = 0;
+        while let Some(len) = whole_frame(bytes) {
+            bytes = &bytes[len..];
+            frames += 1;
+        }
+        assert!(bytes.is_empty(), "only whole frames are ever written");
+        frames
     }
 
     /// Hands the worker one encoded frame, as the transport would.
     fn feed(worker: &mut NodeWorker, from: u16, frame: WireFrame) {
-        let mut bytes = Vec::new();
-        codec::encode_frame(from, &frame, &mut bytes);
-        worker.handle_wire(&bytes);
+        worker.handle_wire(&encoded(from, &[frame]));
     }
 
     #[test]
@@ -826,5 +952,225 @@ mod tests {
         assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 1, "the ack");
         let stats = worker.io.recovery.as_ref().unwrap().stats;
         assert_eq!(stats.acks_sent, 1);
+    }
+
+    /// Frame `seq` of a well-formed sequenced lane into node 0: an `Update`
+    /// for the trunk link's task at hop 1 of slot 0's path.
+    fn trunk_data(links: &[LinkId], seq: u32) -> WireFrame {
+        WireFrame::Data {
+            to: Target::Link {
+                link: links[1],
+                hop: 1,
+                slot: 0,
+            },
+            link: links[1],
+            seq,
+            packet: Packet::Update {
+                session: SessionId(0),
+            },
+        }
+    }
+
+    #[test]
+    fn one_bad_frame_does_not_take_its_blob_with_it() {
+        let (mut worker, links, _peers) = worker();
+        let data = |seq| trunk_data(&links, seq);
+        // A valid prefix over a payload that is not a frame (a wire version
+        // nobody speaks), between two good sequenced frames of one lane.
+        let corrupt = [&4u32.to_le_bytes()[..], &[0xff; 4]].concat();
+        let blob = [encoded(1, &[data(0)]), corrupt, encoded(1, &[data(1)])].concat();
+        worker.handle_wire(&blob);
+        assert_eq!(worker.io.decode_errors, 1);
+        assert_eq!(worker.io.shared.received.load(Ordering::SeqCst), 3);
+        // Both good frames were acked — the acks are written, and counted,
+        // by the time the blob is credited — and delivered to the link task.
+        let stats = worker.io.recovery.as_ref().unwrap().stats;
+        assert_eq!(stats.acks_sent, 2);
+        assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 2);
+        assert_eq!(worker.io.out.writes, 1, "two acks to one peer, one write");
+
+        // Bytes that cannot be framed end the blob, uncredited; the frame in
+        // front of them still counts.
+        let torn = [encoded(1, &[data(2)]), vec![0xff; 7]].concat();
+        worker.handle_wire(&torn);
+        assert_eq!(worker.io.decode_errors, 2);
+        assert_eq!(worker.io.shared.received.load(Ordering::SeqCst), 4);
+        assert_eq!(worker.io.recovery.as_ref().unwrap().stats.acks_sent, 3);
+    }
+
+    /// What the recording transport saw, with the shared counters as they
+    /// read inside the call.
+    #[derive(Debug)]
+    enum Seen {
+        Write {
+            frames: u64,
+            sent: u64,
+            received: u64,
+        },
+        /// A receive — the worker is about to block — which hands over a
+        /// blob of `handing` frames (0: the wait elapsed).
+        Block {
+            handing: u64,
+            sent: u64,
+            received: u64,
+        },
+    }
+
+    /// A transport double that plays a script of receives — `None` sleeps
+    /// `nap` and reports an elapsed wait — then a `Shutdown`, and records
+    /// every call with a snapshot of the counters.
+    struct Recording {
+        shared: Arc<Shared>,
+        script: VecDeque<Option<Vec<u8>>>,
+        nap: Duration,
+        seen: Arc<Mutex<Vec<Seen>>>,
+    }
+
+    impl Recording {
+        fn counters(&self) -> (u64, u64) {
+            let sent = self.shared.sent.load(Ordering::SeqCst);
+            (sent, self.shared.received.load(Ordering::SeqCst))
+        }
+    }
+
+    impl Transport for Recording {
+        fn send_to(&mut self, _peer: usize, bytes: &[u8]) -> io::Result<()> {
+            let (sent, received) = self.counters();
+            let frames = frames_in(bytes);
+            self.seen.lock().unwrap().push(Seen::Write {
+                frames,
+                sent,
+                received,
+            });
+            Ok(())
+        }
+
+        fn recv_timeout(&mut self, _: Duration) -> io::Result<Option<Vec<u8>>> {
+            unreachable!("workers receive blobs")
+        }
+
+        fn recv_blob(&mut self, _: Duration) -> io::Result<Option<Vec<u8>>> {
+            let (sent, received) = self.counters();
+            let step = self
+                .script
+                .pop_front()
+                .unwrap_or_else(|| Some(encoded(2, &[WireFrame::Shutdown])));
+            self.seen.lock().unwrap().push(Seen::Block {
+                handing: step.as_deref().map_or(0, frames_in),
+                sent,
+                received,
+            });
+            if step.is_none() {
+                std::thread::sleep(self.nap);
+            }
+            Ok(step)
+        }
+    }
+
+    /// Runs node 0's real loop over a [`Recording`] of `script` and returns
+    /// what the double saw, the node's outcome and the final counters.
+    fn record(
+        rto: Duration,
+        nap: Duration,
+        script: impl FnOnce(&[LinkId]) -> Vec<Option<Vec<u8>>>,
+    ) -> (Vec<Seen>, NodeOutcome, (u64, u64)) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let recovery = RecoveryConfig::with_rto(Delay::from_micros(rto.as_micros() as u64));
+        let (worker, _, shared) = worker_over(
+            |shared, links| {
+                Box::new(Recording {
+                    shared: Arc::clone(shared),
+                    script: script(links).into(),
+                    nap,
+                    seen: Arc::clone(&seen),
+                })
+            },
+            recovery,
+        );
+        let outcome = worker.run();
+        let counters = (
+            shared.sent.load(Ordering::SeqCst),
+            shared.received.load(Ordering::SeqCst),
+        );
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        (seen, outcome, counters)
+    }
+
+    /// Slot 0's join, from the coordinator: its `Join` packet runs two local
+    /// hops on node 0 and leaves for node 1 as one sequenced frame.
+    fn join_blob() -> Option<Vec<u8>> {
+        let limit = RateLimit::unlimited();
+        Some(encoded(2, &[WireFrame::Join { slot: 0, limit }]))
+    }
+
+    #[test]
+    fn counters_keep_their_order_around_every_write() {
+        // An RTO no test run reaches: every write below is a blob's output.
+        let (seen, outcome, (sent, received)) =
+            record(Duration::from_secs(3600), Duration::ZERO, |links| {
+                let two = [trunk_data(links, 0), trunk_data(links, 1)];
+                vec![join_blob(), None, Some(encoded(1, &two))]
+            });
+        // Replay: `credited` covers the blobs fully processed, `in_hand` is
+        // the one being processed, `handed` the frames written so far.
+        let (mut handed, mut credited, mut in_hand) = (0, 0, 0);
+        let mut written_per_turn = Vec::new();
+        for event in &seen {
+            match *event {
+                Seen::Write {
+                    frames,
+                    sent,
+                    received,
+                } => {
+                    handed += frames;
+                    assert!(sent >= handed, "I1: in `sent` before the write: {seen:?}");
+                    assert_eq!(
+                        received, credited,
+                        "I2: no credit while the blob's output is still being written: {seen:?}"
+                    );
+                    *written_per_turn.last_mut().expect("a receive comes first") += frames;
+                }
+                Seen::Block {
+                    handing,
+                    sent,
+                    received,
+                } => {
+                    credited += std::mem::replace(&mut in_hand, handing);
+                    assert_eq!(received, credited, "credited once processed: {seen:?}");
+                    assert_eq!(sent, handed, "I3: nothing counted is unwritten: {seen:?}");
+                    written_per_turn.push(0);
+                }
+            }
+        }
+        // Join → one data frame; an idle turn; two data frames → two acks in
+        // one write; shutdown. Each blob's output left within its own turn.
+        assert_eq!(written_per_turn, [1, 0, 2, 0], "{seen:?}");
+        let stats = outcome.recovery.expect("recovery is on");
+        assert_eq!((stats.frames_sent, stats.acks_sent), (1, 2));
+        assert_eq!((outcome.writes, outcome.blobs), (2, 3));
+        assert_eq!((sent, received), (3, 4), "three made, four taken");
+    }
+
+    #[test]
+    fn a_due_retransmission_is_written_before_the_worker_blocks() {
+        // The join's data frame is never acked; the second receive naps past
+        // the RTO, so the turn after it finds the retransmission due.
+        let rto = Duration::from_millis(200);
+        let nap = Duration::from_millis(250);
+        let (seen, outcome, (sent, _)) = record(rto, nap, |_| vec![join_blob(), None, None]);
+        let blocks: Vec<usize> = (0..seen.len())
+            .filter(|&i| matches!(seen[i], Seen::Block { .. }))
+            .collect();
+        // I3: the resent frame went out in front of the third receive, not
+        // at the end of whatever blob came next.
+        assert!(
+            matches!(seen[blocks[2] - 1], Seen::Write { frames: 1, .. }),
+            "{seen:?}"
+        );
+        let stats = outcome.recovery.expect("recovery is on");
+        assert!(stats.retransmits >= 1, "{seen:?}");
+        // ... and nothing was left in the outbox at exit.
+        assert_eq!(sent, stats.frames_sent + stats.retransmits, "{seen:?}");
+        assert_eq!(outcome.writes, sent, "one frame per write here: {seen:?}");
     }
 }

@@ -194,3 +194,47 @@ fn single_node_cluster_works_without_any_wire_traffic_beyond_api() {
     );
     runtime.shutdown();
 }
+
+/// Every session crosses the one trunk, so every protocol packet crosses the
+/// socket: the shape where frames must leave and arrive in batches.
+fn wire_bound(recovery: Option<RecoveryConfig>) -> ClusterSpec {
+    ClusterSpec {
+        nodes: 2,
+        routers: 2,
+        sessions: 2_000,
+        long_every: 0,
+        transport: ClusterTransport::Tcp,
+        recovery,
+        settle: SETTLE,
+        timeout: TIMEOUT,
+    }
+}
+
+#[test]
+fn wire_bound_tcp_cluster_batches_its_frames_and_stays_oracle_exact() {
+    let report = run_cluster(wire_bound(None)).expect("wire-bound tcp run");
+    assert_eq!(report.mismatches, 0, "{report}");
+    assert_eq!(report.decode_errors, 0, "{report}");
+    assert_eq!(report.transport_errors, 0, "{report}");
+    // Far looser than what a run reaches (a hundred frames per write): the
+    // bar only says that a frame no longer costs a write.
+    assert!(report.writes > 0 && report.blobs > 0, "{report}");
+    assert!(report.frames >= 2 * report.writes, "{report}");
+}
+
+#[test]
+fn wire_bound_tcp_cluster_with_recovery_acks_every_frame_and_goes_silent() {
+    // Silence is only ever reported with nothing unacked, so `Ok` is that
+    // half of the claim.
+    let recovery = RecoveryConfig::with_rto(Delay::from_micros(200_000));
+    let report = run_cluster(wire_bound(Some(recovery))).expect("recovered wire-bound run");
+    assert_eq!(report.mismatches, 0, "{report}");
+    assert_eq!(report.decode_errors, 0, "{report}");
+    assert_eq!(report.transport_errors, 0, "{report}");
+    let recovery = report.recovery.expect("recovery stats are reported");
+    assert_eq!(
+        recovery.acks_sent,
+        recovery.frames_sent + recovery.retransmits,
+        "{report}"
+    );
+}
