@@ -7,8 +7,9 @@
 //! The harness is its simulator adapter: a [`Sink`] that forwards every
 //! packet the handlers emit over the network's links, each modelled as a
 //! simulator channel with the link's bandwidth and propagation delay (with
-//! recovery on, inside a sequenced frame with a retransmission timer event),
-//! plus the workload-facing `API.Join` / `API.Leave` / `API.Change`.
+//! recovery on, inside a sequenced frame, with one engine wake-up armed for
+//! the earliest retransmission deadline), plus the workload-facing
+//! `API.Join` / `API.Leave` / `API.Change`.
 //!
 //! Quiescence detection is inherited from the simulator: the network is
 //! quiescent exactly when no protocol packet is in flight or pending, which is
@@ -31,7 +32,7 @@ use crate::stats::PacketStats;
 use crate::task::RateNotification;
 use crate::world::LinkTable;
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
-use bneck_net::{Delay, LinkId, Network, NodeId, Path, Router};
+use bneck_net::{LinkId, Network, NodeId, Path, Router};
 use bneck_sim::{
     Address, ChannelId, Context, Engine, FaultCounters, FaultPlan, RunReport, ScheduleCursor,
     SimTime, Simulation, World,
@@ -72,14 +73,10 @@ enum Payload {
         link: LinkId,
         seq: u32,
     },
-    /// Retransmission timer of an in-flight frame, scheduled outside the
-    /// channels (timers are never dropped or reordered). A no-op if the
-    /// frame has been acknowledged by the time it fires.
-    Retransmit {
-        session: SessionId,
-        link: LinkId,
-        seq: u32,
-    },
+    /// The recovery layer's one timer, scheduled outside the channels
+    /// (timers are never dropped or reordered) for the earliest deadline of
+    /// an unacked frame: resends what is due, then re-arms or lapses.
+    WakeUp,
 }
 
 /// Error returned when `API.Join` cannot create a session.
@@ -212,6 +209,8 @@ struct BneckWorld {
     /// when [`BneckConfig::recovery`] is set. Boxed so paper-mode worlds pay
     /// one pointer, and the hot paths pay one null check.
     recovery: Option<Box<RecoveryState>>,
+    /// Whether the engine holds the recovery layer's wake-up.
+    armed: bool,
 }
 
 /// The simulator's delivery: every transmission goes out on the channel of
@@ -220,6 +219,7 @@ struct ChannelSink<'a, 'c> {
     ctx: &'a mut Context<'c, Envelope>,
     links: &'a LinkTable,
     recovery: Option<&'a mut RecoveryState>,
+    armed: &'a mut bool,
 }
 
 impl Sink for ChannelSink<'_, '_> {
@@ -229,8 +229,9 @@ impl Sink for ChannelSink<'_, '_> {
 
     fn transmit(&mut self, over: LinkId, to: Target, packet: Packet) {
         if let Some(recovery) = self.recovery.as_deref_mut() {
-            let (seq, rto) = (recovery.frame(over, to, packet), recovery.config.rto);
-            return self.send_frame(rto, over, to, seq, packet);
+            let seq = recovery.frame(self.ctx.now(), over, to, packet);
+            self.send_frame(over, to, seq, packet);
+            return self.arm_wake_up();
         }
         self.ctx.send(
             self.links.channel(over),
@@ -244,26 +245,32 @@ impl Sink for ChannelSink<'_, '_> {
 }
 
 impl ChannelSink<'_, '_> {
-    /// Sends (or resends) recovery frame `seq` of lane
-    /// `(packet.session(), over)` and arms its retransmission timer.
+    /// Sends (or resends) recovery frame `seq` of lane `(packet.session(), link)`.
     #[cold]
     #[inline(never)]
-    fn send_frame(&mut self, rto: Delay, over: LinkId, to: Target, seq: u32, packet: Packet) {
-        let envelope = |payload| Envelope {
-            target: to,
-            payload,
-        };
-        let (session, link) = (packet.session(), over);
-        let data = Payload::Data { link, seq, packet };
+    fn send_frame(&mut self, link: LinkId, target: Target, seq: u32, packet: Packet) {
+        let payload = Payload::Data { link, seq, packet };
+        let envelope = Envelope { target, payload };
         self.ctx
-            .send(self.links.channel(over), Address(0), envelope(data));
-        let timer = Payload::Retransmit { session, link, seq };
-        self.ctx.schedule_after(rto, Address(0), envelope(timer));
+            .send(self.links.channel(link), Address(0), envelope);
+    }
+
+    /// Keeps one wake-up in the engine while a frame awaits its ack, at the
+    /// earliest such deadline: an empty event queue still means nothing is
+    /// unacked, for one timer event per RTO or loss instead of one per frame.
+    fn arm_wake_up(&mut self) {
+        let lanes = self.recovery.as_deref_mut().filter(|_| !*self.armed);
+        if let Some(due) = lanes.and_then(RecoveryState::next_deadline) {
+            *self.armed = true;
+            let (target, payload) = (Target::Source(u32::MAX), Payload::WakeUp);
+            let (delay, wake_up) = (due - self.ctx.now(), Envelope { target, payload });
+            self.ctx.schedule_after(delay, Address(0), wake_up);
+        }
     }
 
     /// Handles the recovery layer's own messages: data frames (ack, then
     /// deliver in order / buffer / drop duplicates), acknowledgements, and
-    /// retransmission timers.
+    /// the retransmission wake-up.
     #[cold]
     #[inline(never)]
     fn handle_recovery(&mut self, host: &mut TaskHost, envelope: Envelope) {
@@ -288,22 +295,25 @@ impl ChannelSink<'_, '_> {
                     },
                 );
                 let mut next = recovery.receive(link, seq, envelope.target, packet);
-                while let Some((to, packet)) = next {
+                while let Some((lane, to, packet)) = next {
                     host.deliver(to, packet, self);
                     let recovery = self.recovery.as_deref_mut().expect("checked above");
-                    next = recovery.release(session, link);
+                    next = recovery.release(lane);
                 }
             }
             Payload::Ack { session, link, seq } => {
                 recovery.acked(session, link, seq);
             }
-            Payload::Retransmit { session, link, seq } => {
-                // Acked in the meantime → the timer is stale; its firing is
-                // the RTO tail that delays quiescence.
-                if let Some(frame) = recovery.still_unacked(session, link, seq) {
-                    let rto = recovery.config.rto;
-                    self.send_frame(rto, frame.over, frame.target, seq, frame.packet);
+            Payload::WakeUp => {
+                // Frames acked in the meantime are not due; a wake-up that
+                // finds none at all is the RTO tail that delays quiescence.
+                *self.armed = false;
+                let now = self.ctx.now();
+                let due = |sink: &mut Self| sink.recovery.as_deref_mut()?.due(now);
+                while let Some((seq, frame)) = due(self) {
+                    self.send_frame(frame.over, frame.target, seq, frame.packet);
                 }
+                self.arm_wake_up();
             }
             Payload::Api(_) | Payload::Protocol(_) => unreachable!("routed by handle"),
         }
@@ -315,10 +325,12 @@ impl BneckWorld {
     /// channel on `engine`. Channels are registered in link order, so channel
     /// identifiers equal link identifiers.
     fn new(network: &Network, engine: &mut Engine<Envelope>, config: BneckConfig) -> Self {
+        let recovery = |rc| Box::new(RecoveryState::new(rc, network.link_count()));
         BneckWorld {
             host: TaskHost::new(TaskHost::link_tables(network), config.tolerance),
             links: LinkTable::new(network, engine, config.packet_bits),
-            recovery: config.recovery.map(|rc| Box::new(RecoveryState::new(rc))),
+            recovery: config.recovery.map(recovery),
+            armed: false,
         }
     }
 }
@@ -331,15 +343,16 @@ impl World for BneckWorld {
             ctx,
             links: &self.links,
             recovery: self.recovery.as_deref_mut(),
+            armed: &mut self.armed,
         };
         match (msg.target, msg.payload) {
             (target, Payload::Protocol(packet)) => self.host.deliver(target, packet, &mut sink),
             (Target::Source(slot), Payload::Api(call)) => self.host.api(slot, call, &mut sink),
             // API calls are only ever addressed to sources.
             (_, Payload::Api(_)) => {}
-            // Recovery frames, acks and timers are handled by the adapter
-            // itself, off the protocol hot path.
-            (_, Payload::Data { .. } | Payload::Ack { .. } | Payload::Retransmit { .. }) => {
+            // Recovery frames, acks and the wake-up are handled by the
+            // adapter itself, off the protocol hot path.
+            (_, Payload::Data { .. } | Payload::Ack { .. } | Payload::WakeUp) => {
                 sink.handle_recovery(&mut self.host, msg)
             }
         }
@@ -517,7 +530,8 @@ impl<'a> BneckSimulation<'a> {
         let Some(slot) = self.world.host.deregister_session(session) else {
             return Err(UnknownSession(session));
         };
-        self.source_hosts.retain(|_, s| *s != session);
+        let host = self.world.host.arena().path(slot).source();
+        self.source_hosts.remove(&host);
         self.engine.inject(
             at,
             Address(0),
@@ -1574,6 +1588,72 @@ mod recovery_tests {
         assert_eq!(stats.acks_sent, stats.frames_sent);
         assert_eq!(sim.unacked_frames(), 0);
         assert_matches_oracle(&sim);
+    }
+
+    #[test]
+    fn a_clean_recovered_run_pays_one_wake_up_not_one_timer_per_frame() {
+        let net = synthetic::dumbbell(
+            2,
+            Capacity::from_mbps(100.0),
+            Capacity::from_mbps(60.0),
+            Delay::from_micros(1),
+        );
+        let rto = Delay::from_micros(500);
+        let mut config = BneckConfig::default().with_recovery(rto);
+        config.record_packet_log = true;
+        let mut sim = dumbbell_sim(&net, config, 2);
+        let report = sim.run_to_quiescence();
+        assert!(report.quiescent);
+        let stats = sim.recovery_stats().unwrap();
+        // Clean channels deliver every message sent, and the two joins are
+        // the only API calls: whatever else the engine processed is a timer.
+        let timers = report.events_processed - report.packets_sent - 2;
+        assert!(stats.frames_sent > 20, "{stats:?}");
+        assert_eq!(timers, 1, "one wake-up for {} frames", stats.frames_sent);
+        // R4: the run ends on that wake-up, no later than the last frame's
+        // own timer would have fired.
+        let last_send = sim.with_packet_log(|log| log.last().expect("packets were sent").0);
+        assert!(report.quiescent_at <= last_send + rto, "{report:?}");
+        assert!(
+            report.quiescent_at > last_send,
+            "the RTO tail is still paid"
+        );
+    }
+
+    #[test]
+    fn a_lossy_recovered_run_cut_at_any_horizon_resumes_to_the_same_end() {
+        let net = synthetic::dumbbell(
+            4,
+            Capacity::from_mbps(100.0),
+            Capacity::from_mbps(60.0),
+            Delay::from_micros(1),
+        );
+        let config = BneckConfig::default().with_recovery(Delay::from_micros(200));
+        let run = |horizons_us: &[u64]| {
+            let mut sim = dumbbell_sim(&net, config, 4);
+            sim.set_fault_plan(hostile_plan(7));
+            for &us in horizons_us {
+                // R3: a cut run keeps its wake-up in the queue, so frames
+                // unacked at the horizon are still retransmitted after it.
+                let cut = sim.run_until(SimTime::from_micros(us));
+                assert!(!cut.quiescent, "the horizon {us} us falls inside the run");
+            }
+            let end = sim.run_to_quiescence();
+            assert!(end.quiescent);
+            assert_eq!(sim.unacked_frames(), 0);
+            assert_matches_oracle(&sim);
+            let totals = (
+                sim.messages_sent(),
+                sim.events_processed(),
+                end.quiescent_at,
+            );
+            let stats = sim.recovery_stats().unwrap();
+            (totals, stats, sim.fault_totals(), sim.allocation())
+        };
+        let uncut = run(&[]);
+        assert!(uncut.1.retransmits > 0, "{:?}", uncut.1);
+        assert_eq!(run(&[37, 211, 463]), uncut);
+        assert_eq!(run(&[1, 2, 199]), uncut);
     }
 
     #[test]

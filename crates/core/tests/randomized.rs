@@ -203,6 +203,35 @@ fn joining_from_a_busy_source_host_is_rejected() {
 }
 
 #[test]
+fn leaving_frees_the_departing_sessions_source_host_and_no_other() {
+    let net = small_network(10, DelayModel::Lan, 77);
+    let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
+    let mut sim = BneckSimulation::new(&net, BneckConfig::default());
+    let unlimited = RateLimit::unlimited();
+    for (id, source) in [(0, hosts[0]), (1, hosts[1])] {
+        sim.join(SimTime::ZERO, SessionId(id), source, hosts[2], unlimited)
+            .unwrap();
+    }
+    sim.run_to_quiescence();
+    // The host is free from the `leave` call on, found through the departed
+    // slot's path — not by scanning every busy host for the session.
+    sim.leave(sim.now(), SessionId(0)).unwrap();
+    assert!(!sim.is_source_host_busy(hosts[0]));
+    assert!(
+        sim.is_source_host_busy(hosts[1]),
+        "session 1 is still there"
+    );
+    sim.join(sim.now(), SessionId(2), hosts[0], hosts[3], unlimited)
+        .unwrap();
+    let err = sim
+        .join(sim.now(), SessionId(3), hosts[1], hosts[3], unlimited)
+        .unwrap_err();
+    assert!(matches!(err, bneck_core::JoinError::SourceHostBusy { .. }));
+    sim.run_to_quiescence();
+    assert_matches_oracle(&sim, "one host freed, one kept");
+}
+
+#[test]
 fn transient_rates_never_exceed_the_max_min_rates() {
     // The paper highlights that, until convergence, B-Neck assigns transient
     // rates that are smaller than the max-min fair rates (conservative

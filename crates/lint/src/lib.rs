@@ -76,6 +76,7 @@ impl Default for Config {
                 "crates/sim/src/event.rs",
                 "crates/core/src/router_link.rs",
                 "crates/core/src/host.rs",
+                "crates/core/src/recovery.rs",
                 "crates/maxmin/src/idmap.rs",
                 "crates/node/src/runtime.rs",
                 "crates/node/src/transport.rs",

@@ -19,7 +19,7 @@
 //!   reorder — on reliable loopback it is off by default, because each lane
 //!   has a single sending thread and both transports preserve per-connection
 //!   FIFO, which implies the per-lane FIFO the paper assumes. The runtime
-//!   adds the wall clock and a queue of retransmission timers.
+//!   adds only the wall clock: between blobs it asks the state what is due.
 //!
 //! Every node builds its host from the plan's whole session list, so every
 //! node can route for every session; a task only ever *runs* on the node
@@ -58,7 +58,7 @@
 //! with `r == s` proves no frame sits in a buffer, a socket, an inbox or a
 //! cascade — and since nodes only act on arriving frames, no new frame can
 //! appear. With recovery enabled, a third counter of unacked frames
-//! must also be zero, or a retransmission timer could fire after the
+//! must also be zero, or a retransmission could come due after the
 //! counters match. [`NodeRuntime::await_silence`] additionally re-reads the
 //! counters after a settle delay, making the silence *measurable* rather
 //! than merely inferred.
@@ -82,12 +82,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The wall clock. The node runtime is real-time code — retransmission
-/// timers, silence latency and event timestamps are wall-clock quantities —
+/// deadlines, silence latency and event timestamps are wall-clock quantities —
 /// so this is the one sanctioned call site in the crate.
 fn wall_now() -> Instant {
     #[allow(clippy::disallowed_methods)]
     // xlint: allow(DET002, reason = "the node runtime runs on wall-clock time by design; timers and latency reports are real-time quantities")
     Instant::now()
+}
+
+/// The time on a node's clock: wall time since the cluster's `start`.
+fn since(start: Instant) -> SimTime {
+    SimTime::from_nanos(start.elapsed().as_nanos() as u64)
 }
 
 /// Tunables of a node worker.
@@ -97,7 +102,7 @@ pub struct NodeConfig {
     /// both bundled transports are reliable and FIFO per lane).
     pub recovery: Option<RecoveryConfig>,
     /// How long a worker blocks waiting for a frame before checking its
-    /// retransmission timers and shutdown flag.
+    /// retransmission deadlines and shutdown flag.
     pub poll: Duration,
 }
 
@@ -258,16 +263,6 @@ pub struct NodeOutcome {
     pub blobs: u64,
 }
 
-/// A pending retransmission check: at `due`, resend frame `seq` of lane
-/// `(session, link)` if it is still unacked. The RTO is constant, so push
-/// order equals due order and a queue suffices — no timer wheel needed.
-struct Retransmit {
-    due: Instant,
-    session: SessionId,
-    link: LinkId,
-    seq: u32,
-}
-
 /// Handler deliveries a blob's cascades may run between two flushes of the
 /// outbox: about 20 µs of local work, under a loopback round trip.
 const FLUSH_EVERY: u32 = 256;
@@ -357,8 +352,8 @@ struct NodeWorker {
 
 /// Everything of a node that is not the protocol: where it sits in the
 /// cluster, its transport endpoint behind the outbox, the queue of node-local
-/// deliveries, and the recovery lanes with their wall-clock timers. This is
-/// the [`Sink`] the node's [`TaskHost`] transmits into.
+/// deliveries, and the recovery lanes, timed on the wall clock since `start`.
+/// This is the [`Sink`] the node's [`TaskHost`] transmits into.
 struct NodeIo {
     node: usize,
     plan: Arc<ClusterPlan>,
@@ -367,7 +362,6 @@ struct NodeIo {
     start: Instant,
     pending: VecDeque<(Target, Packet)>,
     recovery: Option<RecoveryState>,
-    timers: VecDeque<Retransmit>,
     decode_errors: u64,
     blobs: u64,
 }
@@ -390,8 +384,9 @@ impl NodeWorker {
                 out: Outbox::new(node, plan, shared, transport),
                 start,
                 pending: VecDeque::new(),
-                recovery: config.recovery.map(RecoveryState::new),
-                timers: VecDeque::new(),
+                recovery: config
+                    .recovery
+                    .map(|rc| RecoveryState::new(rc, plan.links.0.len())),
                 decode_errors: 0,
                 blobs: 0,
             },
@@ -466,6 +461,15 @@ impl NodeWorker {
         self.host.knows(target) && self.io.plan.placement.owner(target) == self.io.node
     }
 
+    /// `true` when a sequenced frame for `to` — a task [`Self::hosts`] vouched
+    /// for — names a lane that can exist: `link` is a link of the plan and the
+    /// packet's session that of the slot `to` addresses.
+    fn on_a_lane(&self, to: Target, link: LinkId, packet: &Packet) -> bool {
+        let (Target::Source(slot) | Target::Destination(slot) | Target::Link { slot, .. }) = to;
+        let plan = &self.io.plan;
+        link.index() < plan.links.0.len() && packet.session() == plan.session(slot)
+    }
+
     fn handle_frame(&mut self, from: u16, frame: WireFrame) {
         match frame {
             WireFrame::Packet { to, packet } if self.hosts(to) => {
@@ -478,7 +482,10 @@ impl NodeWorker {
                 link,
                 seq,
                 packet,
-            } if self.hosts(to) && usize::from(from) <= self.io.plan.nodes => {
+            } if self.hosts(to)
+                && self.on_a_lane(to, link, &packet)
+                && usize::from(from) <= self.io.plan.nodes =>
+            {
                 self.io.receive_framed(from, to, link, seq, packet);
             }
             WireFrame::Ack { session, link, seq } => {
@@ -507,7 +514,7 @@ impl NodeWorker {
 
 impl Sink for NodeIo {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+        since(self.start)
     }
 
     fn notified(&mut self, slot: u32, rate: Rate) {
@@ -527,15 +534,8 @@ impl Sink for NodeIo {
         let frame = match self.recovery.as_mut() {
             None => WireFrame::Packet { to, packet },
             Some(recovery) => {
-                let seq = recovery.frame(over, to, packet);
+                let seq = recovery.frame(since(self.start), over, to, packet);
                 self.shared.unacked.fetch_add(1, Ordering::SeqCst);
-                let rto = Duration::from_nanos(recovery.config.rto.as_nanos());
-                self.timers.push_back(Retransmit {
-                    due: wall_now() + rto,
-                    session: packet.session(),
-                    link: over,
-                    seq,
-                });
                 WireFrame::Data {
                     to,
                     link: over,
@@ -565,39 +565,24 @@ impl NodeIo {
             return;
         };
         let mut next = recovery.receive(link, seq, to, packet);
-        while let Some(delivery) = next {
-            self.pending.push_back(delivery);
-            next = recovery.release(session, link);
+        while let Some((lane, to, packet)) = next {
+            self.pending.push_back((to, packet));
+            next = recovery.release(lane);
         }
     }
 
-    /// Queues every due still-unacked frame for resending and re-arms its
-    /// timer.
+    /// Queues every due still-unacked frame for resending.
     fn fire_due_retransmits(&mut self) {
-        if self.timers.is_empty() {
+        let Some(recovery) = self.recovery.as_mut() else {
             return;
-        }
-        let now = wall_now();
-        // A re-armed timer is due strictly after `now`, so the loop ends.
-        while self.timers.front().is_some_and(|timer| timer.due <= now) {
-            let timer = self.timers.pop_front().expect("peeked above");
-            let recovery = self
-                .recovery
-                .as_mut()
-                .expect("timers are only armed with recovery on");
-            let (session, link, seq) = (timer.session, timer.link, timer.seq);
-            let Some(frame) = recovery.still_unacked(session, link, seq) else {
-                continue; // Acked in the meantime: the timer is stale.
-            };
-            let rto = Duration::from_nanos(recovery.config.rto.as_nanos());
-            self.timers.push_back(Retransmit {
-                due: now + rto,
-                ..timer
-            });
+        };
+        let now = since(self.start);
+        // A resent frame is due again strictly after `now`, so the loop ends.
+        while let Some((seq, frame)) = recovery.due(now) {
             let owner = self.plan.placement.owner(frame.target);
             let data = WireFrame::Data {
                 to: frame.target,
-                link,
+                link: frame.over,
                 seq,
                 packet: frame.packet,
             };
@@ -936,8 +921,31 @@ mod tests {
         };
         feed(&mut worker, u16::MAX, data);
         feed(&mut worker, 2, WireFrame::Leave { slot: u32::MAX });
-        blobs += 2;
-        assert_eq!(worker.io.decode_errors, errors + 2);
+        // A sequenced frame for a real task whose lane cannot exist — a link
+        // past the plan's, or a session that is not the addressed slot's —
+        // is neither acked nor delivered, and opens no lane.
+        let (to, seq) = (good, 0);
+        let far = LinkId(u32::MAX);
+        let stranger = Packet::Update {
+            session: SessionId(u64::MAX),
+        };
+        let stray = WireFrame::Data {
+            to,
+            link: far,
+            seq,
+            packet,
+        };
+        feed(&mut worker, 1, stray);
+        let stray = WireFrame::Data {
+            to,
+            link: links[1],
+            seq,
+            packet: stranger,
+        };
+        feed(&mut worker, 1, stray);
+        blobs += 4;
+        assert_eq!(worker.io.decode_errors, errors + 4);
+        assert_eq!(worker.io.recovery.as_ref().unwrap().stats.acks_sent, 0);
         assert!(worker.io.pending.is_empty());
         assert_eq!(worker.host.stats().total(), 0, "no handler ever ran");
         // Silence cannot wedge: every blob was counted as received, and
@@ -948,10 +956,26 @@ mod tests {
 
         // The well-formed twin of the frames above is acked and delivered.
         feed(&mut worker, 1, data);
-        assert_eq!(worker.io.decode_errors, errors + 2);
+        assert_eq!(worker.io.decode_errors, errors + 4);
         assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 1, "the ack");
         let stats = worker.io.recovery.as_ref().unwrap().stats;
         assert_eq!(stats.acks_sent, 1);
+
+        // An ack naming a link no table has, or a lane nobody opened, is a
+        // silent no-op: the frame awaiting its ack keeps waiting.
+        let limit = RateLimit::unlimited();
+        feed(&mut worker, 2, WireFrame::Join { slot: 0, limit });
+        let awaiting = |worker: &NodeWorker| {
+            let counted = worker.io.shared.unacked.load(Ordering::SeqCst);
+            let held = worker.io.recovery.as_ref().unwrap().unacked_frames();
+            (counted, held)
+        };
+        assert_eq!(awaiting(&worker), (1, 1), "the join left for node 1");
+        for (session, link) in [(SessionId(0), far), (SessionId(u64::MAX), links[1])] {
+            feed(&mut worker, 1, WireFrame::Ack { session, link, seq });
+        }
+        assert_eq!(awaiting(&worker), (1, 1));
+        assert_eq!(worker.io.decode_errors, errors + 4);
     }
 
     /// Frame `seq` of a well-formed sequenced lane into node 0: an `Update`
