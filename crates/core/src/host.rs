@@ -302,12 +302,13 @@ impl TaskHost {
                     source.handle(packet, &mut actions);
                 }
             }
-            Target::Link { link: e, .. } => {
-                let capacity = self.capacities[e.index()];
-                let entry = &mut self.router_links[e.index()];
-                let link =
-                    entry.get_or_insert_with(|| RouterLink::new(e, capacity, self.tolerance));
-                link.handle(packet, &mut actions);
+            Target::Link { link: e, hop, slot } => {
+                let link = self.router_links[e.index()].get_or_insert_with(|| {
+                    RouterLink::new(e, self.capacities[e.index()], self.tolerance)
+                });
+                let mut spare = u32::MAX;
+                let hint = self.arena.hint_mut(slot, hop).unwrap_or(&mut spare);
+                link.handle_hinted(packet, hint, &mut actions);
             }
             Target::Destination(slot) => {
                 if let Some(destination) = self.destinations.get(slot as usize) {
@@ -407,7 +408,7 @@ impl TaskHost {
             }
             Target::Source(_) | Target::Destination(_) => return None,
         };
-        let links = self.arena.path(slot).links();
+        let links = self.arena.links(slot)?;
         let at = |hop: usize| Target::Link {
             link: links[hop],
             hop: hop as u32,
@@ -440,10 +441,15 @@ mod tests {
     use bneck_net::{Capacity, Delay, NetworkBuilder, NodeId};
     use proptest::prelude::*;
 
-    /// A chain of nine routers: eight forward links, each with a reverse.
+    /// Forward links of the test chain: more than a slot's hop record holds
+    /// inline, so paths along it are read from both places.
+    const CHAIN: usize = 24;
+
+    /// A chain of `CHAIN + 1` routers: `CHAIN` forward links, each with a
+    /// reverse.
     fn chain() -> (Network, Vec<NodeId>) {
         let mut builder = NetworkBuilder::new();
-        let routers: Vec<NodeId> = (0..9)
+        let routers: Vec<NodeId> = (0..=CHAIN)
             .map(|i| builder.add_router(format!("r{i}")))
             .collect();
         for pair in routers.windows(2) {
@@ -497,9 +503,9 @@ mod tests {
         /// it over the reverse links and ends at the source. Every link task
         /// on the way is addressed with the hop it sits at.
         #[test]
-        fn routing_walks_the_path_hop_by_hop(start in 0usize..8, extra in 0usize..8) {
+        fn routing_walks_the_path_hop_by_hop(len in 1usize..CHAIN + 1, start in 0usize..CHAIN) {
             let (network, routers) = chain();
-            let len = 1 + extra % (8 - start);
+            let start = start % (CHAIN + 1 - len);
             let path = chain_path(&network, &routers, start, len);
             let mut host = host_over(&network);
             // A first session occupies slot 0, so the walked one sits at 1.
@@ -508,31 +514,38 @@ mod tests {
             let slot = host.register_session(session, path.clone(), RateLimit::unlimited());
             let (source, destination) = (Target::Source(slot), Target::Destination(slot));
 
-            let down = walk(&host, session, source, destination, true);
-            prop_assert_eq!(&down[..], path.links());
-            let up = walk(&host, session, destination, source, false);
-            let reversed: Vec<LinkId> = path
-                .links()
-                .iter()
-                .rev()
-                .map(|l| network.reverse_link(*l).unwrap())
-                .collect();
-            prop_assert_eq!(up, reversed);
+            // Before a first delivery routing reads the `Path`; after one,
+            // the hop records it built. Both must walk the same way.
+            for records in [false, true] {
+                if records {
+                    host.arena.hint_mut(slot, 0);
+                }
+                let down = walk(&host, session, source, destination, true);
+                prop_assert_eq!(&down[..], path.links());
+                let up = walk(&host, session, destination, source, false);
+                let reversed: Vec<LinkId> = path
+                    .links()
+                    .iter()
+                    .rev()
+                    .map(|l| network.reverse_link(*l).unwrap())
+                    .collect();
+                prop_assert_eq!(up, reversed);
 
-            // The ends of the path are ends: nothing routes past them.
-            prop_assert_eq!(host.route(destination, session, session, true), None);
-            prop_assert_eq!(host.route(source, session, session, false), None);
-            for (hop, link) in path.links().iter().enumerate().skip(1) {
-                let at = Target::Link { link: *link, hop: hop as u32, slot };
-                prop_assert!(host.knows(at));
-                // A packet of the *other* session on this link is routed
-                // along that session's own slot.
-                let (_, next) = host.route(at, session, SessionId(9), true).unwrap();
-                let other = match next {
-                    Target::Link { slot, .. } | Target::Destination(slot) => slot,
-                    Target::Source(_) => unreachable!("downstream never reaches a source"),
-                };
-                prop_assert_eq!(other, 0);
+                // The ends of the path are ends: nothing routes past them.
+                prop_assert_eq!(host.route(destination, session, session, true), None);
+                prop_assert_eq!(host.route(source, session, session, false), None);
+                for (hop, link) in path.links().iter().enumerate().skip(1) {
+                    let at = Target::Link { link: *link, hop: hop as u32, slot };
+                    prop_assert!(host.knows(at));
+                    // A packet of the *other* session on this link is routed
+                    // along that session's own slot.
+                    let (_, next) = host.route(at, session, SessionId(9), true).unwrap();
+                    let other = match next {
+                        Target::Link { slot, .. } | Target::Destination(slot) => slot,
+                        Target::Source(_) => unreachable!("downstream never reaches a source"),
+                    };
+                    prop_assert_eq!(other, 0);
+                }
             }
         }
     }
@@ -600,6 +613,53 @@ mod tests {
             )),
             "a link both incarnations cross is re-resolved at its new hop"
         );
+
+        // Long → short → long: every rejoin rewrites the slot's hop record
+        // whole, whether the path fits it inline or not. The record of the
+        // current, short incarnation is built first, so the first rejoin
+        // already has one to rewrite.
+        host.arena.hint_mut(slot, 0);
+        let (long, short) = (chain_path(&network, &routers, 0, 20), new.clone());
+        let longer = chain_path(&network, &routers, 1, 23);
+        for path in [&long, &short, &longer] {
+            host.deregister_session(session);
+            assert_eq!(
+                host.register_session(session, path.clone(), RateLimit::unlimited()),
+                slot
+            );
+            // The record built here must be rewritten by the next rejoin.
+            host.arena.hint_mut(slot, 0);
+            assert_eq!(host.arena().hop_count(slot), path.links().len());
+            let (source, destination) = (Target::Source(slot), Target::Destination(slot));
+            let down = walk(&host, session, source, destination, true);
+            assert_eq!(&down[..], path.links());
+            assert_eq!(
+                walk(&host, session, destination, source, false).len(),
+                down.len()
+            );
+        }
+        // Hop 18 of the first long incarnation is hop 17 of the current one,
+        // both past the inline links; hop 1 of the short one is hop 2 now.
+        for (link, hop, now) in [(long.links()[18], 18, 17), (short.links()[1], 1, 2)] {
+            let stale = Target::Link { link, hop, slot };
+            assert!(!host.knows(stale));
+            let next = Target::Link {
+                link: longer.links()[now + 1],
+                hop: now as u32 + 1,
+                slot,
+            };
+            assert_eq!(
+                host.route(stale, session, session, true),
+                Some((link, next))
+            );
+        }
+        // A link only the first long incarnation crossed is dropped.
+        let gone = Target::Link {
+            link: long.links()[0],
+            hop: 0,
+            slot,
+        };
+        assert_eq!(host.route(gone, session, session, true), None);
     }
 
     /// A sink that records what the host hands it.

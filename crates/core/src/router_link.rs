@@ -87,6 +87,9 @@ pub struct RouterLink {
     /// quadratic over a convergence wave.
     at_be_count: usize,
     at_be_epoch: u64,
+    /// Where a handled session's record was last found: a cache
+    /// [`RouterLink::slot`] validates before use, never protocol state.
+    hint: u32,
 }
 
 impl RouterLink {
@@ -109,6 +112,7 @@ impl RouterLink {
             be_epoch: 0,
             at_be_count: 0,
             at_be_epoch: u64::MAX,
+            hint: u32::MAX,
         }
     }
 
@@ -196,6 +200,10 @@ impl RouterLink {
     const SCAN_MEMBERS: usize = 8;
 
     fn slot(&self, session: SessionId) -> Option<usize> {
+        let hinted = self.members.get(self.hint as usize);
+        if hinted.is_some_and(|m| m.id == session) {
+            return Some(self.hint as usize);
+        }
         if self.members.len() <= Self::SCAN_MEMBERS {
             return self.members.iter().position(|m| m.id == session);
         }
@@ -401,6 +409,15 @@ impl RouterLink {
             }
             Packet::Leave { session } => self.on_leave(session, actions),
         }
+    }
+
+    /// [`RouterLink::handle`] with a member-slot cache the caller keeps per
+    /// session: `hint` is trusted only when it names the record of
+    /// `packet`'s session, and is left naming that record's slot.
+    pub fn handle_hinted(&mut self, packet: Packet, hint: &mut u32, actions: &mut ActionBuffer) {
+        self.hint = *hint;
+        self.handle(packet, actions);
+        *hint = self.slot(packet.session()).map_or(u32::MAX, |i| i as u32);
     }
 
     /// `ProcessNewRestricted()` (Figure 2, lines 4–10): pull back into `R_e`
@@ -654,6 +671,7 @@ impl RouterLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const CAP: Rate = 100e6;
 
@@ -1150,5 +1168,91 @@ mod tests {
         );
         assert!((rl.bottleneck_rate() - recompute_be(&rl)).abs() < 1e-6);
         assert_eq!(rl.session_count(), 2);
+    }
+
+    /// One of seven packet kinds for `session`, with a rate drawn from a set
+    /// that keeps hitting the equality tests of Figure 2 (the link's own
+    /// `B_e`, equal splits of the capacity) and this link or another as the
+    /// restriction.
+    fn packet(rl: &RouterLink, kind: u8, session: SessionId, pick: u32) -> Packet {
+        let be = rl.bottleneck_rate();
+        let rates = [be, 10e6, 25e6, CAP / 3.0, CAP, 500e6];
+        let rate = Some(rates[pick as usize % 6]).filter(|r| r.is_finite());
+        let rate = rate.unwrap_or(500e6);
+        let restricting = if pick % 3 == 0 { LinkId(3) } else { LinkId(7) };
+        let kind_of = |k| [ResponseKind::Response, ResponseKind::Update][k as usize % 2];
+        match kind {
+            0 => Packet::Join {
+                session,
+                rate,
+                restricting,
+            },
+            1 => Packet::Probe {
+                session,
+                rate,
+                restricting,
+            },
+            2 | 3 => Packet::Response {
+                session,
+                kind: kind_of(pick / 6),
+                rate,
+                restricting,
+            },
+            4 => Packet::Update { session },
+            5 => Packet::Bottleneck { session },
+            6 => Packet::SetBottleneck {
+                session,
+                found: pick % 2 == 0,
+            },
+            _ => Packet::Leave { session },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The member-slot hint is a cache: a link driven through
+        /// `handle_hinted` with hints that are right, stale (the value the
+        /// last packet of the session left, which swap-removes invalidate),
+        /// `u32::MAX` or arbitrary emits the same actions and keeps the same
+        /// state as a link driven through `handle`, over 1–20 sessions (so
+        /// both the member scan and the id map resolve).
+        #[test]
+        fn a_hinted_link_behaves_exactly_like_an_unhinted_one(
+            sessions in 1u64..21,
+            ops in prop::collection::vec((0u8..8, 0u64..20, 0u32..64, 0u32..128), 1..300)
+        ) {
+            let (mut plain, mut hinted) = (link(), link());
+            let mut cache = [u32::MAX; 20];
+            for (kind, s, pick, h) in ops {
+                let (s, session) = ((s % sessions) as usize, SessionId(s % sessions));
+                let packet = packet(&plain, kind, session, pick);
+                let slot = hinted.members.iter().position(|m| m.id == session);
+                let mut hint = match h % 4 {
+                    0 => slot.map_or(u32::MAX, |i| i as u32),
+                    1 => cache[s],
+                    2 => u32::MAX,
+                    _ => h / 4,
+                };
+                let want = handle(&mut plain, packet);
+                let mut got = ActionBuffer::new();
+                hinted.handle_hinted(packet, &mut hint, &mut got);
+                cache[s] = hint;
+                prop_assert_eq!(got.into_vec(), want);
+                let slot = hinted.members.iter().position(|m| m.id == session);
+                prop_assert_eq!(slot.map_or(u32::MAX, |i| i as u32), hint);
+                let sets = |rl: &RouterLink| {
+                    let r: Vec<SessionId> = rl.restricted().collect();
+                    (r, rl.unrestricted().collect::<Vec<_>>())
+                };
+                prop_assert_eq!(sets(&hinted), sets(&plain));
+                for id in (0..sessions).map(SessionId) {
+                    prop_assert_eq!(hinted.probe_state(id), plain.probe_state(id));
+                    prop_assert_eq!(hinted.assigned_rate(id), plain.assigned_rate(id));
+                }
+                prop_assert_eq!(hinted.bottleneck_rate(), plain.bottleneck_rate());
+                prop_assert_eq!(hinted.is_stable(), plain.is_stable());
+            }
+        }
     }
 }

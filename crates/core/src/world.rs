@@ -5,9 +5,10 @@
 //! (`BaselineSimulation` in `bneck-baselines`) — runs over the same two
 //! pieces of world state, which used to be duplicated in each harness:
 //!
-//! * [`LinkTable`] — the per-directed-link vectors: the simulator channel of
-//!   each link, its capacity, its reverse link, and the channel upstream
-//!   traffic travels over, all indexed by [`LinkId::index`].
+//! * [`LinkTable`] — the per-directed-link vectors, indexed by
+//!   [`LinkId::index`]: each link's capacity and reverse link. Link `e`
+//!   travels over simulator channel `e`, and upstream traffic over the
+//!   channel of its reverse.
 //! * [`SessionArena`] — the dense session-slot arena: a per-simulation slot
 //!   is assigned to each session identifier at join (and reused when the
 //!   identifier rejoins after a leave), the id → slot map, the per-slot path
@@ -17,11 +18,19 @@
 //! Envelope addressing is shared too: protocol messages carry their
 //! session's *slot* plus the *hop index* of the link they sit on, so
 //! forwarding a packet one hop resolves no id → slot map and scans no path.
+//! What a delivery reads of its slot sits in one 128-byte hop record: the
+//! path's links inline (up to 15; longer paths are read from their
+//! [`Path`]) on one cache line, and on the next, per hop, a hint of where
+//! that hop's `RouterLink` keeps the session's member record. Records are
+//! built at the host's first delivery, not at join (routing reads the
+//! [`Path`] until then). The hint is a cache the task validates before use,
+//! never protocol state.
 //! A stale envelope — one emitted by a previous incarnation of a session
 //! identifier that left and rejoined along a different path while packets
 //! were still in flight — is detected and re-resolved (or dropped) by
 //! [`SessionArena::resolve_hop`].
 
+use crate::host::TaskHost;
 use bneck_maxmin::{Allocation, IdSlotMap, Rate, RateLimit, Session, SessionId, SessionSet};
 use bneck_net::{LinkId, Network, Path};
 use bneck_sim::{ChannelId, ChannelSpec, Engine};
@@ -29,81 +38,73 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Per-directed-link world state, indexed by [`LinkId::index`]: the simulator
-/// channel of each link, its capacity, and the precomputed reverse-link
-/// table upstream traffic is routed over (so no harness consults the
+/// Per-directed-link world state, indexed by [`LinkId::index`]: the capacity
+/// and the precomputed reverse of each link (so no harness consults the
 /// network's endpoint hash map on a per-packet basis).
 #[derive(Debug)]
 pub struct LinkTable {
-    /// Channel of each directed link.
-    channels: Vec<ChannelId>,
     /// Reverse link of each directed link (`None` for one-way links).
     reverse: Vec<Option<LinkId>>,
-    /// Channel of the reverse of each directed link; falls back to the
-    /// forward channel when a link has no reverse.
-    reverse_channels: Vec<ChannelId>,
     /// Capacity of each directed link, in bits per second.
     capacities: Vec<Rate>,
 }
 
 impl LinkTable {
-    /// Registers every directed link of `network` as a simulator channel
-    /// (with the link's bandwidth and propagation delay and the given control
-    /// packet size) and builds the link-indexed tables.
+    /// Registers every directed link of `network` as a simulator channel with
+    /// its bandwidth, delay and the given packet size — link `e` as channel
+    /// `e`, so `engine` must have none yet — and builds the link tables.
     pub fn new<M>(network: &Network, engine: &mut Engine<M>, packet_bits: u64) -> Self {
-        let mut channels = Vec::with_capacity(network.link_count());
-        let mut capacities = Vec::with_capacity(network.link_count());
         for link in network.links() {
             let spec = ChannelSpec::new(link.capacity().as_bps(), link.delay(), packet_bits);
-            channels.push(engine.add_channel(spec));
-            capacities.push(link.capacity().as_bps());
+            let channel = engine.add_channel(spec);
+            assert_eq!(channel.0, link.id().0, "link e is registered as channel e");
         }
-        let reverse: Vec<Option<LinkId>> = network
-            .links()
-            .map(|link| network.reverse_link(link.id()))
-            .collect();
-        let reverse_channels = reverse
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.map(|r| channels[r.index()]).unwrap_or(channels[i]))
-            .collect();
+        let (capacities, reverse) = TaskHost::link_tables(network);
         LinkTable {
-            channels,
             reverse,
-            reverse_channels,
             capacities,
         }
     }
 
-    /// Number of directed links.
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// `true` when the network had no links at all.
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
-    }
-
     /// The simulator channel of a directed link.
     pub fn channel(&self, link: LinkId) -> ChannelId {
-        self.channels[link.index()]
-    }
-
-    /// The reverse of a directed link, if the link is two-way.
-    pub fn reverse(&self, link: LinkId) -> Option<LinkId> {
-        self.reverse[link.index()]
+        ChannelId(link.0)
     }
 
     /// The channel upstream traffic over `link` travels on: the reverse
     /// link's channel, or the forward channel if the link has no reverse.
     pub fn reverse_channel(&self, link: LinkId) -> ChannelId {
-        self.reverse_channels[link.index()]
+        self.channel(self.reverse[link.index()].unwrap_or(link))
     }
 
     /// The capacity of a directed link, in bits per second.
     pub fn capacity(&self, link: LinkId) -> Rate {
         self.capacities[link.index()]
+    }
+}
+
+/// Links a slot keeps inline in its [`HopRecord`].
+const INLINE_HOPS: usize = 15;
+
+/// A slot's path length and first [`INLINE_HOPS`] links on one cache line,
+/// its per-hop member-slot hints on the next, aligned to fetch as a pair.
+#[derive(Debug)]
+#[repr(C, align(128))]
+struct HopRecord {
+    len: u32,
+    /// Meaningful only when `len <= INLINE_HOPS`.
+    links: [LinkId; INLINE_HOPS],
+    hints: [u32; INLINE_HOPS + 1],
+}
+
+impl HopRecord {
+    fn new(path: &Path) -> Self {
+        let mut links = [LinkId(0); INLINE_HOPS];
+        if let Some(inline) = links.get_mut(..path.links().len()) {
+            inline.copy_from_slice(path.links());
+        }
+        let (len, hints) = (path.links().len() as u32, [u32::MAX; INLINE_HOPS + 1]);
+        HopRecord { len, links, hints }
     }
 }
 
@@ -137,6 +138,8 @@ pub struct SessionArena {
     /// Path of each slot's session. Persists after a leave, overwritten on
     /// rejoin.
     paths: Vec<Path>,
+    /// Hop record of each slot, built by [`SessionArena::hint_mut`].
+    hops: Vec<HopRecord>,
     /// Requested maximum rate of each slot's session.
     limits: Vec<RateLimit>,
     /// The currently active session identifiers.
@@ -200,6 +203,9 @@ impl SessionArena {
         let joined = match self.slot_of.get(session) {
             Some(slot) => {
                 let i = slot as usize;
+                if let Some(record) = self.hops.get_mut(i) {
+                    *record = HopRecord::new(&path);
+                }
                 self.paths[i] = path;
                 self.limits[i] = limit;
                 SlotJoin { slot, reused: true }
@@ -258,16 +264,35 @@ impl SessionArena {
         self.limits[slot as usize]
     }
 
+    /// The links of a slot's path, read from its hop record when it has one
+    /// that holds them; `None` when the slot was never assigned.
+    pub(crate) fn links(&self, slot: u32) -> Option<&[LinkId]> {
+        let record = self.hops.get(slot as usize);
+        let inline = record.and_then(|r| r.links.get(..r.len as usize));
+        inline.or_else(|| Some(self.paths.get(slot as usize)?.links()))
+    }
+
     /// The link at hop `hop` of a slot's path, or `None` when the slot was
     /// never assigned or a stale hop index runs past the (current) path.
     pub fn link_at(&self, slot: u32, hop: u32) -> Option<LinkId> {
-        let path = self.paths.get(slot as usize)?;
-        path.links().get(hop as usize).copied()
+        self.links(slot)?.get(hop as usize).copied()
     }
 
     /// Number of links on a slot's path.
     pub fn hop_count(&self, slot: u32) -> usize {
-        self.paths[slot as usize].links().len()
+        self.links(slot).expect("an assigned slot").len()
+    }
+
+    /// The member-slot hint of the `RouterLink` task at hop `hop` of a
+    /// slot's path, if its record has one. Records are built here for every
+    /// slot still without one: a host pays at its first delivery, not join.
+    pub(crate) fn hint_mut(&mut self, slot: u32, hop: u32) -> Option<&mut u32> {
+        if self.hops.len() < self.paths.len() {
+            let missing = &self.paths[self.hops.len()..];
+            self.hops.extend(missing.iter().map(HopRecord::new));
+        }
+        let record = self.hops.get_mut(slot as usize)?;
+        record.hints.get_mut(hop as usize)
     }
 
     /// Resolves the `(slot, hop)` a packet of `session` sits at on `link`,
@@ -292,10 +317,7 @@ impl SessionArena {
             return Some((slot, hop));
         }
         let slot = self.slot_of(session)?;
-        let hop = self.paths[slot as usize]
-            .links()
-            .iter()
-            .position(|l| *l == link)?;
+        let hop = self.links(slot)?.iter().position(|l| *l == link)?;
         Some((slot, hop as u32))
     }
 
@@ -365,13 +387,11 @@ mod tests {
         let network = net();
         let mut engine: Engine<u32> = Engine::new();
         let links = LinkTable::new(&network, &mut engine, 256);
-        assert_eq!(links.len(), network.link_count());
-        assert!(!links.is_empty());
         assert_eq!(engine.channel_count(), network.link_count());
         for link in network.links() {
             let id = link.id();
             assert_eq!(links.capacity(id), link.capacity().as_bps());
-            assert_eq!(links.reverse(id), network.reverse_link(id));
+            assert_eq!(links.channel(id), ChannelId(id.0));
             match network.reverse_link(id) {
                 Some(r) => assert_eq!(links.reverse_channel(id), links.channel(r)),
                 None => assert_eq!(links.reverse_channel(id), links.channel(id)),

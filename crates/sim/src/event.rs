@@ -1,5 +1,23 @@
-//! The time-ordered event queue: a calendar queue (bucket ring) with a
-//! same-instant FIFO fast path and a far-future overflow heap.
+//! The time-ordered event queue: a calendar queue over one slab of live
+//! events.
+//!
+//! Three tiers, always popped in globally increasing `(at, seq)` order:
+//!
+//! * a FIFO for events scheduled at the *current* instant (the dominant
+//!   pattern of same-timestamp handler cascades) — O(1);
+//! * a calendar ring of 512 ns buckets covering the next ~4.2 ms: Brown's
+//!   calendar queue (R. Brown, "Calendar queues", CACM 31(10), 1988) with
+//!   each bucket an unsorted list threaded through the slab — O(1) push.
+//!   When the cursor reaches a bucket, its list is gathered into one reused
+//!   buffer and sorted, and the bucket drains from that buffer;
+//! * a binary heap over packed `(at, seq)` keys for events beyond the ring
+//!   horizon, whose payloads park in the same slab. The heap head is
+//!   migrated into the ring whenever it is due before the ring head, so
+//!   cross-tier order is exact.
+//!
+//! The slab's free list is LIFO, so a push lands in a node a recent gather
+//! just freed: storage is the events in flight plus one bucket, where a
+//! `Vec` per bucket would keep every bucket's high-water mark for good.
 
 use crate::engine::Address;
 use crate::time::SimTime;
@@ -69,22 +87,12 @@ fn key(at: SimTime, seq: u64) -> u128 {
 /// Which tier of the queue holds the head event (see [`EventQueue::head`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeadSource {
-    /// Front of the same-instant FIFO bucket.
+    /// Front of the same-instant FIFO.
     Fifo,
-    /// Back of the sorted cursor bucket of the calendar ring.
+    /// Back of the gathered cursor bucket of the calendar ring.
     Ring,
     /// Head of the far-future overflow heap (only while the ring is empty).
     Far,
-}
-
-impl HeadSource {
-    fn calendar(in_ring: bool) -> Self {
-        if in_ring {
-            HeadSource::Ring
-        } else {
-            HeadSource::Far
-        }
-    }
 }
 
 /// log2 of the bucket width in nanoseconds (512 ns buckets).
@@ -92,51 +100,48 @@ const BUCKET_BITS: u32 = 9;
 /// log2 of the ring length (8192 buckets → a ~4.2 ms horizon).
 const RING_BITS: u32 = 13;
 const RING_LEN: usize = 1 << RING_BITS;
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// A deterministic min-priority queue of events.
-///
-/// Three tiers, always popped in globally increasing `(at, seq)` order:
-///
-/// * a FIFO bucket for events scheduled at the *current* instant (the
-///   dominant pattern of same-timestamp handler cascades) — O(1);
-/// * a calendar ring of 512 ns buckets covering the next ~4 ms of simulated
-///   time — O(1) push, amortized O(1) pop. Each bucket is sorted (descending,
-///   so the minimum pops from the back) when the clock reaches it; network
-///   delays exceed the bucket width, so events essentially never land in the
-///   bucket being drained. An occupancy bitmap finds the next non-empty
-///   bucket without walking empty ones one by one;
-/// * a binary heap over packed `(at, seq)` keys for events beyond the ring
-///   horizon (WAN-scale timers and widely spaced workload phases). Before
-///   every calendar pop the overflow head is compared against the ring head
-///   and migrated into the ring when it is due first, so cross-tier order is
-///   exact.
-///
-/// This is the classic calendar-queue design of packet-level simulators; the
-/// binary heap it replaces cost `O(log n)` sifts of event-sized elements on
-/// every send and delivery, which dominated the per-event budget of the
-/// protocol experiments.
+/// A slab node: a queued event, linked into its ring bucket's list or keyed
+/// by the overflow heap, or vacant (`msg` is `None`) on the free list.
+#[derive(Debug)]
+struct Node<M> {
+    at: SimTime,
+    seq: u64,
+    to: Address,
+    /// The next node of the same bucket list, or of the free list.
+    next: u32,
+    msg: Option<M>,
+}
+
+/// A deterministic min-priority queue of events (see the module docs).
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
-    /// Calendar ring; bucket `b` holds events with
-    /// `(at >> BUCKET_BITS) % RING_LEN == b` within the current span,
-    /// sorted descending by key once the cursor reaches the bucket.
-    ring: Box<[Vec<Event<M>>]>,
-    /// Occupancy bitmap over `ring` (one bit per bucket).
+    /// Every calendar event not gathered into `bucket`.
+    nodes: Vec<Node<M>>,
+    /// Head of the LIFO free list through [`Node::next`].
+    free: u32,
+    /// First node of each ring bucket's list; bucket `b` holds events with
+    /// `(at >> BUCKET_BITS) % RING_LEN == b` within the current span.
+    heads: Box<[u32]>,
+    /// Occupancy bitmap over the ring (one bit per bucket, counting the
+    /// gathered cursor bucket).
     occupied: [u64; RING_LEN / 64],
-    /// Number of events currently stored in the ring.
+    /// Number of events currently in the ring, gathered ones included.
     ring_len: usize,
     /// Bucket number (unwrapped: `at >> BUCKET_BITS`) the drain cursor is at.
     /// All ring/overflow events live at buckets `>= cursor`.
     cursor: u64,
-    /// Whether `ring[cursor % RING_LEN]` is currently sorted (descending).
-    cursor_sorted: bool,
-    /// Events beyond the ring horizon, as packed keys over a payload slab.
+    /// Whether the cursor bucket's events are in `bucket` (its list is then
+    /// empty, and pushes into it binary-insert).
+    gathered: bool,
+    /// The gathered cursor bucket, sorted descending by key so the minimum
+    /// pops from the back. Reused for every bucket.
+    bucket: Vec<Event<M>>,
+    /// Events beyond the ring horizon, as packed keys over slab nodes.
     overflow: BinaryHeap<Reverse<(u128, u32)>>,
-    /// Payload slab for `overflow`; `None` marks a vacant slot.
-    slab: Vec<Option<(Address, M)>>,
-    /// Vacant slab slots.
-    free: Vec<u32>,
-    /// FIFO bucket of events at `now_time`.
+    /// FIFO of events at `now_time`.
     now: VecDeque<Event<M>>,
     /// The current instant: timestamp of the last event popped from the
     /// calendar (`SimTime::ZERO` before the first pop, matching the engine's
@@ -153,21 +158,19 @@ pub(crate) struct EventQueue<M> {
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        // xlint: allow(HOT001, reason = "calendar-ring construction, once per queue lifetime")
-        let mut ring = Vec::with_capacity(RING_LEN);
-        // xlint: allow(HOT001, reason = "calendar-ring construction, once per queue lifetime")
-        ring.resize_with(RING_LEN, Vec::new);
         EventQueue {
-            ring: ring.into_boxed_slice(),
+            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
+            nodes: Vec::new(),
+            free: NIL,
+            // xlint: allow(HOT001, reason = "calendar-ring construction, once per queue lifetime")
+            heads: vec![NIL; RING_LEN].into_boxed_slice(),
             occupied: [0; RING_LEN / 64],
             ring_len: 0,
             cursor: 0,
-            cursor_sorted: true,
+            gathered: true,
+            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
+            bucket: Vec::new(),
             overflow: BinaryHeap::new(),
-            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
-            slab: Vec::new(),
-            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
-            free: Vec::new(),
             now: VecDeque::new(),
             now_time: SimTime::ZERO,
             inject_seq: 0,
@@ -221,14 +224,14 @@ impl<M> EventQueue<M> {
 
     fn push_with(&mut self, at: SimTime, seq: u64, to: Address, msg: M) {
         self.len += 1;
+        let event = Event { at, seq, to, msg };
         // The engine never schedules into the simulated past, so `at` is
         // either exactly the current instant (fast path) or in the future.
         // FIFO order is positional, which equals key order: same-instant
         // pushes carry ascending counter words of one class per run phase
         // (injections before a run, `CLASS_NOW` words during it).
         if at == self.now_time {
-            self.now.push_back(Event { at, seq, to, msg });
-            return;
+            return self.now.push_back(event);
         }
         debug_assert!(
             at > self.now_time,
@@ -240,52 +243,78 @@ impl<M> EventQueue<M> {
         let bucket = at.as_nanos() >> BUCKET_BITS;
         if bucket >= (self.now_time.as_nanos() >> BUCKET_BITS) + RING_LEN as u64 {
             // Beyond the ring horizon: park in the overflow heap.
-            let idx = match self.free.pop() {
-                Some(idx) => {
-                    self.slab[idx as usize] = Some((to, msg));
-                    idx
-                }
-                None => {
-                    self.slab.push(Some((to, msg)));
-                    (self.slab.len() - 1) as u32
-                }
-            };
-            self.overflow.push(Reverse((key(at, seq), idx)));
-            return;
+            let node = self.alloc(event);
+            return self.overflow.push(Reverse((key(at, seq), node)));
         }
-        self.ring_insert(bucket, Event { at, seq, to, msg });
+        self.ring_insert(bucket, event);
     }
 
-    /// Inserts an event into its ring bucket, preserving the sortedness of
-    /// the bucket currently being drained. The drain cursor moves *back* when
-    /// the event lands before it (possible because the cursor may have
-    /// skipped ahead over empty buckets while the clock — and thus new
-    /// pushes — trails behind at the FIFO bucket's instant).
+    /// Stores `event` in a slab node, reusing the most recently freed one.
+    fn alloc(&mut self, Event { at, seq, to, msg }: Event<M>) -> u32 {
+        let node = Node {
+            at,
+            seq,
+            to,
+            next: NIL,
+            msg: Some(msg),
+        };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let idx = self.free;
+        self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+        idx
+    }
+
+    /// Moves the event out of slab node `idx` and frees the node.
+    fn release(&mut self, idx: u32) -> Event<M> {
+        let node = &mut self.nodes[idx as usize];
+        node.next = std::mem::replace(&mut self.free, idx);
+        let msg = node.msg.take().expect("a live slab node");
+        let (at, seq, to) = (node.at, node.seq, node.to);
+        Event { at, seq, to, msg }
+    }
+
+    /// Pushes `event` onto the list of ring slot `slot`.
+    fn link(&mut self, slot: usize, event: Event<M>) {
+        let idx = self.alloc(event);
+        self.nodes[idx as usize].next = std::mem::replace(&mut self.heads[slot], idx);
+    }
+
+    fn slot(bucket: u64) -> usize {
+        (bucket & (RING_LEN as u64 - 1)) as usize
+    }
+
+    /// Inserts an event into its ring bucket, keeping the gathered cursor
+    /// bucket sorted. The drain cursor moves *back* when the event lands
+    /// before it (possible because the cursor may have skipped ahead over
+    /// empty buckets while the clock — and thus new pushes — trails behind
+    /// at the FIFO's instant); the bucket it leaves returns to its list.
     fn ring_insert(&mut self, bucket: u64, event: Event<M>) {
         debug_assert!({
             let floor = self.now_time.as_nanos() >> BUCKET_BITS;
             bucket >= floor && bucket < floor + RING_LEN as u64
         });
-        let slot = (bucket & (RING_LEN as u64 - 1)) as usize;
+        let slot = Self::slot(bucket);
         if bucket < self.cursor {
             // Every bucket behind the cursor has been drained empty.
-            debug_assert!(self.ring[slot].is_empty());
-            self.cursor = bucket;
-            self.cursor_sorted = true;
-        }
-        if bucket == self.cursor && self.cursor_sorted {
-            // Insertion into the bucket currently being drained (only
-            // possible for sub-bucket-width delays or overflow migration):
-            // keep it sorted descending.
-            let v = &mut self.ring[slot];
-            let k = event.key();
-            let pos = v.partition_point(|e| e.key() > k);
-            v.insert(pos, event);
-        } else {
-            self.ring[slot].push(event);
-            if bucket == self.cursor {
-                self.cursor_sorted = false;
+            debug_assert_eq!(self.heads[slot], NIL);
+            let left = Self::slot(self.cursor);
+            while let Some(e) = self.bucket.pop() {
+                self.link(left, e);
             }
+            self.cursor = bucket;
+            self.gathered = true;
+        }
+        if bucket == self.cursor && self.gathered {
+            // Insertion into the bucket being drained (only possible for
+            // sub-bucket-width delays or overflow migration).
+            let k = event.key();
+            let pos = self.bucket.partition_point(|e| e.key() > k);
+            self.bucket.insert(pos, event);
+        } else {
+            self.link(slot, event);
         }
         self.occupied[slot / 64] |= 1 << (slot % 64);
         self.ring_len += 1;
@@ -294,7 +323,7 @@ impl<M> EventQueue<M> {
     /// Advances `cursor` to the next non-empty ring bucket (itself included).
     /// Only called while `ring_len > 0`, so a set bit always exists.
     fn advance_to_occupied(&mut self) {
-        let start = (self.cursor & (RING_LEN as u64 - 1)) as usize;
+        let start = Self::slot(self.cursor);
         if self.occupied[start / 64] >> (start % 64) & 1 == 1 {
             return;
         }
@@ -308,7 +337,7 @@ impl<M> EventQueue<M> {
                 let next_slot = word_i * 64 + word.trailing_zeros() as usize;
                 let delta = (next_slot + RING_LEN - start) % RING_LEN;
                 self.cursor += delta as u64;
-                self.cursor_sorted = false;
+                self.gathered = false;
                 return;
             }
             word_i = (word_i + 1) % words;
@@ -318,21 +347,26 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Key of the next calendar event, migrating near-due overflow events
-    /// into the ring. `(key, true)` means the sorted cursor bucket's back
-    /// holds the event; `(key, false)` means the overflow head is next (a
-    /// far-future event served straight from the heap, which only happens
-    /// while the ring is empty).
-    fn calendar_peek(&mut self) -> Option<(u128, bool)> {
+    /// Key of the next calendar event and its tier, migrating near-due
+    /// overflow events into the ring. [`HeadSource::Far`] (a far-future
+    /// event served straight from the heap) only happens while the ring is
+    /// empty.
+    fn calendar_peek(&mut self) -> Option<(u128, HeadSource)> {
         loop {
             let ring_head = if self.ring_len > 0 {
                 self.advance_to_occupied();
-                let slot = (self.cursor & (RING_LEN as u64 - 1)) as usize;
-                if !self.cursor_sorted {
-                    self.ring[slot].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cursor_sorted = true;
+                if !self.gathered {
+                    let mut idx = std::mem::replace(&mut self.heads[Self::slot(self.cursor)], NIL);
+                    while idx != NIL {
+                        let next = self.nodes[idx as usize].next;
+                        let event = self.release(idx);
+                        self.bucket.push(event);
+                        idx = next;
+                    }
+                    self.bucket.sort_unstable_by_key(|e| Reverse(e.key()));
+                    self.gathered = true;
                 }
-                Some(self.ring[slot].last().expect("occupied bucket").key())
+                Some(self.bucket.last().expect("occupied bucket").key())
             } else {
                 None
             };
@@ -340,13 +374,13 @@ impl<M> EventQueue<M> {
                 // An overflow event due before the ring head always fits the
                 // ring window (its bucket is at most the ring head's).
                 (Some(r), Some(&Reverse((k, _)))) if k < r => self.migrate_overflow_head(),
-                (Some(r), _) => return Some((r, true)),
+                (Some(r), _) => return Some((r, HeadSource::Ring)),
                 (None, Some(&Reverse((k, _)))) => {
                     let bucket = ((k >> 64) as u64) >> BUCKET_BITS;
                     if bucket < (self.now_time.as_nanos() >> BUCKET_BITS) + RING_LEN as u64 {
                         self.migrate_overflow_head();
                     } else {
-                        return Some((k, false));
+                        return Some((k, HeadSource::Far));
                     }
                 }
                 (None, None) => return None,
@@ -358,18 +392,8 @@ impl<M> EventQueue<M> {
     /// current window).
     fn migrate_overflow_head(&mut self) {
         let Reverse((k, idx)) = self.overflow.pop().expect("caller checked the head");
-        let (to, msg) = self.slab[idx as usize].take().expect("slab slot occupied");
-        self.free.push(idx);
-        let at_ns = (k >> 64) as u64;
-        self.ring_insert(
-            at_ns >> BUCKET_BITS,
-            Event {
-                at: SimTime::from_nanos(at_ns),
-                seq: k as u64,
-                to,
-                msg,
-            },
-        );
+        let event = self.release(idx);
+        self.ring_insert(((k >> 64) as u64) >> BUCKET_BITS, event);
     }
 
     #[cfg(test)]
@@ -384,56 +408,39 @@ impl<M> EventQueue<M> {
     fn head(&mut self) -> Option<(u128, HeadSource)> {
         let calendar = self.calendar_peek();
         match (self.now.front(), calendar) {
+            (Some(f), Some((k, _))) if f.key() < k => Some((f.key(), HeadSource::Fifo)),
             (Some(f), None) => Some((f.key(), HeadSource::Fifo)),
-            (None, Some((k, in_ring))) => Some((k, HeadSource::calendar(in_ring))),
-            (Some(f), Some((k, in_ring))) => {
-                let fk = f.key();
-                if fk < k {
-                    Some((fk, HeadSource::Fifo))
-                } else {
-                    Some((k, HeadSource::calendar(in_ring)))
-                }
-            }
-            (None, None) => None,
+            (_, calendar) => calendar,
         }
     }
 
     /// Removes and returns the head event located by [`EventQueue::head`].
     fn take(&mut self, src: HeadSource) -> Event<M> {
         self.len -= 1;
-        match src {
-            HeadSource::Fifo => self.now.pop_front().expect("peeked FIFO head"),
+        let event = match src {
+            HeadSource::Fifo => return self.now.pop_front().expect("peeked FIFO head"),
             HeadSource::Ring => {
-                // The sorted cursor bucket's back holds the next event.
-                let slot = (self.cursor & (RING_LEN as u64 - 1)) as usize;
-                let event = self.ring[slot].pop().expect("peeked ring head");
-                if self.ring[slot].is_empty() {
+                let event = self.bucket.pop().expect("peeked ring head");
+                if self.bucket.is_empty() {
+                    let slot = Self::slot(self.cursor);
                     self.occupied[slot / 64] &= !(1 << (slot % 64));
                 }
                 self.ring_len -= 1;
-                self.now_time = event.at;
                 event
             }
             HeadSource::Far => {
                 // Far-future overflow head with an empty ring: serve it
-                // directly.
-                let Reverse((k, idx)) = self.overflow.pop().expect("peeked overflow head");
-                let (to, msg) = self.slab[idx as usize].take().expect("slab slot occupied");
-                self.free.push(idx);
-                let at = SimTime::from_nanos((k >> 64) as u64);
-                self.now_time = at;
-                // The cursor trails the clock so future near pushes re-anchor
-                // it.
-                self.cursor = at.as_nanos() >> BUCKET_BITS;
-                self.cursor_sorted = true;
-                Event {
-                    at,
-                    seq: k as u64,
-                    to,
-                    msg,
-                }
+                // directly. The cursor trails the clock so future near
+                // pushes re-anchor it.
+                let Reverse((_, idx)) = self.overflow.pop().expect("peeked overflow head");
+                let event = self.release(idx);
+                self.cursor = event.at.as_nanos() >> BUCKET_BITS;
+                self.gathered = true;
+                event
             }
-        }
+        };
+        self.now_time = event.at;
+        event
     }
 
     /// Pops the next event if its timestamp is at or before `horizon`; the
@@ -454,17 +461,10 @@ impl<M> EventQueue<M> {
     /// sorts behind them, exactly as in an unexplored run).
     pub(crate) fn drain_head_group(&mut self, buf: &mut Vec<(Address, M)>) {
         buf.clear();
-        let Some((head_key, src)) = self.head() else {
+        let Some((head_key, _)) = self.head() else {
             return;
         };
-        let t = (head_key >> 64) as u64;
-        let first = self.take(src);
-        self.now_time = first.at;
-        buf.push((first.to, first.msg));
-        while let Some((k, src)) = self.head() {
-            if (k >> 64) as u64 != t {
-                break;
-            }
+        while let Some((_, src)) = self.head().filter(|(k, _)| k >> 64 == head_key >> 64) {
             let e = self.take(src);
             buf.push((e.to, e.msg));
         }
@@ -488,6 +488,8 @@ impl<M> EventQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_time_order() {
@@ -617,5 +619,188 @@ mod tests {
         q.push_timer(SimTime::from_micros(5), Address(0), 2);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.msg)).collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_push_behind_a_skipped_ahead_cursor_returns_its_gathered_bucket() {
+        let mut q = EventQueue::default();
+        let t = |ns: u64| SimTime::from_nanos(ns);
+        q.push_timer(t(3_000_000), Address(0), 3);
+        q.push_timer(t(3_000_100), Address(0), 5);
+        q.push_now(Address(0), 0);
+        // Popping the same-instant event peeks the calendar, which skips the
+        // cursor ahead to the 3 ms bucket and gathers it.
+        assert_eq!(q.pop().map(|e| e.msg), Some(0));
+        let far = 3_000_000 >> BUCKET_BITS;
+        assert!(q.gathered && q.cursor == far);
+        // A push behind the cursor moves it back and returns the gathered
+        // events to their list; later pushes land in lists again.
+        q.push_timer(t(1_000), Address(0), 1);
+        assert_eq!(q.cursor, 1_000 >> BUCKET_BITS);
+        assert_ne!(q.heads[EventQueue::<u32>::slot(far)], NIL);
+        q.push_timer(t(3_000_050), Address(0), 4);
+        q.push_timer(t(2_000), Address(0), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.msg)).collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 5]);
+        assert_eq!(q.len(), 0);
+    }
+
+    /// Event slots the queue holds allocated: the slab, the gathered bucket
+    /// and the FIFO.
+    fn stored_capacity<M>(q: &EventQueue<M>) -> usize {
+        q.nodes.capacity() + q.bucket.capacity() + q.now.capacity()
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    #[test]
+    fn storage_follows_the_events_in_flight_not_the_buckets_ever_used() {
+        // 2,000 events in flight, each pop scheduling its successor 1–200 µs
+        // ahead, until the clock has lapped the ring three times: every
+        // bucket fills and drains over and over.
+        let mut q = EventQueue::default();
+        let mut rng = 0x243F_6A88_85A3_08D3;
+        for i in 0..2_000u32 {
+            let at = SimTime::from_nanos(1_000 + lcg(&mut rng) % 199_000);
+            q.push_timer(at, Address(0), i);
+        }
+        let laps = 3 * ((RING_LEN as u64) << BUCKET_BITS);
+        let (mut peak, mut widest, mut run, mut bucket) = (q.len(), 0, 0, u64::MAX);
+        while let Some(e) = q.pop() {
+            let b = e.at.as_nanos() >> BUCKET_BITS;
+            run = if b == bucket { run + 1 } else { 1 };
+            (bucket, widest) = (b, widest.max(run));
+            if e.at.as_nanos() < laps {
+                let at = e.at.as_nanos() + 1_000 + lcg(&mut rng) % 199_000;
+                q.push_timer(SimTime::from_nanos(at), e.to, e.msg);
+            }
+            peak = peak.max(q.len());
+        }
+        // Amortized doubling of the slab, plus one gathered bucket.
+        let bound = 2 * peak + 2 * widest;
+        let stored = stored_capacity(&q);
+        assert!(
+            stored <= bound,
+            "{stored} event slots retained for {peak} in flight (bound {bound})"
+        );
+    }
+
+    /// The reference the queue must agree with: one ordered map over
+    /// `(at, seq)`, with the queue's sequence-word rules spelled out again.
+    #[derive(Default)]
+    struct Model {
+        events: BTreeMap<(u64, u64), (Address, u32)>,
+        now: u64,
+        inject: u64,
+        timer: u64,
+        now_seq: u64,
+        sent: [u64; 3],
+    }
+
+    impl Model {
+        fn pop(&mut self) -> Option<(u64, u64, Address, u32)> {
+            let ((at, seq), (to, msg)) = self.events.pop_first()?;
+            self.now = at;
+            Some((at, seq, to, msg))
+        }
+
+        fn push_now(&mut self, to: Address, msg: u32) {
+            self.events
+                .insert((self.now, CLASS_NOW | self.now_seq), (to, msg));
+            self.now_seq += 1;
+        }
+    }
+
+    /// A delay of one of five classes: the same instant, sub-bucket, inside
+    /// the ring, straddling its ~4.2 ms horizon, and beyond it.
+    fn delay(class: u8, raw: u64) -> u64 {
+        let horizon = (RING_LEN as u64) << BUCKET_BITS;
+        match class {
+            0 => 0,
+            1 => 1 + raw % 511,
+            2 => 512 + raw % (horizon - 1_024),
+            3 => horizon - 2_048 + raw % 4_096,
+            _ => horizon + raw % 30_000_000,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Injected, timer, same-instant and channel pushes at every delay
+        /// class, interleaved with pops and whole same-instant groups
+        /// drained (the tail re-pushed, as the interleaving explorer does):
+        /// every pop equals the model's, and so does the length.
+        #[test]
+        fn pops_match_an_ordered_map_model(
+            ops in prop::collection::vec((0u8..8, 0u8..5, 0u64..u64::MAX), 1..400)
+        ) {
+            let mut q = EventQueue::default();
+            let mut model = Model::default();
+            let mut group = Vec::new();
+            for (i, &(op, class, raw)) in ops.iter().enumerate() {
+                let (msg, to) = (i as u32, Address(u32::from(op)));
+                let at = model.now + delay(class, raw);
+                match op {
+                    0 => {
+                        let at = at.max(model.now + 1);
+                        q.push_injected(SimTime::from_nanos(at), to, msg);
+                        model.events.insert((at, CLASS_INJECT | model.inject), (to, msg));
+                        model.inject += 1;
+                    }
+                    1 => {
+                        q.push_timer(SimTime::from_nanos(at), to, msg);
+                        if at == model.now {
+                            model.push_now(to, msg);
+                        } else {
+                            model.events.insert((at, CLASS_TIMER | model.timer), (to, msg));
+                            model.timer += 1;
+                        }
+                    }
+                    2 => {
+                        q.push_now(to, msg);
+                        model.push_now(to, msg);
+                    }
+                    3 => {
+                        let (at, ch) = (at.max(model.now + 1), (raw % 3) as usize);
+                        model.sent[ch] += 1;
+                        let seq = channel_seq(ch as u32, model.sent[ch]);
+                        q.push_channel(SimTime::from_nanos(at), seq, to, msg);
+                        model.events.insert((at, seq), (to, msg));
+                    }
+                    4..=6 => {
+                        let got = q.pop().map(|e| (e.at.as_nanos(), e.seq, e.to, e.msg));
+                        prop_assert_eq!(got, model.pop());
+                    }
+                    _ => {
+                        q.drain_head_group(&mut group);
+                        let mut want = Vec::new();
+                        if let Some((t, _, to, msg)) = model.pop() {
+                            want.push((to, msg));
+                            while model.events.first_key_value().is_some_and(|(k, _)| k.0 == t) {
+                                let (_, _, to, msg) = model.pop().expect("peeked");
+                                want.push((to, msg));
+                            }
+                        }
+                        prop_assert_eq!(&group, &want);
+                        prop_assert_eq!(q.now_time().as_nanos(), model.now);
+                        for (to, msg) in group.drain(..).skip(1) {
+                            q.push_now(to, msg);
+                            model.push_now(to, msg);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), model.events.len());
+            }
+            while let Some(e) = q.pop() {
+                prop_assert_eq!(Some((e.at.as_nanos(), e.seq, e.to, e.msg)), model.pop());
+            }
+            prop_assert!(model.events.is_empty());
+        }
     }
 }
