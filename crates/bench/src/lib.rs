@@ -6,8 +6,8 @@
 //! [`ExperimentSpec`](bneck_workload::spec::ExperimentSpec)s into typed,
 //! serializable [`report::ExperimentReport`]s; and the [`cli`] module is the
 //! one `bneck` binary that drives it all (`run`, `sweep`, `validate`,
-//! `bench-presets`). The Criterion benchmarks in `benches/` time the key
-//! building blocks.
+//! `bench-presets`). Performance is measured outside the workspace, by the
+//! benchmark under `benchmark/`.
 //!
 //! | Paper figure | Runner | Spec preset |
 //! |---|---|---|

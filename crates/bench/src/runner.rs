@@ -28,6 +28,16 @@ pub fn default_protocols() -> ProtocolRegistry {
     registry
 }
 
+/// Sessions whose rate in `allocation` disagrees with the centralized
+/// B-Neck oracle (Figure 1) on `sessions`: the one oracle check every
+/// runner validates with.
+fn oracle_mismatches(network: &Network, sessions: &SessionSet, allocation: &Allocation) -> usize {
+    let oracle = CentralizedBneck::new(network, sessions).solve();
+    compare_allocations(sessions, allocation, &oracle, Tolerance::new(1e-6, 10.0))
+        .err()
+        .map_or(0, |violations| violations.len())
+}
+
 /// One point of Figure 5: a session count on one scenario.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
@@ -56,14 +66,7 @@ pub fn run_experiment1_point(config: &Experiment1Config) -> Experiment1Point {
     let stats = schedule.apply(&mut sim);
     let report = sim.run_to_quiescence();
     let sessions = sim.session_set();
-    let oracle = CentralizedBneck::new(&network, &sessions).solve();
-    let validated = compare_allocations(
-        &sessions,
-        &sim.allocation(),
-        &oracle,
-        Tolerance::new(1e-6, 10.0),
-    )
-    .is_ok();
+    let validated = oracle_mismatches(&network, &sessions, &sim.allocation()) == 0;
     let total_packets = sim.packet_stats().total();
     Experiment1Point {
         scenario: config.scenario.label(),
@@ -120,8 +123,6 @@ pub fn run_experiment2(
     let mut planner = config.planner(&network);
     let mut sim = BneckSimulation::new(&network, BneckConfig::default().with_packet_log());
     let mut results = Vec::new();
-    // One workspace across the five per-phase oracle solves.
-    let mut ws = SolverWorkspace::new();
     for phase in config.phases() {
         let start = if sim.now() == SimTime::ZERO {
             SimTime::ZERO
@@ -140,14 +141,7 @@ pub fn run_experiment2(
         schedule.apply(&mut sim);
         let report = sim.run_to_quiescence();
         let sessions = sim.session_set();
-        let oracle = CentralizedBneck::new(&network, &sessions).solve_in(&mut ws);
-        let validated = compare_allocations(
-            &sessions,
-            &sim.allocation(),
-            &oracle,
-            Tolerance::new(1e-6, 10.0),
-        )
-        .is_ok();
+        let validated = oracle_mismatches(&network, &sessions, &sim.allocation()) == 0;
         results.push(Experiment2PhaseResult {
             name: phase.name,
             started_at_us: start.as_micros(),
@@ -386,16 +380,7 @@ pub fn validate_scenario(
     schedule.apply(&mut sim);
     let report = sim.run_to_quiescence();
     let session_set = sim.session_set();
-    let oracle = CentralizedBneck::new(&network, &session_set).solve();
-    let mismatches = compare_allocations(
-        &session_set,
-        &sim.allocation(),
-        &oracle,
-        Tolerance::new(1e-6, 10.0),
-    )
-    .err()
-    .map(|v| v.len())
-    .unwrap_or(0);
+    let mismatches = oracle_mismatches(&network, &session_set, &sim.allocation());
     let violations = verify_max_min(&network, &session_set, &sim.allocation())
         .err()
         .map(|v| v.len())
@@ -571,18 +556,7 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
     if let Some((session_set, allocation)) = oracle_state {
         // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
         let t3 = Instant::now();
-        let oracle = CentralizedBneck::new(&network, &session_set).solve();
-        mismatches = Some(
-            compare_allocations(
-                &session_set,
-                &allocation,
-                &oracle,
-                Tolerance::new(1e-6, 10.0),
-            )
-            .err()
-            .map(|v| v.len())
-            .unwrap_or(0),
-        );
+        mismatches = Some(oracle_mismatches(&network, &session_set, &allocation));
         t_oracle = t3.elapsed();
     }
     let timings = ScaleTimings {
@@ -822,16 +796,7 @@ fn run_fault_run(config: &FaultPointConfig, with_recovery: bool) -> FaultRunResu
     schedule.apply(&mut sim);
     let report = sim.run_until(SimTime::ZERO + config.horizon);
     let session_set = sim.session_set();
-    let oracle = CentralizedBneck::new(&network, &session_set).solve();
-    let mismatches = compare_allocations(
-        &session_set,
-        &sim.allocation(),
-        &oracle,
-        Tolerance::new(1e-6, 10.0),
-    )
-    .err()
-    .map(|v| v.len())
-    .unwrap_or(0);
+    let mismatches = oracle_mismatches(&network, &session_set, &sim.allocation());
     let outcome = if !report.quiescent {
         FaultOutcome::Stuck
     } else if mismatches > 0 {

@@ -7,15 +7,6 @@ use bneck::prelude::*;
 use proptest::prelude::*;
 
 fn run_and_check(scenario: NetworkScenario, sessions: usize, seed: u64) {
-    run_and_check_in(scenario, sessions, seed, &mut SolverWorkspace::new())
-}
-
-fn run_and_check_in(
-    scenario: NetworkScenario,
-    sessions: usize,
-    seed: u64,
-    ws: &mut SolverWorkspace,
-) {
     let network = scenario.build();
     let mut planner = SessionPlanner::new(&network, seed);
     let requests = planner.plan(
@@ -39,7 +30,7 @@ fn run_and_check_in(
     assert_eq!(session_set.len(), requests.len());
 
     // 1. Same rates as the centralized oracle.
-    let oracle = CentralizedBneck::new(&network, &session_set).solve_in(ws);
+    let oracle = CentralizedBneck::new(&network, &session_set).solve();
     if let Err(violations) = compare_allocations(
         &session_set,
         &sim.allocation(),
@@ -55,7 +46,7 @@ fn run_and_check_in(
     }
 
     // 2. Same rates as the independent Water-Filling implementation.
-    let waterfill = WaterFilling::new(&network, &session_set).solve_in(ws);
+    let waterfill = WaterFilling::new(&network, &session_set).solve();
     assert!(compare_allocations(
         &session_set,
         &sim.allocation(),
@@ -96,15 +87,8 @@ fn medium_wan_matches_oracle() {
 
 #[test]
 fn repeated_seeds_small_lan() {
-    // One workspace across all seeds: repeated oracle solves reuse scratch.
-    let mut ws = SolverWorkspace::new();
     for seed in 20..25u64 {
-        run_and_check_in(
-            NetworkScenario::small_lan(100).with_seed(seed),
-            40,
-            seed,
-            &mut ws,
-        );
+        run_and_check(NetworkScenario::small_lan(100).with_seed(seed), 40, seed);
     }
 }
 

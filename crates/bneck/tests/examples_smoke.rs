@@ -12,7 +12,6 @@ fn run_example(name: &str) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(cargo)
         .args(["run", "-q", "-p", "bneck", "--example", name])
-        .env("BNECK_BENCH_BUDGET_MS", "20")
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn cargo for example {name}: {e}"));
     assert!(

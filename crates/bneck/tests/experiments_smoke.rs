@@ -1,7 +1,6 @@
 //! Smoke tests of the experiment harness: every figure's runner executes on a
 //! tiny configuration and produces structurally sensible output (these are the
-//! same code paths the `experiment1/2/3` binaries and the Criterion benches
-//! use).
+//! same code paths the `bneck run` presets use).
 
 use bneck_bench::{run_experiment1_point, run_experiment2, run_experiment3, validate_scenario};
 use bneck_workload::{Experiment1Config, Experiment2Config, Experiment3Config, NetworkScenario};

@@ -17,7 +17,6 @@
 //! | HOT001 | hot-path manifest | no allocation calls on the per-event path |
 //! | UNW001 | deterministic crates | bare `unwrap()` ratchet — the count can only go down |
 //! | SPEC001 | spec presets | every preset has a golden fixture, no stray fixtures |
-//! | BENCH001 | bench targets | `[[bench]]`/source/manifest agree in both directions |
 //!
 //! A finding is suppressed only by an in-source annotation on (or directly
 //! above) the offending line, and the reason is mandatory:
@@ -282,7 +281,6 @@ pub fn run_workspace(root: &Path, config: &Config) -> io::Result<Report> {
         &config.spec_file,
         &config.spec_fixtures_dir,
     ));
-    findings.extend(rules::bench001(root));
 
     let rule_order = |rule: &str| {
         ALL_RULES
@@ -373,8 +371,8 @@ fn read_budget(path: &Path) -> BTreeMap<String, usize> {
 }
 
 /// Recursively lists the non-test `.rs` sources of every crate under `dir`:
-/// each crate's `src/` tree (integration `tests/`, `benches/` and
-/// `examples/` are dynamic-test surface, not shipped code).
+/// each crate's `src/` tree (integration `tests/` and `examples/` are
+/// dynamic-test surface, not shipped code).
 fn source_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut crates: Vec<PathBuf> = Vec::new();
     for entry in fs::read_dir(dir)? {

@@ -146,9 +146,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "HOT001" => "no allocation calls inside hot-path-manifest modules",
         "UNW001" => "bare `unwrap()` count in deterministic crates may only go down (ratchet)",
         "SPEC001" => "every spec preset has a golden fixture, and no fixture is stray",
-        "BENCH001" => {
-            "every [[bench]] target is declared, present and covered by bench-manifest.txt"
-        }
         "XLINT001" => "an `xlint: allow` annotation must carry a non-empty reason",
         "XLINT002" => "an `xlint: allow` annotation must suppress something (no stale allows)",
         _ => "unknown rule",
@@ -157,7 +154,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
 
 /// All rule identifiers, in listing order.
 pub const ALL_RULES: &[&str] = &[
-    "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "BENCH001", "XLINT001", "XLINT002",
+    "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "XLINT001", "XLINT002",
 ];
 
 /// Escapes a string as a JSON literal (quotes included).

@@ -2,7 +2,7 @@
 //!
 //! Token-pattern rules (`DET001`, `DET002`, `HOT001`, `UNW001`) scan the
 //! non-test token stream of one file; structural rules (`EXH001`) use the
-//! match-arm scanner; artifact rules (`SPEC001`, `BENCH001`) cross-check
+//! match-arm scanner; the artifact rule (`SPEC001`) cross-checks
 //! source constants against files on disk. Every rule returns *candidate*
 //! findings — suppression by `// xlint: allow(...)` annotations happens in
 //! the driver ([`crate::run_workspace`]), which also enforces that every
@@ -11,7 +11,6 @@
 use crate::ast;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::report::Finding;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -336,170 +335,6 @@ pub fn spec001(root: &Path, spec_file: &str, fixtures_dir: &str) -> Vec<Finding>
     findings
 }
 
-/// BENCH001: static form of the bench-smoke drift guard. For every crate
-/// with `[[bench]]` targets: each target has a source file and vice versa,
-/// each bench source's `benchmark_group("...")` names appear in the crate's
-/// `bench-manifest.txt`, and every manifest group comes from some target.
-pub fn bench001(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let crates_dir = root.join("crates");
-    let Ok(entries) = fs::read_dir(&crates_dir) else {
-        return vec![Finding::new("BENCH001", "crates", 0, "cannot list crates/")];
-    };
-    let mut crate_dirs: Vec<_> = entries
-        .flatten()
-        .filter(|e| e.path().join("Cargo.toml").is_file())
-        .map(|e| e.path())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let rel = |p: &Path| {
-            p.strip_prefix(root)
-                .unwrap_or(p)
-                .to_string_lossy()
-                .replace('\\', "/")
-        };
-        let manifest_path = crate_dir.join("Cargo.toml");
-        let Ok(cargo_toml) = fs::read_to_string(&manifest_path) else {
-            continue;
-        };
-        let targets = bench_target_names(&cargo_toml);
-        let benches_dir = crate_dir.join("benches");
-        let mut bench_files: Vec<String> = Vec::new();
-        if let Ok(entries) = fs::read_dir(&benches_dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(stem) = name.strip_suffix(".rs") {
-                    bench_files.push(stem.to_string());
-                }
-            }
-        }
-        bench_files.sort();
-        if targets.is_empty() && bench_files.is_empty() {
-            continue;
-        }
-        // Both directions: declared targets need files, files need declarations.
-        for target in &targets {
-            if !bench_files.contains(target) {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&manifest_path),
-                    0,
-                    format!("[[bench]] target `{target}` has no benches/{target}.rs source"),
-                ));
-            }
-        }
-        for file in &bench_files {
-            if !targets.contains(file) {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&benches_dir.join(format!("{file}.rs"))),
-                    0,
-                    format!("benches/{file}.rs has no [[bench]] entry in Cargo.toml (it would silently never run)"),
-                ));
-            }
-        }
-        // Group names per target, against the committed manifest.
-        let manifest_file = crate_dir.join("bench-manifest.txt");
-        let manifest = match fs::read_to_string(&manifest_file) {
-            Ok(text) => text,
-            Err(_) => {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&manifest_file),
-                    0,
-                    "crate declares [[bench]] targets but has no bench-manifest.txt",
-                ));
-                continue;
-            }
-        };
-        let manifest_groups: Vec<&str> = {
-            let mut groups: Vec<&str> = manifest
-                .lines()
-                .filter_map(|l| l.split('/').next())
-                .filter(|g| !g.is_empty())
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
-            groups
-        };
-        let mut declared_groups: BTreeMap<String, String> = BTreeMap::new();
-        for target in &targets {
-            let path = benches_dir.join(format!("{target}.rs"));
-            let Ok(src) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let tokens = lex(&src).tokens;
-            let mut found_any = false;
-            for i in 0..tokens.len() {
-                if tokens[i].is_ident("benchmark_group")
-                    && tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
-                {
-                    if let Some(group) = tokens.get(i + 2).and_then(string_literal) {
-                        declared_groups.insert(group, target.clone());
-                        found_any = true;
-                    }
-                }
-            }
-            if !found_any {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&path),
-                    0,
-                    format!("bench target `{target}` declares no benchmark_group — it would emit no benchmarks"),
-                ));
-            }
-        }
-        for (group, target) in &declared_groups {
-            if !manifest_groups.contains(&group.as_str()) {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&manifest_file),
-                    0,
-                    format!("group `{group}` (bench target `{target}`) has no entry in bench-manifest.txt"),
-                ));
-            }
-        }
-        for group in &manifest_groups {
-            if !declared_groups.contains_key(*group) {
-                findings.push(Finding::new(
-                    "BENCH001",
-                    rel(&manifest_file),
-                    0,
-                    format!("manifest group `{group}` is declared by no bench target"),
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// Extracts `name = "..."` values from `[[bench]]` sections of a Cargo.toml.
-fn bench_target_names(cargo_toml: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut in_bench = false;
-    for line in cargo_toml.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_bench = line == "[[bench]]";
-            continue;
-        }
-        if in_bench {
-            if let Some(value) = line
-                .strip_prefix("name")
-                .map(str::trim_start)
-                .and_then(|l| l.strip_prefix('='))
-            {
-                let value = value.trim().trim_matches('"');
-                if !value.is_empty() {
-                    names.push(value.to_string());
-                }
-            }
-        }
-    }
-    names
-}
-
 /// The contents of a string-literal token, quotes stripped; `None` for other
 /// tokens.
 fn string_literal(token: &Token) -> Option<String> {
@@ -636,11 +471,5 @@ mod tests {
         let tokens = lex("pub const PRESET_NAMES: [&str; 2] = [\"a\", \"b\"];\npub const PAPER_FULL: &str = \"c\";").tokens;
         assert_eq!(string_array_const(&tokens, "PRESET_NAMES"), vec!["a", "b"]);
         assert_eq!(string_const(&tokens, "PAPER_FULL").as_deref(), Some("c"));
-    }
-
-    #[test]
-    fn bench_names_parse() {
-        let toml = "[package]\nname = \"x\"\n\n[[bench]]\nname = \"alpha\"\nharness = false\n\n[[bench]]\nname = \"beta\"\nharness = false\n";
-        assert_eq!(bench_target_names(toml), vec!["alpha", "beta"]);
     }
 }

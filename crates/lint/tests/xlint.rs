@@ -34,8 +34,7 @@ fn bad_fixture_triggers_every_rule() {
     let report = scan("ws_bad");
     let fired: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
     for rule in [
-        "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "BENCH001", "XLINT001",
-        "XLINT002",
+        "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "XLINT001", "XLINT002",
     ] {
         assert!(
             fired.contains(rule),

@@ -111,29 +111,13 @@ impl<'a> CentralizedBneck<'a> {
 
     /// Computes the max-min fair allocation.
     pub fn solve(&self) -> Allocation {
-        self.solve_in(&mut SolverWorkspace::new())
-    }
-
-    /// Computes the max-min fair allocation using the caller's scratch
-    /// buffers, so repeated solves allocate (almost) nothing per call.
-    pub fn solve_in(&self, ws: &mut SolverWorkspace) -> Allocation {
-        let mut allocation = Allocation::new();
-        self.run(ws);
-        for (slot, session) in self.sessions.iter_with_slots() {
-            allocation.set(session.id(), ws.rate[slot as usize]);
-        }
-        allocation
+        self.run(&mut SolverWorkspace::default())
     }
 
     /// Computes the allocation together with each link's bottleneck sets.
     pub fn solve_with_bottlenecks(&self) -> CentralizedSolution {
-        self.solve_with_bottlenecks_in(&mut SolverWorkspace::new())
-    }
-
-    /// [`CentralizedBneck::solve_with_bottlenecks`] with caller-provided
-    /// scratch buffers (the reported solution still owns its memory).
-    pub fn solve_with_bottlenecks_in(&self, ws: &mut SolverWorkspace) -> CentralizedSolution {
-        let allocation = self.solve_in(ws);
+        let ws = &mut SolverWorkspace::default();
+        let allocation = self.run(ws);
 
         // Report the per-link bottleneck structure. A session is restricted
         // at a link iff it was assigned in the round the link's constraint
@@ -175,8 +159,9 @@ impl<'a> CentralizedBneck<'a> {
         CentralizedSolution { allocation, links }
     }
 
-    /// Runs Figure 1 on flat constraint arrays, leaving per-slot rates and
-    /// rounds plus per-constraint bottleneck rounds in the workspace.
+    /// Runs Figure 1 on flat constraint arrays and returns the allocation,
+    /// leaving per-slot rates and rounds plus per-constraint bottleneck
+    /// rounds in the workspace.
     ///
     /// Constraints are the used links (in [`SessionSet::used_links`] order)
     /// followed by one private constraint per rate-limited session. Instead
@@ -184,16 +169,13 @@ impl<'a> CentralizedBneck<'a> {
     /// each constraint's undecided-member count and granted-rate sum
     /// incrementally: assigning a session only touches the constraints on its
     /// path.
-    fn run(&self, ws: &mut SolverWorkspace) {
+    fn run(&self, ws: &mut SolverWorkspace) -> Allocation {
         let tol = self.tolerance;
 
         ws.init_link_constraints(self.network, self.sessions);
         let link_cons = ws.link_ids.len();
-        ws.cons_member.clear();
-        ws.round.clear();
-        ws.round.resize(self.sessions.slot_capacity(), NONE);
-        ws.limit_cons.clear();
-        ws.limit_cons.resize(self.sessions.slot_capacity(), NONE);
+        ws.round = vec![NONE; self.sessions.slot_capacity()];
+        ws.limit_cons = vec![NONE; self.sessions.slot_capacity()];
         for (slot, session) in self.sessions.iter_with_slots() {
             if !session.limit().is_unlimited() {
                 ws.limit_cons[slot as usize] = (link_cons + ws.cons_member.len()) as u32;
@@ -204,12 +186,9 @@ impl<'a> CentralizedBneck<'a> {
             }
         }
         let cons = ws.cap.len();
-        ws.cons_live.clear();
-        ws.cons_live.resize(cons, true);
-        ws.cons_est.clear();
-        ws.cons_est.resize(cons, f64::INFINITY);
-        ws.cons_round.clear();
-        ws.cons_round.resize(cons, NONE);
+        ws.cons_live = vec![true; cons];
+        ws.cons_est = vec![f64::INFINITY; cons];
+        ws.cons_round = vec![NONE; cons];
         let mut live = cons;
 
         let mut round = 0u32;
@@ -272,6 +251,11 @@ impl<'a> CentralizedBneck<'a> {
             }
             round += 1;
         }
+        let mut allocation = Allocation::new();
+        for (slot, session) in self.sessions.iter_with_slots() {
+            allocation.set(session.id(), ws.rate[slot as usize]);
+        }
+        allocation
     }
 }
 

@@ -55,7 +55,7 @@ pub mod rate;
 pub mod session;
 pub mod verify;
 pub mod waterfill;
-pub mod workspace;
+mod workspace;
 
 pub use centralized::{CentralizedBneck, CentralizedSolution, LinkBottleneck};
 pub use idmap::IdSlotMap;
@@ -63,7 +63,6 @@ pub use rate::{Rate, RateLimit, Tolerance};
 pub use session::{Allocation, Session, SessionId, SessionSet};
 pub use verify::{compare_allocations, verify_max_min, Violation};
 pub use waterfill::WaterFilling;
-pub use workspace::SolverWorkspace;
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
@@ -72,5 +71,4 @@ pub mod prelude {
     pub use crate::session::{Allocation, Session, SessionId, SessionSet};
     pub use crate::verify::{compare_allocations, verify_max_min, Violation};
     pub use crate::waterfill::WaterFilling;
-    pub use crate::workspace::SolverWorkspace;
 }

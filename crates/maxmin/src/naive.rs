@@ -194,7 +194,6 @@ mod tests {
     use crate::session::Session;
     use crate::verify::compare_allocations;
     use crate::waterfill::WaterFilling;
-    use crate::workspace::SolverWorkspace;
     use bneck_net::prelude::*;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -319,40 +318,19 @@ mod tests {
             let tol = Tolerance::default();
             let strict = Tolerance::new(1e-9, 1e-3);
 
-            let mut ws = SolverWorkspace::new();
-            let wf = WaterFilling::new(&network, &set).solve_in(&mut ws);
+            let wf = WaterFilling::new(&network, &set).solve();
             let wf_naive = naive_waterfill(&network, &set, tol);
             prop_assert!(
                 compare_allocations(&set, &wf, &wf_naive, strict).is_ok(),
                 "water-filling diverged from naive: {wf:?} vs {wf_naive:?}"
             );
 
-            let cb = CentralizedBneck::new(&network, &set).solve_in(&mut ws);
+            let cb = CentralizedBneck::new(&network, &set).solve();
             let cb_naive = naive_centralized(&network, &set, tol);
             prop_assert!(
                 compare_allocations(&set, &cb, &cb_naive, strict).is_ok(),
                 "centralized diverged from naive: {cb:?} vs {cb_naive:?}"
             );
-        }
-
-        /// Workspace reuse across instances of different shapes and sizes
-        /// never leaks state between solves.
-        #[test]
-        fn workspace_reuse_is_stateless(
-            seed in 0u64..10_000,
-            size_a in 1usize..12,
-            size_b in 1usize..12,
-        ) {
-            let (net_a, set_a) = instance(0, seed, size_a, 0.3);
-            let (net_b, set_b) = instance(2, seed.wrapping_add(1), size_b, 0.3);
-            let mut ws = SolverWorkspace::new();
-            // Interleave solves over both instances through one workspace.
-            let a1 = WaterFilling::new(&net_a, &set_a).solve_in(&mut ws);
-            let b1 = CentralizedBneck::new(&net_b, &set_b).solve_in(&mut ws);
-            let a2 = WaterFilling::new(&net_a, &set_a).solve_in(&mut ws);
-            let b2 = CentralizedBneck::new(&net_b, &set_b).solve_in(&mut ws);
-            prop_assert_eq!(a1, a2);
-            prop_assert_eq!(b1, b2);
         }
     }
 }

@@ -59,33 +59,24 @@ impl<'a> WaterFilling<'a> {
 
     /// Computes the max-min fair allocation.
     ///
-    /// Allocates a fresh [`SolverWorkspace`] internally; callers solving
-    /// repeatedly should use [`WaterFilling::solve_in`].
-    pub fn solve(&self) -> Allocation {
-        self.solve_in(&mut SolverWorkspace::new())
-    }
-
-    /// Computes the max-min fair allocation using the caller's scratch
-    /// buffers, so repeated solves allocate (almost) nothing per call.
-    ///
     /// The water level rises round by round; each round freezes the sessions
     /// that sit on a link saturated at the new level or that reached their
     /// own requested maximum. Per-link active counts and frozen-capacity sums
     /// are maintained incrementally — freezing a session only touches the
     /// links on its path — instead of rescanning every link × session pair.
-    pub fn solve_in(&self, ws: &mut SolverWorkspace) -> Allocation {
+    pub fn solve(&self) -> Allocation {
         let tol = self.tolerance;
         let mut allocation = Allocation::new();
         if self.sessions.is_empty() {
             return allocation;
         }
 
+        let ws = &mut SolverWorkspace::default();
         ws.init_link_constraints(self.network, self.sessions);
 
         // Rate-limited sessions sorted by limit: since the water level only
         // rises, a cursor over this list yields the smallest unfrozen limit
         // in O(1) per round.
-        ws.by_limit.clear();
         let mut remaining = 0usize;
         for (slot, session) in self.sessions.iter_with_slots() {
             remaining += 1;

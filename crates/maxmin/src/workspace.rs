@@ -1,4 +1,4 @@
-//! Reusable scratch state for the centralized solvers.
+//! Scratch state for the centralized solvers.
 
 use crate::session::SessionId;
 use bneck_net::LinkId;
@@ -8,34 +8,11 @@ use bneck_net::LinkId;
 ///
 /// Both solvers keep their per-session and per-link working state in flat
 /// vectors indexed by [`crate::SessionSet`] arena slots and dense link
-/// identifiers. A workspace owns those vectors so that repeated solves — the
-/// validation binary, the experiment runners, the benchmarks — reuse the same
-/// allocations instead of rebuilding hash maps on every call. A workspace is
-/// not tied to a network or session set: the same instance can serve solves
-/// over different instances of any size.
-///
-/// # Example
-///
-/// ```
-/// use bneck_net::prelude::*;
-/// use bneck_maxmin::prelude::*;
-///
-/// let net = synthetic::dumbbell(2, Capacity::from_mbps(100.0),
-///                               Capacity::from_mbps(60.0), Delay::from_micros(1));
-/// let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-/// let mut router = Router::new(&net);
-/// let mut sessions = SessionSet::new();
-/// for i in 0..2 {
-///     let path = router.shortest_path(hosts[2 * i], hosts[2 * i + 1]).unwrap();
-///     sessions.insert(Session::new(SessionId(i as u64), path, RateLimit::unlimited()));
-/// }
-/// let mut ws = SolverWorkspace::new();
-/// let a = WaterFilling::new(&net, &sessions).solve_in(&mut ws);
-/// let b = CentralizedBneck::new(&net, &sessions).solve_in(&mut ws);
-/// assert_eq!(a.rate(SessionId(0)), b.rate(SessionId(0)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SolverWorkspace {
+/// identifiers. Each solve builds a fresh workspace; reusing one across
+/// solves measured under 1 % faster at 2,000 sessions (BENCH_NOTES.md), so
+/// callers pass no scratch.
+#[derive(Debug, Default)]
+pub(crate) struct SolverWorkspace {
     /// Per arena slot: the assigned/frozen rate; `NaN` while undecided.
     pub(crate) rate: Vec<f64>,
     /// Per arena slot: the round the session was assigned in (centralized).
@@ -81,13 +58,7 @@ pub struct SolverWorkspace {
 pub(crate) const NONE: u32 = u32::MAX;
 
 impl SolverWorkspace {
-    /// Creates an empty workspace; buffers grow on first use and are then
-    /// reused across solves.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the per-slot and per-link tables and builds the used-link
+    /// Sizes the per-slot and per-link tables and builds the used-link
     /// constraints — one entry per link crossed by at least one session, with
     /// its capacity, its crossing-session count and a zeroed granted sum —
     /// establishing the `link_pos` ↔ `link_ids`/`cap`/`active`/`granted`
@@ -97,14 +68,8 @@ impl SolverWorkspace {
         network: &bneck_net::Network,
         sessions: &crate::session::SessionSet,
     ) {
-        self.rate.clear();
-        self.rate.resize(sessions.slot_capacity(), f64::NAN);
-        self.link_pos.clear();
-        self.link_pos.resize(network.link_count(), NONE);
-        self.link_ids.clear();
-        self.cap.clear();
-        self.active.clear();
-        self.granted.clear();
+        self.rate = vec![f64::NAN; sessions.slot_capacity()];
+        self.link_pos = vec![NONE; network.link_count()];
         for link in sessions.used_links() {
             self.link_pos[link.index()] = self.link_ids.len() as u32;
             self.link_ids.push(link);

@@ -56,6 +56,16 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// `value` units of `unit_ns` nanoseconds as a [`Delay`], or
+/// [`SpecError::Invalid`] naming `field` when the nanoseconds overflow the
+/// `u64` a `Delay` counts.
+fn checked_delay(value: u64, unit_ns: u64, field: &'static str) -> Result<Delay, SpecError> {
+    value
+        .checked_mul(unit_ns)
+        .map(Delay::from_nanos)
+        .ok_or(SpecError::Invalid(field))
+}
+
 /// A topology reference: a registry preset name plus the host count and
 /// topology seed to instantiate it with.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,7 +211,8 @@ impl JoinsSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] on unresolvable
-    /// or empty inputs.
+    /// or empty inputs, [`SpecError::Invalid`] on a zero session count or a
+    /// join window too long to count in nanoseconds.
     pub fn configs(
         &self,
         topologies: &TopologyRegistry,
@@ -212,6 +223,10 @@ impl JoinsSpec {
         if self.sessions.is_empty() {
             return Err(SpecError::Empty("sessions"));
         }
+        if self.sessions.contains(&0) {
+            return Err(SpecError::Invalid("sessions"));
+        }
+        let join_window = checked_delay(self.join_window_us, 1_000, "join_window_us")?;
         let mut configs = Vec::with_capacity(self.topologies.len() * self.sessions.len());
         for preset in &self.topologies {
             for &sessions in &self.sessions {
@@ -225,7 +240,7 @@ impl JoinsSpec {
                 configs.push(Experiment1Config {
                     scenario,
                     sessions,
-                    join_window: Delay::from_micros(self.join_window_us),
+                    join_window,
                     limits: self.limits,
                     seed: self.base_seed + configs.len() as u64,
                 });
@@ -262,7 +277,7 @@ impl ChurnSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Invalid`] on
-    /// unresolvable or degenerate inputs.
+    /// unresolvable or degenerate inputs, a change window included.
     pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment2Config, SpecError> {
         if self.repeats == 0 {
             return Err(SpecError::Invalid("repeats"));
@@ -271,7 +286,7 @@ impl ChurnSpec {
             scenario: self.topology.resolve(topologies)?,
             initial_sessions: self.initial_sessions,
             churn: self.churn,
-            change_window: Delay::from_micros(self.change_window_us),
+            change_window: checked_delay(self.change_window_us, 1_000, "change_window_us")?,
             limits: self.limits,
             seed: self.seed,
         })
@@ -309,15 +324,20 @@ impl AccuracySpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::UnknownTopology`] when the topology does not resolve.
+    /// [`SpecError::UnknownTopology`] when the topology does not resolve,
+    /// [`SpecError::Invalid`] on a zero sample interval or a duration too
+    /// long to count in nanoseconds.
     pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment3Config, SpecError> {
+        if self.sample_interval_us == 0 {
+            return Err(SpecError::Invalid("sample_interval_us"));
+        }
         Ok(Experiment3Config {
             scenario: self.topology.resolve(topologies)?,
             joins: self.joins,
             leaves: self.leaves,
-            change_window: Delay::from_micros(self.change_window_us),
-            sample_interval: Delay::from_micros(self.sample_interval_us),
-            horizon: Delay::from_micros(self.horizon_us),
+            change_window: checked_delay(self.change_window_us, 1_000, "change_window_us")?,
+            sample_interval: checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?,
+            horizon: checked_delay(self.horizon_us, 1_000, "horizon_us")?,
             limits: self.limits,
             seed: self.seed,
         })
@@ -370,6 +390,9 @@ impl ValidationSpec {
         if self.runs == 0 {
             return Err(SpecError::Invalid("runs"));
         }
+        if self.sessions == 0 {
+            return Err(SpecError::Invalid("sessions"));
+        }
         let hosts = self.hosts_per_session * self.sessions;
         let mut out = Vec::with_capacity(self.topologies.len() * self.runs);
         for preset in &self.topologies {
@@ -405,10 +428,14 @@ impl ScaleSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::Empty`] when no session count is given.
+    /// [`SpecError::Empty`] when no session count is given,
+    /// [`SpecError::Invalid`] when one is zero.
     pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.sessions.is_empty() {
             return Err(SpecError::Empty("sessions"));
+        }
+        if self.sessions.contains(&0) {
+            return Err(SpecError::Invalid("sessions"));
         }
         Ok(self
             .sessions
@@ -474,7 +501,8 @@ impl FaultSweepSpec {
     ///
     /// [`SpecError::Empty`] on an empty axis, [`SpecError::Invalid`] on a
     /// probability outside `[0, 1]`, a zero reorder window, a zero horizon,
-    /// or a zero RTO with recovery requested.
+    /// a zero RTO with recovery requested, or a duration too long to count
+    /// in nanoseconds.
     pub fn points(&self) -> Result<Vec<FaultPoint>, SpecError> {
         if self.drop.is_empty() {
             return Err(SpecError::Empty("drop"));
@@ -504,6 +532,9 @@ impl FaultSweepSpec {
         if self.sessions == 0 {
             return Err(SpecError::Invalid("sessions"));
         }
+        checked_delay(self.join_window_us, 1_000, "join_window_us")?;
+        checked_delay(self.rto_us, 1_000, "rto_us")?;
+        checked_delay(self.horizon_ms, 1_000_000, "horizon_ms")?;
         let mut points = Vec::with_capacity(self.drop.len() * self.duplicate.len());
         for &drop in &self.drop {
             for &duplicate in &self.duplicate {
@@ -865,6 +896,66 @@ mod tests {
         let mut bad = base;
         bad.rto_us = 0;
         assert_eq!(bad.points(), Err(SpecError::Invalid("rto_us")));
+    }
+
+    #[test]
+    fn absurd_values_are_typed_errors_at_lowering() {
+        use ExperimentKind as K;
+        // The smallest counts whose nanoseconds overflow a `u64`.
+        const US: u64 = u64::MAX / 1_000 + 1;
+        const MS: u64 = u64::MAX / 1_000_000 + 1;
+        let kind = |name| ExperimentSpec::preset(name).unwrap().experiment;
+        let (K::Joins(joins), K::Churn(churn), K::Accuracy(mut accuracy)) =
+            (kind("exp1"), kind("exp2"), kind("exp3"))
+        else {
+            unreachable!("exp1..3 are joins, churn and accuracy specs")
+        };
+        // B-Neck alone, so the B-Neck-only registry below checks it.
+        accuracy.baselines.clear();
+        let (K::Validation(validation), K::FaultSweep(faults)) = (kind("validate"), kind("faults"))
+        else {
+            unreachable!("validate and faults are validation and fault-sweep specs")
+        };
+        // One field set to an absurd value; the error must name that field.
+        macro_rules! absurd {
+            ($kind:ident($base:expr).$field:ident = $value:expr) => {{
+                let mut spec = $base.clone();
+                spec.$field = $value;
+                (K::$kind(spec), stringify!($field))
+            }};
+        }
+        let scale = ScaleSpec {
+            sessions: vec![50_000],
+            validate: true,
+        };
+        let cases = [
+            absurd!(Joins(joins).sessions = vec![10, 0]),
+            absurd!(Scale(scale).sessions = vec![0]),
+            absurd!(Validation(validation).sessions = 0),
+            absurd!(Accuracy(accuracy).sample_interval_us = 0),
+            absurd!(Joins(joins).join_window_us = US),
+            absurd!(Churn(churn).change_window_us = US),
+            absurd!(Accuracy(accuracy).change_window_us = US),
+            absurd!(Accuracy(accuracy).sample_interval_us = US),
+            absurd!(Accuracy(accuracy).horizon_us = US),
+            absurd!(FaultSweep(faults).join_window_us = US),
+            absurd!(FaultSweep(faults).rto_us = US),
+            absurd!(FaultSweep(faults).horizon_ms = MS),
+        ];
+        let topologies = TopologyRegistry::builtin();
+        let protocols = ProtocolRegistry::with_bneck();
+        for (experiment, field) in cases {
+            let spec = ExperimentSpec {
+                name: "absurd".to_string(),
+                experiment,
+                output: OutputSpec::default(),
+            };
+            assert_eq!(
+                spec.check(&topologies, &protocols),
+                Err(SpecError::Invalid(field)),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]
