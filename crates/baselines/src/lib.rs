@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod bfyz;
 pub mod cg;

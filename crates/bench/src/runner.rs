@@ -507,13 +507,15 @@ pub struct ScaleRun {
 /// Runs one paper-scale point: builds the network, applies the join
 /// schedule, drives to quiescence, and — unless `validate` is off —
 /// cross-checks the final rates against the centralized oracle.
-#[allow(clippy::disallowed_methods)] // wall-clock phase timing, mirrored by the xlint DET002 allows below
+#[expect(
+    clippy::disallowed_methods,
+    reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report"
+)]
 pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
     use std::fmt::Write as _;
     use std::time::Instant;
 
     let sessions = config.sessions;
-    // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
     let t0 = Instant::now();
     let network = config.scenario.build();
     let t_build = t0.elapsed();
@@ -525,12 +527,10 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
         t_build
     );
 
-    // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
     let t1 = Instant::now();
     let schedule = config.schedule(&network);
     let t_plan = t1.elapsed();
 
-    // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
     let t2 = Instant::now();
     let (stats, report, oracle_state) = {
         let mut sim = BneckSimulation::new(&network, BneckConfig::default());
@@ -554,7 +554,6 @@ pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
     let mut mismatches = None;
     let mut t_oracle = std::time::Duration::ZERO;
     if let Some((session_set, allocation)) = oracle_state {
-        // xlint: allow(DET002, reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report")
         let t3 = Instant::now();
         mismatches = Some(oracle_mismatches(&network, &session_set, &allocation));
         t_oracle = t3.elapsed();

@@ -17,9 +17,10 @@
 //!
 //! The thread count comes from the `BNECK_THREADS` environment variable when
 //! set (the knob CI's `scale-smoke` job uses), otherwise from
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`]; the session planner reads the same
+//! knob through the same parser.
 
-use std::num::NonZeroUsize;
+use bneck_workload::sessions::threads_from_env;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -39,13 +40,10 @@ impl SweepRunner {
     }
 
     /// A runner honoring the `BNECK_THREADS` environment variable, falling
-    /// back to the machine's available parallelism.
-    #[allow(clippy::disallowed_methods)] // mirrored by the xlint DET002 allow below
+    /// back to the machine's available parallelism (see
+    /// [`threads_from_env`]).
     pub fn from_env() -> Self {
-        Self::new(parse_threads(
-            // xlint: allow(DET002, reason = "thread count selects scheduling only; results are bit-identical at any value (determinism suite)")
-            std::env::var("BNECK_THREADS").ok().as_deref(),
-        ))
+        Self::new(threads_from_env())
     }
 
     /// The number of worker threads this runner uses.
@@ -121,24 +119,6 @@ impl Default for SweepRunner {
     }
 }
 
-/// Parses a `BNECK_THREADS` value; `None`, empty or unparsable values fall
-/// back to the available parallelism.
-fn parse_threads(value: Option<&str>) -> usize {
-    match value.map(str::trim) {
-        Some(v) if !v.is_empty() => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => available(),
-        },
-        _ => available(),
-    }
-}
-
-fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_knob_parsing() {
-        assert_eq!(parse_threads(Some("3")), 3);
-        assert_eq!(parse_threads(Some(" 12 ")), 12);
-        assert_eq!(SweepRunner::new(0).threads(), 1, "clamped to one worker");
-        // Unset, empty, zero and junk all fall back to the machine default.
-        let fallback = available();
-        assert_eq!(parse_threads(None), fallback);
-        assert_eq!(parse_threads(Some("")), fallback);
-        assert_eq!(parse_threads(Some("0")), fallback);
-        assert_eq!(parse_threads(Some("lots")), fallback);
+    fn zero_threads_clamp_to_one_worker() {
+        assert_eq!(SweepRunner::new(0).threads(), 1);
     }
 }

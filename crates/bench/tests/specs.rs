@@ -53,7 +53,10 @@ fn every_preset_round_trips_through_json() {
 }
 
 #[test]
-#[allow(clippy::disallowed_methods)] // BNECK_REGEN_SPECS opts into rewriting fixtures; never affects results
+#[expect(
+    clippy::disallowed_methods,
+    reason = "BNECK_REGEN_SPECS opts into rewriting fixtures; never affects results"
+)]
 fn golden_fixtures_pin_the_spec_format() {
     let dir = fixture_dir();
     let regen = std::env::var_os("BNECK_REGEN_SPECS").is_some();

@@ -7,7 +7,10 @@
 
 use std::process::Command;
 
-#[allow(clippy::disallowed_methods)] // test harness plumbing: CARGO is set by cargo itself
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test harness plumbing: CARGO is set by cargo itself"
+)]
 fn run_example(name: &str) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(cargo)

@@ -19,9 +19,6 @@ pub struct BneckConfig {
     /// experiments can build per-interval traffic breakdowns (Figures 6 and 8
     /// of the paper). Costs memory proportional to the total packet count.
     pub record_packet_log: bool,
-    /// When `true`, every `API.Rate` notification is recorded with its
-    /// timestamp (used to study convergence behaviour over time).
-    pub record_rate_history: bool,
     /// When set, protocol packets travel inside sequenced, acknowledged and
     /// retransmitted frames (see [`crate::recovery`]), making the protocol
     /// correct over lossy, duplicating or reordering channels. `None` (the
@@ -37,7 +34,6 @@ impl Default for BneckConfig {
             packet_bits: 256,
             tolerance: Tolerance::default(),
             record_packet_log: false,
-            record_rate_history: false,
             recovery: None,
         }
     }
@@ -47,12 +43,6 @@ impl BneckConfig {
     /// Enables the per-packet log.
     pub fn with_packet_log(mut self) -> Self {
         self.record_packet_log = true;
-        self
-    }
-
-    /// Enables the `API.Rate` history.
-    pub fn with_rate_history(mut self) -> Self {
-        self.record_rate_history = true;
         self
     }
 
@@ -93,7 +83,6 @@ mod tests {
         let c = BneckConfig::default();
         assert_eq!(c.packet_bits, 256);
         assert!(!c.record_packet_log);
-        assert!(!c.record_rate_history);
         assert!(c.recovery.is_none());
     }
 
@@ -107,11 +96,9 @@ mod tests {
     fn builder_methods_compose() {
         let c = BneckConfig::default()
             .with_packet_log()
-            .with_rate_history()
             .with_packet_bits(512)
             .with_tolerance(Tolerance::new(1e-6, 1.0));
         assert!(c.record_packet_log);
-        assert!(c.record_rate_history);
         assert_eq!(c.packet_bits, 512);
         assert_eq!(c.tolerance, Tolerance::new(1e-6, 1.0));
     }

@@ -5,6 +5,8 @@
 //! arrives whose `β` flag shows that no bottleneck was found anywhere on the
 //! path, asks the source to start a new Probe cycle with an `Update`.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::packet::{Packet, ResponseKind};
 use crate::task::{Action, ActionBuffer};
 use bneck_maxmin::SessionId;

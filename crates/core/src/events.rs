@@ -13,14 +13,12 @@
 //!   pulling batches over registering a callback (obtained from
 //!   `BneckSimulation::rate_events`).
 //!
-//! The harness's optional recorders ([`RateHistoryRecorder`],
-//! [`PacketLogRecorder`]) are themselves subscribers: enabling
-//! `BneckConfig::record_rate_history` / `record_packet_log` registers one, so
-//! the always-on per-packet `Vec` pushes of earlier revisions are gone — a
+//! The harness's optional packet log ([`PacketLogRecorder`]) is itself a
+//! subscriber: enabling `BneckConfig::record_packet_log` registers it, so the
+//! always-on per-packet `Vec` pushes of earlier revisions are gone — a
 //! simulation without observers pays one branch per packet, nothing more.
 
 use crate::packet::PacketKind;
-use crate::task::RateNotification;
 use bneck_maxmin::{Rate, SessionId};
 use bneck_sim::SimTime;
 #[cfg(feature = "serde")]
@@ -236,29 +234,6 @@ pub(crate) type Recording<T> = Arc<Mutex<Vec<T>>>;
 
 pub(crate) fn snapshot<T: Clone>(recording: &Recording<T>) -> Vec<T> {
     recording.lock().expect("recorder buffer poisoned").clone()
-}
-
-/// The opt-in `API.Rate` history recorder
-/// (`BneckConfig::record_rate_history`), built on the subscriber surface.
-pub(crate) struct RateHistoryRecorder {
-    pub(crate) log: Recording<(SimTime, RateNotification)>,
-}
-
-impl Subscriber for RateHistoryRecorder {
-    fn on_rate(&mut self, event: &RateEvent) {
-        if event.cause == RateCause::Left {
-            // The history mirrors actual `API.Rate` deliveries; the synthetic
-            // leave marker is a subscriber-surface extension.
-            return;
-        }
-        self.log.lock().expect("recorder buffer poisoned").push((
-            event.at,
-            RateNotification {
-                session: event.session,
-                rate: event.rate,
-            },
-        ));
-    }
 }
 
 /// The opt-in per-packet log recorder (`BneckConfig::record_packet_log`),

@@ -19,17 +19,16 @@
 //! run it — and fan it out across worker threads — through the same unified
 //! interface as any other protocol-under-test.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::config::BneckConfig;
-use crate::events::{
-    snapshot, PacketLogRecorder, RateEvents, RateHistoryRecorder, Recording, Subscriber,
-};
+use crate::events::{snapshot, PacketLogRecorder, RateEvents, Recording, Subscriber};
 use crate::host::{ApiCall, Sink, Target, TaskHost};
 use crate::packet::{Packet, PacketKind};
 use crate::recovery::{RecoveryState, RecoveryStats};
 use crate::router_link::RouterLink;
 use crate::source::SourceNode;
 use crate::stats::PacketStats;
-use crate::task::RateNotification;
 use crate::world::LinkTable;
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
 use bneck_net::{LinkId, Network, NodeId, Path, Router};
@@ -345,14 +344,17 @@ impl World for BneckWorld {
             recovery: self.recovery.as_deref_mut(),
             armed: &mut self.armed,
         };
-        match (msg.target, msg.payload) {
-            (target, Payload::Protocol(packet)) => self.host.deliver(target, packet, &mut sink),
-            (Target::Source(slot), Payload::Api(call)) => self.host.api(slot, call, &mut sink),
-            // API calls are only ever addressed to sources.
-            (_, Payload::Api(_)) => {}
+        match msg.payload {
+            Payload::Protocol(packet) => self.host.deliver(msg.target, packet, &mut sink),
+            Payload::Api(call) => {
+                // API calls are only ever addressed to sources.
+                if let Target::Source(slot) = msg.target {
+                    self.host.api(slot, call, &mut sink)
+                }
+            }
             // Recovery frames, acks and the wake-up are handled by the
             // adapter itself, off the protocol hot path.
-            (_, Payload::Data { .. } | Payload::Ack { .. } | Payload::WakeUp) => {
+            Payload::Data { .. } | Payload::Ack { .. } | Payload::WakeUp => {
                 sink.handle_recovery(&mut self.host, msg)
             }
         }
@@ -368,8 +370,6 @@ pub struct BneckSimulation<'a> {
     network: &'a Network,
     router: Router<'a>,
     source_hosts: BTreeMap<NodeId, SessionId>,
-    /// Reading end of the opt-in `API.Rate` history recorder.
-    rate_history: Option<Recording<(SimTime, RateNotification)>>,
     /// Reading end of the opt-in per-packet log recorder.
     packet_log: Option<Recording<(SimTime, PacketKind)>>,
 }
@@ -398,18 +398,10 @@ impl<'a> BneckSimulation<'a> {
             network,
             router: Router::new(network),
             source_hosts: BTreeMap::new(),
-            rate_history: None,
             packet_log: None,
         };
-        // The optional recorders are ordinary subscribers over the same
+        // The optional recorder is an ordinary subscriber over the same
         // observer surface user code registers on.
-        if config.record_rate_history {
-            let log = Recording::default();
-            sim.rate_history = Some(Arc::clone(&log));
-            sim.world
-                .host
-                .subscribe(Box::new(RateHistoryRecorder { log }));
-        }
         if config.record_packet_log {
             let log = Recording::default();
             sim.packet_log = Some(Arc::clone(&log));
@@ -665,25 +657,6 @@ impl<'a> BneckSimulation<'a> {
     /// `f`; aggregate in place, don't re-enter the simulation.
     pub fn with_packet_log<R>(&self, f: impl FnOnce(&[(SimTime, PacketKind)]) -> R) -> R {
         match &self.packet_log {
-            Some(log) => f(&log.lock().expect("recorder buffer poisoned")),
-            None => f(&[]),
-        }
-    }
-
-    /// A snapshot of the timestamped `API.Rate` history (empty unless
-    /// [`BneckConfig::record_rate_history`] is enabled; the recorder is a
-    /// [`Subscriber`] registered at construction).
-    ///
-    /// This clones the history; prefer
-    /// [`BneckSimulation::with_rate_history`] for large runs.
-    pub fn rate_history(&self) -> Vec<(SimTime, RateNotification)> {
-        self.rate_history.as_ref().map(snapshot).unwrap_or_default()
-    }
-
-    /// Runs `f` over the recorded `API.Rate` history without copying it (an
-    /// empty slice when recording is off).
-    pub fn with_rate_history<R>(&self, f: impl FnOnce(&[(SimTime, RateNotification)]) -> R) -> R {
-        match &self.rate_history {
             Some(log) => f(&log.lock().expect("recorder buffer poisoned")),
             None => f(&[]),
         }
@@ -1104,8 +1077,9 @@ mod tests {
     fn packet_log_and_rate_history_are_recorded_when_enabled() {
         let net = synthetic::dumbbell(2, mbps(100.0), mbps(60.0), us(1));
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let config = BneckConfig::default().with_packet_log().with_rate_history();
+        let config = BneckConfig::default().with_packet_log();
         let mut sim = BneckSimulation::new(&net, config);
+        let rates = sim.rate_events();
         for i in 0..2u64 {
             sim.join(
                 SimTime::ZERO,
@@ -1118,11 +1092,9 @@ mod tests {
         }
         sim.run_to_quiescence();
         assert_eq!(sim.packet_log().len() as u64, sim.packet_stats().total());
-        assert!(!sim.rate_history().is_empty());
-        assert!(sim
-            .rate_history()
-            .iter()
-            .any(|(_, n)| n.session == SessionId(1)));
+        let rates = rates.drain();
+        assert!(!rates.is_empty());
+        assert!(rates.iter().any(|e| e.session == SessionId(1)));
         // Every packet kind count in the log matches the aggregate stats.
         let mut recount = PacketStats::new();
         for (_, kind) in sim.packet_log() {

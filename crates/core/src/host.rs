@@ -14,6 +14,8 @@
 //! simulator channel, the `bneck-node` runtime queues node-local hops and
 //! encodes the rest onto its transport.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::destination::DestinationNode;
 use crate::events::{RateCause, RateEvent, Subscriber, SubscriberSet};
 use crate::packet::Packet;

@@ -67,6 +67,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod config;
 pub mod destination;

@@ -56,6 +56,8 @@
 //! paper mode (`recovery: None`) no frame, ack or timer is ever constructed
 //! and the hot send/dispatch paths keep their pristine shape.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::host::Target;
 use crate::packet::Packet;
 use bneck_maxmin::{IdSlotMap, SessionId};

@@ -13,6 +13,8 @@
 //! incrementally so `B_e` is O(1), and handlers emit into a caller-provided
 //! [`ActionBuffer`] instead of allocating a fresh `Vec<Action>` per packet.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::packet::{Packet, ResponseKind};
 use crate::task::{Action, ActionBuffer, ProbeState};
 use bneck_maxmin::{IdSlotMap, Rate, SessionId, Tolerance};

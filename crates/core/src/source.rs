@@ -5,6 +5,8 @@
 //! rate `D_s = min(r_s, C_e)`, starts Probe cycles, and delivers `API.Rate`
 //! notifications when the session's max-min fair rate is known.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::packet::{Packet, ResponseKind};
 use crate::task::{Action, ActionBuffer, ProbeState};
 use bneck_maxmin::{Rate, RateLimit, SessionId, Tolerance};

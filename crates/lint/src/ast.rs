@@ -1,5 +1,5 @@
-//! Shallow syntactic analyses over the token stream: `#[cfg(test)]` region
-//! stripping, `enum` variant extraction and `match`-arm scanning.
+//! The one syntactic analysis over the token stream: `#[cfg(test)]` region
+//! stripping.
 
 use crate::lexer::Token;
 
@@ -89,242 +89,6 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
     i
 }
 
-/// Extracts the variant names of `enum <name>` from a token stream.
-///
-/// Returns `None` when no such enum definition is present.
-pub fn enum_variants(tokens: &[Token], name: &str) -> Option<Vec<String>> {
-    let mut i = 0usize;
-    while i < tokens.len()
-        && !(tokens[i].is_ident("enum") && tokens.get(i + 1).is_some_and(|t| t.is_ident(name)))
-    {
-        i += 1;
-    }
-    if i >= tokens.len() {
-        return None;
-    }
-    i += 2;
-    // Skip generics, if any, to the opening brace.
-    while i < tokens.len() && !tokens[i].is_punct("{") {
-        i += 1;
-    }
-    if i >= tokens.len() {
-        return None;
-    }
-    i += 1; // inside the enum body
-    let mut variants = Vec::new();
-    while i < tokens.len() && !tokens[i].is_punct("}") {
-        // Skip attributes before the variant.
-        while i + 1 < tokens.len() && tokens[i].is_punct("#") && tokens[i + 1].is_punct("[") {
-            let mut depth = 1usize;
-            i += 2;
-            while i < tokens.len() && depth > 0 {
-                if tokens[i].is_punct("[") {
-                    depth += 1;
-                } else if tokens[i].is_punct("]") {
-                    depth -= 1;
-                }
-                i += 1;
-            }
-        }
-        if i >= tokens.len() || tokens[i].is_punct("}") {
-            break;
-        }
-        if tokens[i].kind == crate::lexer::TokenKind::Ident {
-            variants.push(tokens[i].text.clone());
-        }
-        i += 1;
-        // Skip the variant's fields/discriminant to the next top-level comma.
-        let mut depth = 0usize;
-        while i < tokens.len() {
-            let t = &tokens[i];
-            if t.is_punct("(") || t.is_punct("{") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth = depth.saturating_sub(1);
-            } else if t.is_punct("}") {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if t.is_punct(",") && depth == 0 {
-                i += 1;
-                break;
-            }
-            i += 1;
-        }
-    }
-    Some(variants)
-}
-
-/// One `match` expression found in a token stream: its source line and the
-/// pattern tokens of each arm (guards included, bodies excluded).
-#[derive(Debug)]
-pub struct MatchExpr {
-    /// Line of the `match` keyword.
-    pub line: u32,
-    /// Per-arm pattern token lists.
-    pub arm_patterns: Vec<Vec<Token>>,
-}
-
-impl MatchExpr {
-    /// The variants of `enum_name` referenced across all arm patterns
-    /// (`Enum::Variant` paths).
-    pub fn referenced_variants(&self, enum_name: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for pattern in &self.arm_patterns {
-            for w in pattern.windows(3) {
-                if w[0].is_ident(enum_name)
-                    && w[1].is_punct("::")
-                    && w[2].kind == crate::lexer::TokenKind::Ident
-                    && !out.contains(&w[2].text)
-                {
-                    out.push(w[2].text.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Lines of arms whose whole pattern is a catch-all: a bare `_`, a bare
-    /// `_` with a guard, or a single binding identifier.
-    pub fn catch_all_arms(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for pattern in &self.arm_patterns {
-            let Some(first) = pattern.first() else {
-                continue;
-            };
-            // `_` lexes as an identifier-shaped token; compare by text.
-            let is_catch_all = match pattern.len() {
-                1 => first.kind == crate::lexer::TokenKind::Ident,
-                _ => first.text == "_" && pattern.get(1).is_some_and(|t| t.is_ident("if")),
-            };
-            if is_catch_all {
-                out.push(first.line);
-            }
-        }
-        out
-    }
-}
-
-/// Finds every `match` expression in a token stream and parses its arms.
-pub fn find_matches(tokens: &[Token]) -> Vec<MatchExpr> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_ident("match") {
-            let line = tokens[i].line;
-            // The body is the first `{` at bracket/paren depth 0 after the
-            // scrutinee (a bare struct literal cannot appear there).
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct("(") || t.is_punct("[") {
-                    depth += 1;
-                } else if t.is_punct(")") || t.is_punct("]") {
-                    depth = depth.saturating_sub(1);
-                } else if t.is_punct("{") {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth += 1;
-                } else if t.is_punct("}") {
-                    depth = depth.saturating_sub(1);
-                }
-                j += 1;
-            }
-            if j < tokens.len() {
-                let (arms, _end) = parse_arms(tokens, j + 1);
-                out.push(MatchExpr {
-                    line,
-                    arm_patterns: arms,
-                });
-                // Resume just inside the body so nested matches (in arm
-                // bodies) are discovered too.
-                i = j + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses the arms of a match body starting just inside its `{`. Returns the
-/// arm patterns and the index one past the body's closing `}`.
-fn parse_arms(tokens: &[Token], start: usize) -> (Vec<Vec<Token>>, usize) {
-    let mut arms = Vec::new();
-    let mut i = start;
-    loop {
-        // End of body?
-        match tokens.get(i) {
-            None => return (arms, i),
-            Some(t) if t.is_punct("}") => return (arms, i + 1),
-            _ => {}
-        }
-        // Pattern: tokens up to `=>` at local depth 0.
-        let mut pattern = Vec::new();
-        let mut depth = 0usize;
-        while i < tokens.len() {
-            let t = &tokens[i];
-            if t.is_punct("=>") && depth == 0 {
-                i += 1;
-                break;
-            }
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth = depth.saturating_sub(1);
-            } else if t.is_punct("}") {
-                if depth == 0 {
-                    // Malformed arm (or macro soup); bail out of this match.
-                    return (arms, i + 1);
-                }
-                depth -= 1;
-            }
-            pattern.push(t.clone());
-            i += 1;
-        }
-        arms.push(pattern);
-        // Body: a balanced block, or an expression up to a `,` at depth 0.
-        if tokens.get(i).is_some_and(|t| t.is_punct("{")) {
-            let mut d = 1usize;
-            i += 1;
-            while i < tokens.len() && d > 0 {
-                if tokens[i].is_punct("{") {
-                    d += 1;
-                } else if tokens[i].is_punct("}") {
-                    d -= 1;
-                }
-                i += 1;
-            }
-            if tokens.get(i).is_some_and(|t| t.is_punct(",")) {
-                i += 1;
-            }
-        } else {
-            let mut d = 0usize;
-            while i < tokens.len() {
-                let t = &tokens[i];
-                if t.is_punct(",") && d == 0 {
-                    i += 1;
-                    break;
-                }
-                if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                    d += 1;
-                } else if t.is_punct(")") || t.is_punct("]") {
-                    d = d.saturating_sub(1);
-                } else if t.is_punct("}") {
-                    if d == 0 {
-                        break; // end of the match body
-                    }
-                    d -= 1;
-                }
-                i += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,78 +124,5 @@ mod tests {
         assert!(!tokens.iter().any(|t| t.is_ident("HashSet")));
         assert!(!tokens.iter().any(|t| t.is_ident("Probe")));
         assert!(tokens.iter().any(|t| t.is_ident("real")));
-    }
-
-    #[test]
-    fn enum_variants_are_extracted() {
-        let src = "
-            pub enum Packet {
-                #[doc = \"hi\"]
-                Join { session: u32, rate: f64 },
-                Probe(u32, Option<(u8, u8)>),
-                Leave,
-            }
-        ";
-        let variants = enum_variants(&lex(src).tokens, "Packet").unwrap();
-        assert_eq!(variants, vec!["Join", "Probe", "Leave"]);
-        assert!(enum_variants(&lex(src).tokens, "Missing").is_none());
-    }
-
-    #[test]
-    fn match_arms_and_catch_alls() {
-        let src = "
-            fn f(p: Packet) {
-                match p {
-                    Packet::Join { x, .. } | Packet::Probe { .. } => go(x),
-                    Packet::Leave => { done(); }
-                    other => ignore(other),
-                }
-            }
-        ";
-        let matches = find_matches(&lex(src).tokens);
-        assert_eq!(matches.len(), 1);
-        let m = &matches[0];
-        assert_eq!(m.arm_patterns.len(), 3);
-        assert_eq!(
-            m.referenced_variants("Packet"),
-            vec!["Join", "Probe", "Leave"]
-        );
-        assert_eq!(m.catch_all_arms().len(), 1);
-    }
-
-    #[test]
-    fn tuple_wildcards_are_not_catch_alls() {
-        let src = "
-            fn f(x: (T, P)) {
-                match x {
-                    (_, Payload::Api(call)) => a(call),
-                    (_, Payload::Data { .. }) | (_, Payload::Ack { .. }) => b(),
-                }
-            }
-        ";
-        let m = &find_matches(&lex(src).tokens)[0];
-        assert!(m.catch_all_arms().is_empty());
-        assert_eq!(m.referenced_variants("Payload"), vec!["Api", "Data", "Ack"]);
-    }
-
-    #[test]
-    fn guarded_wildcard_is_a_catch_all() {
-        let src = "fn f(p: P) { match p { P::A => 1, _ if p.ok() => 2, P::B => 3, }; }";
-        let m = &find_matches(&lex(src).tokens)[0];
-        assert_eq!(m.catch_all_arms().len(), 1);
-    }
-
-    #[test]
-    fn nested_matches_are_all_found() {
-        let src = "
-            fn f(p: P) {
-                match p {
-                    P::A => match q { Q::X => 1, Q::Y => 2 },
-                    P::B => 0,
-                }
-            }
-        ";
-        let matches = find_matches(&lex(src).tokens);
-        assert_eq!(matches.len(), 2);
     }
 }

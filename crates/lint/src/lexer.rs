@@ -2,8 +2,8 @@
 //!
 //! The lexer's one hard obligation is getting *boundaries* right — comments,
 //! string literals (including raw and byte strings), char literals versus
-//! lifetimes — so that a `HashMap` inside a doc comment or a format string
-//! never counts as code. Everything else (numeric literal grammar, the full
+//! lifetimes — so that a `Vec::new()` inside a doc comment or a format
+//! string never counts as code. Everything else (numeric literal grammar, the full
 //! operator set) is deliberately loose: the rules only ever look at
 //! identifiers, a handful of multi-character operators (`::`, `=>`, `->`,
 //! `..`) and single punctuation characters.
@@ -11,10 +11,9 @@
 /// What a [`Token`] is, at the granularity the rules care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (`match`, `HashMap`, `fn`, ...).
+    /// An identifier or keyword (`match`, `Vec`, `fn`, ...).
     Ident,
-    /// A string, char, byte or numeric literal. The text of string literals
-    /// is kept verbatim (quotes included) so artifact rules can read them.
+    /// A string, char, byte or numeric literal, kept verbatim.
     Literal,
     /// A lifetime (`'a`, `'static`).
     Lifetime,
@@ -50,13 +49,13 @@ impl Token {
 ///
 /// An annotation suppresses findings of `rule` on its *target line*: the line
 /// the comment sits on if that line has code, otherwise the next line that
-/// does. The `reason` is mandatory — [`crate::rules::meta`] reports
-/// annotations without one.
+/// does. The `reason` is mandatory — [`crate::run_workspace`] reports
+/// annotations without one (XLINT001).
 #[derive(Debug, Clone)]
 pub struct Annotation {
     /// 1-indexed line of the comment itself.
     pub line: u32,
-    /// The rule being allowed (e.g. `DET001`), or the malformed text.
+    /// The rule being allowed (e.g. `HOT001`), or the malformed text.
     pub rule: String,
     /// The justification string, if one was given.
     pub reason: Option<String>,
@@ -399,13 +398,16 @@ mod tests {
     #[test]
     fn annotations_parse_rule_and_reason() {
         let lexed = lex(
-            "let m = x(); // xlint: allow(DET001, reason = \"fixed hasher\")\n\
+            "let v = x(); // xlint: allow(HOT001, reason = \"one-time construction\")\n\
              // xlint: allow(HOT001)\n\
              // xlint: nonsense\n",
         );
         assert_eq!(lexed.annotations.len(), 3);
-        assert_eq!(lexed.annotations[0].rule, "DET001");
-        assert_eq!(lexed.annotations[0].reason.as_deref(), Some("fixed hasher"));
+        assert_eq!(lexed.annotations[0].rule, "HOT001");
+        assert_eq!(
+            lexed.annotations[0].reason.as_deref(),
+            Some("one-time construction")
+        );
         assert!(lexed.annotations[0].well_formed);
         assert_eq!(lexed.annotations[1].rule, "HOT001");
         assert_eq!(lexed.annotations[1].reason, None);

@@ -1,28 +1,28 @@
-//! `bneck-xlint`: a workspace-aware determinism and hot-path static-analysis
-//! pass, wired as a CI gate.
+//! `bneck-xlint`: the hot-path allocation gate, wired as a CI job.
 //!
-//! The roadmap's parallel-engine item stakes everything on determinism
-//! invariants (bit-identical reports at any thread count). Until this crate,
-//! those invariants lived in reviewers' heads and in after-the-fact dynamic
-//! checks (`crates/bench/tests/determinism.rs`, the interleaving explorer).
-//! xlint checks them *mechanically, before execution*, as named rules over a
-//! lightweight Rust token stream (no crates.io dependencies — the same
+//! The simulator's per-event path was freed of allocation (reusable
+//! `ActionBuffer`, calendar slab, inline id map), and the speed of every
+//! workload in the benchmark rests on it staying that way. No compiler or
+//! clippy lint bans allocation in a chosen set of files, so this crate does,
+//! over a lightweight Rust token stream (no crates.io dependencies — the same
 //! offline discipline as the serde shims):
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | DET001 | deterministic crates | no std `HashMap`/`HashSet` (seeded iteration order) |
-//! | DET002 | everywhere but binary entry points | no `Instant::now`/`SystemTime`/`thread::current`/`std::env` reads |
-//! | EXH001 | task-handler files | protocol `match`es name every enum variant, no `_ =>` |
-//! | HOT001 | hot-path manifest | no allocation calls on the per-event path |
-//! | UNW001 | deterministic crates | bare `unwrap()` ratchet — the count can only go down |
-//! | SPEC001 | spec presets | every preset has a golden fixture, no stray fixtures |
+//! | HOT001 | hot-path manifest ([`Config::hot_path_files`]) | no allocation calls on the per-event path; every manifest entry names an existing file |
+//!
+//! The workspace's other static invariants live in the gates that already
+//! run in CI: `clippy.toml` bans seeded-order hash collections, wall-clock,
+//! environment and thread-identity reads; the deterministic crates warn on
+//! `clippy::unwrap_used`; the task-handler files warn on
+//! `clippy::wildcard_enum_match_arm`; and `crates/bench/tests/specs.rs` pins
+//! every spec preset to its golden fixture.
 //!
 //! A finding is suppressed only by an in-source annotation on (or directly
 //! above) the offending line, and the reason is mandatory:
 //!
 //! ```text
-//! // xlint: allow(DET001, reason = "fixed Fibonacci hasher: order is a pure function of the op sequence")
+//! // xlint: allow(HOT001, reason = "host construction, once before any packet")
 //! ```
 //!
 //! Meta-rules keep the annotations honest: XLINT001 (an annotation without a
@@ -35,8 +35,7 @@ pub mod report;
 pub mod rules;
 
 use report::{Finding, Report, ALL_RULES};
-use rules::{EnumSpec, FileContext};
-use std::collections::BTreeMap;
+use rules::FileContext;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,31 +45,15 @@ use std::path::{Path, PathBuf};
 /// trees.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crate directory names (under `crates/`) whose behaviour must be a
-    /// pure function of (spec, seed): the protocol engine and everything
-    /// below the experiment driver.
-    pub deterministic_crates: Vec<String>,
     /// The hot-path manifest: workspace-relative files on the per-event path
     /// where allocation is banned (HOT001).
     pub hot_path_files: Vec<String>,
-    /// Task-handler files whose protocol matches must be exhaustive (EXH001).
-    pub handler_files: Vec<String>,
-    /// Protocol enums checked by EXH001: `(enum name, defining file)`.
-    pub protocol_enums: Vec<(String, String)>,
-    /// The committed bare-`unwrap()` ratchet, per deterministic crate.
-    pub unwrap_budget_file: String,
-    /// The module holding `PRESET_NAMES` (SPEC001).
-    pub spec_file: String,
-    /// Directory of golden spec fixtures (SPEC001).
-    pub spec_fixtures_dir: String,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Config {
-            deterministic_crates: s(&["sim", "core", "maxmin", "baselines", "net", "workload"]),
-            hot_path_files: s(&[
+            hot_path_files: [
                 "crates/sim/src/engine.rs",
                 "crates/sim/src/event.rs",
                 "crates/core/src/router_link.rs",
@@ -79,30 +62,9 @@ impl Default for Config {
                 "crates/maxmin/src/idmap.rs",
                 "crates/node/src/runtime.rs",
                 "crates/node/src/transport.rs",
-            ]),
-            handler_files: s(&[
-                "crates/core/src/router_link.rs",
-                "crates/core/src/source.rs",
-                "crates/core/src/destination.rs",
-                "crates/core/src/recovery.rs",
-                "crates/core/src/harness.rs",
-                "crates/core/src/host.rs",
-                "crates/node/src/codec.rs",
-                "crates/node/src/runtime.rs",
-            ]),
-            protocol_enums: vec![
-                (
-                    "Packet".to_string(),
-                    "crates/core/src/packet.rs".to_string(),
-                ),
-                (
-                    "Payload".to_string(),
-                    "crates/core/src/harness.rs".to_string(),
-                ),
-            ],
-            unwrap_budget_file: "crates/lint/unwrap-budget.txt".to_string(),
-            spec_file: "crates/workload/src/spec.rs".to_string(),
-            spec_fixtures_dir: "crates/bench/tests/specs".to_string(),
+            ]
+            .map(String::from)
+            .to_vec(),
         }
     }
 }
@@ -123,34 +85,12 @@ struct ResolvedAnnotation {
 ///
 /// # Errors
 ///
-/// Only on I/O failure walking the tree; unreadable artifacts named by the
-/// config surface as findings, not errors.
+/// Only on I/O failure walking the tree; a manifest entry that names no
+/// file surfaces as a finding, not an error.
 pub fn run_workspace(root: &Path, config: &Config) -> io::Result<Report> {
     let mut report = Report::default();
     let mut findings: Vec<Finding> = Vec::new();
-    let mut unwrap_sites: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-
-    // Preload the protocol enums for EXH001.
-    let mut enums: Vec<EnumSpec> = Vec::new();
-    for (name, file) in &config.protocol_enums {
-        match fs::read_to_string(root.join(file)) {
-            Ok(src) => match rules::enum_spec(&lexer::lex(&src).tokens, name) {
-                Some(spec) => enums.push(spec),
-                None => findings.push(Finding::new(
-                    "EXH001",
-                    file.clone(),
-                    0,
-                    format!("enum `{name}` not found in its defining file"),
-                )),
-            },
-            Err(err) => findings.push(Finding::new(
-                "EXH001",
-                file.clone(),
-                0,
-                format!("cannot read enum definition: {err}"),
-            )),
-        }
-    }
+    let mut hot_files_seen: Vec<&str> = Vec::new();
 
     for file in source_files(&root.join("crates"))? {
         let rel = file
@@ -166,48 +106,15 @@ pub fn run_workspace(root: &Path, config: &Config) -> io::Result<Report> {
         };
         report.files_scanned += 1;
 
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("")
-            .to_string();
-        let deterministic = config.deterministic_crates.contains(&crate_name);
-        let entry_point = rel.ends_with("/src/main.rs") || rel.contains("/src/bin/");
-
         let mut raw: Vec<Finding> = Vec::new();
-        if deterministic {
-            raw.extend(rules::det001(&ctx));
-        }
-        if !entry_point {
-            raw.extend(rules::det002(&ctx));
-        }
-        if config.hot_path_files.iter().any(|f| f == &rel) {
+        if let Some(hot) = config.hot_path_files.iter().find(|f| **f == rel) {
+            hot_files_seen.push(hot);
             raw.extend(rules::hot001(&ctx));
         }
-        if config.handler_files.iter().any(|f| f == &rel) {
-            raw.extend(rules::exh001(&ctx, &enums));
-        }
-        let raw_unwraps = if deterministic {
-            rules::unw001(&ctx)
-        } else {
-            Vec::new()
-        };
 
         // Resolve annotations to target lines and apply suppressions.
         let mut annotations = resolve_annotations(&lexed.annotations, &lexed.tokens, &ctx);
         raw.retain(|f| !suppress(&mut annotations, f));
-        let mut kept_unwraps: Vec<Finding> = Vec::new();
-        for f in raw_unwraps {
-            if !suppress(&mut annotations, &f) {
-                kept_unwraps.push(f);
-            }
-        }
-        if deterministic {
-            unwrap_sites
-                .entry(crate_name)
-                .or_default()
-                .extend(kept_unwraps);
-        }
         findings.extend(raw);
 
         // Meta-rules over the annotations themselves.
@@ -250,37 +157,20 @@ pub fn run_workspace(root: &Path, config: &Config) -> io::Result<Report> {
         }
     }
 
-    // UNW001: the advisory ratchet.
-    let budget = read_budget(&root.join(&config.unwrap_budget_file));
-    for (crate_name, sites) in unwrap_sites {
-        let allowed = budget.get(&crate_name).copied().unwrap_or(0);
-        let count = sites.len();
-        match count.cmp(&allowed) {
-            std::cmp::Ordering::Greater => {
-                for mut f in sites {
-                    f.message = format!(
-                        "{} (crate `{crate_name}`: {count} bare unwrap(s), budget {allowed} in {})",
-                        f.message, config.unwrap_budget_file
-                    );
-                    findings.push(f);
-                }
-            }
-            std::cmp::Ordering::Less => {
-                report.notes.push(format!(
-                    "UNW001: crate `{crate_name}` has {count} bare unwrap(s), below its budget of {allowed} — ratchet {} down",
-                    config.unwrap_budget_file
-                ));
-            }
-            std::cmp::Ordering::Equal => {}
-        }
+    // A manifest entry that matches no scanned file would silently drop a
+    // renamed hot file out of HOT001.
+    for missing in config
+        .hot_path_files
+        .iter()
+        .filter(|f| !hot_files_seen.contains(&f.as_str()))
+    {
+        findings.push(Finding::new(
+            "HOT001",
+            missing.clone(),
+            0,
+            "hot-path manifest entry matches no source file: update the manifest in `Config::default`",
+        ));
     }
-
-    // Cross-artifact rules.
-    findings.extend(rules::spec001(
-        root,
-        &config.spec_file,
-        &config.spec_fixtures_dir,
-    ));
 
     let rule_order = |rule: &str| {
         ALL_RULES
@@ -348,26 +238,6 @@ fn suppress(annotations: &mut [ResolvedAnnotation], finding: &Finding) -> bool {
         }
     }
     false
-}
-
-/// Parses the `crate = count` lines of the unwrap budget file.
-fn read_budget(path: &Path) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(path) else {
-        return out;
-    };
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((name, count)) = line.split_once('=') {
-            if let Ok(count) = count.trim().parse::<usize>() {
-                out.insert(name.trim().to_string(), count);
-            }
-        }
-    }
-    out
 }
 
 /// Recursively lists the non-test `.rs` sources of every crate under `dir`:

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-bneck-xlint — workspace determinism & hot-path static analysis
+bneck-xlint — hot-path allocation static analysis
 
 USAGE:
   bneck-xlint [--json] [--root PATH] [--list-rules]
@@ -22,8 +22,12 @@ EXIT STATUS:
   0 when the scan is clean, 1 on any finding, 2 on usage or I/O errors.
 
 Suppress a finding only with an in-source annotation carrying a reason:
-  // xlint: allow(DET001, reason = \"fixed hasher: order is deterministic\")";
+  // xlint: allow(HOT001, reason = \"one-time construction, before any event\")";
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the entry point is where the process arguments are read"
+)]
 fn main() -> ExitCode {
     let mut json = false;
     let mut root: Option<PathBuf> = None;

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation (or meta problem) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier, e.g. `DET001`.
+    /// Rule identifier, e.g. `HOT001`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file (or artifact).
     pub file: String,
@@ -37,9 +37,6 @@ impl Finding {
 pub struct Report {
     /// Unsuppressed findings, in rule-then-file order.
     pub findings: Vec<Finding>,
-    /// Advisory notes: printed, never failing (e.g. a ratchet that could be
-    /// tightened).
-    pub notes: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Number of `xlint: allow` annotations that suppressed a finding.
@@ -47,7 +44,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// `true` when the scan produced no findings (notes do not count).
+    /// `true` when the scan produced no findings.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -94,9 +91,6 @@ impl Report {
                 "suppress only with `// xlint: allow(RULE, reason = \"...\")` — the reason is required"
             );
         }
-        for note in &self.notes {
-            let _ = writeln!(out, "note: {note}");
-        }
         out
     }
 
@@ -119,12 +113,7 @@ impl Report {
         }
         let _ = write!(
             out,
-            "],\n  \"notes\": [{}],\n  \"files_scanned\": {},\n  \"annotations_used\": {},\n  \"clean\": {}\n}}\n",
-            self.notes
-                .iter()
-                .map(|n| json_str(n))
-                .collect::<Vec<_>>()
-                .join(", "),
+            "],\n  \"files_scanned\": {},\n  \"annotations_used\": {},\n  \"clean\": {}\n}}\n",
             self.files_scanned,
             self.annotations_used,
             self.is_clean()
@@ -136,16 +125,9 @@ impl Report {
 /// One-line summary of each rule, shown in tables and `--list-rules`.
 pub fn rule_summary(rule: &str) -> &'static str {
     match rule {
-        "DET001" => {
-            "no std HashMap/HashSet in deterministic crates (iteration order is nondeterministic)"
+        "HOT001" => {
+            "no allocation calls inside hot-path-manifest modules; no manifest entry without a file"
         }
-        "DET002" => "no wall-clock, thread-identity or environment reads in deterministic crates",
-        "EXH001" => {
-            "protocol matches in task handlers name every enum variant; no `_ =>` swallowing"
-        }
-        "HOT001" => "no allocation calls inside hot-path-manifest modules",
-        "UNW001" => "bare `unwrap()` count in deterministic crates may only go down (ratchet)",
-        "SPEC001" => "every spec preset has a golden fixture, and no fixture is stray",
         "XLINT001" => "an `xlint: allow` annotation must carry a non-empty reason",
         "XLINT002" => "an `xlint: allow` annotation must suppress something (no stale allows)",
         _ => "unknown rule",
@@ -153,9 +135,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
 }
 
 /// All rule identifiers, in listing order.
-pub const ALL_RULES: &[&str] = &[
-    "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "XLINT001", "XLINT002",
-];
+pub const ALL_RULES: &[&str] = &["HOT001", "XLINT001", "XLINT002"];
 
 /// Escapes a string as a JSON literal (quotes included).
 fn json_str(s: &str) -> String {
@@ -190,10 +170,10 @@ mod tests {
         };
         report
             .findings
-            .push(Finding::new("DET001", "a/b.rs", 7, "uses \"HashMap\""));
+            .push(Finding::new("HOT001", "a/b.rs", 7, "uses \"Vec::new\""));
         let json = report.render_json();
-        assert!(json.contains("\"rule\": \"DET001\""));
-        assert!(json.contains("\\\"HashMap\\\""));
+        assert!(json.contains("\"rule\": \"HOT001\""));
+        assert!(json.contains("\\\"Vec::new\\\""));
         assert!(json.contains("\"clean\": false"));
     }
 

@@ -1,23 +1,7 @@
-//! Positive fixture: one violation of every file-level rule.
-
-use std::collections::HashMap; // DET001
-
-pub fn naughty_map() -> HashMap<u32, u32> {
-    HashMap::new()
-}
-
-pub fn clock() -> u64 {
-    // xlint: allow(DET002)
-    let _suppressed_but_reasonless = std::time::Instant::now(); // XLINT001
-    let t = std::time::Instant::now(); // DET002 (unannotated)
-    t.elapsed().as_nanos() as u64
-}
+//! Positive fixture for XLINT002: an allow in a file outside the hot-path
+//! manifest suppresses nothing.
 
 // xlint: allow(HOT001, reason = "this file is not in the hot-path manifest, so this allow is stale") // XLINT002
-pub fn stale_target() -> u32 {
-    7
-}
-
-pub fn over_budget(a: Option<u32>, b: Option<u32>) -> u32 {
-    a.unwrap() + b.unwrap() // UNW001: two sites, budget is one
+pub fn stale_target() -> Vec<u32> {
+    Vec::new()
 }

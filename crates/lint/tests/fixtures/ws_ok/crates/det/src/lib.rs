@@ -1,18 +1,7 @@
-//! Negative fixture: ordered collections, annotated exceptions with
-//! reasons, and a bare unwrap exactly at its budget.
+//! Negative fixture: allocation outside the hot-path manifest is no finding.
 
-use std::collections::BTreeMap;
+pub mod hot;
 
-pub fn ordered_map() -> BTreeMap<u32, u32> {
-    BTreeMap::new()
-}
-
-pub fn clock() -> u64 {
-    // xlint: allow(DET002, reason = "fixture: timing detail that never reaches a report")
-    let t = std::time::Instant::now();
-    t.elapsed().as_nanos() as u64
-}
-
-pub fn at_budget(a: Option<u32>) -> u32 {
-    a.unwrap() // one site, budget is one: neither finding nor note
+pub fn cold_path() -> Vec<u32> {
+    Vec::new()
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests: the fixture corpus exercises every rule in both
 //! directions, and the committed workspace itself must scan clean.
 
-use bneck_lint::report::Report;
+use bneck_lint::report::{Report, ALL_RULES};
 use bneck_lint::{run_workspace, Config};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -9,13 +9,7 @@ use std::path::{Path, PathBuf};
 /// The config both fixture trees are laid out for.
 fn fixture_config() -> Config {
     Config {
-        deterministic_crates: vec!["det".to_string()],
         hot_path_files: vec!["crates/det/src/hot.rs".to_string()],
-        handler_files: vec!["crates/det/src/handler.rs".to_string()],
-        protocol_enums: vec![("Packet".to_string(), "crates/det/src/packet.rs".to_string())],
-        unwrap_budget_file: "budget.txt".to_string(),
-        spec_file: "crates/det/src/spec.rs".to_string(),
-        spec_fixtures_dir: "specs".to_string(),
     }
 }
 
@@ -33,9 +27,7 @@ fn scan(name: &str) -> Report {
 fn bad_fixture_triggers_every_rule() {
     let report = scan("ws_bad");
     let fired: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
-    for rule in [
-        "DET001", "DET002", "EXH001", "HOT001", "UNW001", "SPEC001", "XLINT001", "XLINT002",
-    ] {
+    for rule in ALL_RULES {
         assert!(
             fired.contains(rule),
             "{rule} did not fire on ws_bad; findings: {:#?}",
@@ -53,41 +45,20 @@ fn bad_fixture_finding_lines_are_exact() {
             .iter()
             .any(|f| f.rule == rule && f.file == file && f.line == line)
     };
-    assert!(has("DET001", "crates/det/src/lib.rs", 3), "use line");
-    assert!(
-        has("DET002", "crates/det/src/lib.rs", 12),
-        "bare Instant::now"
-    );
-    assert!(
-        !has("DET002", "crates/det/src/lib.rs", 11),
-        "the reasonless allow still suppresses; XLINT001 reports it instead"
-    );
-    assert!(
-        has("XLINT001", "crates/det/src/lib.rs", 10),
-        "allow without reason"
-    );
-    assert!(has("XLINT002", "crates/det/src/lib.rs", 16), "stale allow");
     assert!(
         has("HOT001", "crates/det/src/hot.rs", 4),
         "Vec::new in hot file"
     );
     assert!(
-        has("EXH001", "crates/det/src/handler.rs", 6),
-        "missing variants"
+        !has("HOT001", "crates/det/src/hot.rs", 9),
+        "the reasonless allow still suppresses; XLINT001 reports it instead"
     );
     assert!(
-        has("EXH001", "crates/det/src/handler.rs", 8),
-        "catch-all arm"
+        has("XLINT001", "crates/det/src/hot.rs", 8),
+        "allow without reason"
     );
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "UNW001")
-            .count(),
-        2,
-        "both unwrap sites reported once over budget"
-    );
+    assert!(has("XLINT002", "crates/det/src/lib.rs", 4), "stale allow");
+    assert_eq!(report.findings.len(), 3, "{:#?}", report.findings);
 }
 
 #[test]
@@ -98,14 +69,21 @@ fn ok_fixture_is_clean_with_annotations_in_effect() {
         "ws_ok should be clean; findings: {:#?}",
         report.findings
     );
+    assert_eq!(report.annotations_used, 1, "the HOT001 allow is used");
+}
+
+#[test]
+fn manifest_entry_without_a_file_is_a_finding() {
+    let mut config = fixture_config();
+    config
+        .hot_path_files
+        .push("crates/det/src/renamed.rs".to_string());
+    let report = run_workspace(&fixture_root("ws_ok"), &config).expect("fixture tree scans");
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    let finding = &report.findings[0];
     assert_eq!(
-        report.annotations_used, 2,
-        "DET002 + HOT001 allows both used"
-    );
-    assert!(
-        report.notes.is_empty(),
-        "unwrap count equals its budget: no ratchet note; notes: {:?}",
-        report.notes
+        (finding.rule, finding.file.as_str(), finding.line),
+        ("HOT001", "crates/det/src/renamed.rs", 0)
     );
 }
 

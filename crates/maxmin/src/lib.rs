@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod centralized;
 pub mod idmap;

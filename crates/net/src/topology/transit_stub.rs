@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn wan_delays_are_heterogeneous() {
         let net = paper_network(NetworkSize::Small, 10, DelayModel::Wan, 11);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for link in net.links() {
             distinct.insert(link.delay());
         }

@@ -22,6 +22,8 @@
 //! the range itself and reports [`DecodeError::InvalidRateLimit`] instead of
 //! letting the constructor panic on hostile bytes.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use bneck_core::packet::{Packet, ResponseKind};
 use bneck_maxmin::{RateLimit, SessionId};
 use bneck_net::LinkId;

@@ -63,6 +63,8 @@
 //! counters after a settle delay, making the silence *measurable* rather
 //! than merely inferred.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 use crate::codec::{self, WireFrame};
 use crate::partition::WorldPartition;
 use crate::transport::{whole_frame, Transport};
@@ -84,9 +86,11 @@ use std::time::{Duration, Instant};
 /// The wall clock. The node runtime is real-time code — retransmission
 /// deadlines, silence latency and event timestamps are wall-clock quantities —
 /// so this is the one sanctioned call site in the crate.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the node runtime runs on wall-clock time by design; timers and latency reports are real-time quantities"
+)]
 fn wall_now() -> Instant {
-    #[allow(clippy::disallowed_methods)]
-    // xlint: allow(DET002, reason = "the node runtime runs on wall-clock time by design; timers and latency reports are real-time quantities")
     Instant::now()
 }
 

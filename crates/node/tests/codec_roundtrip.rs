@@ -67,7 +67,10 @@ fn target(tag: u8, link: u32, hop: u32, slot: u32) -> NodeTarget {
 
 /// Builds any frame variant from drawn raw material. Tags 0–6 mirror the
 /// codec's frame tags; the packet/target material is reused across variants.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per drawn strategy value; a struct would only restate the strategy tuple"
+)]
 fn frame(
     ftag: u8,
     ttag: u8,

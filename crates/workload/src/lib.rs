@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod dynamics;
 pub mod experiments;

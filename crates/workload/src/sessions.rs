@@ -193,16 +193,20 @@ impl<'a> SessionPlanner<'a> {
     }
 }
 
-/// Worker-thread count from `BNECK_THREADS`; unset, empty or unparsable
-/// values fall back to the available parallelism.
-#[allow(clippy::disallowed_methods)] // mirrored by the xlint DET002 allow below
-fn threads_from_env() -> usize {
-    // xlint: allow(DET002, reason = "thread count selects scheduling only; results are bit-identical at any value (determinism suite)")
-    match std::env::var("BNECK_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => available_parallelism(),
-        },
+/// Worker-thread count from `BNECK_THREADS`, the one thread knob of both the
+/// planner and the sweep runner; unset, empty, zero or unparsable values fall
+/// back to the available parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "thread count selects scheduling only; results are bit-identical at any value (determinism suite)"
+)]
+pub fn threads_from_env() -> usize {
+    parse_threads(std::env::var("BNECK_THREADS").ok().as_deref())
+}
+
+fn parse_threads(value: Option<&str>) -> usize {
+    match value.map(str::trim).map(str::parse::<usize>) {
+        Some(Ok(n)) if n >= 1 => n,
         _ => available_parallelism(),
     }
 }
@@ -217,6 +221,18 @@ fn available_parallelism() -> usize {
 mod tests {
     use super::*;
     use crate::scenario::NetworkScenario;
+
+    #[test]
+    fn thread_knob_parsing() {
+        assert_eq!(parse_threads(Some("3")), 3);
+        assert_eq!(parse_threads(Some(" 12 ")), 12);
+        // Unset, empty, zero and junk all fall back to the machine default.
+        let fallback = available_parallelism();
+        assert_eq!(parse_threads(None), fallback);
+        assert_eq!(parse_threads(Some("")), fallback);
+        assert_eq!(parse_threads(Some("0")), fallback);
+        assert_eq!(parse_threads(Some("lots")), fallback);
+    }
 
     #[test]
     fn plans_distinct_sources_and_valid_destinations() {

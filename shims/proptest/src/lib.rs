@@ -101,7 +101,7 @@ macro_rules! tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the bindings reuse the strategy type parameters' names")]
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
             }

@@ -828,6 +828,10 @@ where
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "serde's impl for the std map; entries are sorted, so the text is deterministic"
+)]
 impl<K, V, S> Serialize for std::collections::HashMap<K, V, S>
 where
     K: Serialize,
@@ -845,6 +849,10 @@ where
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "serde's impl for the std map; building a map observes no iteration order"
+)]
 impl<'de, K, V, S> Deserialize<'de> for std::collections::HashMap<K, V, S>
 where
     K: Deserialize<'de> + Eq + std::hash::Hash,
