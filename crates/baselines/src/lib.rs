@@ -38,8 +38,7 @@ pub use common::{
 };
 pub use rcp::Rcp;
 
-use bneck_net::Network;
-use bneck_workload::{ProtocolRegistry, ProtocolWorld};
+use bneck_workload::ProtocolRegistry;
 
 /// The display names of the three baselines, in the order the paper's
 /// Experiment 3 reports them.
@@ -70,38 +69,6 @@ pub fn register_baselines(registry: &mut ProtocolRegistry) {
             BaselineConfig::default(),
         ))
     });
-}
-
-/// Builds a baseline simulation by its display name (`BFYZ`, `CG` or `RCP`)
-/// behind the unified [`ProtocolWorld`] trait, or `None` for unknown names.
-///
-/// This is the dispatch boundary of the experiment drivers: the runner in
-/// `bneck-bench` holds `&mut dyn ProtocolWorld`, so adding a protocol here
-/// (or an entirely new harness implementing the trait) requires no change to
-/// the runner itself.
-pub fn baseline_by_name<'a>(
-    name: &str,
-    network: &'a Network,
-    config: BaselineConfig,
-) -> Option<Box<dyn ProtocolWorld + 'a>> {
-    match name {
-        "BFYZ" => Some(Box::new(BaselineSimulation::new(
-            network,
-            Bfyz::default(),
-            config,
-        ))),
-        "CG" => Some(Box::new(BaselineSimulation::new(
-            network,
-            CobbGouda::default(),
-            config,
-        ))),
-        "RCP" => Some(Box::new(BaselineSimulation::new(
-            network,
-            Rcp::default(),
-            config,
-        ))),
-        _ => None,
-    }
 }
 
 /// Commonly used items, suitable for glob import.

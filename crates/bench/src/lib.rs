@@ -34,12 +34,12 @@ pub mod sweep;
 
 pub use report::{render_tables, run_spec, ExperimentReport, SpecOutcome};
 pub use runner::{
-    build_protocol, default_protocols, fault_point_configs, run_experiment1_point,
-    run_experiment1_sweep, run_experiment2, run_experiment2_repeats, run_experiment3,
-    run_experiment3_registry, run_experiment3_with, run_fault_point, run_fault_sweep,
-    run_scale_point, run_scale_sweep, run_validation_sweep, validate_scenario, ChannelFaultSummary,
-    Experiment1Point, Experiment2PhaseResult, Experiment2Run, Experiment3Result, Experiment3Sample,
-    FaultOutcome, FaultPointConfig, FaultPointReport, FaultRunResult, ScaleReport, ScaleRun,
-    ValidationPoint, ValidationReport,
+    default_protocols, fault_point_configs, run_experiment1_point, run_experiment1_sweep,
+    run_experiment2, run_experiment2_repeats, run_experiment3, run_experiment3_registry,
+    run_experiment3_with, run_fault_point, run_fault_sweep, run_scale_point, run_scale_sweep,
+    run_validation_sweep, validate_scenario, ChannelFaultSummary, Experiment1Point,
+    Experiment2PhaseResult, Experiment2Run, Experiment3Result, Experiment3Sample, FaultOutcome,
+    FaultPointConfig, FaultPointReport, FaultRunResult, ScaleReport, ScaleRun, ValidationPoint,
+    ValidationReport,
 };
 pub use sweep::SweepRunner;

@@ -17,8 +17,7 @@
 use crate::runner::{
     fault_point_configs, run_experiment1_sweep, run_experiment2_repeats, run_experiment3_registry,
     run_fault_sweep, run_scale_sweep, run_validation_sweep, Experiment1Point, Experiment2Run,
-    Experiment3Result, FaultPointReport, ScaleReport, ScaleTimings, ValidationPoint,
-    ValidationReport,
+    Experiment3Result, FaultPointReport, ScaleReport, ScaleTimings, ValidationReport,
 };
 use crate::sweep::SweepRunner;
 use bneck_core::PacketKind;
@@ -155,16 +154,7 @@ pub fn run_spec(
             })
         }
         ExperimentKind::Validation(validation) => {
-            let points: Vec<ValidationPoint> = validation
-                .runs(topologies)?
-                .into_iter()
-                .map(|run| ValidationPoint {
-                    scenario: run.scenario,
-                    sessions: run.sessions,
-                    seed: run.seed,
-                })
-                .collect();
-            let reports = run_validation_sweep(points, runner);
+            let reports = run_validation_sweep(validation.runs(topologies)?, runner);
             Ok(SpecOutcome {
                 report: ExperimentReport::Validation(reports),
                 notes: Vec::new(),

@@ -2,12 +2,12 @@
 //!
 //! Every protocol is driven through the unified
 //! [`ProtocolWorld`](bneck_workload::ProtocolWorld) trait (`&mut dyn
-//! ProtocolWorld` at the driver boundary, built by [`build_protocol`]), so
-//! adding a protocol touches only the factory in `bneck-baselines`, not the
-//! runner. The `*_sweep`/`*_repeats` entry points fan their independent
-//! points across worker threads with the [`SweepRunner`]; every point's RNG
-//! seed derives from the point itself, so reports are bit-identical at any
-//! thread count.
+//! ProtocolWorld` at the driver boundary, built by name through
+//! [`default_protocols`]), so adding a protocol touches only the registry in
+//! `bneck-baselines`, not the runner. The `*_sweep`/`*_repeats` entry points
+//! fan their independent points across worker threads with the
+//! [`SweepRunner`]; every point's RNG seed derives from the point itself, so
+//! reports are bit-identical at any thread count.
 
 use crate::sweep::SweepRunner;
 use bneck_core::prelude::*;
@@ -121,7 +121,11 @@ pub fn run_experiment2(
 ) -> (Vec<Experiment2PhaseResult>, PacketTimeSeries) {
     let network = config.scenario.build();
     let mut planner = config.planner(&network);
-    let mut sim = BneckSimulation::new(&network, BneckConfig::default().with_packet_log());
+    let mut sim = BneckSimulation::new(&network, BneckConfig::default());
+    // Packets are binned as they are sent: at paper scale a whole-run log
+    // would hold tens of millions of entries.
+    let recorder = SeriesRecorder::new(Delay::from_millis(5));
+    sim.subscribe(recorder.clone());
     let mut results = Vec::new();
     for phase in config.phases() {
         let start = if sim.now() == SimTime::ZERO {
@@ -151,10 +155,7 @@ pub fn run_experiment2(
             validated,
         });
     }
-    // Borrow the log in place: at paper scale it holds tens of millions of
-    // entries, and a snapshot clone would momentarily double that memory.
-    let series = sim.with_packet_log(|log| PacketTimeSeries::from_log(log, Delay::from_millis(5)));
-    (results, series)
+    (results, recorder.series())
 }
 
 /// One full Experiment 2 run: the seed it was planned with, its five phase
@@ -181,7 +182,7 @@ pub fn run_experiment2_repeats(
 ) -> Vec<Experiment2Run> {
     let configs: Vec<Experiment2Config> = (0..repeats.max(1) as u64)
         .map(|i| Experiment2Config {
-            seed: base.seed + i,
+            seed: base.seed.wrapping_add(i),
             ..*base
         })
         .collect();
@@ -222,17 +223,6 @@ pub struct Experiment3Result {
     /// Time after which the protocol stopped sending packets entirely, if it
     /// did (only B-Neck does).
     pub quiescent_at_us: Option<u64>,
-}
-
-/// Builds a protocol-under-test by display name from the
-/// [`default_protocols`] registry: `B-Neck` itself or one of the baselines.
-///
-/// Kept as a convenience over the registry — drivers that accept a caller
-/// registry (the CLI, [`run_experiment3_registry`]) should take a
-/// [`ProtocolRegistry`] instead, so embedders can add protocols without
-/// touching this crate.
-pub fn build_protocol<'a>(name: &str, network: &'a Network) -> Option<Box<dyn ProtocolWorld + 'a>> {
-    default_protocols().build(name, network)
 }
 
 /// Drives one protocol through the Experiment 3 measurement loop: apply the
@@ -396,16 +386,7 @@ pub fn validate_scenario(
 }
 
 /// One validation run: a scenario, a session count and the workload seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ValidationPoint {
-    /// The network scenario.
-    pub scenario: NetworkScenario,
-    /// Number of sessions to plan.
-    pub sessions: usize,
-    /// Seed of the randomized workload.
-    pub seed: u64,
-}
+pub use bneck_workload::spec::ValidationRun as ValidationPoint;
 
 /// Runs every validation point, fanning the independent runs across the
 /// runner's worker threads; reports come back in point order, bit-identical
@@ -860,7 +841,7 @@ pub fn fault_point_configs(
             limits: spec.limits,
             workload_seed: spec.workload_seed,
             plan: FaultPlan::new(
-                spec.fault_seed + i as u64,
+                spec.fault_seed.wrapping_add(i as u64),
                 point.drop,
                 point.duplicate,
                 spec.reorder,
@@ -977,11 +958,12 @@ mod tests {
     #[test]
     fn unknown_protocols_are_rejected_at_the_dispatch_boundary() {
         let network = NetworkScenario::small_lan(20).build();
-        assert!(build_protocol("B-Neck", &network).is_some());
+        let protocols = default_protocols();
+        assert!(protocols.build("B-Neck", &network).is_some());
         for name in bneck_baselines::BASELINE_NAMES {
-            assert!(build_protocol(name, &network).is_some());
+            assert!(protocols.build(name, &network).is_some());
         }
-        assert!(build_protocol("XCP", &network).is_none());
+        assert!(protocols.build("XCP", &network).is_none());
     }
 
     #[test]

@@ -8,7 +8,9 @@ fn five_phase_churn_converges_and_validates_each_phase() {
     let scenario = NetworkScenario::small_lan(400).with_seed(5);
     let network = scenario.build();
     let mut planner = DynamicsPlanner::new(&network, 9);
-    let mut sim = BneckSimulation::new(&network, BneckConfig::default().with_packet_log());
+    let mut sim = BneckSimulation::new(&network, BneckConfig::default());
+    let recorder = SeriesRecorder::new(Delay::from_millis(5));
+    sim.subscribe(recorder.clone());
 
     let phases = [
         ("join", 120usize, 0usize, 0usize),
@@ -58,9 +60,9 @@ fn five_phase_churn_converges_and_validates_each_phase() {
         }
     }
 
-    // The packet log covers the whole run and ends when the last phase ends:
+    // The series covers the whole run and ends when the last phase ends:
     // after the final quiescence instant there is no packet at all.
-    let series = PacketTimeSeries::from_log(&sim.packet_log(), Delay::from_millis(5));
+    let series = recorder.series();
     assert!(series.total() > 0);
     let last_active = series.last_active_bin().unwrap();
     let quiescent_bin =

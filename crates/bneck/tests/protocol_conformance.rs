@@ -11,8 +11,8 @@
 //! runs behind the same trait, this test also pins the shared world
 //! plumbing (`bneck_core::world`) both harnesses now instantiate.
 
-use bneck::baselines::baseline_by_name;
 use bneck::prelude::*;
+use bneck_bench::default_protocols;
 use proptest::prelude::*;
 
 /// The shapes of evaluation networks the paper draws on: the two classic
@@ -167,12 +167,11 @@ proptest! {
             .collect();
         let oracle = CentralizedBneck::new(&network, &sessions).solve();
 
-        let mut worlds: Vec<Box<dyn ProtocolWorld + '_>> = vec![Box::new(
-            BneckSimulation::new(&network, BneckConfig::default()),
-        )];
-        for name in bneck::baselines::BASELINE_NAMES {
-            worlds.push(baseline_by_name(name, &network, BaselineConfig::default()).unwrap());
-        }
+        let protocols = default_protocols();
+        let mut worlds: Vec<Box<dyn ProtocolWorld + '_>> = std::iter::once("B-Neck")
+            .chain(bneck::baselines::BASELINE_NAMES)
+            .map(|name| protocols.build(name, &network).unwrap())
+            .collect();
 
         for world in &mut worlds {
             let world = world.as_mut();

@@ -15,10 +15,6 @@ pub struct BneckConfig {
     pub packet_bits: u64,
     /// Tolerance used for every rate comparison performed by the protocol.
     pub tolerance: Tolerance,
-    /// When `true`, every packet transmission is logged with its timestamp so
-    /// experiments can build per-interval traffic breakdowns (Figures 6 and 8
-    /// of the paper). Costs memory proportional to the total packet count.
-    pub record_packet_log: bool,
     /// When set, protocol packets travel inside sequenced, acknowledged and
     /// retransmitted frames (see [`crate::recovery`]), making the protocol
     /// correct over lossy, duplicating or reordering channels. `None` (the
@@ -33,19 +29,12 @@ impl Default for BneckConfig {
         BneckConfig {
             packet_bits: 256,
             tolerance: Tolerance::default(),
-            record_packet_log: false,
             recovery: None,
         }
     }
 }
 
 impl BneckConfig {
-    /// Enables the per-packet log.
-    pub fn with_packet_log(mut self) -> Self {
-        self.record_packet_log = true;
-        self
-    }
-
     /// Sets the control packet size in bits.
     ///
     /// # Panics
@@ -82,7 +71,6 @@ mod tests {
     fn default_values() {
         let c = BneckConfig::default();
         assert_eq!(c.packet_bits, 256);
-        assert!(!c.record_packet_log);
         assert!(c.recovery.is_none());
     }
 
@@ -95,10 +83,8 @@ mod tests {
     #[test]
     fn builder_methods_compose() {
         let c = BneckConfig::default()
-            .with_packet_log()
             .with_packet_bits(512)
             .with_tolerance(Tolerance::new(1e-6, 1.0));
-        assert!(c.record_packet_log);
         assert_eq!(c.packet_bits, 512);
         assert_eq!(c.tolerance, Tolerance::new(1e-6, 1.0));
     }

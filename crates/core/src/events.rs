@@ -13,10 +13,9 @@
 //!   pulling batches over registering a callback (obtained from
 //!   `BneckSimulation::rate_events`).
 //!
-//! The harness's optional packet log ([`PacketLogRecorder`]) is itself a
-//! subscriber: enabling `BneckConfig::record_packet_log` registers it, so the
-//! always-on per-packet `Vec` pushes of earlier revisions are gone — a
-//! simulation without observers pays one branch per packet, nothing more.
+//! Per-packet observation is opt-in ([`Subscriber::wants_packets`]): a
+//! simulation without packet observers pays one branch per packet, nothing
+//! more.
 
 use crate::packet::PacketKind;
 use bneck_maxmin::{Rate, SessionId};
@@ -229,34 +228,6 @@ impl std::fmt::Debug for SubscriberSet {
     }
 }
 
-/// The shared buffer of an opt-in recorder subscriber.
-pub(crate) type Recording<T> = Arc<Mutex<Vec<T>>>;
-
-pub(crate) fn snapshot<T: Clone>(recording: &Recording<T>) -> Vec<T> {
-    recording.lock().expect("recorder buffer poisoned").clone()
-}
-
-/// The opt-in per-packet log recorder (`BneckConfig::record_packet_log`),
-/// built on the subscriber surface.
-pub(crate) struct PacketLogRecorder {
-    pub(crate) log: Recording<(SimTime, PacketKind)>,
-}
-
-impl Subscriber for PacketLogRecorder {
-    fn on_rate(&mut self, _event: &RateEvent) {}
-
-    fn on_packet(&mut self, at: SimTime, kind: PacketKind) {
-        self.log
-            .lock()
-            .expect("recorder buffer poisoned")
-            .push((at, kind));
-    }
-
-    fn wants_packets(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,5 +270,34 @@ mod tests {
             assert!(!subscriber.wants_packets());
         }
         assert_eq!(seen, vec![SessionId(9)]);
+    }
+}
+
+/// Test support: a subscriber that logs every transmitted packet.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Every packet sent, in order; clones share one log.
+    #[derive(Clone, Default)]
+    pub(crate) struct PacketLog(Arc<Mutex<Vec<(SimTime, PacketKind)>>>);
+
+    impl PacketLog {
+        /// A copy of the log so far.
+        pub(crate) fn entries(&self) -> Vec<(SimTime, PacketKind)> {
+            self.0.lock().expect("log poisoned").clone()
+        }
+    }
+
+    impl Subscriber for PacketLog {
+        fn on_rate(&mut self, _event: &RateEvent) {}
+
+        fn on_packet(&mut self, at: SimTime, kind: PacketKind) {
+            self.0.lock().expect("log poisoned").push((at, kind));
+        }
+
+        fn wants_packets(&self) -> bool {
+            true
+        }
     }
 }

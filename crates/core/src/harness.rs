@@ -22,9 +22,9 @@
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 use crate::config::BneckConfig;
-use crate::events::{snapshot, PacketLogRecorder, RateEvents, Recording, Subscriber};
+use crate::events::{RateEvents, Subscriber};
 use crate::host::{ApiCall, Sink, Target, TaskHost};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::Packet;
 use crate::recovery::{RecoveryState, RecoveryStats};
 use crate::router_link::RouterLink;
 use crate::source::SourceNode;
@@ -370,8 +370,6 @@ pub struct BneckSimulation<'a> {
     network: &'a Network,
     router: Router<'a>,
     source_hosts: BTreeMap<NodeId, SessionId>,
-    /// Reading end of the opt-in per-packet log recorder.
-    packet_log: Option<Recording<(SimTime, PacketKind)>>,
 }
 
 impl<'a> fmt::Debug for BneckSimulation<'a> {
@@ -392,24 +390,13 @@ impl<'a> BneckSimulation<'a> {
     pub fn new(network: &'a Network, config: BneckConfig) -> Self {
         let mut engine = Engine::new();
         let world = BneckWorld::new(network, &mut engine, config);
-        let mut sim = BneckSimulation {
+        BneckSimulation {
             engine,
             world,
             network,
             router: Router::new(network),
             source_hosts: BTreeMap::new(),
-            packet_log: None,
-        };
-        // The optional recorder is an ordinary subscriber over the same
-        // observer surface user code registers on.
-        if config.record_packet_log {
-            let log = Recording::default();
-            sim.packet_log = Some(Arc::clone(&log));
-            sim.world
-                .host
-                .subscribe(Box::new(PacketLogRecorder { log }));
         }
-        sim
     }
 
     /// Registers an observer of this simulation: it sees every `API.Rate`
@@ -642,26 +629,6 @@ impl<'a> BneckSimulation<'a> {
         self.world.host.stats()
     }
 
-    /// A snapshot of the timestamped log of transmitted packets (empty unless
-    /// [`BneckConfig::record_packet_log`] is enabled; the recorder is a
-    /// [`Subscriber`] registered at construction).
-    ///
-    /// This clones the log; at paper scale prefer
-    /// [`BneckSimulation::with_packet_log`], which borrows it in place.
-    pub fn packet_log(&self) -> Vec<(SimTime, PacketKind)> {
-        self.packet_log.as_ref().map(snapshot).unwrap_or_default()
-    }
-
-    /// Runs `f` over the recorded packet log without copying it (an empty
-    /// slice when recording is off). The log is locked for the duration of
-    /// `f`; aggregate in place, don't re-enter the simulation.
-    pub fn with_packet_log<R>(&self, f: impl FnOnce(&[(SimTime, PacketKind)]) -> R) -> R {
-        match &self.packet_log {
-            Some(log) => f(&log.lock().expect("recorder buffer poisoned")),
-            None => f(&[]),
-        }
-    }
-
     /// `true` when every router-link task satisfies the per-link stability
     /// conditions of Definition 2. Together with [`Self::is_quiescent`], this
     /// is the paper's notion of a stable network.
@@ -769,6 +736,7 @@ impl<'a> Simulation for BneckSimulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::testing::PacketLog;
     use crate::events::{RateCause, RateEvent};
     use bneck_maxmin::prelude::*;
     use bneck_net::prelude::*;
@@ -1077,8 +1045,9 @@ mod tests {
     fn packet_log_and_rate_history_are_recorded_when_enabled() {
         let net = synthetic::dumbbell(2, mbps(100.0), mbps(60.0), us(1));
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let config = BneckConfig::default().with_packet_log();
-        let mut sim = BneckSimulation::new(&net, config);
+        let mut sim = BneckSimulation::new(&net, BneckConfig::default());
+        let log = PacketLog::default();
+        sim.subscribe(log.clone());
         let rates = sim.rate_events();
         for i in 0..2u64 {
             sim.join(
@@ -1091,13 +1060,13 @@ mod tests {
             .unwrap();
         }
         sim.run_to_quiescence();
-        assert_eq!(sim.packet_log().len() as u64, sim.packet_stats().total());
+        assert_eq!(log.entries().len() as u64, sim.packet_stats().total());
         let rates = rates.drain();
         assert!(!rates.is_empty());
         assert!(rates.iter().any(|e| e.session == SessionId(1)));
         // Every packet kind count in the log matches the aggregate stats.
         let mut recount = PacketStats::new();
-        for (_, kind) in sim.packet_log() {
+        for (_, kind) in log.entries() {
             recount.record(kind);
         }
         assert_eq!(&recount, sim.packet_stats());
@@ -1451,6 +1420,7 @@ mod trait_tests {
 #[cfg(test)]
 mod recovery_tests {
     use super::*;
+    use crate::events::testing::PacketLog;
     use bneck_maxmin::prelude::*;
     use bneck_net::prelude::*;
 
@@ -1571,9 +1541,10 @@ mod recovery_tests {
             Delay::from_micros(1),
         );
         let rto = Delay::from_micros(500);
-        let mut config = BneckConfig::default().with_recovery(rto);
-        config.record_packet_log = true;
+        let config = BneckConfig::default().with_recovery(rto);
         let mut sim = dumbbell_sim(&net, config, 2);
+        let log = PacketLog::default();
+        sim.subscribe(log.clone());
         let report = sim.run_to_quiescence();
         assert!(report.quiescent);
         let stats = sim.recovery_stats().unwrap();
@@ -1584,7 +1555,7 @@ mod recovery_tests {
         assert_eq!(timers, 1, "one wake-up for {} frames", stats.frames_sent);
         // R4: the run ends on that wake-up, no later than the last frame's
         // own timer would have fired.
-        let last_send = sim.with_packet_log(|log| log.last().expect("packets were sent").0);
+        let last_send = log.entries().last().expect("packets were sent").0;
         assert!(report.quiescent_at <= last_send + rto, "{report:?}");
         assert!(
             report.quiescent_at > last_send,

@@ -134,13 +134,9 @@ impl TaskHost {
             router_links: capacities.iter().map(|_| None).collect(),
             capacities,
             reverse,
-            // xlint: allow(HOT001, reason = "host construction, once before any packet")
             sources: Vec::new(),
-            // xlint: allow(HOT001, reason = "host construction, once before any packet")
             destinations: Vec::new(),
-            // xlint: allow(HOT001, reason = "host construction, once before any packet")
             notified: Vec::new(),
-            // xlint: allow(HOT001, reason = "host construction, once before any packet")
             causes: Vec::new(),
             arena: SessionArena::new(),
             scratch: ActionBuffer::new(),

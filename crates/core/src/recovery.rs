@@ -180,9 +180,7 @@ impl RecoveryState {
         RecoveryState {
             config,
             stats: RecoveryStats::default(),
-            // xlint: allow(HOT001, reason = "construction, once before any frame: one unallocated table per directed link")
             index: vec![IdSlotMap::new(); links],
-            // xlint: allow(HOT001, reason = "construction, once before any frame")
             lanes: Vec::new(),
             deadlines: VecDeque::new(),
             unacked: 0,

@@ -102,7 +102,6 @@ impl RouterLink {
             link,
             capacity,
             tol,
-            // xlint: allow(HOT001, reason = "task construction, once per link at topology build time")
             members: Vec::new(),
             index: IdSlotMap::new(),
             restricted_len: 0,

@@ -191,7 +191,6 @@ impl IdSlotMap {
     fn reserve_one(&mut self) {
         let cap = self.entries.len();
         if cap == 0 {
-            // xlint: allow(HOT001, reason = "first-insert table allocation, amortized over all later lookups")
             self.entries = vec![VACANT; Self::MIN_CAPACITY].into_boxed_slice();
             return;
         }
@@ -206,7 +205,6 @@ impl IdSlotMap {
         } else {
             cap
         };
-        // xlint: allow(HOT001, reason = "table growth/tombstone compaction, amortized O(1) per insert")
         let old = std::mem::replace(&mut self.entries, vec![VACANT; new_cap].into_boxed_slice());
         self.tombs = 0;
         let mask = new_cap - 1;

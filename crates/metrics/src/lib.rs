@@ -21,12 +21,12 @@ pub mod timeseries;
 pub use error::{link_stress_errors, rate_errors, ErrorSample};
 pub use percentile::{percentile, Summary};
 pub use report::Table;
-pub use timeseries::PacketTimeSeries;
+pub use timeseries::{PacketTimeSeries, SeriesRecorder};
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
     pub use crate::error::{link_stress_errors, rate_errors, ErrorSample};
     pub use crate::percentile::{percentile, Summary};
     pub use crate::report::Table;
-    pub use crate::timeseries::PacketTimeSeries;
+    pub use crate::timeseries::{PacketTimeSeries, SeriesRecorder};
 }

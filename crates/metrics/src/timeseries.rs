@@ -1,10 +1,11 @@
 //! Interval-binned packet counts (Figures 6 and 8 of the paper).
 
-use bneck_core::{PacketKind, PacketStats};
+use bneck_core::{PacketKind, PacketStats, RateEvent, Subscriber};
 use bneck_net::Delay;
 use bneck_sim::SimTime;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 /// Packet counts aggregated in fixed-size time intervals, broken down by
 /// packet kind — the data behind Figure 6 ("packets of each type transmitted,
@@ -17,24 +18,22 @@ pub struct PacketTimeSeries {
 }
 
 impl PacketTimeSeries {
-    /// Builds the series from a timestamped packet log (as recorded by
-    /// `BneckSimulation` when the packet log is enabled) using the given bin
-    /// width.
+    /// An empty series with the given bin width.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
-    pub fn from_log(log: &[(SimTime, PacketKind)], interval: Delay) -> Self {
-        assert!(interval > Delay::ZERO, "the bin width must be positive");
-        let mut bins: Vec<PacketStats> = Vec::new();
-        for (at, kind) in log {
-            let index = (at.as_nanos() / interval.as_nanos()) as usize;
-            if index >= bins.len() {
-                bins.resize(index + 1, PacketStats::new());
-            }
-            bins[index].record(*kind);
+    pub fn new(interval: Delay) -> Self {
+        PacketTimeSeries::from_bins(interval, Vec::new())
+    }
+
+    /// Counts one packet sent at `at` in its bin.
+    pub fn record(&mut self, at: SimTime, kind: PacketKind) {
+        let index = (at.as_nanos() / self.interval.as_nanos()) as usize;
+        if index >= self.bins.len() {
+            self.bins.resize(index + 1, PacketStats::new());
         }
-        PacketTimeSeries { interval, bins }
+        self.bins[index].record(kind);
     }
 
     /// Builds a series directly from per-interval snapshots (used by harnesses
@@ -98,9 +97,50 @@ impl PacketTimeSeries {
     }
 }
 
+/// A [`Subscriber`] that bins every packet as it is sent, so no per-packet
+/// log is ever kept. Register a clone; clones share one series.
+#[derive(Debug, Clone)]
+pub struct SeriesRecorder(Arc<Mutex<PacketTimeSeries>>);
+
+impl SeriesRecorder {
+    /// A recorder of an empty series with the given bin width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    pub fn new(interval: Delay) -> Self {
+        SeriesRecorder(Arc::new(Mutex::new(PacketTimeSeries::new(interval))))
+    }
+
+    /// The series recorded so far.
+    pub fn series(&self) -> PacketTimeSeries {
+        self.0.lock().expect("series poisoned").clone()
+    }
+}
+
+impl Subscriber for SeriesRecorder {
+    fn on_rate(&mut self, _event: &RateEvent) {}
+
+    fn on_packet(&mut self, at: SimTime, kind: PacketKind) {
+        self.0.lock().expect("series poisoned").record(at, kind);
+    }
+
+    fn wants_packets(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn from_log(log: &[(SimTime, PacketKind)], interval: Delay) -> PacketTimeSeries {
+        let mut series = PacketTimeSeries::new(interval);
+        for &(at, kind) in log {
+            series.record(at, kind);
+        }
+        series
+    }
 
     fn log() -> Vec<(SimTime, PacketKind)> {
         vec![
@@ -114,7 +154,7 @@ mod tests {
 
     #[test]
     fn bins_packets_by_interval() {
-        let series = PacketTimeSeries::from_log(&log(), Delay::from_millis(5));
+        let series = from_log(&log(), Delay::from_millis(5));
         assert_eq!(series.len(), 3);
         assert_eq!(series.total_in_bin(0), 3);
         assert_eq!(series.total_in_bin(1), 1);
@@ -128,14 +168,14 @@ mod tests {
 
     #[test]
     fn iter_reports_bin_start_times() {
-        let series = PacketTimeSeries::from_log(&log(), Delay::from_millis(5));
+        let series = from_log(&log(), Delay::from_millis(5));
         let starts: Vec<u64> = series.iter().map(|(t, _)| t.as_millis()).collect();
         assert_eq!(starts, vec![0, 5, 10]);
     }
 
     #[test]
     fn empty_log_gives_empty_series() {
-        let series = PacketTimeSeries::from_log(&[], Delay::from_millis(5));
+        let series = from_log(&[], Delay::from_millis(5));
         assert!(series.is_empty());
         assert_eq!(series.last_active_bin(), None);
         assert_eq!(series.total(), 0);
@@ -155,6 +195,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_interval_rejected() {
-        let _ = PacketTimeSeries::from_log(&[], Delay::ZERO);
+        let _ = from_log(&[], Delay::ZERO);
     }
 }

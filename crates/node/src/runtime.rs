@@ -169,7 +169,6 @@ impl ClusterPlan {
             tolerance,
             placement,
             links: TaskHost::link_tables(network),
-            // xlint: allow(HOT001, reason = "plan construction, once before any frame")
             sessions: sessions.to_vec(),
         }
     }
@@ -203,7 +202,6 @@ impl ClusterPlan {
     pub fn session_set(&self) -> SessionSet {
         self.sessions
             .iter()
-            // xlint: allow(HOT001, reason = "oracle input, built off the frame path")
             .map(|(id, path, limit)| Session::new(*id, path.clone(), *limit))
             .collect()
     }
@@ -211,10 +209,8 @@ impl ClusterPlan {
     /// A fresh task host over the plan's links with every session of the
     /// plan registered, slot `i` being the `i`-th session.
     fn host(&self) -> TaskHost {
-        // xlint: allow(HOT001, reason = "host construction, once per node before any frame")
         let mut host = TaskHost::new(self.links.clone(), self.tolerance);
         for (session, path, limit) in &self.sessions {
-            // xlint: allow(HOT001, reason = "host construction, once per node before any frame")
             host.register_session(*session, path.clone(), *limit);
         }
         host
@@ -298,7 +294,6 @@ impl Outbox {
             from: from as u16,
             shared: Arc::clone(shared),
             transport,
-            // xlint: allow(HOT001, reason = "one-time construction; the buffers are reused for the life of the endpoint")
             peers: (0..=plan.nodes).map(|_| (Vec::new(), 0)).collect(),
             writes: 0,
             transport_errors: 0,
@@ -656,9 +651,7 @@ impl NodeRuntime {
         let plan = Arc::new(plan);
         let shared = Arc::new(Shared::new(plan.slot_count()));
         let start = wall_now();
-        // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
         let mut handles = Vec::with_capacity(plan.nodes());
-        // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
         let mut events = Vec::with_capacity(plan.nodes());
         for (node, transport) in endpoints.into_iter().enumerate() {
             let (reader, subscriber) = RateEvents::channel();
@@ -667,7 +660,6 @@ impl NodeRuntime {
             worker.host.subscribe(subscriber);
             handles.push(
                 std::thread::Builder::new()
-                    // xlint: allow(HOT001, reason = "cluster spawn, once before any frame")
                     .name(format!("bneck-node-{node}"))
                     .spawn(move || worker.run())
                     .expect("spawn node worker thread"),

@@ -81,7 +81,6 @@ struct Inbox {
 
 impl Inbox {
     fn new(rx: Receiver<Vec<u8>>) -> Self {
-        // xlint: allow(HOT001, reason = "one-time endpoint construction")
         let held = Vec::new();
         Inbox { rx, held, at: 0 }
     }
@@ -106,7 +105,6 @@ impl Inbox {
         // a typed error.
         let len = whole_frame(rest).unwrap_or(rest.len());
         self.at += len;
-        // xlint: allow(HOT001, reason = "the single-frame receive is the probes' and tests' path; node workers take whole blobs")
         Some(rest[..len].to_vec())
     }
 }
@@ -123,7 +121,6 @@ pub fn channel_mesh(endpoints: usize) -> Vec<ChannelEndpoint> {
     inboxes
         .into_iter()
         .map(|rx| ChannelEndpoint {
-            // xlint: allow(HOT001, reason = "one-time mesh construction")
             senders: senders.clone(),
             inbox: Inbox::new(rx),
         })
@@ -133,7 +130,6 @@ pub fn channel_mesh(endpoints: usize) -> Vec<ChannelEndpoint> {
 impl Transport for ChannelEndpoint {
     fn send_to(&mut self, peer: usize, bytes: &[u8]) -> io::Result<()> {
         self.senders[peer]
-            // xlint: allow(HOT001, reason = "one allocation per write — a whole batch of frames — is the channel's copy of the bytes")
             .send(bytes.to_vec())
             .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "peer endpoint dropped"))
     }
@@ -172,7 +168,6 @@ pub fn tcp_mesh(endpoints: usize) -> io::Result<Vec<TcpEndpoint>> {
         .iter()
         .map(|l| l.local_addr())
         .collect::<io::Result<_>>()?;
-    // xlint: allow(HOT001, reason = "one-time mesh construction")
     let mut mesh = Vec::with_capacity(endpoints);
     for (index, listener) in listeners.into_iter().enumerate() {
         let (tx, rx) = mpsc::channel();
@@ -180,13 +175,11 @@ pub fn tcp_mesh(endpoints: usize) -> io::Result<Vec<TcpEndpoint>> {
         let acceptor = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                // xlint: allow(HOT001, reason = "one-time mesh construction")
                 .name(format!("bneck-accept-{index}"))
                 .spawn(move || accept_loop(listener, tx, stop))
                 .expect("spawn acceptor thread")
         };
         mesh.push(TcpEndpoint {
-            // xlint: allow(HOT001, reason = "one-time mesh construction")
             peers: peers.clone(),
             outbound: (0..endpoints).map(|_| None).collect(),
             inbox: Inbox::new(rx),
@@ -204,13 +197,11 @@ fn accept_loop(listener: TcpListener, tx: Sender<Vec<u8>>, stop: Arc<AtomicBool>
         if stop.load(Ordering::Acquire) {
             return;
         }
-        // xlint: allow(HOT001, reason = "once per accepted connection")
         let tx = tx.clone();
         readers += 1;
         // Readers are detached: they exit on EOF when the peer closes its
         // outbound stream, or when the inbox is dropped.
         let _ = std::thread::Builder::new()
-            // xlint: allow(HOT001, reason = "once per accepted connection")
             .name(format!("bneck-read-{readers}"))
             .spawn(move || read_loop(stream, tx));
     }
@@ -223,7 +214,6 @@ fn accept_loop(listener: TcpListener, tx: Sender<Vec<u8>>, stop: Arc<AtomicBool>
 /// into a typed error — and the connection is abandoned, since the stream
 /// can no longer be framed.
 fn read_loop(mut stream: TcpStream, tx: Sender<Vec<u8>>) {
-    // xlint: allow(HOT001, reason = "one reusable buffer per connection")
     let mut buf = vec![0u8; READ_BUF];
     // `buf[..filled]` is unforwarded: always less than one frame, so there is
     // room to read into.
@@ -239,12 +229,10 @@ fn read_loop(mut stream: TcpStream, tx: Sender<Vec<u8>>) {
         while let Some(len) = whole_frame(&buf[whole..filled]) {
             whole += len;
         }
-        // xlint: allow(HOT001, reason = "one allocation per read, shared by every frame the read held")
         if whole > 0 && tx.send(buf[..whole].to_vec()).is_err() {
             return; // The endpoint was dropped; stop reading.
         }
         if prefix_len(&buf[whole..filled]).is_some_and(|len| len > MAX_FRAME_LEN) {
-            // xlint: allow(HOT001, reason = "last act of an abandoned connection")
             let _ = tx.send(buf[whole..whole + LEN_PREFIX].to_vec());
             return;
         }

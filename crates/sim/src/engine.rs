@@ -191,7 +191,6 @@ impl<M> Engine<M> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::default(),
-            // xlint: allow(HOT001, reason = "engine construction, runs once before any event")
             channels: Vec::new(),
             messages_sent: 0,
             events_processed: 0,
@@ -208,12 +207,9 @@ impl<M> Engine<M> {
     where
         M: Clone,
     {
-        // xlint: allow(HOT001, reason = "fault-plan installation, once per run before any event")
         self.faults = Some(Box::new(FaultState {
             plan,
-            // xlint: allow(HOT001, reason = "fault-plan installation, once per run before any event")
             counters: Vec::new(),
-            // xlint: allow(HOT001, reason = "defines the clone hook; only a rolled duplicate fault invokes it")
             clone: |m| m.clone(),
         }));
     }
@@ -247,7 +243,6 @@ impl<M> Engine<M> {
     /// at least one fault (the diagnosable artifact for reports).
     pub fn fault_breakdown(&self) -> Vec<(ChannelId, FaultCounters)> {
         match self.faults.as_deref() {
-            // xlint: allow(HOT001, reason = "post-run report assembly, off the per-event path")
             None => Vec::new(),
             Some(f) => f
                 .counters
@@ -371,7 +366,6 @@ impl<M> Engine<M> {
         world: &mut W,
         cursor: &mut ScheduleCursor,
     ) -> bool {
-        // xlint: allow(HOT001, reason = "interleaving-explorer stepping, not the production run loop")
         let mut group: Vec<(Address, M)> = Vec::new();
         self.queue.drain_head_group(&mut group);
         if group.is_empty() {

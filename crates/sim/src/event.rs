@@ -159,16 +159,13 @@ pub(crate) struct EventQueue<M> {
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         EventQueue {
-            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
             nodes: Vec::new(),
             free: NIL,
-            // xlint: allow(HOT001, reason = "calendar-ring construction, once per queue lifetime")
             heads: vec![NIL; RING_LEN].into_boxed_slice(),
             occupied: [0; RING_LEN / 64],
             ring_len: 0,
             cursor: 0,
             gathered: true,
-            // xlint: allow(HOT001, reason = "queue construction, once per queue lifetime")
             bucket: Vec::new(),
             overflow: BinaryHeap::new(),
             now: VecDeque::new(),

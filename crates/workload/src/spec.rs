@@ -211,8 +211,9 @@ impl JoinsSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] on unresolvable
-    /// or empty inputs, [`SpecError::Invalid`] on a zero session count or a
-    /// join window too long to count in nanoseconds.
+    /// or empty inputs, [`SpecError::Invalid`] on a zero session count, a
+    /// host count that overflows `usize` or a join window too long to count
+    /// in nanoseconds.
     pub fn configs(
         &self,
         topologies: &TopologyRegistry,
@@ -230,7 +231,11 @@ impl JoinsSpec {
         let mut configs = Vec::with_capacity(self.topologies.len() * self.sessions.len());
         for preset in &self.topologies {
             for &sessions in &self.sessions {
-                let hosts = (self.hosts_per_session * sessions).max(self.min_hosts);
+                let hosts = self
+                    .hosts_per_session
+                    .checked_mul(sessions)
+                    .ok_or(SpecError::Invalid("hosts_per_session"))?
+                    .max(self.min_hosts);
                 let scenario = ScenarioSpec {
                     preset: preset.clone(),
                     hosts,
@@ -242,7 +247,7 @@ impl JoinsSpec {
                     sessions,
                     join_window,
                     limits: self.limits,
-                    seed: self.base_seed + configs.len() as u64,
+                    seed: self.base_seed.wrapping_add(configs.len() as u64),
                 });
             }
         }
@@ -382,7 +387,8 @@ impl ValidationSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] /
-    /// [`SpecError::Invalid`] on unresolvable or degenerate inputs.
+    /// [`SpecError::Invalid`] on unresolvable or degenerate inputs, a host
+    /// count that overflows `usize` included.
     pub fn runs(&self, topologies: &TopologyRegistry) -> Result<Vec<ValidationRun>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
@@ -393,7 +399,10 @@ impl ValidationSpec {
         if self.sessions == 0 {
             return Err(SpecError::Invalid("sessions"));
         }
-        let hosts = self.hosts_per_session * self.sessions;
+        let hosts = self
+            .hosts_per_session
+            .checked_mul(self.sessions)
+            .ok_or(SpecError::Invalid("hosts_per_session"))?;
         let mut out = Vec::with_capacity(self.topologies.len() * self.runs);
         for preset in &self.topologies {
             let base = topologies
@@ -401,9 +410,9 @@ impl ValidationSpec {
                 .ok_or_else(|| SpecError::UnknownTopology(preset.clone()))?;
             for i in 0..self.runs as u64 {
                 out.push(ValidationRun {
-                    scenario: base.with_seed(self.topo_seed_base + i),
+                    scenario: base.with_seed(self.topo_seed_base.wrapping_add(i)),
                     sessions: self.sessions,
-                    seed: self.workload_seed_base + i,
+                    seed: self.workload_seed_base.wrapping_add(i),
                 });
             }
         }
@@ -916,6 +925,8 @@ mod tests {
         else {
             unreachable!("validate and faults are validation and fault-sweep specs")
         };
+        // A host count of 2^63 per session overflows at any session count.
+        const HOSTS: usize = usize::MAX / 2 + 1;
         // One field set to an absurd value; the error must name that field.
         macro_rules! absurd {
             ($kind:ident($base:expr).$field:ident = $value:expr) => {{
@@ -932,6 +943,8 @@ mod tests {
             absurd!(Joins(joins).sessions = vec![10, 0]),
             absurd!(Scale(scale).sessions = vec![0]),
             absurd!(Validation(validation).sessions = 0),
+            absurd!(Joins(joins).hosts_per_session = HOSTS),
+            absurd!(Validation(validation).hosts_per_session = HOSTS),
             absurd!(Accuracy(accuracy).sample_interval_us = 0),
             absurd!(Joins(joins).join_window_us = US),
             absurd!(Churn(churn).change_window_us = US),
@@ -944,6 +957,13 @@ mod tests {
         ];
         let topologies = TopologyRegistry::builtin();
         let protocols = ProtocolRegistry::with_bneck();
+        // Seeds wrap instead of overflowing: the last base seed still lowers.
+        let mut wraps = joins.clone();
+        wraps.base_seed = u64::MAX;
+        assert_eq!(wraps.configs(&topologies).unwrap()[1].seed, 0);
+        let mut wraps = validation.clone();
+        (wraps.topo_seed_base, wraps.workload_seed_base) = (u64::MAX, u64::MAX);
+        assert_eq!(wraps.runs(&topologies).unwrap()[1].seed, 0);
         for (experiment, field) in cases {
             let spec = ExperimentSpec {
                 name: "absurd".to_string(),
