@@ -1,8 +1,7 @@
 //! Spec execution and machine-readable reports.
 //!
 //! [`run_spec`] is the single entry point the `bneck` CLI (and any embedding
-//! driver) uses to execute a declarative
-//! [`ExperimentSpec`](bneck_workload::spec::ExperimentSpec): it lowers the
+//! driver) uses to execute a declarative [`ExperimentSpec`]: it lowers the
 //! spec through the registries, fans the resulting points across the
 //! [`SweepRunner`]'s worker threads, and returns one [`ExperimentReport`] —
 //! a typed, serializable wrapper over the per-experiment result structs of

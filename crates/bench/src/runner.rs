@@ -1,8 +1,7 @@
 //! Experiment runners: one function per figure of the paper.
 //!
-//! Every protocol is driven through the unified
-//! [`ProtocolWorld`](bneck_workload::ProtocolWorld) trait (`&mut dyn
-//! ProtocolWorld` at the driver boundary, built by name through
+//! Every protocol is driven through the unified [`ProtocolWorld`] trait
+//! (`&mut dyn ProtocolWorld` at the driver boundary, built by name through
 //! [`default_protocols`]), so adding a protocol touches only the registry in
 //! `bneck-baselines`, not the runner. The `*_sweep`/`*_repeats` entry points
 //! fan their independent points across worker threads with the

@@ -8,7 +8,7 @@
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 use crate::packet::{Packet, ResponseKind};
-use crate::task::{Action, ActionBuffer};
+use crate::task::{Action, Emit};
 use bneck_maxmin::SessionId;
 
 /// The per-session destination task of the B-Neck protocol.
@@ -33,7 +33,7 @@ impl DestinationNode {
     ///
     /// Packets belonging to other sessions or of kinds a destination never
     /// receives are ignored.
-    pub fn handle(&self, packet: Packet, actions: &mut ActionBuffer) {
+    pub fn handle(&self, packet: Packet, actions: &mut impl Emit) {
         if packet.session() != self.session {
             return;
         }
@@ -47,7 +47,7 @@ impl DestinationNode {
                 session,
                 rate,
                 restricting,
-            } => actions.push(Action::SendUpstream(Packet::Response {
+            } => actions.emit(Action::SendUpstream(Packet::Response {
                 session,
                 kind: ResponseKind::Response,
                 rate,
@@ -57,7 +57,7 @@ impl DestinationNode {
                 session,
                 found: false,
             } => {
-                actions.push(Action::SendUpstream(Packet::Update { session }));
+                actions.emit(Action::SendUpstream(Packet::Update { session }));
             }
             // A SetBottleneck that found its restricting link terminates at
             // that link; one that reaches the destination unclaimed with
@@ -76,6 +76,7 @@ impl DestinationNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::ActionBuffer;
     use bneck_net::LinkId;
 
     fn handle(d: &DestinationNode, packet: Packet) -> Vec<Action> {

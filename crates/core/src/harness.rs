@@ -14,10 +14,10 @@
 //! Quiescence detection is inherited from the simulator: the network is
 //! quiescent exactly when no protocol packet is in flight or pending, which is
 //! when [`BneckSimulation::run_to_quiescence`] returns. A fully-built
-//! [`BneckSimulation`] also implements the engine-level
-//! [`Simulation`](bneck_sim::Simulation) trait, so the experiment drivers can
-//! run it — and fan it out across worker threads — through the same unified
-//! interface as any other protocol-under-test.
+//! [`BneckSimulation`] also implements the engine-level [`Simulation`] trait,
+//! so the experiment drivers can run it — and fan it out across worker
+//! threads — through the same unified interface as any other
+//! protocol-under-test.
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
@@ -400,8 +400,8 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// Registers an observer of this simulation: it sees every `API.Rate`
-    /// notification (as a [`RateEvent`]), quiescence, and — when it opts in —
-    /// every transmitted packet. Closures `FnMut(&RateEvent)` are
+    /// notification (as a [`RateEvent`](crate::RateEvent)), quiescence, and —
+    /// when it opts in — every transmitted packet. Closures `FnMut(&RateEvent)` are
     /// subscribers.
     pub fn subscribe<S: Subscriber + 'static>(&mut self, subscriber: S) {
         self.world.host.subscribe(Box::new(subscriber));
@@ -413,7 +413,8 @@ impl<'a> BneckSimulation<'a> {
         self.world.host.subscribe(subscriber);
     }
 
-    /// Opens a drainable stream of this simulation's [`RateEvent`]s.
+    /// Opens a drainable stream of this simulation's
+    /// [`RateEvent`](crate::RateEvent)s.
     ///
     /// Each call opens an independent stream (events from registration
     /// onward). Once the network is quiescent the stream goes silent: a drain
@@ -500,7 +501,8 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// `API.Leave(s)` at time `at`. Subscribers receive a
-    /// [`RateCause::Left`] event when the departure is processed.
+    /// [`RateCause::Left`](crate::RateCause::Left) event when the departure
+    /// is processed.
     ///
     /// # Errors
     ///
@@ -523,7 +525,7 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// `API.Change(s, r)` at time `at`. The next `API.Rate` delivered to the
-    /// session carries [`RateCause::Changed`].
+    /// session carries [`RateCause::Changed`](crate::RateCause::Changed).
     ///
     /// # Errors
     ///

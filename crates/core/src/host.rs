@@ -9,10 +9,12 @@
 //! [`SessionArena`] of slots and paths, the per-link capacity and reverse
 //! tables, the `API.Rate` cause tracking, the packet counters and the
 //! observers, and it holds the only copy of task dispatch, API-call handling
-//! and next-hop routing. What differs between hosts is *delivery*, and a host
-//! supplies it as a [`Sink`]: the simulation harness sends on the link's
-//! simulator channel, the `bneck-node` runtime queues node-local hops and
-//! encodes the rest onto its transport.
+//! and next-hop routing. A handler's actions are carried out as it emits
+//! them: the host hands it an emitter that routes, counts and transmits each
+//! one, so no action is stored and read back. What differs between hosts is
+//! *delivery*, and a host supplies it as a [`Sink`]: the simulation harness
+//! sends on the link's simulator channel, the `bneck-node` runtime queues
+//! node-local hops and encodes the rest onto its transport.
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
@@ -22,7 +24,7 @@ use crate::packet::Packet;
 use crate::router_link::RouterLink;
 use crate::source::SourceNode;
 use crate::stats::PacketStats;
-use crate::task::{Action, ActionBuffer};
+use crate::task::{Action, Emit};
 use crate::world::SessionArena;
 use bneck_maxmin::{Rate, RateLimit, SessionId, Tolerance};
 use bneck_net::{LinkId, Network, Path};
@@ -88,8 +90,6 @@ pub struct TaskHost {
     tolerance: Tolerance,
     /// Capacity of each directed link (bits per second), by `LinkId`.
     capacities: Vec<Rate>,
-    /// Reverse of each directed link (`None` for one-way links), by `LinkId`.
-    reverse: Vec<Option<LinkId>>,
     /// The `RouterLink` task of each directed link, by `LinkId`; `None` until
     /// a packet first reaches the link.
     router_links: Vec<Option<RouterLink>>,
@@ -98,6 +98,15 @@ pub struct TaskHost {
     /// and are overwritten when the identifier rejoins.
     sources: Vec<SourceNode>,
     destinations: Vec<DestinationNode>,
+    state: HostState,
+}
+
+/// The part of a [`TaskHost`] that carrying out its tasks' actions reads and
+/// writes: all of it but the tasks and the capacities they are built with.
+#[derive(Debug)]
+struct HostState {
+    /// Reverse of each directed link (`None` for one-way links), by `LinkId`.
+    reverse: Vec<Option<LinkId>>,
     /// Last notified rate per session slot; `NaN` = never notified / cleared.
     notified: Vec<Rate>,
     /// What a slot's *next* `API.Rate` notification means: `Joined` after a
@@ -105,8 +114,6 @@ pub struct TaskHost {
     /// notification of the incarnation went out. Indexed by slot.
     causes: Vec<RateCause>,
     arena: SessionArena,
-    /// Reusable buffer the task handlers emit into.
-    scratch: ActionBuffer,
     stats: PacketStats,
     subscribers: SubscriberSet,
 }
@@ -133,15 +140,16 @@ impl TaskHost {
             tolerance,
             router_links: capacities.iter().map(|_| None).collect(),
             capacities,
-            reverse,
             sources: Vec::new(),
             destinations: Vec::new(),
-            notified: Vec::new(),
-            causes: Vec::new(),
-            arena: SessionArena::new(),
-            scratch: ActionBuffer::new(),
-            stats: PacketStats::new(),
-            subscribers: SubscriberSet::new(),
+            state: HostState {
+                reverse,
+                notified: Vec::new(),
+                causes: Vec::new(),
+                arena: SessionArena::new(),
+                stats: PacketStats::new(),
+                subscribers: SubscriberSet::new(),
+            },
         }
     }
 
@@ -162,6 +170,7 @@ impl TaskHost {
             self.tolerance,
         );
         let joined = self
+            .state
             .arena
             .join(session, path, limit)
             .expect("the session must not be active");
@@ -169,13 +178,13 @@ impl TaskHost {
             let i = joined.slot as usize;
             self.sources[i] = source;
             self.destinations[i] = DestinationNode::new(session);
-            self.notified[i] = f64::NAN;
-            self.causes[i] = RateCause::Joined;
+            self.state.notified[i] = f64::NAN;
+            self.state.causes[i] = RateCause::Joined;
         } else {
             self.sources.push(source);
             self.destinations.push(DestinationNode::new(session));
-            self.notified.push(f64::NAN);
-            self.causes.push(RateCause::Joined);
+            self.state.notified.push(f64::NAN);
+            self.state.causes.push(RateCause::Joined);
         }
         joined.slot
     }
@@ -183,41 +192,41 @@ impl TaskHost {
     /// Deactivates `session`, clearing its notified rate. Returns the slot it
     /// occupied, or `None` if the session was not active.
     pub fn deregister_session(&mut self, session: SessionId) -> Option<u32> {
-        let slot = self.arena.leave(session)?;
-        self.notified[slot as usize] = f64::NAN;
+        let slot = self.state.arena.leave(session)?;
+        self.state.notified[slot as usize] = f64::NAN;
         Some(slot)
     }
 
     /// Updates `session`'s requested rate limit in the arena. Returns its
     /// slot, or `None` if the session is not active.
     pub fn change_session(&mut self, session: SessionId, limit: RateLimit) -> Option<u32> {
-        self.arena.change(session, limit)
+        self.state.arena.change(session, limit)
     }
 
     /// The session-slot arena: id ↔ slot, paths, limits, the active set.
     pub fn arena(&self) -> &SessionArena {
-        &self.arena
+        &self.state.arena
     }
 
     /// Cumulative counts of the packets this host transmitted, by kind.
     pub fn stats(&self) -> &PacketStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Registers an observer of this host's rate events and packets.
     pub fn subscribe(&mut self, subscriber: Box<dyn Subscriber>) {
-        self.subscribers.subscribe(subscriber);
+        self.state.subscribers.subscribe(subscriber);
     }
 
     /// Tells the observers the host went quiescent at `at`.
     pub fn announce_quiescent(&mut self, at: SimTime) {
-        self.subscribers.announce_quiescent(at);
+        self.state.subscribers.announce_quiescent(at);
     }
 
     /// The last rate notified to the source task in `slot` (`NaN` when the
     /// slot has never been notified since its last join).
     pub fn notified_rate(&self, slot: u32) -> Rate {
-        self.notified[slot as usize]
+        self.state.notified[slot as usize]
     }
 
     /// The source task in `slot`, if the slot was ever assigned.
@@ -242,9 +251,9 @@ impl TaskHost {
     pub fn knows(&self, target: Target) -> bool {
         match target {
             Target::Source(slot) | Target::Destination(slot) => {
-                (slot as usize) < self.arena.slot_count()
+                (slot as usize) < self.state.arena.slot_count()
             }
-            Target::Link { link, hop, slot } => self.arena.link_at(slot, hop) == Some(link),
+            Target::Link { link, hop, slot } => self.state.arena.link_at(slot, hop) == Some(link),
         }
     }
 
@@ -254,35 +263,35 @@ impl TaskHost {
         let Some(source) = self.sources.get_mut(slot as usize) else {
             return;
         };
-        let session = source.session();
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
+        let origin_session = source.session();
+        let emit = &mut Emitter {
+            state: &mut self.state,
+            out,
+            origin: Target::Source(slot),
+            origin_session,
+        };
         match call {
-            ApiCall::Join { limit } => source.api_join(limit, &mut actions),
+            ApiCall::Join { limit } => source.api_join(limit, emit),
             ApiCall::Leave => {
                 // The `Left` marker carries the last rate the source was
-                // using before the departure tore it down.
-                let rate = source.current_rate();
-                source.api_leave(&mut actions);
-                self.subscribers.emit_rate(&RateEvent {
-                    at: out.now(),
-                    session,
-                    rate,
+                // using before the departure tore it down, and reaches the
+                // observers before the `Leave` packet does.
+                emit.state.subscribers.emit_rate(&RateEvent {
+                    at: emit.out.now(),
+                    session: origin_session,
+                    rate: source.current_rate(),
                     cause: RateCause::Left,
                 });
+                source.api_leave(emit);
             }
             ApiCall::Change { limit } => {
                 // Tag the cause when the change is *processed*, not when it
                 // was scheduled — a re-convergence notification that fires
                 // before the change takes effect must stay `Converged`.
-                self.causes[slot as usize] = RateCause::Changed;
-                source.api_change(limit, &mut actions);
+                emit.state.causes[slot as usize] = RateCause::Changed;
+                source.api_change(limit, emit);
             }
         }
-        for action in actions.drain() {
-            self.perform(out, Target::Source(slot), session, action);
-        }
-        self.scratch = actions;
     }
 
     /// Delivers `packet` to the task `target` and carries out the actions it
@@ -292,90 +301,117 @@ impl TaskHost {
     ///
     /// Panics if a link target is out of range (see [`TaskHost::knows`]).
     pub fn deliver<S: Sink>(&mut self, target: Target, packet: Packet, out: &mut S) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        actions.clear();
+        // Actions for the delivered packet's own session reuse the slot (and
+        // hop) carried by `target`, so the common forward-one-hop case
+        // resolves no map at all.
+        let origin_session = packet.session();
+        let emit = &mut Emitter {
+            state: &mut self.state,
+            out,
+            origin: target,
+            origin_session,
+        };
         match target {
             Target::Source(slot) => {
                 if let Some(source) = self.sources.get_mut(slot as usize) {
-                    source.handle(packet, &mut actions);
+                    source.handle(packet, emit);
                 }
             }
             Target::Link { link: e, hop, slot } => {
                 let link = self.router_links[e.index()].get_or_insert_with(|| {
                     RouterLink::new(e, self.capacities[e.index()], self.tolerance)
                 });
-                let mut spare = u32::MAX;
-                let hint = self.arena.hint_mut(slot, hop).unwrap_or(&mut spare);
-                link.handle_hinted(packet, hint, &mut actions);
+                // The member hint is copied out of the hop record and written
+                // back after the handler, which reads the arena meanwhile.
+                let arena = &mut emit.state.arena;
+                let mut hint = arena.hint_mut(slot, hop).map_or(u32::MAX, |h| *h);
+                link.handle_hinted(packet, &mut hint, emit);
+                if let Some(record) = emit.state.arena.hint_mut(slot, hop) {
+                    *record = hint;
+                }
             }
             Target::Destination(slot) => {
                 if let Some(destination) = self.destinations.get(slot as usize) {
-                    destination.handle(packet, &mut actions);
+                    destination.handle(packet, emit);
                 }
             }
         }
-        // Actions for the delivered packet's own session reuse the slot (and
-        // hop) carried by `target`, so the common forward-one-hop case
-        // resolves no map at all.
-        for action in actions.drain() {
-            self.perform(out, target, packet.session(), action);
-        }
-        self.scratch = actions;
     }
+}
 
-    /// Turns a task action into a transmission (or a rate notification).
-    fn perform<S: Sink>(
-        &mut self,
-        out: &mut S,
-        origin: Target,
-        origin_session: SessionId,
-        action: Action,
-    ) {
+/// The host's side of a handler's [`Emit`]: each action is routed, counted
+/// and handed to the [`Sink`] the moment the handler emits it.
+struct Emitter<'a, S> {
+    state: &'a mut HostState,
+    out: &'a mut S,
+    /// The emitting task, and the session of the packet or API call it
+    /// handles.
+    origin: Target,
+    origin_session: SessionId,
+}
+
+impl<S: Sink> Emit for Emitter<'_, S> {
+    #[inline]
+    fn emit(&mut self, action: Action) {
         let (packet, downstream) = match action {
-            Action::NotifyRate { session, rate } => {
-                let cause = match self.arena.slot_of(session) {
-                    Some(slot) => {
-                        self.notified[slot as usize] = rate;
-                        out.notified(slot, rate);
-                        std::mem::replace(&mut self.causes[slot as usize], RateCause::Converged)
-                    }
-                    None => RateCause::Converged,
-                };
-                if !self.subscribers.is_empty() {
-                    self.subscribers.emit_rate(&RateEvent {
-                        at: out.now(),
-                        session,
-                        rate,
-                        cause,
-                    });
-                }
-                return;
-            }
+            Action::NotifyRate { session, rate } => return self.notify(session, rate),
             Action::SendDownstream(packet) => (packet, true),
             Action::SendUpstream(packet) => (packet, false),
         };
-        let Some((over, to)) = self.route(origin, origin_session, packet.session(), downstream)
-        else {
+        let state = &mut *self.state;
+        let Some((over, to)) = state.route(
+            self.origin,
+            self.origin_session,
+            packet.session(),
+            downstream,
+        ) else {
             return;
         };
-        self.stats.record(packet.kind());
-        if self.subscribers.wants_packets() {
-            self.subscribers.note_packet(out.now(), packet.kind());
+        state.stats.record(packet.kind());
+        if state.subscribers.wants_packets() {
+            state.subscribers.note_packet(self.out.now(), packet.kind());
         }
-        out.transmit(over, to, packet);
+        self.out.transmit(over, to, packet);
     }
+}
 
+impl<S: Sink> Emitter<'_, S> {
+    /// `API.Rate(session, rate)`: records the rate and publishes it with its
+    /// cause.
+    fn notify(&mut self, session: SessionId, rate: Rate) {
+        let state = &mut *self.state;
+        let cause = match state.arena.slot_of(session) {
+            Some(slot) => {
+                state.notified[slot as usize] = rate;
+                self.out.notified(slot, rate);
+                std::mem::replace(&mut state.causes[slot as usize], RateCause::Converged)
+            }
+            None => RateCause::Converged,
+        };
+        if !state.subscribers.is_empty() {
+            state.subscribers.emit_rate(&RateEvent {
+                at: self.out.now(),
+                session,
+                rate,
+                cause,
+            });
+        }
+    }
+}
+
+impl HostState {
     /// The next hop of a packet of `session` emitted by the task at `origin`
     /// while it handled a packet of `origin_session`: the directed link the
-    /// packet travels over and the task at its far end. `None` when there is
-    /// no such hop — the session never joined, the origin is no longer on its
-    /// path (a stray packet of a previous incarnation), the path ends here,
-    /// or the link has no reverse to carry an upstream packet.
+    /// packet travels over and the task at its far end. `None` when there is no
+    /// such hop — the session never joined, the origin is no longer on its path
+    /// (a stray packet of a previous incarnation), the path ends here, or the
+    /// link has no reverse to carry an upstream packet.
     ///
-    /// A task sits at the *sending* end of its link: the source task owns hop
-    /// 0, `RouterLink` of hop `h` forwards downstream over link `h` itself,
-    /// and the destination sits past the last link. Upstream packets retrace
-    /// the path over the reverse of each link.
+    /// A task sits at the *sending* end of its link: the source task owns hop 0,
+    /// `RouterLink` of hop `h` forwards downstream over link `h` itself, and the
+    /// destination sits past the last link. Upstream packets retrace the path
+    /// over the reverse of each link.
+    #[inline]
     fn route(
         &self,
         origin: Target,
@@ -383,30 +419,29 @@ impl TaskHost {
         session: SessionId,
         downstream: bool,
     ) -> Option<(LinkId, Target)> {
+        let arena = &self.arena;
         let own_slot = |origin_slot| {
             if session == origin_session {
                 Some(origin_slot)
             } else {
-                self.arena.slot_of(session)
+                arena.slot_of(session)
             }
         };
         let (slot, hop) = match origin {
             Target::Source(slot) if downstream => (own_slot(slot)?, 0),
             Target::Destination(slot) if !downstream => {
                 let slot = own_slot(slot)?;
-                (slot, self.arena.hop_count(slot))
+                (slot, arena.hop_count(slot))
             }
-            // Trust the carried coordinates for fresh envelopes; re-resolve
-            // (or drop) stale hops from a previous incarnation.
+            // Trust the carried coordinates for fresh envelopes; re-resolve (or
+            // drop) stale hops from a previous incarnation.
             Target::Link { link, hop, slot } => {
-                let (slot, hop) =
-                    self.arena
-                        .resolve_hop(session, origin_session, slot, hop, link)?;
+                let (slot, hop) = arena.resolve_hop(session, origin_session, slot, hop, link)?;
                 (slot, hop as usize)
             }
             Target::Source(_) | Target::Destination(_) => return None,
         };
-        let links = self.arena.links(slot)?;
+        let links = arena.links(slot)?;
         let at = |hop: usize| Target::Link {
             link: links[hop],
             hop: hop as u32,
@@ -436,6 +471,8 @@ impl TaskHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::{PacketKind, ResponseKind};
+    use crate::task::ActionBuffer;
     use bneck_net::{Capacity, Delay, NetworkBuilder, NodeId};
     use proptest::prelude::*;
 
@@ -485,6 +522,7 @@ mod tests {
         let (mut at, mut over) = (from, Vec::new());
         while at != end {
             let (link, next) = host
+                .state
                 .route(at, session, session, downstream)
                 .expect("the walk stays on the path");
             over.push(link);
@@ -516,7 +554,7 @@ mod tests {
             // the hop records it built. Both must walk the same way.
             for records in [false, true] {
                 if records {
-                    host.arena.hint_mut(slot, 0);
+                    host.state.arena.hint_mut(slot, 0);
                 }
                 let down = walk(&host, session, source, destination, true);
                 prop_assert_eq!(&down[..], path.links());
@@ -530,14 +568,14 @@ mod tests {
                 prop_assert_eq!(up, reversed);
 
                 // The ends of the path are ends: nothing routes past them.
-                prop_assert_eq!(host.route(destination, session, session, true), None);
-                prop_assert_eq!(host.route(source, session, session, false), None);
+                prop_assert_eq!(host.state.route(destination, session, session, true), None);
+                prop_assert_eq!(host.state.route(source, session, session, false), None);
                 for (hop, link) in path.links().iter().enumerate().skip(1) {
                     let at = Target::Link { link: *link, hop: hop as u32, slot };
                     prop_assert!(host.knows(at));
                     // A packet of the *other* session on this link is routed
                     // along that session's own slot.
-                    let (_, next) = host.route(at, session, SessionId(9), true).unwrap();
+                    let (_, next) = host.state.route(at, session, SessionId(9), true).unwrap();
                     let other = match next {
                         Target::Link { slot, .. } | Target::Destination(slot) => slot,
                         Target::Source(_) => unreachable!("downstream never reaches a source"),
@@ -556,7 +594,7 @@ mod tests {
         let old = chain_path(&network, &routers, 0, 4);
         let slot = host.register_session(session, old.clone(), RateLimit::unlimited());
         let links = old.links();
-        let fresh = host.route(
+        let fresh = host.state.route(
             Target::Link {
                 link: links[2],
                 hop: 2,
@@ -574,7 +612,7 @@ mod tests {
                 slot,
             };
             assert!(!host.knows(stale));
-            assert_eq!(host.route(stale, session, session, true), fresh);
+            assert_eq!(host.state.route(stale, session, session, true), fresh);
         }
         // Hop 0 is the source's own link: nothing lives upstream of it.
         let first = Target::Link {
@@ -582,9 +620,9 @@ mod tests {
             hop: 0,
             slot,
         };
-        assert_eq!(host.route(first, session, session, false), None);
+        assert_eq!(host.state.route(first, session, session, false), None);
         // A session that never joined has no route.
-        assert_eq!(host.route(first, session, SessionId(5), true), None);
+        assert_eq!(host.state.route(first, session, SessionId(5), true), None);
         // After a rejoin along a different path, links unique to the previous
         // incarnation's path are no longer resolvable.
         host.deregister_session(session);
@@ -593,14 +631,14 @@ mod tests {
             host.register_session(session, new.clone(), RateLimit::unlimited()),
             slot
         );
-        assert_eq!(host.route(first, session, session, true), None);
+        assert_eq!(host.state.route(first, session, session, true), None);
         let shared = Target::Link {
             link: links[2],
             hop: 2,
             slot,
         };
         assert_eq!(
-            host.route(shared, session, session, true),
+            host.state.route(shared, session, session, true),
             Some((
                 new.links()[0],
                 Target::Link {
@@ -616,7 +654,7 @@ mod tests {
         // whole, whether the path fits it inline or not. The record of the
         // current, short incarnation is built first, so the first rejoin
         // already has one to rewrite.
-        host.arena.hint_mut(slot, 0);
+        host.state.arena.hint_mut(slot, 0);
         let (long, short) = (chain_path(&network, &routers, 0, 20), new.clone());
         let longer = chain_path(&network, &routers, 1, 23);
         for path in [&long, &short, &longer] {
@@ -626,7 +664,7 @@ mod tests {
                 slot
             );
             // The record built here must be rewritten by the next rejoin.
-            host.arena.hint_mut(slot, 0);
+            host.state.arena.hint_mut(slot, 0);
             assert_eq!(host.arena().hop_count(slot), path.links().len());
             let (source, destination) = (Target::Source(slot), Target::Destination(slot));
             let down = walk(&host, session, source, destination, true);
@@ -647,7 +685,7 @@ mod tests {
                 slot,
             };
             assert_eq!(
-                host.route(stale, session, session, true),
+                host.state.route(stale, session, session, true),
                 Some((link, next))
             );
         }
@@ -657,27 +695,55 @@ mod tests {
             hop: 0,
             slot,
         };
-        assert_eq!(host.route(gone, session, session, true), None);
+        assert_eq!(host.state.route(gone, session, session, true), None);
     }
 
-    /// A sink that records what the host hands it.
+    /// One call a host made on its sink.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Call {
+        Transmit(LinkId, Target, Packet),
+        Notified(u32, Rate),
+    }
+
+    /// A sink that records what the host hands it, in order.
     #[derive(Default)]
     struct Recorder {
-        sent: Vec<(LinkId, Target, Packet)>,
-        rates: Vec<(u32, Rate)>,
+        calls: Vec<Call>,
+        /// How many of `calls` [`Recorder::drive`] has handled.
+        driven: usize,
         clock_reads: std::cell::Cell<u32>,
     }
 
     impl Sink for Recorder {
         fn transmit(&mut self, over: LinkId, to: Target, packet: Packet) {
-            self.sent.push((over, to, packet));
+            self.calls.push(Call::Transmit(over, to, packet));
         }
         fn now(&self) -> SimTime {
             self.clock_reads.set(self.clock_reads.get() + 1);
             SimTime::ZERO
         }
         fn notified(&mut self, slot: u32, rate: Rate) {
-            self.rates.push((slot, rate));
+            self.calls.push(Call::Notified(slot, rate));
+        }
+    }
+
+    impl Recorder {
+        /// Drives the cascade the way a host does: delivers every recorded
+        /// transmission back into `host`, FIFO, until nothing is left.
+        fn drive(&mut self, host: &mut TaskHost) {
+            while let Some(&call) = self.calls.get(self.driven) {
+                self.driven += 1;
+                if let Call::Transmit(_, to, packet) = call {
+                    host.deliver(to, packet, self);
+                }
+            }
+        }
+
+        fn transmissions(&self) -> usize {
+            self.calls
+                .iter()
+                .filter(|c| matches!(c, Call::Transmit(..)))
+                .count()
         }
     }
 
@@ -695,15 +761,11 @@ mod tests {
             },
             &mut out,
         );
-        // Drive the cascade the way a host does: FIFO, until nothing is left.
-        let mut delivered = 0;
-        while delivered < out.sent.len() {
-            let (_, to, packet) = out.sent[delivered];
-            delivered += 1;
-            host.deliver(to, packet, &mut out);
-        }
-        assert_eq!(host.stats().total(), out.sent.len() as u64);
-        let (first_over, first_to, _) = out.sent[0];
+        out.drive(&mut host);
+        assert_eq!(host.stats().total(), out.transmissions() as u64);
+        let Call::Transmit(first_over, first_to, _) = out.calls[0] else {
+            panic!("a join starts with a transmission, not {:?}", out.calls[0]);
+        };
         assert_eq!(first_over, path.links()[0]);
         assert_eq!(
             first_to,
@@ -715,12 +777,283 @@ mod tests {
         );
         // Alone on 100 Mbps links the session converges to the capacity,
         // published through the hook and kept by the host.
-        assert_eq!(out.rates.last(), Some(&(slot, 100e6)));
+        let last_rate = out
+            .calls
+            .iter()
+            .rev()
+            .find(|c| matches!(c, Call::Notified(..)));
+        assert_eq!(last_rate, Some(&Call::Notified(slot, 100e6)));
         assert_eq!(host.notified_rate(slot), 100e6);
         assert_eq!(
             out.clock_reads.get(),
             0,
             "with no subscriber the host must never read the clock"
+        );
+    }
+
+    /// A model of `deliver` that buffers: the handler runs into an
+    /// [`ActionBuffer`], then each buffered action is routed and carried out
+    /// in emission order.
+    fn model_deliver(host: &mut TaskHost, target: Target, packet: Packet, out: &mut Recorder) {
+        let mut actions = ActionBuffer::new();
+        match target {
+            Target::Source(slot) => {
+                if let Some(source) = host.sources.get_mut(slot as usize) {
+                    source.handle(packet, &mut actions);
+                }
+            }
+            Target::Link { link, hop, slot } => {
+                let (capacity, tolerance) = (host.capacities[link.index()], host.tolerance);
+                let task = host.router_links[link.index()]
+                    .get_or_insert_with(|| RouterLink::new(link, capacity, tolerance));
+                let mut spare = u32::MAX;
+                let hint = host.state.arena.hint_mut(slot, hop).unwrap_or(&mut spare);
+                task.handle_hinted(packet, hint, &mut actions);
+            }
+            Target::Destination(slot) => {
+                if let Some(destination) = host.destinations.get(slot as usize) {
+                    destination.handle(packet, &mut actions);
+                }
+            }
+        }
+        model_perform(host, target, packet.session(), actions, out);
+    }
+
+    /// [`model_deliver`] for an API call.
+    fn model_api(host: &mut TaskHost, slot: u32, call: ApiCall, out: &mut Recorder) {
+        let source = &mut host.sources[slot as usize];
+        let mut actions = ActionBuffer::new();
+        match call {
+            ApiCall::Join { limit } => source.api_join(limit, &mut actions),
+            ApiCall::Leave => source.api_leave(&mut actions),
+            ApiCall::Change { limit } => source.api_change(limit, &mut actions),
+        }
+        let session = source.session();
+        model_perform(host, Target::Source(slot), session, actions, out);
+    }
+
+    fn model_perform(
+        host: &mut TaskHost,
+        origin: Target,
+        origin_session: SessionId,
+        actions: ActionBuffer,
+        out: &mut Recorder,
+    ) {
+        for action in actions.into_vec() {
+            let (packet, downstream) = match action {
+                Action::NotifyRate { session, rate } => {
+                    if let Some(slot) = host.state.arena.slot_of(session) {
+                        host.state.notified[slot as usize] = rate;
+                        out.notified(slot, rate);
+                    }
+                    continue;
+                }
+                Action::SendDownstream(packet) => (packet, true),
+                Action::SendUpstream(packet) => (packet, false),
+            };
+            if let Some((over, to)) =
+                host.state
+                    .route(origin, origin_session, packet.session(), downstream)
+            {
+                host.state.stats.record(packet.kind());
+                out.transmit(over, to, packet);
+            }
+        }
+    }
+
+    /// A packet of every kind, chosen by `kind`.
+    fn any_packet(kind: u32, session: SessionId, rate: Rate, link: LinkId) -> Packet {
+        match kind % 7 {
+            0 => Packet::Join {
+                session,
+                rate,
+                restricting: link,
+            },
+            1 => Packet::Probe {
+                session,
+                rate,
+                restricting: link,
+            },
+            2 => Packet::Response {
+                session,
+                kind: ResponseKind::Bottleneck,
+                rate,
+                restricting: link,
+            },
+            3 => Packet::Update { session },
+            4 => Packet::Bottleneck { session },
+            5 => Packet::SetBottleneck {
+                session,
+                found: rate > 50e6,
+            },
+            _ => Packet::Leave { session },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For any script of API calls, in-order and reordered deliveries of
+        /// the packets in flight and stray packets, `deliver` and `api` make
+        /// exactly the sink calls, in exactly the order, of the model that
+        /// buffers a handler's actions before carrying them out.
+        #[test]
+        fn handlers_emit_what_the_buffering_model_does(
+            spans in prop::collection::vec((0usize..CHAIN, 1usize..CHAIN + 1), 1..7),
+            script in prop::collection::vec((0u32..16, 0u32..1024, 0u32..1024), 1..160),
+        ) {
+            let (network, routers) = chain();
+            let paths: Vec<Path> = spans
+                .iter()
+                .map(|&(start, len)| {
+                    let len = len.min(CHAIN - start);
+                    chain_path(&network, &routers, start, len)
+                })
+                .collect();
+            let (mut host, mut model) = (host_over(&network), host_over(&network));
+            let mut slots: Vec<Option<u32>> = vec![None; paths.len()];
+            let mut in_flight: Vec<(Target, Packet)> = Vec::new();
+            let steps = script.len();
+            // After the script, drain what is still in flight FIFO.
+            let drain = std::iter::repeat((3, 0, 0)).take(20_000);
+            for (step, (op, a, b)) in script.into_iter().chain(drain).enumerate() {
+                if step >= steps && in_flight.is_empty() {
+                    break;
+                }
+                let i = a as usize % paths.len();
+                let session = SessionId(i as u64);
+                let limit = if b % 3 == 0 {
+                    RateLimit::unlimited()
+                } else {
+                    RateLimit::finite(f64::from(b % 97 + 1) * 1e6)
+                };
+                let (mut got, mut want) = (Recorder::default(), Recorder::default());
+                match (op, slots[i]) {
+                    (0..=1, None) => {
+                        let slot = host.register_session(session, paths[i].clone(), limit);
+                        let twin = model.register_session(session, paths[i].clone(), limit);
+                        prop_assert_eq!(twin, slot);
+                        slots[i] = Some(slot);
+                        host.api(slot, ApiCall::Join { limit }, &mut got);
+                        model_api(&mut model, slot, ApiCall::Join { limit }, &mut want);
+                    }
+                    (0..=1, Some(slot)) => {
+                        host.api(slot, ApiCall::Leave, &mut got);
+                        model_api(&mut model, slot, ApiCall::Leave, &mut want);
+                        host.deregister_session(session);
+                        model.deregister_session(session);
+                        slots[i] = None;
+                    }
+                    (2, Some(slot)) => {
+                        host.change_session(session, limit);
+                        model.change_session(session, limit);
+                        host.api(slot, ApiCall::Change { limit }, &mut got);
+                        model_api(&mut model, slot, ApiCall::Change { limit }, &mut want);
+                    }
+                    (3..=14, _) if !in_flight.is_empty() => {
+                        // Mostly in order; now and then out of order.
+                        let at = if op < 13 { 0 } else { b as usize % in_flight.len() };
+                        let (to, packet) = in_flight.remove(at);
+                        host.deliver(to, packet, &mut got);
+                        model_deliver(&mut model, to, packet, &mut want);
+                    }
+                    (15, _) => {
+                        let link = LinkId(b % (2 * CHAIN as u32));
+                        let slot = b % (host.arena().slot_count() as u32 + 1);
+                        let to = match a % 3 {
+                            0 => Target::Source(slot),
+                            1 => Target::Destination(slot),
+                            _ => Target::Link { link, hop: a % 20, slot },
+                        };
+                        let packet = any_packet(b, session, f64::from(a % 100) * 1e6, link);
+                        host.deliver(to, packet, &mut got);
+                        model_deliver(&mut model, to, packet, &mut want);
+                    }
+                    _ => continue,
+                }
+                prop_assert_eq!(&got.calls, &want.calls, "step {} ({}, {}, {})", step, op, a, b);
+                in_flight.extend(got.calls.iter().filter_map(|call| match *call {
+                    Call::Transmit(_, to, packet) => Some((to, packet)),
+                    Call::Notified(..) => None,
+                }));
+            }
+            prop_assert_eq!(host.stats(), model.stats());
+            for slot in 0..host.arena().slot_count() as u32 {
+                prop_assert_eq!(
+                    host.notified_rate(slot).to_bits(),
+                    model.notified_rate(slot).to_bits()
+                );
+            }
+        }
+    }
+
+    /// What a subscriber that wants packets as well as rates sees, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Rate(RateCause),
+        Packet(PacketKind),
+    }
+
+    #[derive(Clone, Default)]
+    struct Observer(std::sync::Arc<std::sync::Mutex<Vec<Seen>>>);
+
+    impl Observer {
+        fn take(&self) -> Vec<Seen> {
+            std::mem::take(&mut *self.0.lock().expect("log poisoned"))
+        }
+    }
+
+    impl Subscriber for Observer {
+        fn on_rate(&mut self, event: &RateEvent) {
+            self.0
+                .lock()
+                .expect("log poisoned")
+                .push(Seen::Rate(event.cause));
+        }
+        fn on_packet(&mut self, _at: SimTime, kind: PacketKind) {
+            self.0
+                .lock()
+                .expect("log poisoned")
+                .push(Seen::Packet(kind));
+        }
+        fn wants_packets(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn observers_see_left_before_the_leave_packet_and_changed_after_a_change() {
+        let (network, routers) = chain();
+        let mut host = host_over(&network);
+        let observer = Observer::default();
+        host.subscribe(Box::new(observer.clone()));
+        let path = chain_path(&network, &routers, 0, 3);
+        let session = SessionId(1);
+        let slot = host.register_session(session, path, RateLimit::unlimited());
+        let mut out = Recorder::default();
+        let limit = RateLimit::unlimited();
+        host.api(slot, ApiCall::Join { limit }, &mut out);
+        out.drive(&mut host);
+        let joined = observer.take();
+        assert_eq!(joined.first(), Some(&Seen::Packet(PacketKind::Join)));
+        assert!(joined.contains(&Seen::Rate(RateCause::Joined)));
+
+        let limit = RateLimit::finite(40e6);
+        host.change_session(session, limit);
+        host.api(slot, ApiCall::Change { limit }, &mut out);
+        out.drive(&mut host);
+        let rates: Vec<Seen> = observer
+            .take()
+            .into_iter()
+            .filter(|seen| matches!(seen, Seen::Rate(_)))
+            .collect();
+        assert_eq!(rates.first(), Some(&Seen::Rate(RateCause::Changed)));
+        assert_eq!(host.notified_rate(slot), 40e6);
+
+        host.api(slot, ApiCall::Leave, &mut out);
+        assert_eq!(
+            observer.take(),
+            [Seen::Rate(RateCause::Left), Seen::Packet(PacketKind::Leave)]
         );
     }
 }

@@ -38,9 +38,11 @@
 //!
 //! The task state machines are pure: every handler consumes an input and
 //! emits [`task::Action`]s (packets to send upstream or downstream, or an
-//! `API.Rate` notification) into a reusable [`task::ActionBuffer`]. This makes
-//! the protocol logic unit-testable without a simulator, keeps every host a
-//! thin delivery layer, and keeps steady-state packet processing free of
+//! `API.Rate` notification) into a caller-provided [`task::Emit`]. The task
+//! host's emitter carries each action out as it is emitted, with no buffer in
+//! between; tests collect them in a [`task::ActionBuffer`]. This makes the
+//! protocol logic unit-testable without a simulator, keeps every host a thin
+//! delivery layer, and keeps steady-state packet processing free of
 //! per-packet allocation.
 //!
 //! ## Quickstart
@@ -89,7 +91,7 @@ pub use host::{ApiCall, Sink, Target, TaskHost};
 pub use packet::{Packet, PacketKind, ResponseKind};
 pub use recovery::{PendingFrame, RecoveryConfig, RecoveryState, RecoveryStats};
 pub use stats::PacketStats;
-pub use task::{Action, ActionBuffer, RateNotification};
+pub use task::{Action, ActionBuffer, Emit};
 pub use world::{LinkTable, SessionArena, SlotJoin};
 
 /// Commonly used items, suitable for glob import.
@@ -102,6 +104,6 @@ pub mod prelude {
     pub use crate::packet::{Packet, PacketKind, ResponseKind};
     pub use crate::recovery::{RecoveryConfig, RecoveryStats};
     pub use crate::stats::PacketStats;
-    pub use crate::task::{Action, ActionBuffer, RateNotification};
+    pub use crate::task::{Action, ActionBuffer, Emit};
     pub use crate::world::{LinkTable, SessionArena, SlotJoin};
 }

@@ -10,13 +10,13 @@
 //! identifiers, probe states, assigned rates and an `R_e`-membership bit,
 //! addressed through a single id → slot map. Set scans become linear walks
 //! over flat arrays, `|R_e|` and `Σ_{s∈F_e} λ_e^s` are maintained
-//! incrementally so `B_e` is O(1), and handlers emit into a caller-provided
-//! [`ActionBuffer`] instead of allocating a fresh `Vec<Action>` per packet.
+//! incrementally so `B_e` is O(1), and handlers hand each action to a
+//! caller-provided [`Emit`] the moment they decide on it.
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 use crate::packet::{Packet, ResponseKind};
-use crate::task::{Action, ActionBuffer, ProbeState};
+use crate::task::{Action, Emit, ProbeState};
 use bneck_maxmin::{IdSlotMap, Rate, SessionId, Tolerance};
 use bneck_net::LinkId;
 
@@ -385,7 +385,7 @@ impl RouterLink {
     /// Packets for sessions this link does not know about (which can only
     /// happen transiently around a `Leave`) are dropped, except `Join` and
     /// `Leave` which are always meaningful.
-    pub fn handle(&mut self, packet: Packet, actions: &mut ActionBuffer) {
+    pub fn handle(&mut self, packet: Packet, actions: &mut impl Emit) {
         match packet {
             Packet::Join {
                 session,
@@ -415,7 +415,7 @@ impl RouterLink {
     /// [`RouterLink::handle`] with a member-slot cache the caller keeps per
     /// session: `hint` is trusted only when it names the record of
     /// `packet`'s session, and is left naming that record's slot.
-    pub fn handle_hinted(&mut self, packet: Packet, hint: &mut u32, actions: &mut ActionBuffer) {
+    pub fn handle_hinted(&mut self, packet: Packet, hint: &mut u32, actions: &mut impl Emit) {
         self.hint = *hint;
         self.handle(packet, actions);
         *hint = self.slot(packet.session()).map_or(u32::MAX, |i| i as u32);
@@ -424,7 +424,7 @@ impl RouterLink {
     /// `ProcessNewRestricted()` (Figure 2, lines 4–10): pull back into `R_e`
     /// the sessions of `F_e` whose rate reaches the bottleneck rate, then ask
     /// the idle sessions of `R_e` whose rate exceeds `B_e` to re-probe.
-    fn process_new_restricted(&mut self, actions: &mut ActionBuffer) {
+    fn process_new_restricted(&mut self, actions: &mut impl Emit) {
         // Only F_e members with a recorded rate can be reclaimed, and only
         // when the largest such rate reaches B_e; the `f_best` upper bound
         // rejects both in O(1). A stale-high bound costs one scan, which
@@ -466,7 +466,7 @@ impl RouterLink {
             }
             if self.tol.gt(m.lambda, be) {
                 self.set_mu(i, ProbeState::WaitingProbe);
-                actions.push(Action::SendUpstream(Packet::Update { session: m.id }));
+                actions.emit(Action::SendUpstream(Packet::Update { session: m.id }));
             } else {
                 remaining_best = remaining_best.max(m.lambda);
             }
@@ -480,7 +480,7 @@ impl RouterLink {
         session: SessionId,
         rate: Rate,
         restricting: LinkId,
-        actions: &mut ActionBuffer,
+        actions: &mut impl Emit,
     ) {
         let i = self.ensure_slot(session);
         self.move_to_r(i);
@@ -492,7 +492,7 @@ impl RouterLink {
         } else {
             (rate, restricting)
         };
-        actions.push(Action::SendDownstream(Packet::Join {
+        actions.emit(Action::SendDownstream(Packet::Join {
             session,
             rate,
             restricting,
@@ -505,7 +505,7 @@ impl RouterLink {
         session: SessionId,
         rate: Rate,
         restricting: LinkId,
-        actions: &mut ActionBuffer,
+        actions: &mut impl Emit,
     ) {
         // A Probe for a session the link has never seen behaves like a Join
         // (this can only happen if state was lost, e.g. around a Leave race).
@@ -519,7 +519,7 @@ impl RouterLink {
         } else {
             (rate, restricting)
         };
-        actions.push(Action::SendDownstream(Packet::Probe {
+        actions.emit(Action::SendDownstream(Packet::Probe {
             session,
             rate,
             restricting,
@@ -533,7 +533,7 @@ impl RouterLink {
         mut kind: ResponseKind,
         rate: Rate,
         mut restricting: LinkId,
-        actions: &mut ActionBuffer,
+        actions: &mut impl Emit,
     ) {
         let Some(i) = self.slot(session) else {
             return;
@@ -563,12 +563,12 @@ impl RouterLink {
                 for j in 0..self.members.len() {
                     let m = self.members[j];
                     if m.in_r && m.id != session {
-                        actions.push(Action::SendUpstream(Packet::Bottleneck { session: m.id }));
+                        actions.emit(Action::SendUpstream(Packet::Bottleneck { session: m.id }));
                     }
                 }
             }
         }
-        actions.push(Action::SendUpstream(Packet::Response {
+        actions.emit(Action::SendUpstream(Packet::Response {
             session,
             kind,
             rate,
@@ -577,29 +577,29 @@ impl RouterLink {
     }
 
     /// Figure 2, lines 38–40.
-    fn on_update(&mut self, session: SessionId, actions: &mut ActionBuffer) {
+    fn on_update(&mut self, session: SessionId, actions: &mut impl Emit) {
         let Some(i) = self.slot(session) else {
             return;
         };
         if self.members[i].mu.is_idle() {
             self.set_mu(i, ProbeState::WaitingProbe);
-            actions.push(Action::SendUpstream(Packet::Update { session }));
+            actions.emit(Action::SendUpstream(Packet::Update { session }));
         }
     }
 
     /// Figure 2, lines 42–43.
-    fn on_bottleneck(&mut self, session: SessionId, actions: &mut ActionBuffer) {
+    fn on_bottleneck(&mut self, session: SessionId, actions: &mut impl Emit) {
         let Some(i) = self.slot(session) else {
             return;
         };
         let m = self.members[i];
         if m.mu.is_idle() && m.in_r {
-            actions.push(Action::SendUpstream(Packet::Bottleneck { session }));
+            actions.emit(Action::SendUpstream(Packet::Bottleneck { session }));
         }
     }
 
     /// Figure 2, lines 45–55.
-    fn on_set_bottleneck(&mut self, session: SessionId, found: bool, actions: &mut ActionBuffer) {
+    fn on_set_bottleneck(&mut self, session: SessionId, found: bool, actions: &mut impl Emit) {
         let Some(i) = self.slot(session) else {
             return;
         };
@@ -610,7 +610,7 @@ impl RouterLink {
         if all_settled {
             // This link is (or imposes no objection to being) a bottleneck for
             // its restricted sessions: confirm the bottleneck downstream.
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session,
                 found: true,
             }));
@@ -619,12 +619,12 @@ impl RouterLink {
             // sessions that may now increase their rate.
             self.wake_idle_at(be, Some(session), actions);
             self.move_to_f(i);
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session,
                 found,
             }));
         } else if idle && !lambda_i.is_nan() && self.tol.eq(lambda_i, be) {
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session,
                 found,
             }));
@@ -634,13 +634,13 @@ impl RouterLink {
     }
 
     /// Figure 2, lines 57–62.
-    fn on_leave(&mut self, session: SessionId, actions: &mut ActionBuffer) {
+    fn on_leave(&mut self, session: SessionId, actions: &mut impl Emit) {
         let be = self.bottleneck_rate();
         self.wake_idle_at(be, Some(session), actions);
         if let Some(i) = self.slot(session) {
             self.remove_slot(i);
         }
-        actions.push(Action::SendDownstream(Packet::Leave { session }));
+        actions.emit(Action::SendDownstream(Packet::Leave { session }));
     }
 
     /// Wakes (sets `WaitingProbe` and emits an `Update` for) every idle `R_e`
@@ -648,7 +648,7 @@ impl RouterLink {
     /// `idle_best` bound: when no idle member can reach `be`, the scan is
     /// skipped in O(1); a scan that runs tightens the bound back to the exact
     /// maximum of the idle members it leaves behind.
-    fn wake_idle_at(&mut self, be: Rate, skip: Option<SessionId>, actions: &mut ActionBuffer) {
+    fn wake_idle_at(&mut self, be: Rate, skip: Option<SessionId>, actions: &mut impl Emit) {
         if self.restricted_len == self.restricted_not_idle || !self.tol.ge(self.idle_best, be) {
             return;
         }
@@ -660,7 +660,7 @@ impl RouterLink {
             }
             if Some(m.id) != skip && self.tol.eq(m.lambda, be) {
                 self.set_mu(j, ProbeState::WaitingProbe);
-                actions.push(Action::SendUpstream(Packet::Update { session: m.id }));
+                actions.emit(Action::SendUpstream(Packet::Update { session: m.id }));
             } else {
                 remaining_best = remaining_best.max(m.lambda);
             }
@@ -672,6 +672,7 @@ impl RouterLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::ActionBuffer;
     use proptest::prelude::*;
 
     const CAP: Rate = 100e6;

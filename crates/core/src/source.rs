@@ -8,7 +8,7 @@
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 use crate::packet::{Packet, ResponseKind};
-use crate::task::{Action, ActionBuffer, ProbeState};
+use crate::task::{Action, Emit, ProbeState};
 use bneck_maxmin::{Rate, RateLimit, SessionId, Tolerance};
 use bneck_net::LinkId;
 
@@ -94,13 +94,13 @@ impl SourceNode {
     }
 
     /// `API.Join(s, r)` (Figure 3, lines 3–6).
-    pub fn api_join(&mut self, limit: RateLimit, actions: &mut ActionBuffer) {
+    pub fn api_join(&mut self, limit: RateLimit, actions: &mut impl Emit) {
         self.membership = Membership::Restricted;
         self.demand = limit.effective_demand(self.first_capacity);
         self.mu = ProbeState::WaitingResponse;
         self.update_received = false;
         self.bottleneck_received = false;
-        actions.push(Action::SendDownstream(Packet::Join {
+        actions.emit(Action::SendDownstream(Packet::Join {
             session: self.session,
             rate: self.demand,
             restricting: self.first_link,
@@ -108,18 +108,18 @@ impl SourceNode {
     }
 
     /// `API.Leave(s)` (Figure 3, lines 8–9).
-    pub fn api_leave(&mut self, actions: &mut ActionBuffer) {
+    pub fn api_leave(&mut self, actions: &mut impl Emit) {
         self.membership = Membership::Gone;
         self.mu = ProbeState::Idle;
         self.lambda = None;
         self.bottleneck_received = false;
-        actions.push(Action::SendDownstream(Packet::Leave {
+        actions.emit(Action::SendDownstream(Packet::Leave {
             session: self.session,
         }));
     }
 
     /// `API.Change(s, r)` (Figure 3, lines 11–18).
-    pub fn api_change(&mut self, limit: RateLimit, actions: &mut ActionBuffer) {
+    pub fn api_change(&mut self, limit: RateLimit, actions: &mut impl Emit) {
         self.demand = limit.effective_demand(self.first_capacity);
         if self.mu.is_idle() {
             if self.membership == Membership::Unrestricted {
@@ -128,7 +128,7 @@ impl SourceNode {
             self.update_received = false;
             self.bottleneck_received = false;
             self.mu = ProbeState::WaitingResponse;
-            actions.push(Action::SendDownstream(Packet::Probe {
+            actions.emit(Action::SendDownstream(Packet::Probe {
                 session: self.session,
                 rate: self.demand,
                 restricting: self.first_link,
@@ -143,7 +143,7 @@ impl SourceNode {
     /// actions into `actions`.
     ///
     /// Packets for other sessions, or downstream packet kinds, are ignored.
-    pub fn handle(&mut self, packet: Packet, actions: &mut ActionBuffer) {
+    pub fn handle(&mut self, packet: Packet, actions: &mut impl Emit) {
         if packet.session() != self.session || self.membership == Membership::Gone {
             return;
         }
@@ -160,14 +160,14 @@ impl SourceNode {
     }
 
     /// Figure 3, lines 20–25.
-    fn on_update(&mut self, actions: &mut ActionBuffer) {
+    fn on_update(&mut self, actions: &mut impl Emit) {
         if self.mu.is_idle() {
             if self.membership == Membership::Unrestricted {
                 self.membership = Membership::Restricted;
             }
             self.bottleneck_received = false;
             self.mu = ProbeState::WaitingResponse;
-            actions.push(Action::SendDownstream(Packet::Probe {
+            actions.emit(Action::SendDownstream(Packet::Probe {
                 session: self.session,
                 rate: self.demand,
                 restricting: self.first_link,
@@ -178,18 +178,18 @@ impl SourceNode {
     }
 
     /// Figure 3, lines 27–31.
-    fn on_bottleneck(&mut self, actions: &mut ActionBuffer) {
+    fn on_bottleneck(&mut self, actions: &mut impl Emit) {
         if self.mu.is_idle() && !self.bottleneck_received {
             self.bottleneck_received = true;
             let rate = self.lambda.unwrap_or(0.0);
-            actions.push(Action::NotifyRate {
+            actions.emit(Action::NotifyRate {
                 session: self.session,
                 rate,
             });
             if self.tol.gt(self.demand, rate) {
                 self.membership = Membership::Unrestricted;
             }
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session: self.session,
                 found: self.tol.eq(self.demand, rate),
             }));
@@ -197,12 +197,12 @@ impl SourceNode {
     }
 
     /// Figure 3, lines 33–47.
-    fn on_response(&mut self, kind: ResponseKind, rate: Rate, actions: &mut ActionBuffer) {
+    fn on_response(&mut self, kind: ResponseKind, rate: Rate, actions: &mut impl Emit) {
         if kind == ResponseKind::Update || self.update_received {
             self.update_received = false;
             self.bottleneck_received = false;
             self.mu = ProbeState::WaitingResponse;
-            actions.push(Action::SendDownstream(Packet::Probe {
+            actions.emit(Action::SendDownstream(Packet::Probe {
                 session: self.session,
                 rate: self.demand,
                 restricting: self.first_link,
@@ -213,14 +213,14 @@ impl SourceNode {
             self.lambda = Some(rate);
             self.mu = ProbeState::Idle;
             self.bottleneck_received = true;
-            actions.push(Action::NotifyRate {
+            actions.emit(Action::NotifyRate {
                 session: self.session,
                 rate,
             });
             if self.tol.gt(self.demand, rate) {
                 self.membership = Membership::Unrestricted;
             }
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session: self.session,
                 found: self.tol.eq(self.demand, rate),
             }));
@@ -231,11 +231,11 @@ impl SourceNode {
         self.mu = ProbeState::Idle;
         if self.tol.eq(self.demand, rate) {
             self.bottleneck_received = true;
-            actions.push(Action::NotifyRate {
+            actions.emit(Action::NotifyRate {
                 session: self.session,
                 rate,
             });
-            actions.push(Action::SendDownstream(Packet::SetBottleneck {
+            actions.emit(Action::SendDownstream(Packet::SetBottleneck {
                 session: self.session,
                 found: true,
             }));
@@ -246,6 +246,7 @@ impl SourceNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::ActionBuffer;
 
     const CAP: Rate = 100e6;
 

@@ -1,11 +1,11 @@
 //! Common vocabulary shared by the three protocol tasks.
 //!
 //! Every task handler is a pure function from an input (an API primitive or a
-//! received packet) to a list of [`Action`]s, emitted into a caller-provided
-//! [`ActionBuffer`]. The simulation harness owns one buffer, hands it to the
-//! handler of every delivered packet and turns the emitted actions into
-//! packets transmitted over the network's links — so steady-state packet
-//! processing performs no per-packet allocation at all.
+//! received packet) to a sequence of [`Action`]s, handed one at a time to a
+//! caller-provided [`Emit`]. The task host's emitter routes, counts and
+//! transmits each action the moment it is emitted, so no action is stored and
+//! read back on the hot path; [`ActionBuffer`] collects them instead, for
+//! callers that want to look at a handler's output.
 
 use crate::packet::Packet;
 use bneck_maxmin::{Rate, SessionId};
@@ -51,23 +51,15 @@ pub enum Action {
     },
 }
 
-impl Action {
-    /// The packet carried by this action, if it is a send.
-    pub fn packet(&self) -> Option<&Packet> {
-        match self {
-            Action::SendDownstream(p) | Action::SendUpstream(p) => Some(p),
-            Action::NotifyRate { .. } => None,
-        }
-    }
+/// Where a task handler's [`Action`]s go, in emission order.
+pub trait Emit {
+    /// Carries out (or records) one action.
+    fn emit(&mut self, action: Action);
 }
 
-/// A reusable buffer the task handlers emit their [`Action`]s into.
-///
-/// The harness keeps one buffer alive for the whole simulation and passes it
-/// to every handler invocation, eliminating the per-packet `Vec<Action>`
-/// allocations the handlers used to perform. Handlers only append; the caller
-/// decides when to [`drain`](ActionBuffer::drain) or
-/// [`clear`](ActionBuffer::clear) the buffer.
+/// An [`Emit`] that keeps the actions, for callers that inspect a handler's
+/// output. Handlers only append; the caller decides when to
+/// [`clear`](ActionBuffer::clear) the buffer, which keeps its allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ActionBuffer {
     actions: Vec<Action>,
@@ -77,11 +69,6 @@ impl ActionBuffer {
     /// Creates an empty buffer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Appends an action.
-    pub fn push(&mut self, action: Action) {
-        self.actions.push(action);
     }
 
     /// Number of buffered actions.
@@ -104,32 +91,22 @@ impl ActionBuffer {
         self.actions.clear();
     }
 
-    /// Drains the buffered actions in emission order, keeping the allocation.
-    pub fn drain(&mut self) -> impl Iterator<Item = Action> + '_ {
-        self.actions.drain(..)
-    }
-
     /// Consumes the buffer into a plain vector (mainly for tests).
     pub fn into_vec(self) -> Vec<Action> {
         self.actions
     }
 }
 
-/// A recorded `API.Rate` notification (used by the harness to keep the rate
-/// history of every session).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct RateNotification {
-    /// The notified session.
-    pub session: SessionId,
-    /// The rate communicated to the session.
-    pub rate: Rate,
+impl Emit for ActionBuffer {
+    #[inline]
+    fn emit(&mut self, action: Action) {
+        self.actions.push(action);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bneck_net::LinkId;
 
     #[test]
     fn probe_state_default_is_idle() {
@@ -137,23 +114,5 @@ mod tests {
         assert!(ProbeState::Idle.is_idle());
         assert!(!ProbeState::WaitingProbe.is_idle());
         assert!(!ProbeState::WaitingResponse.is_idle());
-    }
-
-    #[test]
-    fn action_packet_accessor() {
-        let packet = Packet::Update {
-            session: SessionId(3),
-        };
-        assert_eq!(Action::SendUpstream(packet).packet(), Some(&packet));
-        assert_eq!(Action::SendDownstream(packet).packet(), Some(&packet));
-        assert_eq!(
-            Action::NotifyRate {
-                session: SessionId(3),
-                rate: 1.0
-            }
-            .packet(),
-            None
-        );
-        let _ = LinkId(0); // silence unused import warnings in some cfgs
     }
 }

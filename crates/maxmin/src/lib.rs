@@ -12,8 +12,6 @@
 //!   paper, which additionally reports each link's bottleneck sets;
 //! * [`verify`] — checks that an allocation satisfies the max-min fairness
 //!   conditions and compares allocations produced by different algorithms;
-//! * [`fastmap`] — the fast non-cryptographic hash maps the simulation
-//!   engines use for their id → dense-slot lookups;
 //! * [`idmap`] — an inline open-addressing id → slot table for the per-link
 //!   hot path, where even a fast `HashMap`'s extra indirection shows up.
 //!

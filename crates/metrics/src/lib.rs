@@ -2,7 +2,7 @@
 //!
 //! Measurement and reporting utilities for the B-Neck experiments:
 //!
-//! * [`percentile`] — order statistics (10th/90th percentile, median, mean)
+//! * [`percentile`](mod@percentile) — order statistics (10th/90th percentile, median, mean)
 //!   used by the error plots of Figure 7;
 //! * [`timeseries`] — interval-binned packet counts used by Figures 6 and 8;
 //! * [`error`] — relative-error distributions of assigned versus max-min

@@ -6,9 +6,9 @@
 //!   300,000 sessions on networks of up to 11,000 routers). Running these
 //!   requires a long offline run and plenty of memory.
 //! * `scaled()` — a reduced parameter set with the same structure, sized so
-//!   the full experiment suite runs in minutes on a laptop. The experiment
-//!   binaries use the scaled flavour by default and accept the paper flavour
-//!   behind a flag.
+//!   the full experiment suite runs in minutes on a laptop. The `bneck`
+//!   CLI's `exp1`/`exp2`/`exp3` presets use the scaled flavour and their
+//!   `*_full` twins the paper flavour.
 
 use crate::dynamics::DynamicsPlanner;
 use crate::scenario::NetworkScenario;

@@ -3,8 +3,7 @@
 //! The paper's evaluation is a small matrix of scenarios — topology ×
 //! workload × protocol × seeds (§IV). [`ExperimentSpec`] captures one cell
 //! family of that matrix as plain *data*: a serializable document naming the
-//! topology presets (resolved through a
-//! [`TopologyRegistry`](crate::registry::TopologyRegistry)), the workload
+//! topology presets (resolved through a [`TopologyRegistry`]), the workload
 //! parameters, the protocols under test (resolved through a
 //! [`ProtocolRegistry`](crate::registry::ProtocolRegistry)), the seeds and
 //! repeats, and the output selection. The `bneck` CLI in `bneck-bench` runs

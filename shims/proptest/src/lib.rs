@@ -152,7 +152,7 @@ pub mod collection {
     use core::ops::Range;
     use rand::Rng;
 
-    /// Strategy for `Vec`s with random length; see [`vec`].
+    /// Strategy for `Vec`s with random length; see [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
