@@ -1,9 +1,7 @@
 //! The `bneck` command-line driver.
 //!
 //! One binary drives every experiment of the paper's evaluation from a
-//! declarative [`ExperimentSpec`] — a shipped preset or a JSON spec file —
-//! replacing the former `experiment1`/`experiment2`/`experiment3`/`validate`/
-//! `paper_scale` one-off binaries:
+//! declarative [`ExperimentSpec`] — a shipped preset or a JSON spec file:
 //!
 //! ```text
 //! bneck run (--preset NAME | SPEC.json) [overrides] [--json] [--out PATH]
@@ -24,8 +22,8 @@
 //! checks spec files against the registries without running anything (CI's
 //! `spec-check`). `bench-presets` lists the shipped presets.
 
-use crate::report::{render_tables, run_spec, SpecOutcome};
-use crate::runner::default_protocols;
+use crate::report::{render_tables, ExperimentReport, ScaleCurvePoint, SpecOutcome};
+use crate::runner::{default_protocols, run_spec};
 use crate::sweep::SweepRunner;
 use bneck_core::RecoveryConfig;
 use bneck_metrics::Table;
@@ -47,7 +45,8 @@ USAGE:
 
 RUN OPTIONS:
     --preset NAME         run a shipped preset (see `bneck bench-presets`)
-    --sessions N[,N...]   override the session sweep (joins/scale specs)
+    --sessions N[,N...]   override the session sweep (joins/scale specs),
+                          or the one session count of a fault sweep
     --threads N           worker threads for fanning sweep points
                           (overrides BNECK_THREADS; default: BNECK_THREADS,
                           then all cores)
@@ -263,12 +262,13 @@ fn apply_overrides(spec: &mut ExperimentSpec, args: &[String]) -> Result<(), Str
         match &mut spec.experiment {
             ExperimentKind::Joins(joins) => joins.sessions = sessions,
             ExperimentKind::Scale(scale) => scale.sessions = sessions,
-            ExperimentKind::FaultSweep(faults) if sessions.len() == 1 => {
-                faults.sessions = sessions[0]
-            }
+            ExperimentKind::FaultSweep(faults) => match sessions[..] {
+                [one] => faults.sessions = one,
+                _ => return Err("--sessions takes one session count for fault sweeps".into()),
+            },
             other => {
                 return Err(format!(
-                    "--sessions applies to joins/scale specs, not `{}`",
+                    "--sessions applies to joins/scale specs and fault sweeps, not `{}`",
                     other.label()
                 ))
             }
@@ -539,13 +539,13 @@ fn execute(options: RunOptions) -> i32 {
     }
 
     if let Some(path) = &options.scale_curve {
-        let crate::report::ExperimentReport::Scale(reports) = &report else {
+        let ExperimentReport::Scale(reports) = &report else {
             unreachable!("--scale-curve is rejected for non-scale specs at parse time");
         };
-        let points: Vec<crate::runner::ScaleCurvePoint> = reports
+        let points: Vec<ScaleCurvePoint> = reports
             .iter()
             .zip(&timings)
-            .map(|(report, timings)| crate::runner::ScaleCurvePoint::new(report, timings))
+            .map(|(report, timings)| ScaleCurvePoint::new(report, timings))
             .collect();
         let document = serde_json::to_value(&points).expect("infallible in the shim");
         if let Err(error) = std::fs::write(path, document.to_json_pretty()) {
@@ -585,7 +585,7 @@ fn execute(options: RunOptions) -> i32 {
         eprintln!("[bneck] FAILURES: {failures} failing runs or mismatching sessions");
         return 1;
     }
-    if matches!(report, crate::report::ExperimentReport::Validation(_)) {
+    if matches!(report, ExperimentReport::Validation(_)) {
         println!("all runs converged to the exact max-min fair rates");
     }
     0
@@ -593,10 +593,7 @@ fn execute(options: RunOptions) -> i32 {
 
 /// The machine-readable document `--json` / `--out` emit: the spec that ran
 /// (overrides applied) next to its report.
-fn json_report(
-    spec: &ExperimentSpec,
-    report: &crate::report::ExperimentReport,
-) -> serde_json::Value {
+fn json_report(spec: &ExperimentSpec, report: &ExperimentReport) -> serde_json::Value {
     serde_json::Value::record(vec![
         (
             "spec",
@@ -751,6 +748,17 @@ mod tests {
                 Some(concat!("unknown flag `--", "shards`")),
             ),
             ("run", "--preset validate", None),
+            ("run", "--preset faults --sessions 8", None),
+            (
+                "run",
+                "--preset faults --sessions 8,16",
+                Some("--sessions takes one session count for fault sweeps"),
+            ),
+            (
+                "run",
+                "--preset exp2 --sessions 8",
+                Some("joins/scale specs and fault sweeps, not `churn`"),
+            ),
             (
                 "run",
                 "--preset validate --no-such-flag",
@@ -787,5 +795,10 @@ mod tests {
             panic!("sweep runs a scale spec");
         };
         assert_eq!(scale.sessions, [2000, 3000]);
+        let faults = parse_run_options(&args("--preset faults --sessions 12"), None).unwrap();
+        let ExperimentKind::FaultSweep(faults) = &faults.spec.experiment else {
+            panic!("the faults preset is a fault sweep");
+        };
+        assert_eq!(faults.sessions, 12);
     }
 }

@@ -1,13 +1,25 @@
-//! Experiment runners: one function per figure of the paper.
+//! [`run_spec`]: the one way to run an experiment.
+//!
+//! A spec is checked against the registries and lowered. The joins,
+//! validation, scale and fault-sweep kinds lower to join bursts
+//! ([`Experiment1Config`]) that all run through one private `burst`: build
+//! the network, plan the joins, apply them, run to quiescence or to a
+//! horizon, and check the rates against the centralized oracle. The four
+//! kinds differ only in how they map a burst into report rows. Churn and
+//! accuracy run straight from their spec and its resolved scenario.
 //!
 //! Every protocol is driven through the unified [`ProtocolWorld`] trait
-//! (`&mut dyn ProtocolWorld` at the driver boundary, built by name through
-//! [`default_protocols`]), so adding a protocol touches only the registry in
-//! `bneck-baselines`, not the runner. The `*_sweep`/`*_repeats` entry points
-//! fan their independent points across worker threads with the
-//! [`SweepRunner`]; every point's RNG seed derives from the point itself, so
-//! reports are bit-identical at any thread count.
+//! (built by name through [`default_protocols`]), so adding a protocol
+//! touches only the registry in `bneck-baselines`, not the runner. A sweep's
+//! independent points fan across the [`SweepRunner`]'s worker threads; every
+//! point's RNG seed derives from the point itself, so reports are
+//! bit-identical at any thread count.
 
+use crate::report::{
+    ChannelFaultSummary, Experiment1Point, Experiment2PhaseResult, Experiment2Run,
+    Experiment3Result, Experiment3Sample, ExperimentReport, FaultOutcome, FaultPointReport,
+    FaultRunResult, ScaleReport, ScaleTimings, SpecOutcome, ValidationReport,
+};
 use crate::sweep::SweepRunner;
 use bneck_core::prelude::*;
 use bneck_maxmin::prelude::*;
@@ -15,8 +27,8 @@ use bneck_metrics::prelude::*;
 use bneck_net::{Delay, Network};
 use bneck_sim::{FaultCounters, FaultPlan, SimTime};
 use bneck_workload::prelude::*;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use bneck_workload::spec::{AccuracySpec, ChurnSpec};
+use std::time::{Duration, Instant};
 
 /// The fully-populated protocol registry of this workspace: B-Neck plus the
 /// three baselines (BFYZ, CG, RCP), all with default parameters. The `bneck`
@@ -25,6 +37,46 @@ pub fn default_protocols() -> ProtocolRegistry {
     let mut registry = ProtocolRegistry::with_bneck();
     bneck_baselines::register_baselines(&mut registry);
     registry
+}
+
+/// Runs a declarative experiment spec: checks it against the registries,
+/// lowers it, and fans its points across the runner's worker threads.
+///
+/// # Errors
+///
+/// Returns the first [`SpecError`] if the spec does not resolve (unknown
+/// topology/protocol names, empty sweeps). Never errors once the check
+/// passes.
+pub fn run_spec(
+    spec: &ExperimentSpec,
+    topologies: &TopologyRegistry,
+    protocols: &ProtocolRegistry,
+    runner: &SweepRunner,
+) -> Result<SpecOutcome, SpecError> {
+    spec.check(topologies, protocols)?;
+    Ok(match &spec.experiment {
+        ExperimentKind::Joins(joins) => run_joins(joins.configs(topologies)?, runner),
+        ExperimentKind::Churn(churn) => run_churn(churn, churn.resolve(topologies)?, runner),
+        ExperimentKind::Accuracy(accuracy) => {
+            run_accuracy(accuracy, accuracy.resolve(topologies)?, protocols, runner)
+        }
+        ExperimentKind::Validation(validation) => {
+            run_validation(validation.configs(topologies)?, runner)
+        }
+        ExperimentKind::Scale(scale) => run_scale(scale.configs()?, scale.validate, runner),
+        ExperimentKind::FaultSweep(faults) => {
+            run_faults(faults, faults.config(topologies)?, faults.points()?, runner)
+        }
+    })
+}
+
+/// A report with its notes and no timings.
+fn outcome(report: ExperimentReport, notes: Vec<String>) -> SpecOutcome {
+    SpecOutcome {
+        report,
+        notes,
+        timings: Vec::new(),
+    }
 }
 
 /// Sessions whose rate in `allocation` disagrees with the centralized
@@ -37,191 +89,447 @@ fn oracle_mismatches(network: &Network, sessions: &SessionSet, allocation: &Allo
         .map_or(0, |violations| violations.len())
 }
 
-/// One point of Figure 5: a session count on one scenario.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct Experiment1Point {
-    /// Scenario label (`small/lan`, `medium/wan`, …).
-    pub scenario: String,
-    /// Number of sessions that joined.
-    pub sessions: usize,
-    /// Time until quiescence, in microseconds (Figure 5, left).
-    pub time_to_quiescence_us: u64,
-    /// Total packets transmitted across all links (Figure 5, right).
-    pub total_packets: u64,
-    /// Average packets per session.
-    pub packets_per_session: f64,
-    /// `true` when the final rates match the centralized oracle.
-    pub validated: bool,
+/// What a burst checks its final rates against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// Nothing (a scale point run without validation).
+    Skip,
+    /// The centralized oracle.
+    Oracle,
+    /// The oracle and the max-min fairness conditions (§IV validation).
+    MaxMin,
 }
 
-/// Runs one point of Experiment 1: `config.sessions` sessions join within the
-/// first millisecond; the run proceeds to quiescence and the resulting rates
-/// are validated against the centralized oracle.
-pub fn run_experiment1_point(config: &Experiment1Config) -> Experiment1Point {
+/// One join burst: `config`'s sessions join a fresh B-Neck simulation, which
+/// runs to quiescence, or to `horizon` when one is set.
+struct Burst {
+    config: Experiment1Config,
+    bneck: BneckConfig,
+    faults: Option<FaultPlan>,
+    horizon: Option<Delay>,
+    check: Check,
+}
+
+impl Burst {
+    /// The paper's burst: no faults, no recovery layer, run to quiescence.
+    fn paper(config: Experiment1Config, check: Check) -> Self {
+        Burst {
+            config,
+            bneck: BneckConfig::default(),
+            faults: None,
+            horizon: None,
+            check,
+        }
+    }
+}
+
+/// What one burst observed.
+struct BurstRun {
+    network: Network,
+    /// Join events the simulation accepted.
+    joins: usize,
+    report: QuiescenceReport,
+    /// Packets sent over the whole run, by the protocol's own count.
+    total_packets: u64,
+    /// Sessions disagreeing with the oracle; `None` when unchecked.
+    mismatches: Option<usize>,
+    /// Max-min violations; `None` unless [`Check::MaxMin`].
+    violations: Option<usize>,
+    faults: FaultCounters,
+    channel_faults: Vec<ChannelFaultSummary>,
+    recovery: Option<RecoveryStats>,
+    unacked_frames: usize,
+    timings: ScaleTimings,
+}
+
+/// Runs one join burst: builds, plans, applies, runs and checks.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "phase timing feeds the operator notes and the scale curve only, never a report"
+)]
+fn burst(burst: Burst) -> BurstRun {
+    let Burst {
+        config,
+        bneck,
+        faults,
+        horizon,
+        check,
+    } = burst;
+    let t0 = Instant::now();
     let network = config.scenario.build();
+    let build = t0.elapsed();
+
+    let t1 = Instant::now();
     let schedule = config.schedule(&network);
-    let mut sim = BneckSimulation::new(&network, BneckConfig::default());
-    let stats = schedule.apply(&mut sim);
-    let report = sim.run_to_quiescence();
-    let sessions = sim.session_set();
-    let validated = oracle_mismatches(&network, &sessions, &sim.allocation()) == 0;
+    let plan = t1.elapsed();
+
+    let t2 = Instant::now();
+    let mut sim = BneckSimulation::new(&network, bneck);
+    if let Some(plan) = faults {
+        sim.set_fault_plan(plan);
+    }
+    let joins = schedule.apply(&mut sim).joins;
+    let report = match horizon {
+        None => sim.run_to_quiescence(),
+        Some(horizon) => sim.run_until(SimTime::ZERO + horizon),
+    };
+    let snapshot = (check != Check::Skip).then(|| (sim.session_set(), sim.allocation()));
     let total_packets = sim.packet_stats().total();
-    Experiment1Point {
-        scenario: config.scenario.label(),
-        sessions: stats.joins,
-        time_to_quiescence_us: report.quiescent_at.as_micros(),
-        total_packets,
-        packets_per_session: if stats.joins > 0 {
-            total_packets as f64 / stats.joins as f64
-        } else {
-            0.0
-        },
-        validated,
-    }
-}
-
-/// Runs a whole Experiment 1 sweep, fanning the (scenario, session-count)
-/// points across the runner's worker threads. Points are independent
-/// simulations whose seeds live in their configs, so the returned vector is
-/// bit-identical at any thread count and ordered like `configs`.
-pub fn run_experiment1_sweep(
-    configs: Vec<Experiment1Config>,
-    runner: &SweepRunner,
-) -> Vec<Experiment1Point> {
-    runner.run(configs, |_, config| run_experiment1_point(&config))
-}
-
-/// One phase of Figure 6.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct Experiment2PhaseResult {
-    /// Phase name (`join`, `leave`, `change`, `join-2`, `mixed`).
-    pub name: String,
-    /// Time the phase started at (when its churn was injected).
-    pub started_at_us: u64,
-    /// Time the network needed to become quiescent again, in microseconds.
-    pub time_to_quiescence_us: u64,
-    /// Number of sessions active once the phase settled.
-    pub active_sessions: usize,
-    /// Packets transmitted during the phase, by kind.
-    pub packets: PacketStats,
-    /// `true` when the rates after the phase match the centralized oracle.
-    pub validated: bool,
-}
-
-/// Runs Experiment 2: five churn phases on one network; after each phase the
-/// protocol runs to quiescence and is validated against the oracle.
-///
-/// Returns the per-phase results plus the packet time series (5 ms bins, as in
-/// Figure 6) of the whole run.
-pub fn run_experiment2(
-    config: &Experiment2Config,
-) -> (Vec<Experiment2PhaseResult>, PacketTimeSeries) {
-    let network = config.scenario.build();
-    let mut planner = config.planner(&network);
-    let mut sim = BneckSimulation::new(&network, BneckConfig::default());
-    // Packets are binned as they are sent: at paper scale a whole-run log
-    // would hold tens of millions of entries.
-    let recorder = SeriesRecorder::new(Delay::from_millis(5));
-    sim.subscribe(recorder.clone());
-    let mut results = Vec::new();
-    for phase in config.phases() {
-        let start = if sim.now() == SimTime::ZERO {
-            SimTime::ZERO
-        } else {
-            sim.now() + Delay::from_millis(1)
-        };
-        let schedule = planner.phase(
-            start,
-            config.change_window,
-            phase.joins,
-            phase.leaves,
-            phase.changes,
-            config.limits,
-        );
-        let before = *sim.packet_stats();
-        schedule.apply(&mut sim);
-        let report = sim.run_to_quiescence();
-        let sessions = sim.session_set();
-        let validated = oracle_mismatches(&network, &sessions, &sim.allocation()) == 0;
-        results.push(Experiment2PhaseResult {
-            name: phase.name,
-            started_at_us: start.as_micros(),
-            time_to_quiescence_us: report.quiescent_at.saturating_since(start).as_micros(),
-            active_sessions: sessions.len(),
-            packets: sim.packet_stats().since(&before),
-            validated,
-        });
-    }
-    (results, recorder.series())
-}
-
-/// One full Experiment 2 run: the seed it was planned with, its five phase
-/// results and the packet time series of the whole run.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct Experiment2Run {
-    /// The planner seed of this repeat.
-    pub seed: u64,
-    /// The per-phase results.
-    pub phases: Vec<Experiment2PhaseResult>,
-    /// Packets per 5 ms bin over the whole run.
-    pub series: PacketTimeSeries,
-}
-
-/// Runs `repeats` independent Experiment 2 repetitions (seeds
-/// `base.seed + repeat index`), fanning them across the runner's worker
-/// threads. Results are ordered by repeat index and bit-identical at any
-/// thread count.
-pub fn run_experiment2_repeats(
-    base: &Experiment2Config,
-    repeats: usize,
-    runner: &SweepRunner,
-) -> Vec<Experiment2Run> {
-    let configs: Vec<Experiment2Config> = (0..repeats.max(1) as u64)
-        .map(|i| Experiment2Config {
-            seed: base.seed.wrapping_add(i),
-            ..*base
+    let fault_totals = sim.fault_totals();
+    let channel_faults = sim
+        .fault_breakdown()
+        .into_iter()
+        .map(|(channel, counters)| ChannelFaultSummary {
+            channel: channel.0,
+            counters,
         })
         .collect();
-    runner.run(configs, |_, config| {
-        let (phases, series) = run_experiment2(&config);
-        Experiment2Run {
-            seed: config.seed,
-            phases,
-            series,
+    let recovery = sim.recovery_stats();
+    let unacked_frames = sim.unacked_frames();
+    // The simulation goes before the oracle runs, so the two never hold
+    // their memory at once.
+    drop(sim);
+    let run = t2.elapsed();
+
+    let t3 = Instant::now();
+    let (mismatches, violations) = match snapshot {
+        Some((sessions, allocation)) => (
+            Some(oracle_mismatches(&network, &sessions, &allocation)),
+            (check == Check::MaxMin).then(|| {
+                verify_max_min(&network, &sessions, &allocation)
+                    .err()
+                    .map_or(0, |violations| violations.len())
+            }),
+        ),
+        None => (None, None),
+    };
+    let oracle = t3.elapsed();
+
+    BurstRun {
+        network,
+        joins,
+        report,
+        total_packets,
+        mismatches,
+        violations,
+        faults: fault_totals,
+        channel_faults,
+        recovery,
+        unacked_frames,
+        timings: ScaleTimings {
+            build_s: build.as_secs_f64(),
+            plan_s: plan.as_secs_f64(),
+            run_s: run.as_secs_f64(),
+            oracle_s: oracle.as_secs_f64(),
+            total_s: t0.elapsed().as_secs_f64(),
+            peak_rss_bytes: peak_rss_bytes(),
+        },
+    }
+}
+
+/// Peak resident set size (`VmHWM`) of the current process in bytes, or 0
+/// when `/proc/self/status` is unavailable (non-Linux platforms).
+fn peak_rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status.lines().find_map(|line| {
+                let rest = line.strip_prefix("VmHWM:")?;
+                rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+            })
+        })
+        .map(|kb| kb * 1024)
+        .unwrap_or(0)
+}
+
+/// Experiment 1 (Figure 5): one point per burst, validated against the
+/// oracle.
+fn run_joins(configs: Vec<Experiment1Config>, runner: &SweepRunner) -> SpecOutcome {
+    let points = runner.run(configs, |_, config| {
+        let run = burst(Burst::paper(config, Check::Oracle));
+        Experiment1Point {
+            scenario: config.scenario.label(),
+            sessions: run.joins,
+            time_to_quiescence_us: run.report.quiescent_at.as_micros(),
+            total_packets: run.total_packets,
+            packets_per_session: if run.joins > 0 {
+                run.total_packets as f64 / run.joins as f64
+            } else {
+                0.0
+            },
+            validated: run.mismatches == Some(0),
         }
-    })
+    });
+    let notes = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{} sessions={} quiescence={}us packets={} validated={}",
+                p.scenario, p.sessions, p.time_to_quiescence_us, p.total_packets, p.validated
+            )
+        })
+        .collect();
+    outcome(ExperimentReport::Joins(points), notes)
 }
 
-/// One sampling instant of Experiment 3, for one protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct Experiment3Sample {
-    /// Sampling time in microseconds.
-    pub at_us: u64,
-    /// Relative error (in percent) of the assigned rates at the sources.
-    pub source_error: Summary,
-    /// Relative error (in percent) of the aggregate rates on bottleneck links.
-    pub link_error: Summary,
-    /// Packets transmitted since the previous sample.
-    pub packets_in_interval: u64,
+/// The §IV validation: one burst per run, checked against the oracle and
+/// the max-min conditions.
+fn run_validation(configs: Vec<Experiment1Config>, runner: &SweepRunner) -> SpecOutcome {
+    let reports = runner.run(configs, |_, config| {
+        let run = burst(Burst::paper(config, Check::MaxMin));
+        ValidationReport {
+            scenario: config.scenario.label(),
+            topology_seed: config.scenario.seed,
+            sessions: run.joins,
+            time_to_quiescence_us: run.report.quiescent_at.as_micros(),
+            mismatches: run.mismatches.unwrap_or(0),
+            violations: run.violations.unwrap_or(0),
+        }
+    });
+    outcome(ExperimentReport::Validation(reports), Vec::new())
 }
 
-/// The outcome of Experiment 3 for one protocol.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct Experiment3Result {
-    /// Protocol name (`B-Neck`, `BFYZ`, `CG`, `RCP`).
-    pub protocol: String,
-    /// Samples every `sample_interval` until the horizon.
-    pub samples: Vec<Experiment3Sample>,
-    /// Total packets transmitted over the whole horizon.
-    pub total_packets: u64,
-    /// Time after which the protocol stopped sending packets entirely, if it
-    /// did (only B-Neck does).
-    pub quiescent_at_us: Option<u64>,
+/// Paper-scale points: one burst each, with its wall-clock breakdown in the
+/// notes and the timings.
+fn run_scale(configs: Vec<Experiment1Config>, validate: bool, runner: &SweepRunner) -> SpecOutcome {
+    let check = if validate { Check::Oracle } else { Check::Skip };
+    let points = runner.run(configs, |_, config| {
+        let run = burst(Burst::paper(config, check));
+        let (report, timings, network) = (run.report, &run.timings, &run.network);
+        let note = format!(
+            "[scale] network: {} routers, {} hosts, {} links ({:.2?})\n\
+             [scale] {} joins applied, quiescent={} at {}us after {} events / {} packets ({:.2?})\n\
+             [scale] build_s={:.3} plan_s={:.3} run_s={:.3} oracle_s={:.3} total_s={:.3} peak_rss_mib={:.1}",
+            network.router_count(),
+            network.host_count(),
+            network.link_count(),
+            Duration::from_secs_f64(timings.build_s),
+            run.joins,
+            report.quiescent,
+            report.quiescent_at.as_micros(),
+            report.events_processed,
+            report.packets_sent,
+            Duration::from_secs_f64(timings.run_s),
+            timings.build_s,
+            timings.plan_s,
+            timings.run_s,
+            timings.oracle_s,
+            timings.total_s,
+            timings.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+        );
+        let report = ScaleReport {
+            sessions: config.sessions,
+            joins_applied: run.joins,
+            quiescent: report.quiescent,
+            quiescent_at_us: report.quiescent_at.as_micros(),
+            events_processed: report.events_processed,
+            packets_sent: report.packets_sent,
+            packets_per_session: report.packets_sent as f64 / config.sessions.max(1) as f64,
+            mismatches: run.mismatches,
+        };
+        (report, note, run.timings)
+    });
+    SpecOutcome {
+        report: ExperimentReport::Scale(points.iter().map(|p| p.0).collect()),
+        notes: points.iter().map(|p| p.1.clone()).collect(),
+        timings: points.into_iter().map(|p| p.2).collect(),
+    }
+}
+
+/// A fault sweep: every grid cell replays `config` over its own fault plan
+/// (cell `i`, drop-major, rolls from `fault_seed + i`), raw and — when the
+/// spec asks — with the recovery layer on, each up to the spec's horizon.
+fn run_faults(
+    spec: &FaultSweepSpec,
+    config: Experiment1Config,
+    points: Vec<FaultPoint>,
+    runner: &SweepRunner,
+) -> SpecOutcome {
+    let plans = points
+        .iter()
+        .enumerate()
+        .map(|(i, point)| {
+            FaultPlan::new(
+                spec.fault_seed.wrapping_add(i as u64),
+                point.drop,
+                point.duplicate,
+                spec.reorder,
+                spec.reorder_window,
+            )
+        })
+        .collect();
+    let horizon = Some(Delay::from_millis(spec.horizon_ms));
+    let rto = spec.with_recovery.then(|| Delay::from_micros(spec.rto_us));
+    let reports = runner.run(plans, |_, plan: FaultPlan| {
+        let run = |bneck| {
+            fault_result(burst(Burst {
+                config,
+                bneck,
+                faults: Some(plan),
+                horizon,
+                check: Check::Oracle,
+            }))
+        };
+        FaultPointReport {
+            drop: plan.drop,
+            duplicate: plan.duplicate,
+            fault_seed: plan.seed,
+            raw: run(BneckConfig::default()),
+            recovered: rto.map(|rto| run(BneckConfig::default().with_recovery(rto))),
+        }
+    });
+    let notes = reports
+        .iter()
+        .map(|r| {
+            let mut line = format!(
+                "drop={} dup={} raw={} ({} faults over {} channels)",
+                r.drop,
+                r.duplicate,
+                r.raw.outcome.label(),
+                r.raw.faults.total(),
+                r.raw.channel_faults.len()
+            );
+            if let Some(rec) = &r.recovered {
+                let stats = rec.recovery.unwrap_or_default();
+                line.push_str(&format!(
+                    " recovery={} at {}us ({} retransmits)",
+                    rec.outcome.label(),
+                    rec.quiescent_at_us,
+                    stats.retransmits
+                ));
+            }
+            line
+        })
+        .collect();
+    outcome(ExperimentReport::FaultSweep(reports), notes)
+}
+
+/// Classifies a fault-injected burst honestly: converged only when it both
+/// went quiescent and matched the oracle.
+fn fault_result(run: BurstRun) -> FaultRunResult {
+    let mismatches = run.mismatches.unwrap_or(0);
+    let outcome = if !run.report.quiescent {
+        FaultOutcome::Stuck
+    } else if mismatches > 0 {
+        FaultOutcome::WrongRates
+    } else {
+        FaultOutcome::Converged
+    };
+    FaultRunResult {
+        outcome,
+        quiescent: run.report.quiescent,
+        quiescent_at_us: run.report.quiescent_at.as_micros(),
+        events_processed: run.report.events_processed,
+        packets_sent: run.report.packets_sent,
+        mismatches,
+        faults: run.faults,
+        channel_faults: run.channel_faults,
+        recovery: run.recovery,
+        unacked_frames: run.unacked_frames,
+    }
+}
+
+/// Experiment 2 (Figure 6): five churn phases per repeat (repeat `i` plans
+/// with `seed + i`); after each phase the protocol runs to quiescence and is
+/// validated against the oracle.
+fn run_churn(spec: &ChurnSpec, scenario: NetworkScenario, runner: &SweepRunner) -> SpecOutcome {
+    let network = scenario.build();
+    let window = Delay::from_micros(spec.change_window_us);
+    let seeds = (0..spec.repeats as u64)
+        .map(|i| spec.seed.wrapping_add(i))
+        .collect();
+    let runs = runner.run(seeds, |_, seed| {
+        let mut planner = DynamicsPlanner::new(&network, seed);
+        let mut sim = BneckSimulation::new(&network, BneckConfig::default());
+        // Packets are binned as they are sent: at paper scale a whole-run log
+        // would hold tens of millions of entries.
+        let recorder = SeriesRecorder::new(Delay::from_millis(5));
+        sim.subscribe(recorder.clone());
+        let mut phases = Vec::new();
+        for phase in spec.phases() {
+            let start = if sim.now() == SimTime::ZERO {
+                SimTime::ZERO
+            } else {
+                sim.now() + Delay::from_millis(1)
+            };
+            let schedule = planner.phase(
+                start,
+                window,
+                phase.joins,
+                phase.leaves,
+                phase.changes,
+                spec.limits,
+            );
+            let before = *sim.packet_stats();
+            schedule.apply(&mut sim);
+            let report = sim.run_to_quiescence();
+            let sessions = sim.session_set();
+            phases.push(Experiment2PhaseResult {
+                name: phase.name.to_string(),
+                started_at_us: start.as_micros(),
+                time_to_quiescence_us: report.quiescent_at.saturating_since(start).as_micros(),
+                active_sessions: sessions.len(),
+                packets: sim.packet_stats().since(&before),
+                validated: oracle_mismatches(&network, &sessions, &sim.allocation()) == 0,
+            });
+        }
+        Experiment2Run {
+            seed,
+            phases,
+            series: recorder.series(),
+        }
+    });
+    outcome(ExperimentReport::Churn(runs), Vec::new())
+}
+
+/// Experiment 3 (Figures 7 and 8): B-Neck and the spec's baselines on the
+/// same joins-plus-leaves workload, each protocol a cell of its own, sampled
+/// against the max-min rates of the surviving sessions. Cells come back
+/// B-Neck first, then the baselines in spec order.
+///
+/// # Panics
+///
+/// Panics if a protocol name is not registered (the spec check rules it
+/// out).
+fn run_accuracy(
+    spec: &AccuracySpec,
+    scenario: NetworkScenario,
+    protocols: &ProtocolRegistry,
+    runner: &SweepRunner,
+) -> SpecOutcome {
+    let network = scenario.build();
+    let schedule = spec.schedule(&network);
+    let sample_times = spec.sample_times();
+
+    // The reference allocation: the max-min fair rates of the sessions that
+    // remain after the initial churn (computed from a bookkeeping-only pass).
+    let mut reference = BneckSimulation::new(&network, BneckConfig::default());
+    schedule.apply(&mut reference);
+    let final_sessions = reference.session_set();
+    let solution = CentralizedBneck::new(&network, &final_sessions).solve_with_bottlenecks();
+
+    let mut names = vec!["B-Neck"];
+    names.extend(spec.baselines.iter().map(String::as_str));
+    let results = runner.run(names, |_, name| {
+        let mut sim = protocols
+            .build(name, &network)
+            .unwrap_or_else(|| panic!("protocol {name} is not in the registry"));
+        run_protocol(sim.as_mut(), &schedule, &sample_times, &solution)
+    });
+    let notes = results
+        .iter()
+        .map(|r| match r.quiescent_at_us {
+            Some(t) => format!(
+                "{} became quiescent at {} us after {} packets",
+                r.protocol, t, r.total_packets
+            ),
+            None => format!(
+                "{} never became quiescent ({} packets over the horizon)",
+                r.protocol, r.total_packets
+            ),
+        })
+        .collect();
+    outcome(ExperimentReport::Accuracy(results), notes)
 }
 
 /// Drives one protocol through the Experiment 3 measurement loop: apply the
@@ -262,642 +570,75 @@ fn run_protocol(
     }
 }
 
-/// Runs Experiment 3 for B-Neck and the requested baselines on the same
-/// workload: joins plus early leaves, then rate samples every
-/// `config.sample_interval` until `config.horizon`, with the error measured
-/// against the centralized max-min rates of the surviving sessions (Figures 7
-/// and 8). Protocols run serially; see [`run_experiment3_with`] for the
-/// parallel driver.
-pub fn run_experiment3(config: &Experiment3Config, baselines: &[&str]) -> Vec<Experiment3Result> {
-    run_experiment3_with(config, baselines, &SweepRunner::new(1))
-}
-
-/// [`run_experiment3`], with the protocol cells fanned across the runner's
-/// worker threads. Every protocol runs its own independent simulation over a
-/// shared network, schedule and reference solution, so the results are
-/// bit-identical at any thread count and ordered B-Neck first, then the
-/// requested baselines.
-///
-/// # Panics
-///
-/// Panics if a requested baseline name is unknown (expected `BFYZ`, `CG` or
-/// `RCP`).
-pub fn run_experiment3_with(
-    config: &Experiment3Config,
-    baselines: &[&str],
-    runner: &SweepRunner,
-) -> Vec<Experiment3Result> {
-    run_experiment3_registry(config, baselines, &default_protocols(), runner)
-}
-
-/// [`run_experiment3_with`], resolving protocol names through a caller
-/// registry — the entry point of the spec-driven CLI, and the way to run the
-/// accuracy experiment over protocols this workspace does not know about.
-///
-/// # Panics
-///
-/// Panics if a requested protocol name is not registered.
-pub fn run_experiment3_registry(
-    config: &Experiment3Config,
-    baselines: &[&str],
-    registry: &ProtocolRegistry,
-    runner: &SweepRunner,
-) -> Vec<Experiment3Result> {
-    let network = config.scenario.build();
-    let schedule = config.schedule(&network);
-    let sample_times = config.sample_times();
-
-    // The reference allocation: the max-min fair rates of the sessions that
-    // remain after the initial churn (computed from a bookkeeping-only pass).
-    let mut reference = BneckSimulation::new(&network, BneckConfig::default());
-    schedule.apply(&mut reference);
-    let final_sessions = reference.session_set();
-    let solution = CentralizedBneck::new(&network, &final_sessions).solve_with_bottlenecks();
-
-    let mut protocols = vec!["B-Neck"];
-    protocols.extend(baselines);
-    runner.run(protocols, |_, name| {
-        let mut sim = registry
-            .build(name, &network)
-            .unwrap_or_else(|| panic!("protocol {name} is not in the registry"));
-        run_protocol(sim.as_mut(), &schedule, &sample_times, &solution)
-    })
-}
-
-/// Result of validating one randomized scenario against the oracle.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ValidationReport {
-    /// Scenario label.
-    pub scenario: String,
-    /// The scenario's topology seed (the former `validate` binary printed it
-    /// from its point list; carrying it in the report makes the report
-    /// self-describing).
-    pub topology_seed: u64,
-    /// Number of sessions checked.
-    pub sessions: usize,
-    /// Time to quiescence in microseconds.
-    pub time_to_quiescence_us: u64,
-    /// Number of sessions whose rate disagrees with the oracle.
-    pub mismatches: usize,
-    /// Number of max-min violations in the distributed allocation.
-    pub violations: usize,
-}
-
-/// Runs a join-only workload on a scenario and checks the distributed rates
-/// against both the centralized oracle and the max-min fairness conditions
-/// (the validation methodology of Section IV of the paper).
-pub fn validate_scenario(
-    scenario: &NetworkScenario,
-    sessions: usize,
-    seed: u64,
-) -> ValidationReport {
-    let config = Experiment1Config {
-        scenario: *scenario,
-        sessions,
-        join_window: Delay::from_millis(1),
-        limits: LimitPolicy::RandomFinite {
-            probability: 0.25,
-            min_bps: 1e6,
-            max_bps: 80e6,
-        },
-        seed,
-    };
-    let network = scenario.build();
-    let schedule = config.schedule(&network);
-    let mut sim = BneckSimulation::new(&network, BneckConfig::default());
-    schedule.apply(&mut sim);
-    let report = sim.run_to_quiescence();
-    let session_set = sim.session_set();
-    let mismatches = oracle_mismatches(&network, &session_set, &sim.allocation());
-    let violations = verify_max_min(&network, &session_set, &sim.allocation())
-        .err()
-        .map(|v| v.len())
-        .unwrap_or(0);
-    ValidationReport {
-        scenario: scenario.label(),
-        topology_seed: scenario.seed,
-        sessions: session_set.len(),
-        time_to_quiescence_us: report.quiescent_at.as_micros(),
-        mismatches,
-        violations,
-    }
-}
-
-/// One validation run: a scenario, a session count and the workload seed.
-pub use bneck_workload::spec::ValidationRun as ValidationPoint;
-
-/// Runs every validation point, fanning the independent runs across the
-/// runner's worker threads; reports come back in point order, bit-identical
-/// at any thread count.
-pub fn run_validation_sweep(
-    points: Vec<ValidationPoint>,
-    runner: &SweepRunner,
-) -> Vec<ValidationReport> {
-    runner.run(points, |_, point| {
-        validate_scenario(&point.scenario, point.sessions, point.seed)
-    })
-}
-
-/// The deterministic outcome of one paper-scale join-to-quiescence point
-/// (the wall-clock timings live in [`ScaleRun::detail`], outside the report,
-/// so reports stay bit-identical at any thread count and across machines).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ScaleReport {
-    /// Number of sessions the point planned.
-    pub sessions: usize,
-    /// Number of join events the harness accepted.
-    pub joins_applied: usize,
-    /// Whether the run reached quiescence.
-    pub quiescent: bool,
-    /// Simulated time of quiescence, in microseconds.
-    pub quiescent_at_us: u64,
-    /// Events processed during the run.
-    pub events_processed: u64,
-    /// Packets transmitted over links.
-    pub packets_sent: u64,
-    /// Average packets per session.
-    pub packets_per_session: f64,
-    /// Sessions disagreeing with the centralized oracle; `None` when
-    /// validation was skipped.
-    pub mismatches: Option<usize>,
-}
-
-impl ScaleReport {
-    /// `true` when the run reached quiescence, every planned session joined,
-    /// and — if validated — the rates agreed with the oracle.
-    pub fn ok(&self) -> bool {
-        self.quiescent && self.joins_applied == self.sessions && self.mismatches.unwrap_or(0) == 0
-    }
-}
-
-/// Wall-clock phase breakdown of one paper-scale run, plus the process peak
-/// RSS sampled after the run. Not part of [`ScaleReport`] — wall-clock times
-/// and memory footprints are machine-dependent, and scale reports must stay
-/// bit-identical across thread counts and hosts — but carried next to it so
-/// performance tooling (`bneck sweep --scale-curve`) can emit them.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ScaleTimings {
-    /// Seconds spent building the network.
-    pub build_s: f64,
-    /// Seconds spent planning sessions and schedules (routing included).
-    pub plan_s: f64,
-    /// Seconds spent applying the schedule and running to quiescence.
-    pub run_s: f64,
-    /// Seconds spent on the centralized-oracle cross-check (0 when skipped).
-    pub oracle_s: f64,
-    /// Seconds for the whole point, end to end.
-    pub total_s: f64,
-    /// Peak resident set size of the process in bytes (`VmHWM`), 0 when the
-    /// platform does not expose it. Cumulative across points run in the same
-    /// process: a high-water mark never goes back down.
-    pub peak_rss_bytes: u64,
-}
-
-/// Peak resident set size (`VmHWM`) of the current process in bytes, or 0
-/// when `/proc/self/status` is unavailable (non-Linux platforms).
-pub fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status.lines().find_map(|line| {
-                let rest = line.strip_prefix("VmHWM:")?;
-                rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
-            })
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
-
-/// One paper-scale run: the deterministic report plus human-oriented detail
-/// lines (network dimensions, wall-clock timings).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleRun {
-    /// The deterministic outcome.
-    pub report: ScaleReport,
-    /// The wall-clock phase breakdown and peak RSS of this point.
-    pub timings: ScaleTimings,
-    /// Multi-line progress/timing detail for operators (not part of the
-    /// machine-readable report: wall-clock times are not reproducible).
-    pub detail: String,
-}
-
-/// Runs one paper-scale point: builds the network, applies the join
-/// schedule, drives to quiescence, and — unless `validate` is off —
-/// cross-checks the final rates against the centralized oracle.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "operator-facing phase timing only; feeds the free-text detail, never the machine-readable report"
-)]
-pub fn run_scale_point(config: &Experiment1Config, validate: bool) -> ScaleRun {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let sessions = config.sessions;
-    let t0 = Instant::now();
-    let network = config.scenario.build();
-    let t_build = t0.elapsed();
-    let mut detail = format!(
-        "[scale] network: {} routers, {} hosts, {} links ({:.2?})\n",
-        network.router_count(),
-        network.host_count(),
-        network.link_count(),
-        t_build
-    );
-
-    let t1 = Instant::now();
-    let schedule = config.schedule(&network);
-    let t_plan = t1.elapsed();
-
-    let t2 = Instant::now();
-    let (stats, report, oracle_state) = {
-        let mut sim = BneckSimulation::new(&network, BneckConfig::default());
-        let stats = schedule.apply(&mut sim);
-        let report = sim.run_to_quiescence();
-        let state = validate.then(|| (sim.session_set(), sim.allocation()));
-        (stats, report, state)
-    };
-    let t_run = t2.elapsed();
-    let _ = write!(
-        detail,
-        "[scale] {} joins applied, quiescent={} at {}us after {} events / {} packets ({:.2?})",
-        stats.joins,
-        report.quiescent,
-        report.quiescent_at.as_micros(),
-        report.events_processed,
-        report.packets_sent,
-        t_run,
-    );
-
-    let mut mismatches = None;
-    let mut t_oracle = std::time::Duration::ZERO;
-    if let Some((session_set, allocation)) = oracle_state {
-        let t3 = Instant::now();
-        mismatches = Some(oracle_mismatches(&network, &session_set, &allocation));
-        t_oracle = t3.elapsed();
-    }
-    let timings = ScaleTimings {
-        build_s: t_build.as_secs_f64(),
-        plan_s: t_plan.as_secs_f64(),
-        run_s: t_run.as_secs_f64(),
-        oracle_s: t_oracle.as_secs_f64(),
-        total_s: t0.elapsed().as_secs_f64(),
-        peak_rss_bytes: peak_rss_bytes(),
-    };
-    let _ = write!(
-        detail,
-        "\n[scale] build_s={:.3} plan_s={:.3} run_s={:.3} oracle_s={:.3} total_s={:.3} peak_rss_mib={:.1}",
-        timings.build_s,
-        timings.plan_s,
-        timings.run_s,
-        timings.oracle_s,
-        timings.total_s,
-        timings.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-    );
-
-    ScaleRun {
-        report: ScaleReport {
-            sessions,
-            joins_applied: stats.joins,
-            quiescent: report.quiescent,
-            quiescent_at_us: report.quiescent_at.as_micros(),
-            events_processed: report.events_processed,
-            packets_sent: report.packets_sent,
-            packets_per_session: report.packets_sent as f64 / sessions.max(1) as f64,
-            mismatches,
-        },
-        timings,
-        detail,
-    }
-}
-
-/// One point of the machine-readable scale curve (`BENCH_SCALE.json`): the
-/// deterministic outcome of a paper-scale run joined with its wall-clock
-/// phase breakdown, per-event cost and peak RSS.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ScaleCurvePoint {
-    /// Number of sessions the point planned.
-    pub sessions: usize,
-    /// Events processed during the run.
-    pub events_processed: u64,
-    /// Packets transmitted over links.
-    pub packets_sent: u64,
-    /// Average packets per session.
-    pub packets_per_session: f64,
-    /// Engine cost per event in nanoseconds (`run_s / events_processed`).
-    pub ns_per_event: f64,
-    /// Seconds spent building the network.
-    pub build_s: f64,
-    /// Seconds spent planning sessions and schedules.
-    pub plan_s: f64,
-    /// Seconds spent running to quiescence.
-    pub run_s: f64,
-    /// Seconds spent on the oracle cross-check (0 when skipped).
-    pub oracle_s: f64,
-    /// Seconds for the whole point.
-    pub total_s: f64,
-    /// Peak resident set size in MiB at the end of the point.
-    pub peak_rss_mib: f64,
-    /// Whether the run reached quiescence.
-    pub quiescent: bool,
-    /// Oracle mismatches (`None` when validation was skipped).
-    pub mismatches: Option<usize>,
-}
-
-impl ScaleCurvePoint {
-    /// Joins a scale report with its timings into one curve point.
-    pub fn new(report: &ScaleReport, timings: &ScaleTimings) -> Self {
-        ScaleCurvePoint {
-            sessions: report.sessions,
-            events_processed: report.events_processed,
-            packets_sent: report.packets_sent,
-            packets_per_session: report.packets_per_session,
-            ns_per_event: if report.events_processed > 0 {
-                timings.run_s * 1e9 / report.events_processed as f64
-            } else {
-                0.0
-            },
-            build_s: timings.build_s,
-            plan_s: timings.plan_s,
-            run_s: timings.run_s,
-            oracle_s: timings.oracle_s,
-            total_s: timings.total_s,
-            peak_rss_mib: timings.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            quiescent: report.quiescent,
-            mismatches: report.mismatches,
-        }
-    }
-}
-
-/// How one fault-injected run ended. The classification is sound by
-/// construction: a run is [`Converged`](FaultOutcome::Converged) only when it
-/// both reached quiescence *and* every rate matched the centralized oracle —
-/// a corrupted run can never be reported as a success.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub enum FaultOutcome {
-    /// Quiescent with oracle-exact rates.
-    Converged,
-    /// Quiescent, but at least one session's rate disagrees with the oracle
-    /// (lost or duplicated control packets corrupted the protocol state).
-    WrongRates,
-    /// Still had events in flight at the horizon (e.g. a lost packet left a
-    /// probe cycle waiting forever, or retransmissions were still draining).
-    Stuck,
-}
-
-impl FaultOutcome {
-    /// Short lowercase label for tables and notes.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultOutcome::Converged => "converged",
-            FaultOutcome::WrongRates => "wrong-rates",
-            FaultOutcome::Stuck => "stuck",
-        }
-    }
-}
-
-/// Injected-fault counters of one channel, keyed by the raw channel index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ChannelFaultSummary {
-    /// The engine channel the faults were injected on.
-    pub channel: u32,
-    /// What was dropped, duplicated and delayed on it.
-    pub counters: FaultCounters,
-}
-
-/// The outcome of one fault-injected run (raw or recovery-enabled).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct FaultRunResult {
-    /// The honest classification of the run.
-    pub outcome: FaultOutcome,
-    /// Whether the run drained before the horizon.
-    pub quiescent: bool,
-    /// Simulated time the run went quiescent (or the horizon), microseconds.
-    pub quiescent_at_us: u64,
-    /// Events processed during the run.
-    pub events_processed: u64,
-    /// Packets transmitted over links.
-    pub packets_sent: u64,
-    /// Sessions whose final rate disagrees with the centralized oracle.
-    pub mismatches: usize,
-    /// Total faults injected across every channel.
-    pub faults: FaultCounters,
-    /// Per-channel fault breakdown (channels with at least one fault).
-    pub channel_faults: Vec<ChannelFaultSummary>,
-    /// The recovery layer's work counters (`None` on raw runs).
-    pub recovery: Option<RecoveryStats>,
-    /// Recovery frames still unacknowledged at the end (must be 0 for a
-    /// quiescent recovered run).
-    pub unacked_frames: usize,
-}
-
-/// One lowered cell of a fault sweep: the shared join workload plus this
-/// cell's fault plan, recovery setting and horizon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct FaultPointConfig {
-    /// The network scenario.
-    pub scenario: NetworkScenario,
-    /// Number of sessions to join.
-    pub sessions: usize,
-    /// Window in which all joins happen.
-    pub join_window: Delay,
-    /// Maximum-rate request policy.
-    pub limits: LimitPolicy,
-    /// Workload seed (shared across the grid, so every cell replays the same
-    /// joins).
-    pub workload_seed: u64,
-    /// This cell's fault plan (its seed differs per cell).
-    pub plan: FaultPlan,
-    /// RTO of the additional recovery-enabled run, `None` to skip it.
-    pub recovery_rto: Option<Delay>,
-    /// Horizon after which a non-quiescent run is recorded as stuck.
-    pub horizon: Delay,
-}
-
-/// The report of one fault-sweep cell: the raw run's honest outcome, and —
-/// when requested — the recovery-enabled run that is expected to restore
-/// oracle-exact convergence.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct FaultPointReport {
-    /// Per-transmission drop probability of this cell.
-    pub drop: f64,
-    /// Per-transmission duplication probability of this cell.
-    pub duplicate: f64,
-    /// The fault-plan seed this cell rolled its faults from.
-    pub fault_seed: u64,
-    /// The run without the recovery layer: converged, wrong-rates or stuck,
-    /// recorded as observed.
-    pub raw: FaultRunResult,
-    /// The run with sequencing + retransmission enabled (`None` when the
-    /// sweep did not request recovery runs).
-    pub recovered: Option<FaultRunResult>,
-}
-
-impl FaultPointReport {
-    /// `true` when the cell meets its contract: a recovery-enabled run must
-    /// converge with nothing left unacknowledged, while the raw run is an
-    /// honest record that cannot fail (its outcome *is* the data).
-    pub fn ok(&self) -> bool {
-        match &self.recovered {
-            Some(run) => run.outcome == FaultOutcome::Converged && run.unacked_frames == 0,
-            None => true,
-        }
-    }
-}
-
-/// Runs one fault-injected simulation and classifies it honestly.
-fn run_fault_run(config: &FaultPointConfig, with_recovery: bool) -> FaultRunResult {
-    let network = config.scenario.build();
-    let workload = Experiment1Config {
-        scenario: config.scenario,
-        sessions: config.sessions,
-        join_window: config.join_window,
-        limits: config.limits,
-        seed: config.workload_seed,
-    };
-    let schedule = workload.schedule(&network);
-    let mut bneck = BneckConfig::default();
-    if with_recovery {
-        if let Some(rto) = config.recovery_rto {
-            bneck = bneck.with_recovery(rto);
-        }
-    }
-    let mut sim = BneckSimulation::new(&network, bneck);
-    sim.set_fault_plan(config.plan);
-    schedule.apply(&mut sim);
-    let report = sim.run_until(SimTime::ZERO + config.horizon);
-    let session_set = sim.session_set();
-    let mismatches = oracle_mismatches(&network, &session_set, &sim.allocation());
-    let outcome = if !report.quiescent {
-        FaultOutcome::Stuck
-    } else if mismatches > 0 {
-        FaultOutcome::WrongRates
-    } else {
-        FaultOutcome::Converged
-    };
-    FaultRunResult {
-        outcome,
-        quiescent: report.quiescent,
-        quiescent_at_us: report.quiescent_at.as_micros(),
-        events_processed: report.events_processed,
-        packets_sent: report.packets_sent,
-        mismatches,
-        faults: sim.fault_totals(),
-        channel_faults: sim
-            .fault_breakdown()
-            .into_iter()
-            .map(|(channel, counters)| ChannelFaultSummary {
-                channel: channel.0,
-                counters,
-            })
-            .collect(),
-        recovery: sim.recovery_stats(),
-        unacked_frames: sim.unacked_frames(),
-    }
-}
-
-/// Runs one cell of a fault sweep: the raw run always, plus a
-/// recovery-enabled run when the cell carries an RTO.
-pub fn run_fault_point(config: &FaultPointConfig) -> FaultPointReport {
-    let raw = run_fault_run(config, false);
-    let recovered = config.recovery_rto.map(|_| run_fault_run(config, true));
-    FaultPointReport {
-        drop: config.plan.drop,
-        duplicate: config.plan.duplicate,
-        fault_seed: config.plan.seed,
-        raw,
-        recovered,
-    }
-}
-
-/// Lowers a [`FaultSweepSpec`] into per-cell configs: cell `i` (drop-major
-/// order) rolls its faults from `fault_seed + i`, so every cell has an
-/// independent fault stream over the same replayed workload.
-///
-/// # Errors
-///
-/// Propagates the spec's own grid validation ([`FaultSweepSpec::points`]).
-pub fn fault_point_configs(
-    spec: &FaultSweepSpec,
-    scenario: NetworkScenario,
-) -> Result<Vec<FaultPointConfig>, SpecError> {
-    let points = spec.points()?;
-    Ok(points
-        .iter()
-        .enumerate()
-        .map(|(i, point)| FaultPointConfig {
-            scenario,
-            sessions: spec.sessions,
-            join_window: Delay::from_micros(spec.join_window_us),
-            limits: spec.limits,
-            workload_seed: spec.workload_seed,
-            plan: FaultPlan::new(
-                spec.fault_seed.wrapping_add(i as u64),
-                point.drop,
-                point.duplicate,
-                spec.reorder,
-                spec.reorder_window,
-            ),
-            recovery_rto: spec.with_recovery.then(|| Delay::from_micros(spec.rto_us)),
-            horizon: Delay::from_millis(spec.horizon_ms),
-        })
-        .collect())
-}
-
-/// Runs every fault-sweep cell, fanned across the runner's worker threads;
-/// reports come back in cell order, bit-identical at any thread count (each
-/// cell's fault and workload seeds live in its config).
-pub fn run_fault_sweep(
-    configs: Vec<FaultPointConfig>,
-    runner: &SweepRunner,
-) -> Vec<FaultPointReport> {
-    runner.run(configs, |_, config| run_fault_point(&config))
-}
-
-/// Runs every paper-scale point, fanned across the runner's worker threads;
-/// reports come back in point order, bit-identical at any thread count.
-pub fn run_scale_sweep(
-    configs: Vec<Experiment1Config>,
-    validate: bool,
-    runner: &SweepRunner,
-) -> Vec<ScaleRun> {
-    runner.run(configs, |_, config| run_scale_point(&config, validate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bneck_net::topology::transit_stub::NetworkSize;
     use bneck_net::DelayModel;
 
+    fn accuracy(hosts: usize, joins: usize, leaves: usize, horizon_ms: u64) -> AccuracySpec {
+        AccuracySpec {
+            topology: ScenarioSpec::new("small/lan", hosts),
+            joins,
+            leaves,
+            change_window_us: 5_000,
+            sample_interval_us: 3_000,
+            horizon_us: horizon_ms * 1_000,
+            limits: LimitPolicy::Unlimited,
+            seed: 1,
+            baselines: vec![],
+        }
+    }
+
+    fn accuracy_results(spec: &AccuracySpec, threads: usize) -> Vec<Experiment3Result> {
+        let scenario = NetworkScenario::small_lan(spec.topology.hosts);
+        let runner = SweepRunner::new(threads);
+        match run_accuracy(spec, scenario, &default_protocols(), &runner).report {
+            ExperimentReport::Accuracy(results) => results,
+            other => panic!("accuracy run produced {other:?}"),
+        }
+    }
+
     #[test]
     fn experiment1_point_runs_and_validates() {
-        let config = Experiment1Config::scaled(NetworkScenario::small_lan(80).with_seed(3), 30);
-        let point = run_experiment1_point(&config);
+        let config = Experiment1Config {
+            scenario: NetworkScenario::small_lan(80).with_seed(3),
+            sessions: 30,
+            join_window: Delay::from_millis(1),
+            limits: LimitPolicy::Unlimited,
+            seed: 1,
+        };
+        let outcome = run_joins(vec![config], &SweepRunner::new(1));
+        let ExperimentReport::Joins(points) = &outcome.report else {
+            panic!("joins run produced {:?}", outcome.report);
+        };
+        let point = &points[0];
         assert_eq!(point.sessions, 30);
         assert!(point.validated, "rates must match the oracle");
         assert!(point.total_packets > 0);
         assert!(point.time_to_quiescence_us > 0);
         assert!(point.packets_per_session > 1.0);
+        assert_eq!(outcome.report.failures(), 0);
     }
 
     #[test]
     fn experiment2_phases_all_validate() {
-        let mut config = Experiment2Config::scaled();
-        config.scenario = NetworkScenario::small_lan(200);
-        config.initial_sessions = 60;
-        config.churn = 15;
-        let (phases, series) = run_experiment2(&config);
+        let spec = ChurnSpec {
+            topology: ScenarioSpec::new("small/lan", 200),
+            initial_sessions: 60,
+            churn: 15,
+            change_window_us: 1_000,
+            limits: LimitPolicy::Unlimited,
+            seed: 1,
+            repeats: 1,
+        };
+        let outcome = run_churn(&spec, NetworkScenario::small_lan(200), &SweepRunner::new(1));
+        let ExperimentReport::Churn(runs) = outcome.report else {
+            panic!("churn run produced {:?}", outcome.report);
+        };
+        let Experiment2Run { phases, series, .. } = &runs[0];
         assert_eq!(phases.len(), 5);
-        for phase in &phases {
+        for phase in phases {
             assert!(phase.validated, "phase {} did not validate", phase.name);
             assert!(phase.packets.total() > 0);
         }
@@ -912,12 +653,9 @@ mod tests {
 
     #[test]
     fn experiment3_bneck_goes_quiescent_and_baseline_does_not() {
-        let mut config = Experiment3Config::scaled();
-        config.scenario = NetworkScenario::small_lan(150);
-        config.joins = 50;
-        config.leaves = 5;
-        config.horizon = Delay::from_millis(60);
-        let results = run_experiment3(&config, &["BFYZ"]);
+        let mut spec = accuracy(150, 50, 5, 60);
+        spec.baselines = vec!["BFYZ".to_string()];
+        let results = accuracy_results(&spec, 1);
         assert_eq!(results.len(), 2);
         let bneck = &results[0];
         let bfyz = &results[1];
@@ -939,13 +677,10 @@ mod tests {
 
     #[test]
     fn experiment3_parallel_driver_matches_the_serial_one() {
-        let mut config = Experiment3Config::scaled();
-        config.scenario = NetworkScenario::small_lan(120);
-        config.joins = 30;
-        config.leaves = 3;
-        config.horizon = Delay::from_millis(30);
-        let serial = run_experiment3(&config, &["BFYZ", "CG", "RCP"]);
-        let parallel = run_experiment3_with(&config, &["BFYZ", "CG", "RCP"], &SweepRunner::new(4));
+        let mut spec = accuracy(120, 30, 3, 30);
+        spec.baselines = ["BFYZ", "CG", "RCP"].map(String::from).to_vec();
+        let serial = accuracy_results(&spec, 1);
+        let parallel = accuracy_results(&spec, 4);
         assert_eq!(
             serial, parallel,
             "protocol cells are thread-count independent"
@@ -982,9 +717,14 @@ mod tests {
             rto_us: 500,
             horizon_ms: 200,
         };
-        let configs = fault_point_configs(&spec, NetworkScenario::small_lan(20)).unwrap();
-        assert_eq!(configs.len(), 2);
-        let reports = run_fault_sweep(configs, &SweepRunner::new(2));
+        let topologies = TopologyRegistry::builtin();
+        let config = spec.config(&topologies).unwrap();
+        let points = spec.points().unwrap();
+        assert_eq!(points.len(), 2);
+        let outcome = run_faults(&spec, config, points, &SweepRunner::new(2));
+        let ExperimentReport::FaultSweep(reports) = outcome.report else {
+            panic!("fault sweep produced {:?}", outcome.report);
+        };
         for report in &reports {
             // The recovery contract: oracle-exact quiescent convergence with
             // nothing left in flight.
@@ -1018,7 +758,18 @@ mod tests {
             hosts: 60,
             seed: 5,
         };
-        let report = validate_scenario(&scenario, 25, 9);
+        let config = Experiment1Config {
+            scenario,
+            sessions: 25,
+            join_window: Delay::from_millis(1),
+            limits: bneck_workload::spec::VALIDATION_LIMITS,
+            seed: 9,
+        };
+        let outcome = run_validation(vec![config], &SweepRunner::new(1));
+        let ExperimentReport::Validation(reports) = &outcome.report else {
+            panic!("validation run produced {:?}", outcome.report);
+        };
+        let report = &reports[0];
         assert_eq!(report.mismatches, 0);
         assert_eq!(report.violations, 0);
         assert_eq!(report.sessions, 25);

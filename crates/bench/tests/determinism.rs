@@ -1,107 +1,145 @@
-//! Determinism guard: the parallel sweep driver must produce bit-identical
-//! reports regardless of its thread count.
+//! Determinism guard: a spec's report must be bit-identical whatever the
+//! worker-thread count.
 //!
 //! Every experiment point owns its RNG (seeded from the point, whose seed in
 //! turn derives from the point's index in the sweep), builds its own network
 //! and simulation, and shares nothing mutable with other points — so running
-//! a sweep on 1 thread and on N threads must yield *equal* results, not
-//! merely statistically similar ones. These tests pin that property for all
-//! four sweep-level runners.
+//! a spec on 1 thread and on N threads must yield *equal* reports, not
+//! merely statistically similar ones. These tests pin that property for
+//! every spec kind through [`run_spec`], the one way to run an experiment,
+//! at 1, 2, 4 and 16 threads.
 
-use bneck_bench::{
-    fault_point_configs, run_experiment1_sweep, run_experiment2_repeats, run_experiment3_with,
-    run_fault_sweep, run_validation_sweep, SweepRunner, ValidationPoint,
+use bneck_bench::{default_protocols, run_spec, ExperimentReport, SweepRunner};
+use bneck_workload::registry::TopologyRegistry;
+use bneck_workload::spec::{
+    AccuracySpec, ChurnSpec, ExperimentKind, ExperimentSpec, FaultSweepSpec, JoinsSpec, OutputSpec,
+    ScenarioSpec, ValidationSpec,
 };
-use bneck_net::Delay;
-use bneck_workload::{Experiment1Config, Experiment2Config, Experiment3Config, NetworkScenario};
+use bneck_workload::LimitPolicy;
+
+const THREADS: [usize; 4] = [1, 2, 4, 16];
+
+fn spec(experiment: ExperimentKind) -> ExperimentSpec {
+    ExperimentSpec {
+        name: "determinism".to_string(),
+        experiment,
+        output: OutputSpec::default(),
+    }
+}
+
+fn report_at(spec: &ExperimentSpec, threads: usize) -> ExperimentReport {
+    run_spec(
+        spec,
+        &TopologyRegistry::builtin(),
+        &default_protocols(),
+        &SweepRunner::new(threads),
+    )
+    .expect("the spec resolves")
+    .report
+}
+
+/// The spec's report at one thread, after checking every other thread count
+/// reproduces it.
+fn thread_invariant_report(spec: &ExperimentSpec) -> ExperimentReport {
+    let serial = report_at(spec, 1);
+    for threads in &THREADS[1..] {
+        assert_eq!(
+            serial,
+            report_at(spec, *threads),
+            "{threads}-thread run diverged from the serial one"
+        );
+    }
+    assert_eq!(serial.failures(), 0, "{serial:?}");
+    serial
+}
 
 #[test]
 fn experiment1_sweep_is_bit_identical_at_any_thread_count() {
-    let configs: Vec<Experiment1Config> = [(20usize, 1u64), (35, 2), (50, 3), (20, 4)]
-        .iter()
-        .map(|&(sessions, seed)| {
-            let mut config =
-                Experiment1Config::scaled(NetworkScenario::small_lan(2 * sessions + 10), sessions);
-            config.seed = seed;
-            config
-        })
-        .collect();
-    let serial = run_experiment1_sweep(configs.clone(), &SweepRunner::new(1));
-    for threads in [2, 4, 16] {
-        let parallel = run_experiment1_sweep(configs.clone(), &SweepRunner::new(threads));
-        assert_eq!(
-            serial, parallel,
-            "{threads}-thread sweep diverged from the serial one"
-        );
-    }
-    assert!(serial.iter().all(|p| p.validated));
+    let report = thread_invariant_report(&spec(ExperimentKind::Joins(JoinsSpec {
+        topologies: vec!["small/lan".to_string()],
+        topology_seed: 1,
+        sessions: vec![20, 35, 50, 20],
+        hosts_per_session: 2,
+        min_hosts: 20,
+        join_window_us: 1_000,
+        limits: LimitPolicy::Unlimited,
+        base_seed: 1,
+    })));
+    let ExperimentReport::Joins(points) = report else {
+        panic!("joins spec produced {report:?}");
+    };
+    assert_eq!(points.len(), 4);
+    assert!(points.iter().all(|p| p.validated));
 }
 
 #[test]
 fn experiment2_repeats_are_bit_identical_at_any_thread_count() {
-    let base = Experiment2Config {
-        scenario: NetworkScenario::small_lan(140),
+    let report = thread_invariant_report(&spec(ExperimentKind::Churn(ChurnSpec {
+        topology: ScenarioSpec::new("small/lan", 140),
         initial_sessions: 40,
         churn: 10,
-        ..Experiment2Config::scaled()
+        change_window_us: 1_000,
+        limits: LimitPolicy::Unlimited,
+        seed: 1,
+        repeats: 3,
+    })));
+    let ExperimentReport::Churn(runs) = report else {
+        panic!("churn spec produced {report:?}");
     };
-    let serial = run_experiment2_repeats(&base, 3, &SweepRunner::new(1));
-    let parallel = run_experiment2_repeats(&base, 3, &SweepRunner::new(4));
-    assert_eq!(serial, parallel);
     // Distinct seeds really produce distinct workloads (the repeats are not
     // accidentally clones of one run).
-    assert_eq!(serial[0].seed + 1, serial[1].seed);
-    assert!(serial.iter().all(|r| r.phases.iter().all(|p| p.validated)));
+    assert_eq!(runs.len(), 3);
+    assert_eq!(runs[0].seed + 1, runs[1].seed);
+    assert_ne!(runs[0].phases, runs[1].phases);
+    assert!(runs.iter().all(|r| r.phases.iter().all(|p| p.validated)));
 }
 
 #[test]
 fn experiment3_protocol_cells_are_bit_identical_at_any_thread_count() {
-    let config = Experiment3Config {
-        scenario: NetworkScenario::small_lan(100),
+    let report = thread_invariant_report(&spec(ExperimentKind::Accuracy(AccuracySpec {
+        topology: ScenarioSpec::new("small/lan", 100),
         joins: 25,
         leaves: 3,
-        horizon: Delay::from_millis(30),
-        ..Experiment3Config::scaled()
+        change_window_us: 5_000,
+        sample_interval_us: 3_000,
+        horizon_us: 30_000,
+        limits: LimitPolicy::Unlimited,
+        seed: 1,
+        baselines: ["BFYZ", "CG", "RCP"].map(String::from).to_vec(),
+    })));
+    let ExperimentReport::Accuracy(results) = report else {
+        panic!("accuracy spec produced {report:?}");
     };
-    let serial = run_experiment3_with(&config, &["BFYZ", "CG", "RCP"], &SweepRunner::new(1));
-    let parallel = run_experiment3_with(&config, &["BFYZ", "CG", "RCP"], &SweepRunner::new(4));
-    assert_eq!(serial, parallel);
-    assert_eq!(serial[0].protocol, "B-Neck");
+    let protocols: Vec<&str> = results.iter().map(|r| r.protocol.as_str()).collect();
+    assert_eq!(protocols, ["B-Neck", "BFYZ", "CG", "RCP"]);
 }
 
 #[test]
 fn validation_sweep_is_bit_identical_at_any_thread_count() {
-    let mut points = Vec::new();
-    for (i, scenario) in [
-        NetworkScenario::small_lan(60),
-        NetworkScenario::small_wan(60),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for seed in 0..3u64 {
-            points.push(ValidationPoint {
-                scenario: scenario.with_seed(seed + 1),
-                sessions: 20,
-                seed: 100 + i as u64 * 10 + seed,
-            });
-        }
-    }
-    let serial = run_validation_sweep(points.clone(), &SweepRunner::new(1));
-    let parallel = run_validation_sweep(points, &SweepRunner::new(3));
-    assert_eq!(serial, parallel);
-    assert!(serial
+    let report = thread_invariant_report(&spec(ExperimentKind::Validation(ValidationSpec {
+        topologies: vec!["small/lan".to_string(), "small/wan".to_string()],
+        sessions: 20,
+        hosts_per_session: 3,
+        runs: 3,
+        topo_seed_base: 1,
+        workload_seed_base: 100,
+    })));
+    let ExperimentReport::Validation(reports) = report else {
+        panic!("validation spec produced {report:?}");
+    };
+    assert_eq!(reports.len(), 6);
+    assert!(reports
         .iter()
         .all(|r| r.mismatches == 0 && r.violations == 0));
 }
 
 #[test]
 fn fault_sweep_is_bit_identical_at_any_thread_count_and_repeat() {
-    let spec = bneck_workload::FaultSweepSpec {
-        topology: bneck_workload::ScenarioSpec::new("small/lan", 20),
+    let spec = spec(ExperimentKind::FaultSweep(FaultSweepSpec {
+        topology: ScenarioSpec::new("small/lan", 20),
         sessions: 8,
         join_window_us: 1_000,
-        limits: bneck_workload::LimitPolicy::Unlimited,
+        limits: LimitPolicy::Unlimited,
         workload_seed: 1,
         fault_seed: 42,
         drop: vec![0.0, 0.02, 0.05],
@@ -111,179 +149,53 @@ fn fault_sweep_is_bit_identical_at_any_thread_count_and_repeat() {
         with_recovery: true,
         rto_us: 500,
         horizon_ms: 200,
-    };
-    let configs = fault_point_configs(&spec, NetworkScenario::small_lan(20)).unwrap();
-    let serial = run_fault_sweep(configs.clone(), &SweepRunner::new(1));
-    for threads in [2, 4, 16] {
-        let parallel = run_fault_sweep(configs.clone(), &SweepRunner::new(threads));
-        assert_eq!(
-            serial, parallel,
-            "{threads}-thread fault sweep diverged from the serial one"
-        );
-    }
+    }));
+    let serial = thread_invariant_report(&spec);
     // Repeating the serial run reproduces it bit for bit: every fault roll
     // derives from the per-cell seed, never from ambient state.
-    let again = run_fault_sweep(configs, &SweepRunner::new(1));
-    assert_eq!(serial, again, "a repeated fault sweep diverged");
-    assert!(serial.iter().all(|r| r.ok()));
+    assert_eq!(
+        serial,
+        report_at(&spec, 1),
+        "a repeated fault sweep diverged"
+    );
+    let ExperimentReport::FaultSweep(cells) = serial else {
+        panic!("fault sweep produced {serial:?}");
+    };
+    assert_eq!(cells.len(), 6);
+    assert!(cells.iter().all(|c| c.ok()));
 }
 
-// ---------------------------------------------------------------------------
-// Spec-path equivalence: `bneck run` on the preset specs must produce reports
-// bit-identical to the direct PR 4 runner entry points (the specs are a
-// declarative frontend over the same engine, not a parallel implementation).
-// ---------------------------------------------------------------------------
-
+/// Scale reports must come out byte-identical with session planning at
+/// 1, 2, 4 and 16 worker threads, with same-link event batching active in
+/// the engine (it always is in `run_until`). The planner reads
+/// `BNECK_THREADS`, the sweep runner takes its count explicitly; both are
+/// varied together.
 #[cfg(feature = "serde")]
-mod spec_equivalence {
-    use super::*;
-    use bneck_bench::{default_protocols, run_spec, ExperimentReport};
-    use bneck_workload::registry::TopologyRegistry;
-    use bneck_workload::spec::{ExperimentKind, ExperimentSpec};
+#[test]
+fn scale_reports_are_byte_identical_at_any_planner_thread_count() {
+    use bneck_workload::spec::ScaleSpec;
 
-    /// The exp1 preset runs the same simulations as the former `experiment1`
-    /// binary's construction loop fed to `run_experiment1_sweep`. The session
-    /// sweep is trimmed to keep the test fast; the trim goes through the same
-    /// `--sessions` override path the CLI exposes.
-    #[test]
-    fn exp1_preset_report_matches_the_direct_runner() {
-        let mut spec = ExperimentSpec::preset("exp1").unwrap();
-        let ExperimentKind::Joins(joins) = &mut spec.experiment else {
-            panic!("exp1 is a joins sweep");
+    let spec = spec(ExperimentKind::Scale(ScaleSpec {
+        sessions: vec![300, 500],
+        validate: true,
+    }));
+    let mut bytes = Vec::new();
+    for threads in THREADS {
+        std::env::set_var("BNECK_THREADS", threads.to_string());
+        let report = report_at(&spec, threads);
+        let ExperimentReport::Scale(points) = &report else {
+            panic!("scale spec produced {report:?}");
         };
-        joins.sessions = vec![10, 25];
-
-        // What the former binary built for this sweep: seed = position + 1,
-        // hosts = (2 * sessions).max(20), over the same three scenarios.
-        let mut configs = Vec::new();
-        let scenarios: Vec<fn(usize) -> NetworkScenario> = vec![
-            NetworkScenario::small_lan,
-            NetworkScenario::small_wan,
-            NetworkScenario::medium_lan,
-        ];
-        for make_scenario in &scenarios {
-            for &sessions in &[10usize, 25] {
-                let hosts = (2 * sessions).max(20);
-                let mut config = Experiment1Config::scaled(make_scenario(hosts), sessions);
-                config.seed = configs.len() as u64 + 1;
-                configs.push(config);
-            }
-        }
-        let direct = run_experiment1_sweep(configs, &SweepRunner::new(1));
-
-        let topologies = TopologyRegistry::builtin();
-        let protocols = default_protocols();
-        for threads in [1, 4] {
-            let outcome =
-                run_spec(&spec, &topologies, &protocols, &SweepRunner::new(threads)).unwrap();
-            let ExperimentReport::Joins(points) = outcome.report else {
-                panic!("joins spec produces a joins report");
-            };
-            assert_eq!(
-                points, direct,
-                "spec path diverged from the direct runner at {threads} thread(s)"
-            );
-        }
-    }
-
-    /// Scale reports must come out byte-identical with session planning at
-    /// 1, 2 and 4 worker threads — through the direct sweep runner and the
-    /// spec path alike, with same-link event batching active in the engine
-    /// (it always is in `run_until`). The planner reads `BNECK_THREADS`, the
-    /// sweep runner takes its count explicitly; both are varied together.
-    #[test]
-    fn scale_reports_are_byte_identical_at_planner_threads_1_2_4() {
-        let mut spec = ExperimentSpec::preset("paper_scale").unwrap();
-        let ExperimentKind::Scale(scale) = &mut spec.experiment else {
-            panic!("paper_scale is a scale spec");
-        };
-        scale.sessions = vec![300, 500];
-
-        let topologies = TopologyRegistry::builtin();
-        let protocols = default_protocols();
-        let mut sweep_bytes = Vec::new();
-        let mut spec_bytes = Vec::new();
-        for threads in [1usize, 2, 4] {
-            std::env::set_var("BNECK_THREADS", threads.to_string());
-            let configs = vec![
-                Experiment1Config::paper_scale(300),
-                Experiment1Config::paper_scale(500),
-            ];
-            let runs = bneck_bench::run_scale_sweep(configs, true, &SweepRunner::new(threads));
-            assert!(runs.iter().all(|r| r.report.ok()));
-            let reports: Vec<_> = runs.into_iter().map(|r| r.report).collect();
-            sweep_bytes.push(
-                serde_json::to_value(&reports)
-                    .expect("infallible in the shim")
-                    .to_json_pretty(),
-            );
-
-            let outcome =
-                run_spec(&spec, &topologies, &protocols, &SweepRunner::new(threads)).unwrap();
-            let ExperimentReport::Scale(spec_reports) = &outcome.report else {
-                panic!("scale spec produces a scale report");
-            };
-            assert_eq!(spec_reports, &reports, "spec path diverged at {threads}");
-            spec_bytes.push(
-                serde_json::to_value(&outcome.report)
-                    .expect("infallible in the shim")
-                    .to_json_pretty(),
-            );
-        }
-        std::env::remove_var("BNECK_THREADS");
-        assert!(
-            sweep_bytes.iter().all(|b| b == &sweep_bytes[0]),
-            "sweep-path report bytes differ across planner thread counts"
-        );
-        assert!(
-            spec_bytes.iter().all(|b| b == &spec_bytes[0]),
-            "spec-path report bytes differ across planner thread counts"
+        assert!(points.iter().all(|p| p.ok()));
+        bytes.push(
+            serde_json::to_value(&report)
+                .expect("infallible in the shim")
+                .to_json_pretty(),
         );
     }
-
-    /// The validate preset runs the same points as the former `validate`
-    /// binary (sessions trimmed via the spec, as `--sessions` would).
-    #[test]
-    fn validate_preset_report_matches_the_direct_runner() {
-        let mut spec = ExperimentSpec::preset("validate").unwrap();
-        let ExperimentKind::Validation(validation) = &mut spec.experiment else {
-            panic!("validate is a validation spec");
-        };
-        validation.sessions = 25;
-        validation.runs = 2;
-
-        // What the former binary built: scenario seeds 1..=runs, workload
-        // seeds 100.., hosts = 2 * sessions, over four scenario flavours.
-        let sessions = 25;
-        let mut points = Vec::new();
-        for scenario in [
-            NetworkScenario::small_lan(2 * sessions),
-            NetworkScenario::small_wan(2 * sessions),
-            NetworkScenario::medium_lan(2 * sessions),
-            NetworkScenario::medium_wan(2 * sessions),
-        ] {
-            for seed in 0..2u64 {
-                points.push(ValidationPoint {
-                    scenario: scenario.with_seed(seed + 1),
-                    sessions,
-                    seed: seed + 100,
-                });
-            }
-        }
-        let direct = run_validation_sweep(points, &SweepRunner::new(1));
-
-        let topologies = TopologyRegistry::builtin();
-        let protocols = default_protocols();
-        for threads in [1, 4] {
-            let outcome =
-                run_spec(&spec, &topologies, &protocols, &SweepRunner::new(threads)).unwrap();
-            let ExperimentReport::Validation(reports) = outcome.report else {
-                panic!("validation spec produces a validation report");
-            };
-            assert_eq!(
-                reports, direct,
-                "spec path diverged from the direct runner at {threads} thread(s)"
-            );
-        }
-    }
+    std::env::remove_var("BNECK_THREADS");
+    assert!(
+        bytes.iter().all(|b| b == &bytes[0]),
+        "scale report bytes differ across planner thread counts"
+    );
 }

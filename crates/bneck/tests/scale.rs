@@ -57,31 +57,53 @@ fn paper_scale_10k_matches_oracle() {
 #[test]
 #[ignore = "paper-scale run: execute in release with -- --ignored"]
 fn paper_scale_250k_parallel_planning_matches_sequential_report() {
-    use bneck_bench::run_scale_point;
+    use bneck_bench::{default_protocols, run_spec, ExperimentReport, SweepRunner};
+    use bneck_workload::registry::TopologyRegistry;
+    use bneck_workload::spec::{ExperimentKind, ExperimentSpec, OutputSpec, ScaleSpec};
 
-    let config = Experiment1Config::paper_scale(250_000);
+    let spec = ExperimentSpec {
+        name: "paper_scale_250k".to_string(),
+        experiment: ExperimentKind::Scale(ScaleSpec {
+            sessions: vec![250_000],
+            validate: true,
+        }),
+        output: OutputSpec::default(),
+    };
+    let run = || {
+        let outcome = run_spec(
+            &spec,
+            &TopologyRegistry::builtin(),
+            &default_protocols(),
+            &SweepRunner::new(1),
+        )
+        .expect("the scale spec resolves");
+        match outcome.report {
+            ExperimentReport::Scale(mut reports) => reports.remove(0),
+            other => panic!("scale spec produced {other:?}"),
+        }
+    };
     // The planner reads its worker-thread count from BNECK_THREADS. Thread
     // counts are invisible in every deterministic output by design, so
     // flipping the variable here cannot disturb concurrently running tests.
     std::env::set_var("BNECK_THREADS", "1");
-    let sequential = run_scale_point(&config, true);
+    let sequential = run();
     std::env::set_var("BNECK_THREADS", "4");
-    let parallel = run_scale_point(&config, true);
+    let parallel = run();
     std::env::remove_var("BNECK_THREADS");
 
-    assert!(parallel.report.quiescent);
-    assert_eq!(parallel.report.joins_applied, 250_000);
+    assert!(parallel.quiescent);
+    assert_eq!(parallel.joins_applied, 250_000);
     assert_eq!(
-        parallel.report.mismatches,
+        parallel.mismatches,
         Some(0),
         "distributed rates must match the oracle exactly at 250k"
     );
-    assert!(parallel.report.ok());
+    assert!(parallel.ok());
 
-    let sequential_bytes = serde_json::to_value(&sequential.report)
+    let sequential_bytes = serde_json::to_value(&sequential)
         .expect("infallible in the shim")
         .to_json_pretty();
-    let parallel_bytes = serde_json::to_value(&parallel.report)
+    let parallel_bytes = serde_json::to_value(&parallel)
         .expect("infallible in the shim")
         .to_json_pretty();
     assert_eq!(

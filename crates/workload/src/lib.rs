@@ -14,15 +14,17 @@
 //!   experiment drivers run any protocol through one code path;
 //! * [`dynamics`] — phase-structured churn (the join/leave/change phases of
 //!   Experiment 2);
-//! * [`experiments`] — ready-made configurations for the paper's three
-//!   experiments, with both paper-scale and CI-scale parameter sets;
+//! * [`experiments`] — the workloads of the paper's three experiments:
+//!   [`Experiment1Config`], the one run description (a join burst), plus
+//!   the churn phases and the joins-plus-leaves schedule planned from their
+//!   specs;
 //! * [`registry`] — by-name factories: [`registry::ProtocolRegistry`] builds
 //!   protocols-under-test, [`registry::TopologyRegistry`] builds the named
 //!   topology presets;
 //! * [`spec`] — declarative, serializable experiment specifications
 //!   ([`spec::ExperimentSpec`]): topology + workload + protocols + seeds +
-//!   repeats + output selection as data, with shipped presets reproducing
-//!   the paper's evaluation matrix.
+//!   repeats + output selection as data, with shipped presets holding the
+//!   paper's evaluation matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +40,7 @@ pub mod sessions;
 pub mod spec;
 
 pub use dynamics::DynamicsPlanner;
-pub use experiments::{Experiment1Config, Experiment2Config, Experiment3Config, PhaseSpec};
+pub use experiments::{Experiment1Config, PhaseSpec};
 pub use protocol::ProtocolWorld;
 pub use registry::{ProtocolRegistry, TopologyRegistry};
 pub use scenario::NetworkScenario;
@@ -52,9 +54,7 @@ pub use spec::{
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
     pub use crate::dynamics::DynamicsPlanner;
-    pub use crate::experiments::{
-        Experiment1Config, Experiment2Config, Experiment3Config, PhaseSpec,
-    };
+    pub use crate::experiments::{Experiment1Config, PhaseSpec};
     pub use crate::protocol::ProtocolWorld;
     pub use crate::registry::{ProtocolRegistry, TopologyRegistry};
     pub use crate::scenario::NetworkScenario;

@@ -7,17 +7,16 @@
 //! parameters, the protocols under test (resolved through a
 //! [`ProtocolRegistry`](crate::registry::ProtocolRegistry)), the seeds and
 //! repeats, and the output selection. The `bneck` CLI in `bneck-bench` runs
-//! specs from JSON files; the shipped presets ([`ExperimentSpec::preset`])
-//! reproduce the defaults of the former one-off experiment binaries
-//! parameter for parameter, so reports are bit-identical across the
-//! redesign.
+//! specs from JSON files or from the shipped presets
+//! ([`ExperimentSpec::preset`]), the one place the paper's parameter sets
+//! are written down.
 //!
-//! Lowering: each spec kind converts to the existing experiment
-//! configurations (`Experiment1Config` and friends) via its `configs`/
-//! `config` method — the specs are a *frontend* over the engine of PR 4, not
-//! a parallel implementation.
+//! Lowering: the joins, validation, scale and fault-sweep kinds lower to
+//! [`Experiment1Config`]s, one join burst each (`configs`/`config`); the
+//! churn and accuracy kinds resolve their network (`resolve`) and plan their
+//! workloads from the spec itself.
 
-use crate::experiments::{Experiment1Config, Experiment2Config, Experiment3Config};
+use crate::experiments::Experiment1Config;
 use crate::registry::TopologyRegistry;
 use crate::scenario::NetworkScenario;
 use crate::sessions::LimitPolicy;
@@ -115,7 +114,7 @@ pub struct OutputSpec {
 }
 
 impl Default for OutputSpec {
-    /// Tables and CSV on (what the former binaries printed), JSON off.
+    /// Tables and CSV on, JSON off.
     fn default() -> Self {
         OutputSpec {
             tables: true,
@@ -275,25 +274,19 @@ pub struct ChurnSpec {
 }
 
 impl ChurnSpec {
-    /// Lowers to the base [`Experiment2Config`] (repeat seeds are derived by
-    /// the driver, as before).
+    /// Checks the spec and resolves its network.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Invalid`] on
     /// unresolvable or degenerate inputs, a change window included.
-    pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment2Config, SpecError> {
+    pub fn resolve(&self, topologies: &TopologyRegistry) -> Result<NetworkScenario, SpecError> {
         if self.repeats == 0 {
             return Err(SpecError::Invalid("repeats"));
         }
-        Ok(Experiment2Config {
-            scenario: self.topology.resolve(topologies)?,
-            initial_sessions: self.initial_sessions,
-            churn: self.churn,
-            change_window: checked_delay(self.change_window_us, 1_000, "change_window_us")?,
-            limits: self.limits,
-            seed: self.seed,
-        })
+        let scenario = self.topology.resolve(topologies)?;
+        checked_delay(self.change_window_us, 1_000, "change_window_us")?;
+        Ok(scenario)
     }
 }
 
@@ -324,43 +317,28 @@ pub struct AccuracySpec {
 }
 
 impl AccuracySpec {
-    /// Lowers to the [`Experiment3Config`] the driver consumes.
+    /// Checks the spec and resolves its network.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
     /// [`SpecError::Invalid`] on a zero sample interval or a duration too
     /// long to count in nanoseconds.
-    pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment3Config, SpecError> {
+    pub fn resolve(&self, topologies: &TopologyRegistry) -> Result<NetworkScenario, SpecError> {
         if self.sample_interval_us == 0 {
             return Err(SpecError::Invalid("sample_interval_us"));
         }
-        Ok(Experiment3Config {
-            scenario: self.topology.resolve(topologies)?,
-            joins: self.joins,
-            leaves: self.leaves,
-            change_window: checked_delay(self.change_window_us, 1_000, "change_window_us")?,
-            sample_interval: checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?,
-            horizon: checked_delay(self.horizon_us, 1_000, "horizon_us")?,
-            limits: self.limits,
-            seed: self.seed,
-        })
+        let scenario = self.topology.resolve(topologies)?;
+        checked_delay(self.change_window_us, 1_000, "change_window_us")?;
+        checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?;
+        checked_delay(self.horizon_us, 1_000, "horizon_us")?;
+        Ok(scenario)
     }
 }
 
-/// One lowered validation run (scenario, session count, workload seed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValidationRun {
-    /// The instantiated scenario.
-    pub scenario: NetworkScenario,
-    /// Number of sessions to plan.
-    pub sessions: usize,
-    /// Seed of the randomized workload.
-    pub seed: u64,
-}
-
 /// The §IV validation methodology as data: every named topology × `runs`
-/// seeds, each with a randomized rate-limited workload.
+/// seeds, each with a randomized rate-limited workload
+/// ([`VALIDATION_LIMITS`], joining within 1 ms).
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ValidationSpec {
@@ -380,15 +358,28 @@ pub struct ValidationSpec {
     pub workload_seed_base: u64,
 }
 
+/// The validation workload's limit policy: a quarter of the sessions request
+/// a maximum rate between 1 and 80 Mb/s, so the oracle's rate-limit cases are
+/// exercised next to the bottleneck ones.
+pub const VALIDATION_LIMITS: LimitPolicy = LimitPolicy::RandomFinite {
+    probability: 0.25,
+    min_bps: 1e6,
+    max_bps: 80e6,
+};
+
 impl ValidationSpec {
-    /// Lowers to the list of validation runs, in topology-major order.
+    /// Lowers to one [`Experiment1Config`] per validation run, in
+    /// topology-major order.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] /
     /// [`SpecError::Invalid`] on unresolvable or degenerate inputs, a host
     /// count that overflows `usize` included.
-    pub fn runs(&self, topologies: &TopologyRegistry) -> Result<Vec<ValidationRun>, SpecError> {
+    pub fn configs(
+        &self,
+        topologies: &TopologyRegistry,
+    ) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
         }
@@ -408,9 +399,11 @@ impl ValidationSpec {
                 .resolve(preset, hosts)
                 .ok_or_else(|| SpecError::UnknownTopology(preset.clone()))?;
             for i in 0..self.runs as u64 {
-                out.push(ValidationRun {
+                out.push(Experiment1Config {
                     scenario: base.with_seed(self.topo_seed_base.wrapping_add(i)),
                     sessions: self.sessions,
+                    join_window: Delay::from_millis(1),
+                    limits: VALIDATION_LIMITS,
                     seed: self.workload_seed_base.wrapping_add(i),
                 });
             }
@@ -503,6 +496,23 @@ pub struct FaultSweepSpec {
 }
 
 impl FaultSweepSpec {
+    /// Lowers to the join burst every grid cell replays.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownTopology`] when the topology does not resolve,
+    /// [`SpecError::Invalid`] on a join window too long to count in
+    /// nanoseconds.
+    pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment1Config, SpecError> {
+        Ok(Experiment1Config {
+            scenario: self.topology.resolve(topologies)?,
+            sessions: self.sessions,
+            join_window: checked_delay(self.join_window_us, 1_000, "join_window_us")?,
+            limits: self.limits,
+            seed: self.workload_seed,
+        })
+    }
+
     /// The grid cells, in drop-major order.
     ///
     /// # Errors
@@ -589,8 +599,9 @@ impl ExperimentSpec {
         })
     }
 
-    /// The shipped preset of the given name, reproducing the defaults of the
-    /// former per-experiment binaries parameter for parameter.
+    /// The shipped preset of the given name. The `*_full` and scale presets
+    /// carry the paper's parameters; `exp1`–`exp3` are scaled-down instances
+    /// of the same structure.
     pub fn preset(name: &str) -> Option<ExperimentSpec> {
         let experiment = match name {
             "exp1" => ExperimentKind::Joins(JoinsSpec {
@@ -600,7 +611,7 @@ impl ExperimentSpec {
                     "medium/lan".to_string(),
                 ],
                 topology_seed: 1,
-                sessions: Experiment1Config::scaled_sweep(),
+                sessions: vec![10, 30, 100, 300, 1_000],
                 hosts_per_session: 2,
                 min_hosts: 20,
                 join_window_us: 1_000,
@@ -616,7 +627,7 @@ impl ExperimentSpec {
                     "big/lan".to_string(),
                 ],
                 topology_seed: 1,
-                sessions: Experiment1Config::paper_sweep(),
+                sessions: vec![10, 100, 1_000, 10_000, 100_000, 300_000],
                 hosts_per_session: 2,
                 min_hosts: 20,
                 join_window_us: 1_000,
@@ -624,44 +635,36 @@ impl ExperimentSpec {
                 base_seed: 1,
             }),
             "exp2" | "exp2_full" => {
-                let base = if name == "exp2" {
-                    Experiment2Config::scaled()
+                let (topology, initial_sessions, churn) = if name == "exp2" {
+                    (ScenarioSpec::new("small/lan", 700), 300, 60)
                 } else {
-                    Experiment2Config::paper()
+                    (ScenarioSpec::new("medium/lan", 220_000), 100_000, 20_000)
                 };
                 ExperimentKind::Churn(ChurnSpec {
-                    topology: ScenarioSpec {
-                        preset: base.scenario.label(),
-                        hosts: base.scenario.hosts,
-                        seed: base.scenario.seed,
-                    },
-                    initial_sessions: base.initial_sessions,
-                    churn: base.churn,
-                    change_window_us: base.change_window.as_micros(),
-                    limits: base.limits,
-                    seed: base.seed,
+                    topology,
+                    initial_sessions,
+                    churn,
+                    change_window_us: 1_000,
+                    limits: LimitPolicy::Unlimited,
+                    seed: 1,
                     repeats: 1,
                 })
             }
             "exp3" | "exp3_full" => {
-                let base = if name == "exp3" {
-                    Experiment3Config::scaled()
+                let (topology, joins, leaves) = if name == "exp3" {
+                    (ScenarioSpec::new("small/lan", 600), 250, 25)
                 } else {
-                    Experiment3Config::paper()
+                    (ScenarioSpec::new("medium/lan", 220_000), 100_000, 10_000)
                 };
                 ExperimentKind::Accuracy(AccuracySpec {
-                    topology: ScenarioSpec {
-                        preset: base.scenario.label(),
-                        hosts: base.scenario.hosts,
-                        seed: base.scenario.seed,
-                    },
-                    joins: base.joins,
-                    leaves: base.leaves,
-                    change_window_us: base.change_window.as_micros(),
-                    sample_interval_us: base.sample_interval.as_micros(),
-                    horizon_us: base.horizon.as_micros(),
-                    limits: base.limits,
-                    seed: base.seed,
+                    topology,
+                    joins,
+                    leaves,
+                    change_window_us: 5_000,
+                    sample_interval_us: 3_000,
+                    horizon_us: 120_000,
+                    limits: LimitPolicy::Unlimited,
+                    seed: 1,
                     baselines: vec!["BFYZ".to_string()],
                 })
             }
@@ -745,10 +748,10 @@ impl ExperimentSpec {
                 spec.configs(topologies)?;
             }
             ExperimentKind::Churn(spec) => {
-                spec.config(topologies)?;
+                spec.resolve(topologies)?;
             }
             ExperimentKind::Accuracy(spec) => {
-                spec.config(topologies)?;
+                spec.resolve(topologies)?;
                 for baseline in &spec.baselines {
                     if !protocols.contains(baseline) {
                         return Err(SpecError::UnknownProtocol(baseline.clone()));
@@ -756,7 +759,7 @@ impl ExperimentSpec {
                 }
             }
             ExperimentKind::Validation(spec) => {
-                spec.runs(topologies)?;
+                spec.configs(topologies)?;
             }
             ExperimentKind::Scale(spec) => {
                 spec.configs()?;
@@ -804,7 +807,7 @@ mod tests {
             panic!("exp1 is a joins sweep");
         };
         let configs = joins.configs(&topologies).unwrap();
-        // Mirror of the former experiment1 binary's construction loop.
+        // Topology-major, hosts = 2 * sessions (at least 20), seed = position + 1.
         let mut expected = Vec::new();
         let scenarios: Vec<fn(usize) -> NetworkScenario> = vec![
             NetworkScenario::small_lan,
@@ -812,11 +815,14 @@ mod tests {
             NetworkScenario::medium_lan,
         ];
         for make_scenario in &scenarios {
-            for &sessions in &Experiment1Config::scaled_sweep() {
-                let hosts = (2 * sessions).max(20);
-                let mut config = Experiment1Config::scaled(make_scenario(hosts), sessions);
-                config.seed = expected.len() as u64 + 1;
-                expected.push(config);
+            for sessions in [10, 30, 100, 300, 1_000] {
+                expected.push(Experiment1Config {
+                    scenario: make_scenario((2 * sessions).max(20)),
+                    sessions,
+                    join_window: Delay::from_millis(1),
+                    limits: LimitPolicy::Unlimited,
+                    seed: expected.len() as u64 + 1,
+                });
             }
         }
         assert_eq!(configs, expected);
@@ -829,9 +835,9 @@ mod tests {
         let ExperimentKind::Validation(validation) = &spec.experiment else {
             panic!("validate is a validation spec");
         };
-        let runs = validation.runs(&topologies).unwrap();
-        assert_eq!(runs.len(), 4 * 3);
-        // Mirror of the former validate binary's point loop.
+        let configs = validation.configs(&topologies).unwrap();
+        assert_eq!(configs.len(), 4 * 3);
+        // Four flavours × three runs: topology seeds 1.., workload seeds 100..
         let sessions = 60;
         let scenarios = [
             NetworkScenario::small_lan(2 * sessions),
@@ -842,9 +848,16 @@ mod tests {
         let mut i = 0;
         for scenario in &scenarios {
             for seed in 0..3u64 {
-                assert_eq!(runs[i].scenario, scenario.with_seed(seed + 1));
-                assert_eq!(runs[i].sessions, sessions);
-                assert_eq!(runs[i].seed, seed + 100);
+                assert_eq!(
+                    configs[i],
+                    Experiment1Config {
+                        scenario: scenario.with_seed(seed + 1),
+                        sessions,
+                        join_window: Delay::from_millis(1),
+                        limits: VALIDATION_LIMITS,
+                        seed: seed + 100,
+                    }
+                );
                 i += 1;
             }
         }
@@ -962,7 +975,7 @@ mod tests {
         assert_eq!(wraps.configs(&topologies).unwrap()[1].seed, 0);
         let mut wraps = validation.clone();
         (wraps.topo_seed_base, wraps.workload_seed_base) = (u64::MAX, u64::MAX);
-        assert_eq!(wraps.runs(&topologies).unwrap()[1].seed, 0);
+        assert_eq!(wraps.configs(&topologies).unwrap()[1].seed, 0);
         for (experiment, field) in cases {
             let spec = ExperimentSpec {
                 name: "absurd".to_string(),
