@@ -15,15 +15,17 @@
 //! `Arc<SessionSet>` oracle snapshot. Only the per-slot *protocol* state
 //! (probing flag, demand, adopted rate) and the per-link controllers are
 //! specific to this harness. A fully-built [`BaselineSimulation`] implements
-//! [`Simulation`] and [`ProtocolWorld`], so the experiment drivers run it
-//! through the same unified interface as B-Neck itself.
+//! [`ProtocolWorld`], so the experiment drivers run it through the same
+//! unified interface as B-Neck itself.
 
 use bneck_core::events::SubscriberSet;
 use bneck_core::world::{LinkTable, SessionArena};
-use bneck_core::{PacketKind, RateCause, RateEvent, RateEvents, Subscriber, UnknownSession};
+use bneck_core::{
+    PacketKind, QuiescenceReport, RateCause, RateEvent, RateEvents, Subscriber, UnknownSession,
+};
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
 use bneck_net::{Network, NodeId, Path, Router};
-use bneck_sim::{Address, Context, Engine, RunReport, SimTime, Simulation, World};
+use bneck_sim::{Address, Context, Engine, RunReport, SimTime, World};
 use bneck_workload::{ProtocolWorld, ScheduleTarget, SessionRequest};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -581,36 +583,6 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     }
 }
 
-impl<'a, P: BaselineProtocol> Simulation for BaselineSimulation<'a, P> {
-    fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.engine.is_quiescent()
-    }
-
-    fn pending_events(&self) -> usize {
-        self.engine.pending_events()
-    }
-
-    fn step(&mut self) -> bool {
-        self.engine.step(&mut self.world)
-    }
-
-    fn run_to(&mut self, horizon: SimTime) -> RunReport {
-        self.engine.run_until(&mut self.world, horizon)
-    }
-
-    fn events_processed(&self) -> u64 {
-        self.engine.total_events_processed()
-    }
-
-    fn messages_sent(&self) -> u64 {
-        self.engine.total_messages_sent()
-    }
-}
-
 impl<'a, P: BaselineProtocol> ScheduleTarget for BaselineSimulation<'a, P> {
     fn apply_join(&mut self, at: SimTime, request: &SessionRequest) -> bool {
         self.join_with_path(at, request.session, request.path.clone(), request.limit)
@@ -634,14 +606,6 @@ impl<'a, P: BaselineProtocol> ProtocolWorld for BaselineSimulation<'a, P> {
         BaselineSimulation::current_rates(self)
     }
 
-    fn session_set(&self) -> Arc<SessionSet> {
-        BaselineSimulation::session_set(self)
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn Subscriber>) {
-        self.world.subscribers.subscribe(subscriber);
-    }
-
     fn goes_quiescent(&self) -> bool {
         false
     }
@@ -652,6 +616,14 @@ impl<'a, P: BaselineProtocol> ProtocolWorld for BaselineSimulation<'a, P> {
 
     fn convergence_tolerance_pct(&self) -> Option<f64> {
         Some(self.world.protocol.mean_error_tolerance_pct())
+    }
+
+    fn run_to(&mut self, horizon: SimTime) -> QuiescenceReport {
+        self.run_until(horizon).into()
+    }
+
+    fn is_quiescent(&self) -> bool {
+        BaselineSimulation::is_quiescent(self)
     }
 }
 
@@ -962,8 +934,9 @@ mod tests {
         let report = world.run_to(SimTime::from_millis(5));
         assert!(!report.quiescent, "probing continues past any horizon");
         assert!(world.packets_sent() > 0);
-        assert_eq!(ProtocolWorld::session_set(world).len(), 1);
+        assert!(!world.is_quiescent());
         assert_eq!(world.current_rates().len(), 1);
+        assert_eq!(sim.session_set().len(), 1);
     }
 
     #[test]

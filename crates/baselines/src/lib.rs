@@ -21,6 +21,8 @@
 //! the granted rate — which is exactly why, unlike B-Neck, these protocols
 //! keep injecting control traffic after the rates have converged (Figure 8 of
 //! the paper).
+//!
+//! [`simulation`] builds any of the three from its [`Baseline`] tag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,37 +40,19 @@ pub use common::{
 };
 pub use rcp::Rcp;
 
-use bneck_workload::ProtocolRegistry;
+use bneck_net::Network;
+use bneck_workload::{Baseline, ProtocolWorld};
 
-/// The display names of the three baselines, in the order the paper's
-/// Experiment 3 reports them.
-pub const BASELINE_NAMES: [&str; 3] = ["BFYZ", "CG", "RCP"];
-
-/// Registers the three baselines (with default parameters and
-/// [`BaselineConfig::default`]) in a [`ProtocolRegistry`], so registry-driven
-/// experiment drivers can build them by name next to B-Neck.
-pub fn register_baselines(registry: &mut ProtocolRegistry) {
-    registry.register("BFYZ", |network| {
-        Box::new(BaselineSimulation::new(
-            network,
-            Bfyz::default(),
-            BaselineConfig::default(),
-        ))
-    });
-    registry.register("CG", |network| {
-        Box::new(BaselineSimulation::new(
-            network,
-            CobbGouda::default(),
-            BaselineConfig::default(),
-        ))
-    });
-    registry.register("RCP", |network| {
-        Box::new(BaselineSimulation::new(
-            network,
-            Rcp::default(),
-            BaselineConfig::default(),
-        ))
-    });
+/// A fresh simulation of `baseline` over `net`, with the protocol's default
+/// parameters and [`BaselineConfig::default`]. Adding a protocol means
+/// adding a [`Baseline`] variant and its arm here.
+pub fn simulation(baseline: Baseline, net: &Network) -> Box<dyn ProtocolWorld + '_> {
+    let config = BaselineConfig::default();
+    match baseline {
+        Baseline::Bfyz => Box::new(BaselineSimulation::new(net, Bfyz::default(), config)),
+        Baseline::Cg => Box::new(BaselineSimulation::new(net, CobbGouda::default(), config)),
+        Baseline::Rcp => Box::new(BaselineSimulation::new(net, Rcp::default(), config)),
+    }
 }
 
 /// Commonly used items, suitable for glob import.

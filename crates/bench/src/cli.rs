@@ -19,17 +19,16 @@
 //! loopback cluster of real worker threads (`bneck-node`), joins every
 //! session, waits for the control plane to go measurably silent, and
 //! cross-checks the final rates against the centralized oracle. `validate`
-//! checks spec files against the registries without running anything (CI's
-//! `spec-check`). `bench-presets` lists the shipped presets.
+//! checks spec files without running anything: every topology and baseline
+//! name must resolve (CI's `spec-check`). `bench-presets` lists the shipped presets.
 
 use crate::report::{render_tables, ExperimentReport, ScaleCurvePoint, SpecOutcome};
-use crate::runner::{default_protocols, run_spec};
+use crate::runner::run_spec;
 use crate::sweep::SweepRunner;
 use bneck_core::RecoveryConfig;
 use bneck_metrics::Table;
 use bneck_net::Delay;
 use bneck_node::{run_cluster, ClusterSpec, ClusterTransport};
-use bneck_workload::registry::{ProtocolRegistry, TopologyRegistry};
 use bneck_workload::spec::{ExperimentKind, ExperimentSpec, PAPER_FULL, PRESET_NAMES};
 use std::time::Duration;
 
@@ -510,8 +509,6 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
 }
 
 fn execute(options: RunOptions) -> i32 {
-    let topologies = TopologyRegistry::builtin();
-    let protocols = default_protocols();
     // Precedence: --threads beats BNECK_THREADS beats the machine default.
     let runner = match options.threads {
         Some(n) => SweepRunner::new(n),
@@ -527,7 +524,7 @@ fn execute(options: RunOptions) -> i32 {
         report,
         notes,
         timings,
-    } = match run_spec(&options.spec, &topologies, &protocols, &runner) {
+    } = match run_spec(&options.spec, &runner) {
         Ok(outcome) => outcome,
         Err(error) => {
             eprintln!("[bneck] spec does not resolve: {error}");
@@ -607,8 +604,6 @@ fn json_report(spec: &ExperimentSpec, report: &ExperimentReport) -> serde_json::
 }
 
 fn cmd_validate(args: &[String]) -> i32 {
-    let topologies = TopologyRegistry::builtin();
-    let protocols = default_protocols();
     let paths = match positionals(args, VALIDATE_FLAGS) {
         Ok(paths) => paths,
         Err(message) => return usage_error(&message),
@@ -618,7 +613,7 @@ fn cmd_validate(args: &[String]) -> i32 {
         // No files: check every shipped preset (round-trip included, so a
         // preset that cannot survive its own serialization fails here).
         for spec in ExperimentSpec::presets() {
-            match check_round_trip(&spec, &topologies, &protocols) {
+            match check_round_trip(&spec) {
                 Ok(()) => println!("ok preset {}", spec.name),
                 Err(message) => {
                     println!("FAIL preset {}: {message}", spec.name);
@@ -633,11 +628,8 @@ fn cmd_validate(args: &[String]) -> i32 {
             .and_then(|text| {
                 serde_json::from_str::<ExperimentSpec>(&text).map_err(|e| e.to_string())
             })
-            .and_then(|spec| {
-                spec.check(&topologies, &protocols)
-                    .map_err(|e| e.to_string())
-                    .map(|()| spec)
-            }) {
+            .and_then(|spec| spec.check().map_err(|e| e.to_string()).map(|()| spec))
+        {
             Ok(spec) => println!("ok {path} ({} · {})", spec.name, spec.experiment.label()),
             Err(message) => {
                 println!("FAIL {path}: {message}");
@@ -653,13 +645,8 @@ fn cmd_validate(args: &[String]) -> i32 {
     }
 }
 
-fn check_round_trip(
-    spec: &ExperimentSpec,
-    topologies: &TopologyRegistry,
-    protocols: &ProtocolRegistry,
-) -> Result<(), String> {
-    spec.check(topologies, protocols)
-        .map_err(|e| e.to_string())?;
+fn check_round_trip(spec: &ExperimentSpec) -> Result<(), String> {
+    spec.check().map_err(|e| e.to_string())?;
     let text = serde_json::to_string_pretty(spec).map_err(|e| e.to_string())?;
     let back: ExperimentSpec = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     if back != *spec {

@@ -19,11 +19,11 @@
 //! | 300k-session scale points (Figure 5) | `paper_scale`, `paper_full`, `paper_1m` | `scale` |
 //! | Robustness off the paper's map | `faults` | `faults` |
 //!
-//! Every run drives its protocols through the unified
-//! `ProtocolWorld`/`Simulation` traits (names resolved by the
-//! [`default_protocols`] registry) and fans independent points across
-//! worker threads with [`SweepRunner`] (thread count from `BNECK_THREADS`,
-//! bit-identical reports at any count).
+//! Accuracy runs drive B-Neck and the baselines through the unified
+//! `ProtocolWorld` trait (a baseline name resolves to a
+//! [`Baseline`](bneck_workload::Baseline)), and every kind fans independent
+//! points across worker threads with [`SweepRunner`] (thread count from
+//! `BNECK_THREADS`, bit-identical reports at any count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +39,5 @@ pub use report::{
     Experiment3Result, Experiment3Sample, ExperimentReport, FaultOutcome, FaultPointReport,
     FaultRunResult, ScaleReport, SpecOutcome, ValidationReport,
 };
-pub use runner::{default_protocols, run_spec};
+pub use runner::run_spec;
 pub use sweep::SweepRunner;

@@ -1,19 +1,19 @@
 //! [`run_spec`]: the one way to run an experiment.
 //!
-//! A spec is checked against the registries and lowered. The joins,
-//! validation, scale and fault-sweep kinds lower to join bursts
-//! ([`Experiment1Config`]) that all run through one private `burst`: build
-//! the network, plan the joins, apply them, run to quiescence or to a
-//! horizon, and check the rates against the centralized oracle. The four
-//! kinds differ only in how they map a burst into report rows. Churn and
-//! accuracy run straight from their spec and its resolved scenario.
+//! A spec is checked and lowered. The joins, validation, scale and
+//! fault-sweep kinds lower to join bursts ([`Experiment1Config`]) that all
+//! run through one private `burst`: build the network, plan the joins,
+//! apply them, run to quiescence or to a horizon, and check the rates
+//! against the centralized oracle. The four kinds differ only in how they
+//! map a burst into report rows. Churn and accuracy run straight from their
+//! spec and its resolved scenario.
 //!
-//! Every protocol is driven through the unified [`ProtocolWorld`] trait
-//! (built by name through [`default_protocols`]), so adding a protocol
-//! touches only the registry in `bneck-baselines`, not the runner. A sweep's
-//! independent points fan across the [`SweepRunner`]'s worker threads; every
-//! point's RNG seed derives from the point itself, so reports are
-//! bit-identical at any thread count.
+//! Accuracy drives every protocol through the unified [`ProtocolWorld`]
+//! trait: B-Neck built directly, each [`Baseline`] by
+//! [`bneck_baselines::simulation`], the one match a new protocol adds an arm
+//! to. A sweep's independent points fan across the [`SweepRunner`]'s worker
+//! threads; every point's RNG seed derives from the point itself, so reports
+//! are bit-identical at any thread count.
 
 use crate::report::{
     ChannelFaultSummary, Experiment1Point, Experiment2PhaseResult, Experiment2Run,
@@ -30,42 +30,29 @@ use bneck_workload::prelude::*;
 use bneck_workload::spec::{AccuracySpec, ChurnSpec};
 use std::time::{Duration, Instant};
 
-/// The fully-populated protocol registry of this workspace: B-Neck plus the
-/// three baselines (BFYZ, CG, RCP), all with default parameters. The `bneck`
-/// CLI and the spec driver resolve protocol names through this.
-pub fn default_protocols() -> ProtocolRegistry {
-    let mut registry = ProtocolRegistry::with_bneck();
-    bneck_baselines::register_baselines(&mut registry);
-    registry
-}
-
-/// Runs a declarative experiment spec: checks it against the registries,
-/// lowers it, and fans its points across the runner's worker threads.
+/// Runs a declarative experiment spec: checks it, lowers it, and fans its
+/// points across the runner's worker threads.
 ///
 /// # Errors
 ///
 /// Returns the first [`SpecError`] if the spec does not resolve (unknown
 /// topology/protocol names, empty sweeps). Never errors once the check
 /// passes.
-pub fn run_spec(
-    spec: &ExperimentSpec,
-    topologies: &TopologyRegistry,
-    protocols: &ProtocolRegistry,
-    runner: &SweepRunner,
-) -> Result<SpecOutcome, SpecError> {
-    spec.check(topologies, protocols)?;
+pub fn run_spec(spec: &ExperimentSpec, runner: &SweepRunner) -> Result<SpecOutcome, SpecError> {
+    spec.check()?;
     Ok(match &spec.experiment {
-        ExperimentKind::Joins(joins) => run_joins(joins.configs(topologies)?, runner),
-        ExperimentKind::Churn(churn) => run_churn(churn, churn.resolve(topologies)?, runner),
-        ExperimentKind::Accuracy(accuracy) => {
-            run_accuracy(accuracy, accuracy.resolve(topologies)?, protocols, runner)
-        }
-        ExperimentKind::Validation(validation) => {
-            run_validation(validation.configs(topologies)?, runner)
-        }
+        ExperimentKind::Joins(joins) => run_joins(joins.configs()?, runner),
+        ExperimentKind::Churn(churn) => run_churn(churn, churn.resolve()?, runner),
+        ExperimentKind::Accuracy(accuracy) => run_accuracy(
+            accuracy,
+            accuracy.resolve()?,
+            &accuracy.resolve_baselines()?,
+            runner,
+        ),
+        ExperimentKind::Validation(validation) => run_validation(validation.configs()?, runner),
         ExperimentKind::Scale(scale) => run_scale(scale.configs()?, scale.validate, runner),
         ExperimentKind::FaultSweep(faults) => {
-            run_faults(faults, faults.config(topologies)?, faults.points()?, runner)
+            run_faults(faults, faults.config()?, faults.points()?, runner)
         }
     })
 }
@@ -482,19 +469,14 @@ fn run_churn(spec: &ChurnSpec, scenario: NetworkScenario, runner: &SweepRunner) 
     outcome(ExperimentReport::Churn(runs), Vec::new())
 }
 
-/// Experiment 3 (Figures 7 and 8): B-Neck and the spec's baselines on the
-/// same joins-plus-leaves workload, each protocol a cell of its own, sampled
+/// Experiment 3 (Figures 7 and 8): B-Neck and `baselines` on the spec's
+/// joins-plus-leaves workload, each protocol a cell of its own, sampled
 /// against the max-min rates of the surviving sessions. Cells come back
-/// B-Neck first, then the baselines in spec order.
-///
-/// # Panics
-///
-/// Panics if a protocol name is not registered (the spec check rules it
-/// out).
+/// B-Neck first, then the baselines in order.
 fn run_accuracy(
     spec: &AccuracySpec,
     scenario: NetworkScenario,
-    protocols: &ProtocolRegistry,
+    baselines: &[Baseline],
     runner: &SweepRunner,
 ) -> SpecOutcome {
     let network = scenario.build();
@@ -508,12 +490,15 @@ fn run_accuracy(
     let final_sessions = reference.session_set();
     let solution = CentralizedBneck::new(&network, &final_sessions).solve_with_bottlenecks();
 
-    let mut names = vec!["B-Neck"];
-    names.extend(spec.baselines.iter().map(String::as_str));
-    let results = runner.run(names, |_, name| {
-        let mut sim = protocols
-            .build(name, &network)
-            .unwrap_or_else(|| panic!("protocol {name} is not in the registry"));
+    // `None` is B-Neck.
+    let cells = std::iter::once(None)
+        .chain(baselines.iter().copied().map(Some))
+        .collect();
+    let results = runner.run(cells, |_, cell| {
+        let mut sim: Box<dyn ProtocolWorld + '_> = match cell {
+            None => Box::new(BneckSimulation::new(&network, BneckConfig::default())),
+            Some(baseline) => bneck_baselines::simulation(baseline, &network),
+        };
         run_protocol(sim.as_mut(), &schedule, &sample_times, &solution)
     });
     let notes = results
@@ -575,6 +560,7 @@ mod tests {
     use super::*;
     use bneck_net::topology::transit_stub::NetworkSize;
     use bneck_net::DelayModel;
+    use bneck_workload::OutputSpec;
 
     fn accuracy(hosts: usize, joins: usize, leaves: usize, horizon_ms: u64) -> AccuracySpec {
         AccuracySpec {
@@ -592,8 +578,9 @@ mod tests {
 
     fn accuracy_results(spec: &AccuracySpec, threads: usize) -> Vec<Experiment3Result> {
         let scenario = NetworkScenario::small_lan(spec.topology.hosts);
+        let baselines = spec.resolve_baselines().unwrap();
         let runner = SweepRunner::new(threads);
-        match run_accuracy(spec, scenario, &default_protocols(), &runner).report {
+        match run_accuracy(spec, scenario, &baselines, &runner).report {
             ExperimentReport::Accuracy(results) => results,
             other => panic!("accuracy run produced {other:?}"),
         }
@@ -692,12 +679,21 @@ mod tests {
     #[test]
     fn unknown_protocols_are_rejected_at_the_dispatch_boundary() {
         let network = NetworkScenario::small_lan(20).build();
-        let protocols = default_protocols();
-        assert!(protocols.build("B-Neck", &network).is_some());
-        for name in bneck_baselines::BASELINE_NAMES {
-            assert!(protocols.build(name, &network).is_some());
+        for baseline in Baseline::ALL {
+            let sim = bneck_baselines::simulation(baseline, &network);
+            assert_eq!(sim.protocol_name(), baseline.name());
         }
-        assert!(protocols.build("XCP", &network).is_none());
+        let mut spec = accuracy(20, 5, 1, 10);
+        spec.baselines = vec!["XCP".to_string()];
+        let spec = ExperimentSpec {
+            name: "xcp".to_string(),
+            experiment: ExperimentKind::Accuracy(spec),
+            output: OutputSpec::default(),
+        };
+        assert_eq!(
+            run_spec(&spec, &SweepRunner::new(1)).err(),
+            Some(SpecError::UnknownProtocol("XCP".to_string()))
+        );
     }
 
     #[test]
@@ -717,8 +713,7 @@ mod tests {
             rto_us: 500,
             horizon_ms: 200,
         };
-        let topologies = TopologyRegistry::builtin();
-        let config = spec.config(&topologies).unwrap();
+        let config = spec.config().unwrap();
         let points = spec.points().unwrap();
         assert_eq!(points.len(), 2);
         let outcome = run_faults(&spec, config, points, &SweepRunner::new(2));

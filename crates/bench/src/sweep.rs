@@ -5,8 +5,8 @@
 //! share nothing — a (scenario, session-count) cell of Experiment 1, a seed
 //! repeat of Experiment 2, a protocol of Experiment 3, a (scenario, seed)
 //! validation run. Each point builds its own network, schedule and
-//! simulation (a `Send` unit, see [`bneck_sim::Simulation`]), so the runner
-//! can execute points on any thread in any order.
+//! simulation (a `Send` unit), so the runner can execute points on any
+//! thread in any order.
 //!
 //! Determinism is by construction: a point's result depends only on the
 //! point itself (whose RNG seeds derive from its index in the sweep, never

@@ -9,8 +9,7 @@
 //! every spec kind through [`run_spec`], the one way to run an experiment,
 //! at 1, 2, 4 and 16 threads.
 
-use bneck_bench::{default_protocols, run_spec, ExperimentReport, SweepRunner};
-use bneck_workload::registry::TopologyRegistry;
+use bneck_bench::{run_spec, ExperimentReport, SweepRunner};
 use bneck_workload::spec::{
     AccuracySpec, ChurnSpec, ExperimentKind, ExperimentSpec, FaultSweepSpec, JoinsSpec, OutputSpec,
     ScenarioSpec, ValidationSpec,
@@ -28,14 +27,9 @@ fn spec(experiment: ExperimentKind) -> ExperimentSpec {
 }
 
 fn report_at(spec: &ExperimentSpec, threads: usize) -> ExperimentReport {
-    run_spec(
-        spec,
-        &TopologyRegistry::builtin(),
-        &default_protocols(),
-        &SweepRunner::new(threads),
-    )
-    .expect("the spec resolves")
-    .report
+    run_spec(spec, &SweepRunner::new(threads))
+        .expect("the spec resolves")
+        .report
 }
 
 /// The spec's report at one thread, after checking every other thread count

@@ -16,8 +16,6 @@
 
 #![cfg(feature = "serde")]
 
-use bneck_bench::default_protocols;
-use bneck_workload::registry::TopologyRegistry;
 use bneck_workload::spec::{ExperimentSpec, PAPER_FULL, PRESET_NAMES};
 use std::path::{Path, PathBuf};
 
@@ -86,8 +84,6 @@ fn golden_fixtures_pin_the_spec_format() {
 
 #[test]
 fn every_fixture_file_is_a_shipped_preset_and_checks() {
-    let topologies = TopologyRegistry::builtin();
-    let protocols = default_protocols();
     let names = all_preset_names();
     let mut seen = 0usize;
     for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir exists") {
@@ -105,7 +101,7 @@ fn every_fixture_file_is_a_shipped_preset_and_checks() {
         let spec: ExperimentSpec =
             serde_json::from_str(&std::fs::read_to_string(&path).expect("read fixture"))
                 .unwrap_or_else(|e| panic!("fixture {} does not parse: {e}", path.display()));
-        spec.check(&topologies, &protocols)
+        spec.check()
             .unwrap_or_else(|e| panic!("fixture {} does not check: {e}", path.display()));
         seen += 1;
     }

@@ -3,10 +3,8 @@
 //! use — and produces structurally sensible output.
 
 use bneck_bench::{
-    default_protocols, run_spec, Experiment1Point, Experiment3Result, ExperimentReport,
-    SweepRunner, ValidationReport,
+    run_spec, Experiment1Point, Experiment3Result, ExperimentReport, SweepRunner, ValidationReport,
 };
-use bneck_workload::registry::TopologyRegistry;
 use bneck_workload::spec::{
     AccuracySpec, ChurnSpec, ExperimentKind, ExperimentSpec, JoinsSpec, OutputSpec, ScenarioSpec,
     ValidationSpec,
@@ -19,13 +17,7 @@ fn run(experiment: ExperimentKind) -> ExperimentReport {
         experiment,
         output: OutputSpec::default(),
     };
-    let outcome = run_spec(
-        &spec,
-        &TopologyRegistry::builtin(),
-        &default_protocols(),
-        &SweepRunner::new(1),
-    )
-    .expect("the spec resolves");
+    let outcome = run_spec(&spec, &SweepRunner::new(1)).expect("the spec resolves");
     outcome.report
 }
 

@@ -12,7 +12,6 @@
 //! plumbing (`bneck_core::world`) both harnesses now instantiate.
 
 use bneck::prelude::*;
-use bneck_bench::default_protocols;
 use proptest::prelude::*;
 
 /// The shapes of evaluation networks the paper draws on: the two classic
@@ -167,10 +166,10 @@ proptest! {
             .collect();
         let oracle = CentralizedBneck::new(&network, &sessions).solve();
 
-        let protocols = default_protocols();
-        let mut worlds: Vec<Box<dyn ProtocolWorld + '_>> = std::iter::once("B-Neck")
-            .chain(bneck::baselines::BASELINE_NAMES)
-            .map(|name| protocols.build(name, &network).unwrap())
+        let bneck: Box<dyn ProtocolWorld + '_> =
+            Box::new(BneckSimulation::new(&network, BneckConfig::default()));
+        let mut worlds: Vec<_> = std::iter::once(bneck)
+            .chain(Baseline::ALL.map(|b| bneck::baselines::simulation(b, &network)))
             .collect();
 
         for world in &mut worlds {

@@ -57,8 +57,7 @@ fn paper_scale_10k_matches_oracle() {
 #[test]
 #[ignore = "paper-scale run: execute in release with -- --ignored"]
 fn paper_scale_250k_parallel_planning_matches_sequential_report() {
-    use bneck_bench::{default_protocols, run_spec, ExperimentReport, SweepRunner};
-    use bneck_workload::registry::TopologyRegistry;
+    use bneck_bench::{run_spec, ExperimentReport, SweepRunner};
     use bneck_workload::spec::{ExperimentKind, ExperimentSpec, OutputSpec, ScaleSpec};
 
     let spec = ExperimentSpec {
@@ -70,13 +69,7 @@ fn paper_scale_250k_parallel_planning_matches_sequential_report() {
         output: OutputSpec::default(),
     };
     let run = || {
-        let outcome = run_spec(
-            &spec,
-            &TopologyRegistry::builtin(),
-            &default_protocols(),
-            &SweepRunner::new(1),
-        )
-        .expect("the scale spec resolves");
+        let outcome = run_spec(&spec, &SweepRunner::new(1)).expect("the scale spec resolves");
         match outcome.report {
             ExperimentReport::Scale(mut reports) => reports.remove(0),
             other => panic!("scale spec produced {other:?}"),

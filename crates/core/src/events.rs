@@ -91,10 +91,11 @@ impl<F: FnMut(&RateEvent) + Send> Subscriber for F {
 
 /// A drainable handle onto the stream of [`RateEvent`]s of one simulation.
 ///
-/// Obtained from `BneckSimulation::rate_events` (or any `ProtocolWorld`):
-/// the simulation keeps the writing end as a registered subscriber, the
-/// handle is the reading end. After quiescence the stream goes silent — a
-/// drain returns the events of the convergence and further runs add nothing.
+/// Obtained from `BneckSimulation::rate_events` (or
+/// `BaselineSimulation::rate_events`): the simulation keeps the writing end
+/// as a registered subscriber, the handle is the reading end. After
+/// quiescence the stream goes silent — a drain returns the events of the
+/// convergence and further runs add nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RateEvents {
     queue: Arc<Mutex<VecDeque<RateEvent>>>,

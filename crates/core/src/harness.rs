@@ -14,10 +14,8 @@
 //! Quiescence detection is inherited from the simulator: the network is
 //! quiescent exactly when no protocol packet is in flight or pending, which is
 //! when [`BneckSimulation::run_to_quiescence`] returns. A fully-built
-//! [`BneckSimulation`] also implements the engine-level [`Simulation`] trait,
-//! so the experiment drivers can run it — and fan it out across worker
-//! threads — through the same unified interface as any other
-//! protocol-under-test.
+//! [`BneckSimulation`] is `Send`, so the experiment drivers can fan it out
+//! across worker threads.
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
@@ -34,7 +32,7 @@ use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
 use bneck_net::{LinkId, Network, NodeId, Path, Router};
 use bneck_sim::{
     Address, ChannelId, Context, Engine, FaultCounters, FaultPlan, RunReport, ScheduleCursor,
-    SimTime, Simulation, World,
+    SimTime, World,
 };
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -407,12 +405,6 @@ impl<'a> BneckSimulation<'a> {
         self.world.host.subscribe(Box::new(subscriber));
     }
 
-    /// Registers a boxed observer (the object-safe form used behind
-    /// `dyn ProtocolWorld`).
-    pub fn subscribe_boxed(&mut self, subscriber: Box<dyn Subscriber>) {
-        self.world.host.subscribe(subscriber);
-    }
-
     /// Opens a drainable stream of this simulation's
     /// [`RateEvent`](crate::RateEvent)s.
     ///
@@ -695,8 +687,8 @@ impl<'a> BneckSimulation<'a> {
             .map_or(0, |r| r.unacked_frames())
     }
 
-    /// Processes the next event group like [`Simulation::step`], but lets
-    /// `cursor` choose which same-instant event is delivered first (see
+    /// Processes the next event group, but lets `cursor` choose which
+    /// same-instant event is delivered first (see
     /// [`bneck_sim::explore_schedules`]). Returns `false` once the queue is
     /// empty.
     pub fn step_explored(&mut self, cursor: &mut ScheduleCursor) -> bool {
@@ -704,37 +696,6 @@ impl<'a> BneckSimulation<'a> {
     }
 }
 
-impl<'a> Simulation for BneckSimulation<'a> {
-    fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.engine.is_quiescent()
-    }
-
-    fn pending_events(&self) -> usize {
-        self.engine.pending_events()
-    }
-
-    fn step(&mut self) -> bool {
-        self.engine.step(&mut self.world)
-    }
-
-    fn run_to(&mut self, horizon: SimTime) -> RunReport {
-        let report = self.engine.run_until(&mut self.world, horizon);
-        self.announce_quiescence(&report);
-        report
-    }
-
-    fn events_processed(&self) -> u64 {
-        self.engine.total_events_processed()
-    }
-
-    fn messages_sent(&self) -> u64 {
-        self.engine.total_messages_sent()
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1378,48 +1339,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod trait_tests {
-    use super::*;
-    use bneck_net::prelude::*;
-
-    #[test]
-    fn a_built_simulation_is_a_send_unit_and_runs_through_the_trait() {
-        fn assert_send<T: Send>(_: &T) {}
-        let net = synthetic::dumbbell(
-            2,
-            Capacity::from_mbps(100.0),
-            Capacity::from_mbps(60.0),
-            Delay::from_micros(1),
-        );
-        let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BneckSimulation::new(&net, BneckConfig::default());
-        for i in 0..2u64 {
-            sim.join(
-                SimTime::ZERO,
-                SessionId(i),
-                hosts[2 * i as usize],
-                hosts[2 * i as usize + 1],
-                RateLimit::unlimited(),
-            )
-            .unwrap();
-        }
-        assert_send(&sim);
-        // Stepping through the unified trait is equivalent to running.
-        let dynamic: &mut dyn Simulation = &mut sim;
-        let mut steps = 0u64;
-        while dynamic.step() {
-            steps += 1;
-        }
-        assert!(dynamic.is_quiescent());
-        assert_eq!(dynamic.events_processed(), steps);
-        assert_eq!(dynamic.pending_events(), 0);
-        let rates = sim.allocation();
-        assert!((rates.rate(SessionId(0)).unwrap() - 30e6).abs() < 1.0);
-        assert!((rates.rate(SessionId(1)).unwrap() - 30e6).abs() < 1.0);
-    }
-}
-
-#[cfg(test)]
 mod recovery_tests {
     use super::*;
     use crate::events::testing::PacketLog;
@@ -1577,19 +1496,22 @@ mod recovery_tests {
         let run = |horizons_us: &[u64]| {
             let mut sim = dumbbell_sim(&net, config, 4);
             sim.set_fault_plan(hostile_plan(7));
+            let (mut packets, mut events) = (0, 0);
             for &us in horizons_us {
                 // R3: a cut run keeps its wake-up in the queue, so frames
                 // unacked at the horizon are still retransmitted after it.
                 let cut = sim.run_until(SimTime::from_micros(us));
                 assert!(!cut.quiescent, "the horizon {us} us falls inside the run");
+                packets += cut.packets_sent;
+                events += cut.events_processed;
             }
             let end = sim.run_to_quiescence();
             assert!(end.quiescent);
             assert_eq!(sim.unacked_frames(), 0);
             assert_matches_oracle(&sim);
             let totals = (
-                sim.messages_sent(),
-                sim.events_processed(),
+                packets + end.packets_sent,
+                events + end.events_processed,
                 end.quiescent_at,
             );
             let stats = sim.recovery_stats().unwrap();

@@ -35,12 +35,6 @@ pub struct Router<'a> {
     queue: VecDeque<NodeId>,
     /// Reverse parent walk, reused across queries.
     link_buf: Vec<LinkId>,
-    /// Source of the cached full BFS tree held in `cache_mark` /
-    /// `cache_parent`, if any (see [`Router::shortest_path_cached`]).
-    cache_src: Option<NodeId>,
-    cache_generation: u64,
-    cache_mark: Vec<u64>,
-    cache_parent: Vec<LinkId>,
     /// Dense index of each router among the routers (`u32::MAX` for hosts);
     /// built on first use of [`Router::host_path_cached`].
     router_index: Vec<u32>,
@@ -69,10 +63,6 @@ impl<'a> Router<'a> {
             generation: 0,
             queue: VecDeque::new(),
             link_buf: Vec::new(),
-            cache_src: None,
-            cache_generation: 0,
-            cache_mark: Vec::new(),
-            cache_parent: Vec::new(),
             router_index: Vec::new(),
             router_nodes: Vec::new(),
             router_trees: BTreeMap::new(),
@@ -125,62 +115,6 @@ impl<'a> Router<'a> {
         let path = self.walk_parents(&parents, src, dst);
         self.parent_link = parents;
         Some(path)
-    }
-
-    /// [`Router::shortest_path`] through a per-source cache: the first query
-    /// from `src` runs one full BFS and keeps the resulting shortest-path
-    /// tree; further queries from the same source only walk parent links.
-    ///
-    /// The cache holds a single source (the access pattern of workload
-    /// construction, which plans all sessions of one source before moving to
-    /// the next), so memory stays `O(nodes)`. Paths are identical to the ones
-    /// [`Router::shortest_path`] computes; a different source simply rebuilds
-    /// the tree.
-    pub fn shortest_path_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Path> {
-        if src == dst {
-            return None;
-        }
-        if self.cache_src != Some(src) {
-            self.build_cache_tree(src);
-        }
-        if self.cache_mark[dst.index()] != self.cache_generation {
-            return None;
-        }
-        let parents = std::mem::take(&mut self.cache_parent);
-        let path = self.walk_parents(&parents, src, dst);
-        self.cache_parent = parents;
-        Some(path)
-    }
-
-    /// Runs a full BFS from `src` (no early exit), recording parent links for
-    /// every reachable node. Hosts are reached but never expanded, so the
-    /// tree serves any destination.
-    fn build_cache_tree(&mut self, src: NodeId) {
-        self.generation += 1;
-        let generation = self.generation;
-        self.cache_mark.resize(self.network.node_count(), 0);
-        self.cache_parent
-            .resize(self.network.node_count(), LinkId(0));
-        self.queue.clear();
-        self.cache_mark[src.index()] = generation;
-        self.queue.push_back(src);
-        while let Some(node) = self.queue.pop_front() {
-            // Intermediate hosts never forward traffic.
-            if node != src && self.network.node(node).kind().is_host() {
-                continue;
-            }
-            for &link_id in self.network.out_links(node) {
-                let next = self.network.link(link_id).dst();
-                if self.cache_mark[next.index()] == generation {
-                    continue;
-                }
-                self.cache_mark[next.index()] = generation;
-                self.cache_parent[next.index()] = link_id;
-                self.queue.push_back(next);
-            }
-        }
-        self.cache_src = Some(src);
-        self.cache_generation = generation;
     }
 
     /// [`Router::shortest_path`] between two *hosts*, through a per-router
@@ -506,64 +440,6 @@ mod tests {
         let dist = router.hop_distances(h0);
         let p = router.shortest_path(h0, h2).unwrap();
         assert_eq!(dist[h2.index()], p.hop_count());
-    }
-
-    #[test]
-    fn cached_paths_match_uncached() {
-        let (net, h0, h2) = diamond();
-        let mut router = Router::new(&net);
-        let uncached = router.shortest_path(h0, h2).unwrap();
-        let cached = router.shortest_path_cached(h0, h2).unwrap();
-        assert_eq!(uncached, cached);
-        // Repeat query hits the tree; switching sources rebuilds it.
-        assert_eq!(router.shortest_path_cached(h0, h2).unwrap(), uncached);
-        let reverse = router.shortest_path(h2, h0).unwrap();
-        assert_eq!(router.shortest_path_cached(h2, h0).unwrap(), reverse);
-        assert_eq!(router.shortest_path_cached(h0, h2).unwrap(), uncached);
-        assert!(router.shortest_path_cached(h0, h0).is_none());
-    }
-
-    #[test]
-    fn cached_paths_agree_on_a_mesh() {
-        let (c, d) = caps();
-        let mut b = NetworkBuilder::new();
-        let routers: Vec<_> = (0..6).map(|i| b.add_router(format!("r{i}"))).collect();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                if (i + j) % 2 == 0 {
-                    b.connect(routers[i], routers[j], c, d);
-                }
-            }
-        }
-        b.connect(routers[0], routers[1], c, d);
-        let hosts: Vec<_> = (0..6)
-            .map(|i| b.add_host(format!("h{i}"), routers[i], c, d))
-            .collect();
-        let net = b.build();
-        let mut router = Router::new(&net);
-        for &src in &hosts {
-            for &dst in &hosts {
-                assert_eq!(
-                    router.shortest_path(src, dst),
-                    router.shortest_path_cached(src, dst),
-                    "cached path diverges for {src} -> {dst}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cached_unreachable_returns_none() {
-        let (c, d) = caps();
-        let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1"); // never connected to r0
-        let h0 = b.add_host("h0", r0, c, d);
-        let h1 = b.add_host("h1", r1, c, d);
-        let net = b.build();
-        let mut router = Router::new(&net);
-        assert!(router.shortest_path_cached(h0, h1).is_none());
-        assert!(router.shortest_path_cached(h0, r0).is_some());
     }
 
     #[test]

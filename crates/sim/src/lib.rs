@@ -49,14 +49,12 @@ pub mod engine;
 pub mod event;
 pub mod explore;
 pub mod fault;
-pub mod simulation;
 pub mod time;
 
 pub use channel::{ChannelId, ChannelSpec};
 pub use engine::{Address, Context, Engine, RunReport, World};
 pub use explore::{explore_schedules, ExploreStats, ScheduleCursor};
 pub use fault::{FaultCounters, FaultPlan};
-pub use simulation::Simulation;
 pub use time::SimTime;
 
 /// Commonly used items, suitable for glob import.
@@ -65,6 +63,5 @@ pub mod prelude {
     pub use crate::engine::{Address, Context, Engine, RunReport, World};
     pub use crate::explore::{explore_schedules, ExploreStats, ScheduleCursor};
     pub use crate::fault::{FaultCounters, FaultPlan};
-    pub use crate::simulation::Simulation;
     pub use crate::time::SimTime;
 }

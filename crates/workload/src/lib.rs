@@ -3,7 +3,8 @@
 //! Workload and scenario generation for the B-Neck experiments:
 //!
 //! * [`scenario`] — the evaluation networks (Small/Medium/Big transit–stub
-//!   topologies in LAN or WAN flavour, as in Section IV of the paper);
+//!   topologies in LAN or WAN flavour, as in Section IV of the paper), named
+//!   by [`NetworkScenario::preset`];
 //! * [`sessions`] — random session planning (source/destination hosts chosen
 //!   uniformly at random, one session per source host, optional maximum-rate
 //!   requests);
@@ -11,16 +12,14 @@
 //!   application to a protocol harness;
 //! * [`protocol`] — the unified [`protocol::ProtocolWorld`] trait every
 //!   protocol-under-test (B-Neck and the baselines) implements, so the
-//!   experiment drivers run any protocol through one code path;
+//!   experiment drivers run any protocol through one code path, and the
+//!   closed [`protocol::Baseline`] set;
 //! * [`dynamics`] — phase-structured churn (the join/leave/change phases of
 //!   Experiment 2);
 //! * [`experiments`] — the workloads of the paper's three experiments:
 //!   [`Experiment1Config`], the one run description (a join burst), plus
 //!   the churn phases and the joins-plus-leaves schedule planned from their
 //!   specs;
-//! * [`registry`] — by-name factories: [`registry::ProtocolRegistry`] builds
-//!   protocols-under-test, [`registry::TopologyRegistry`] builds the named
-//!   topology presets;
 //! * [`spec`] — declarative, serializable experiment specifications
 //!   ([`spec::ExperimentSpec`]): topology + workload + protocols + seeds +
 //!   repeats + output selection as data, with shipped presets holding the
@@ -33,7 +32,6 @@
 pub mod dynamics;
 pub mod experiments;
 pub mod protocol;
-pub mod registry;
 pub mod scenario;
 pub mod schedule;
 pub mod sessions;
@@ -41,8 +39,7 @@ pub mod spec;
 
 pub use dynamics::DynamicsPlanner;
 pub use experiments::{Experiment1Config, PhaseSpec};
-pub use protocol::ProtocolWorld;
-pub use registry::{ProtocolRegistry, TopologyRegistry};
+pub use protocol::{Baseline, ProtocolWorld};
 pub use scenario::NetworkScenario;
 pub use schedule::{ApplyStats, Schedule, ScheduleTarget, TimedEvent, WorkloadEvent};
 pub use sessions::{LimitPolicy, SessionPlanner, SessionRequest};
@@ -55,8 +52,7 @@ pub use spec::{
 pub mod prelude {
     pub use crate::dynamics::DynamicsPlanner;
     pub use crate::experiments::{Experiment1Config, PhaseSpec};
-    pub use crate::protocol::ProtocolWorld;
-    pub use crate::registry::{ProtocolRegistry, TopologyRegistry};
+    pub use crate::protocol::{Baseline, ProtocolWorld};
     pub use crate::scenario::NetworkScenario;
     pub use crate::schedule::{ApplyStats, Schedule, ScheduleTarget, TimedEvent, WorkloadEvent};
     pub use crate::sessions::{LimitPolicy, SessionPlanner, SessionRequest};

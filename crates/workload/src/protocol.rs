@@ -3,50 +3,29 @@
 //! The paper evaluates B-Neck against BFYZ, CG and RCP on the *same*
 //! simulated networks and workloads (§IV, Figures 5–8). [`ProtocolWorld`] is
 //! the contract that makes this possible in code: anything implementing it
-//! can be handed a workload schedule (it is a [`ScheduleTarget`]), driven on
-//! the discrete-event engine (it is a [`Simulation`], and therefore a `Send`
-//! unit the parallel sweep drivers can move across worker threads), and asked
-//! for its per-session rates and its session set for comparison against the
-//! centralized oracle.
+//! can be handed a workload schedule (it is a [`ScheduleTarget`]), run to a
+//! horizon or to quiescence, moved to a worker thread (it is `Send`), and
+//! asked for its per-session rates and packet count.
 //!
+//! The protocol set is closed: B-Neck plus the three [`Baseline`]s.
 //! `BneckSimulation` implements the trait here; `BaselineSimulation`
-//! implements it in `bneck-baselines` (which also provides a by-name factory
-//! so experiment drivers can add a protocol without monomorphizing a new
-//! runner).
+//! implements it in `bneck-baselines`, whose `simulation` builds any
+//! [`Baseline`] by an exhaustive match.
 
 use crate::schedule::ScheduleTarget;
-use bneck_core::{BneckSimulation, RateEvents, Subscriber};
-use bneck_maxmin::{Allocation, SessionSet};
-use bneck_sim::Simulation;
-use std::sync::Arc;
+use bneck_core::{BneckSimulation, QuiescenceReport};
+use bneck_maxmin::Allocation;
+use bneck_sim::SimTime;
 
 /// A protocol-under-test: a fully-built simulation that accepts workload
-/// events, runs on the unified engine interface, exposes the rates the
-/// experiments compare against the centralized oracle, and fans its
-/// `API.Rate` notifications out to registered [`Subscriber`]s.
-pub trait ProtocolWorld: Simulation + ScheduleTarget {
+/// events, runs on the discrete-event engine and exposes the rates the
+/// experiments compare against the centralized oracle.
+pub trait ProtocolWorld: Send + ScheduleTarget {
     /// The protocol's display name (`B-Neck`, `BFYZ`, `CG`, `RCP`).
     fn protocol_name(&self) -> &'static str;
 
     /// The rate each active session is currently assigned at its source.
     fn current_rates(&self) -> Allocation;
-
-    /// The active sessions (paths plus requested limits), for feeding the
-    /// centralized oracle.
-    fn session_set(&self) -> Arc<SessionSet>;
-
-    /// Registers an observer of this protocol's `API.Rate` notifications
-    /// (and, for subscribers that opt in, its packet transmissions).
-    fn subscribe(&mut self, subscriber: Box<dyn Subscriber>);
-
-    /// Opens a drainable stream of this protocol's
-    /// [`RateEvent`](bneck_core::RateEvent)s. Each call opens an independent
-    /// stream carrying events from registration onward.
-    fn rate_events(&mut self) -> RateEvents {
-        let (events, writer) = RateEvents::channel();
-        self.subscribe(writer);
-        events
-    }
 
     /// Whether the protocol stops generating control traffic once converged.
     /// `true` only for B-Neck — the probing baselines never go quiescent
@@ -62,6 +41,18 @@ pub trait ProtocolWorld: Simulation + ScheduleTarget {
     /// converged steady state. `None` means the protocol converges to the
     /// exact rates (B-Neck, Theorem 1 of the paper).
     fn convergence_tolerance_pct(&self) -> Option<f64>;
+
+    /// Runs until the event queue is empty or the next event is strictly
+    /// after `horizon`; events at exactly `horizon` are processed.
+    fn run_to(&mut self, horizon: SimTime) -> QuiescenceReport;
+
+    /// Runs until no event remains (quiescence).
+    fn run_to_quiescence(&mut self) -> QuiescenceReport {
+        self.run_to(SimTime::MAX)
+    }
+
+    /// `true` when no event is pending: the simulated network is quiescent.
+    fn is_quiescent(&self) -> bool;
 }
 
 impl ProtocolWorld for BneckSimulation<'_> {
@@ -71,14 +62,6 @@ impl ProtocolWorld for BneckSimulation<'_> {
 
     fn current_rates(&self) -> Allocation {
         BneckSimulation::current_rates(self)
-    }
-
-    fn session_set(&self) -> Arc<SessionSet> {
-        BneckSimulation::session_set(self)
-    }
-
-    fn subscribe(&mut self, subscriber: Box<dyn Subscriber>) {
-        self.subscribe_boxed(subscriber);
     }
 
     fn goes_quiescent(&self) -> bool {
@@ -92,6 +75,47 @@ impl ProtocolWorld for BneckSimulation<'_> {
     fn convergence_tolerance_pct(&self) -> Option<f64> {
         None
     }
+
+    fn run_to(&mut self, horizon: SimTime) -> QuiescenceReport {
+        self.run_until(horizon)
+    }
+
+    fn is_quiescent(&self) -> bool {
+        BneckSimulation::is_quiescent(self)
+    }
+}
+
+/// The non-quiescent protocols the paper compares B-Neck against
+/// (Experiment 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Baseline {
+    /// Bartal, Farach-Colton, Yooseph and Zhang: per-session state.
+    Bfyz,
+    /// Cobb and Gouda: constant state per router.
+    Cg,
+    /// The Rate Control Protocol of Dukkipati et al.
+    Rcp,
+}
+
+impl Baseline {
+    /// Every baseline, in the order the paper's Experiment 3 reports them.
+    pub const ALL: [Baseline; 3] = [Baseline::Bfyz, Baseline::Cg, Baseline::Rcp];
+
+    /// The display name, as specs and reports spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Baseline::Bfyz => "BFYZ",
+            Baseline::Cg => "CG",
+            Baseline::Rcp => "RCP",
+        }
+    }
+
+    /// The baseline spelled `name`, or `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Baseline> {
+        Self::ALL
+            .into_iter()
+            .find(|baseline| baseline.name() == name)
+    }
 }
 
 #[cfg(test)]
@@ -101,7 +125,6 @@ mod tests {
     use crate::sessions::{LimitPolicy, SessionPlanner};
     use bneck_core::BneckConfig;
     use bneck_maxmin::prelude::*;
-    use bneck_sim::SimTime;
 
     #[test]
     fn bneck_runs_to_the_exact_rates_through_the_unified_trait() {
@@ -120,14 +143,25 @@ mod tests {
             assert!(world.goes_quiescent());
             assert!(world.convergence_tolerance_pct().is_none());
             assert!(world.packets_sent() > 0);
-            let sessions = ProtocolWorld::session_set(world);
-            assert_eq!(sessions.len(), requests.len());
-            let oracle = CentralizedBneck::new(&network, &sessions).solve();
-            let tol = Tolerance::new(1e-6, 10.0);
-            assert!(
-                compare_allocations(&sessions, &world.current_rates(), &oracle, tol).is_ok(),
-                "quiescent rates through the trait must equal the oracle's"
-            );
+            assert!(world.is_quiescent());
         }
+        let sessions = sim.session_set();
+        assert_eq!(sessions.len(), requests.len());
+        let oracle = CentralizedBneck::new(&network, &sessions).solve();
+        let tol = Tolerance::new(1e-6, 10.0);
+        let world: &dyn ProtocolWorld = &sim;
+        assert!(
+            compare_allocations(&sessions, &world.current_rates(), &oracle, tol).is_ok(),
+            "quiescent rates through the trait must equal the oracle's"
+        );
+    }
+
+    #[test]
+    fn baselines_round_trip_their_names() {
+        for baseline in Baseline::ALL {
+            assert_eq!(Baseline::from_name(baseline.name()), Some(baseline));
+        }
+        assert_eq!(Baseline::from_name("B-Neck"), None);
+        assert_eq!(Baseline::from_name("XCP"), None);
     }
 }

@@ -72,6 +72,21 @@ impl NetworkScenario {
         }
     }
 
+    /// The paper's evaluation network named `name` with the given number of
+    /// hosts: `small/lan`, `small/wan`, `medium/lan`, `medium/wan` or
+    /// `big/lan` (§IV), spelled as [`Self::label`] prints them. `None` for
+    /// any other name.
+    pub fn preset(name: &str, hosts: usize) -> Option<Self> {
+        Some(match name {
+            "small/lan" => Self::small_lan(hosts),
+            "small/wan" => Self::small_wan(hosts),
+            "medium/lan" => Self::medium_lan(hosts),
+            "medium/wan" => Self::medium_wan(hosts),
+            "big/lan" => Self::big_lan(hosts),
+            _ => return None,
+        })
+    }
+
     /// Overrides the topology seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -113,6 +128,24 @@ mod tests {
         let net = scenario.build();
         assert_eq!(net.router_count(), 110);
         assert_eq!(net.host_count(), 25);
+    }
+
+    #[test]
+    fn presets_resolve_by_label() {
+        for name in [
+            "small/lan",
+            "small/wan",
+            "medium/lan",
+            "medium/wan",
+            "big/lan",
+        ] {
+            let scenario = NetworkScenario::preset(name, 7).unwrap();
+            assert_eq!(scenario.label(), name);
+            assert_eq!(scenario.hosts, 7);
+        }
+        let scenario = NetworkScenario::preset("medium/wan", 50).unwrap();
+        assert_eq!(scenario.size, NetworkSize::Medium);
+        assert!(NetworkScenario::preset("huge/lan", 10).is_none());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! The paper's evaluation is a small matrix of scenarios — topology ×
 //! workload × protocol × seeds (§IV). [`ExperimentSpec`] captures one cell
 //! family of that matrix as plain *data*: a serializable document naming the
-//! topology presets (resolved through a [`TopologyRegistry`]), the workload
-//! parameters, the protocols under test (resolved through a
-//! [`ProtocolRegistry`](crate::registry::ProtocolRegistry)), the seeds and
-//! repeats, and the output selection. The `bneck` CLI in `bneck-bench` runs
-//! specs from JSON files or from the shipped presets
-//! ([`ExperimentSpec::preset`]), the one place the paper's parameter sets
-//! are written down.
+//! topology presets (resolved by [`NetworkScenario::preset`]), the workload
+//! parameters, the baselines under test (resolved by
+//! [`Baseline::from_name`]), the seeds and repeats, and the output
+//! selection. The `bneck` CLI in `bneck-bench` runs specs from JSON files or
+//! from the shipped presets ([`ExperimentSpec::preset`]), the one place the
+//! paper's parameter sets are written down.
 //!
 //! Lowering: the joins, validation, scale and fault-sweep kinds lower to
 //! [`Experiment1Config`]s, one join burst each (`configs`/`config`); the
@@ -17,7 +16,7 @@
 //! workloads from the spec itself.
 
 use crate::experiments::Experiment1Config;
-use crate::registry::TopologyRegistry;
+use crate::protocol::Baseline;
 use crate::scenario::NetworkScenario;
 use crate::sessions::LimitPolicy;
 use bneck_net::Delay;
@@ -26,13 +25,12 @@ use std::fmt;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
-/// Error produced when a spec cannot be resolved against the registries.
+/// Error produced when a spec does not resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
-    /// A topology preset name is not in the [`TopologyRegistry`].
+    /// A topology name has no [`NetworkScenario::preset`].
     UnknownTopology(String),
-    /// A protocol name is not in the
-    /// [`ProtocolRegistry`](crate::registry::ProtocolRegistry).
+    /// A baseline name is not a [`Baseline`].
     UnknownProtocol(String),
     /// A list that must be non-empty (session counts, topologies, ...) is
     /// empty.
@@ -64,12 +62,12 @@ fn checked_delay(value: u64, unit_ns: u64, field: &'static str) -> Result<Delay,
         .ok_or(SpecError::Invalid(field))
 }
 
-/// A topology reference: a registry preset name plus the host count and
-/// topology seed to instantiate it with.
+/// A topology reference: a preset name plus the host count and topology
+/// seed to instantiate it with.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ScenarioSpec {
-    /// Registry preset name (`small/lan`, `medium/wan`, ...).
+    /// Preset name (`small/lan`, `medium/wan`, ...).
     pub preset: String,
     /// Number of hosts attached to random stub routers.
     pub hosts: usize,
@@ -88,14 +86,13 @@ impl ScenarioSpec {
         }
     }
 
-    /// Builds the scenario through the registry.
+    /// Builds the scenario of the named preset.
     ///
     /// # Errors
     ///
-    /// [`SpecError::UnknownTopology`] when the preset is not registered.
-    pub fn resolve(&self, topologies: &TopologyRegistry) -> Result<NetworkScenario, SpecError> {
-        topologies
-            .resolve(&self.preset, self.hosts)
+    /// [`SpecError::UnknownTopology`] when no preset has that name.
+    pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
+        NetworkScenario::preset(&self.preset, self.hosts)
             .map(|scenario| scenario.with_seed(self.seed))
             .ok_or_else(|| SpecError::UnknownTopology(self.preset.clone()))
     }
@@ -182,7 +179,7 @@ impl ExperimentKind {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct JoinsSpec {
-    /// Topology preset names (resolved through the [`TopologyRegistry`]).
+    /// Topology preset names (resolved by [`NetworkScenario::preset`]).
     pub topologies: Vec<String>,
     /// Topology generator seed.
     pub topology_seed: u64,
@@ -212,10 +209,7 @@ impl JoinsSpec {
     /// or empty inputs, [`SpecError::Invalid`] on a zero session count, a
     /// host count that overflows `usize` or a join window too long to count
     /// in nanoseconds.
-    pub fn configs(
-        &self,
-        topologies: &TopologyRegistry,
-    ) -> Result<Vec<Experiment1Config>, SpecError> {
+    pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
         }
@@ -239,7 +233,7 @@ impl JoinsSpec {
                     hosts,
                     seed: self.topology_seed,
                 }
-                .resolve(topologies)?;
+                .resolve()?;
                 configs.push(Experiment1Config {
                     scenario,
                     sessions,
@@ -280,11 +274,11 @@ impl ChurnSpec {
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Invalid`] on
     /// unresolvable or degenerate inputs, a change window included.
-    pub fn resolve(&self, topologies: &TopologyRegistry) -> Result<NetworkScenario, SpecError> {
+    pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
         if self.repeats == 0 {
             return Err(SpecError::Invalid("repeats"));
         }
-        let scenario = self.topology.resolve(topologies)?;
+        let scenario = self.topology.resolve()?;
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
         Ok(scenario)
     }
@@ -311,8 +305,8 @@ pub struct AccuracySpec {
     pub limits: LimitPolicy,
     /// Workload seed.
     pub seed: u64,
-    /// The baseline protocols to run next to B-Neck (registry names; B-Neck
-    /// itself always runs first).
+    /// The baseline protocols to run next to B-Neck ([`Baseline`] names;
+    /// B-Neck itself always runs first).
     pub baselines: Vec<String>,
 }
 
@@ -324,15 +318,30 @@ impl AccuracySpec {
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
     /// [`SpecError::Invalid`] on a zero sample interval or a duration too
     /// long to count in nanoseconds.
-    pub fn resolve(&self, topologies: &TopologyRegistry) -> Result<NetworkScenario, SpecError> {
+    pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
         if self.sample_interval_us == 0 {
             return Err(SpecError::Invalid("sample_interval_us"));
         }
-        let scenario = self.topology.resolve(topologies)?;
+        let scenario = self.topology.resolve()?;
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
         checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?;
         checked_delay(self.horizon_us, 1_000, "horizon_us")?;
         Ok(scenario)
+    }
+
+    /// The named baselines, in spec order.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownProtocol`] naming the first name that is not a
+    /// [`Baseline`].
+    pub fn resolve_baselines(&self) -> Result<Vec<Baseline>, SpecError> {
+        self.baselines
+            .iter()
+            .map(|name| {
+                Baseline::from_name(name).ok_or_else(|| SpecError::UnknownProtocol(name.clone()))
+            })
+            .collect()
     }
 }
 
@@ -376,10 +385,7 @@ impl ValidationSpec {
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] /
     /// [`SpecError::Invalid`] on unresolvable or degenerate inputs, a host
     /// count that overflows `usize` included.
-    pub fn configs(
-        &self,
-        topologies: &TopologyRegistry,
-    ) -> Result<Vec<Experiment1Config>, SpecError> {
+    pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
         }
@@ -395,8 +401,7 @@ impl ValidationSpec {
             .ok_or(SpecError::Invalid("hosts_per_session"))?;
         let mut out = Vec::with_capacity(self.topologies.len() * self.runs);
         for preset in &self.topologies {
-            let base = topologies
-                .resolve(preset, hosts)
+            let base = NetworkScenario::preset(preset, hosts)
                 .ok_or_else(|| SpecError::UnknownTopology(preset.clone()))?;
             for i in 0..self.runs as u64 {
                 out.push(Experiment1Config {
@@ -503,9 +508,9 @@ impl FaultSweepSpec {
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
     /// [`SpecError::Invalid`] on a join window too long to count in
     /// nanoseconds.
-    pub fn config(&self, topologies: &TopologyRegistry) -> Result<Experiment1Config, SpecError> {
+    pub fn config(&self) -> Result<Experiment1Config, SpecError> {
         Ok(Experiment1Config {
-            scenario: self.topology.resolve(topologies)?,
+            scenario: self.topology.resolve()?,
             sessions: self.sessions,
             join_window: checked_delay(self.join_window_us, 1_000, "join_window_us")?,
             limits: self.limits,
@@ -731,41 +736,33 @@ impl ExperimentSpec {
             .collect()
     }
 
-    /// Checks the spec against the registries without running anything: all
-    /// topology presets resolve, all protocol names are registered, and no
-    /// required list is empty.
+    /// Checks the spec without running anything: all topology presets
+    /// resolve, all baseline names are [`Baseline`]s, and no required list is
+    /// empty.
     ///
     /// # Errors
     ///
     /// The first [`SpecError`] encountered.
-    pub fn check(
-        &self,
-        topologies: &TopologyRegistry,
-        protocols: &crate::registry::ProtocolRegistry,
-    ) -> Result<(), SpecError> {
+    pub fn check(&self) -> Result<(), SpecError> {
         match &self.experiment {
             ExperimentKind::Joins(spec) => {
-                spec.configs(topologies)?;
+                spec.configs()?;
             }
             ExperimentKind::Churn(spec) => {
-                spec.resolve(topologies)?;
+                spec.resolve()?;
             }
             ExperimentKind::Accuracy(spec) => {
-                spec.resolve(topologies)?;
-                for baseline in &spec.baselines {
-                    if !protocols.contains(baseline) {
-                        return Err(SpecError::UnknownProtocol(baseline.clone()));
-                    }
-                }
+                spec.resolve()?;
+                spec.resolve_baselines()?;
             }
             ExperimentKind::Validation(spec) => {
-                spec.configs(topologies)?;
+                spec.configs()?;
             }
             ExperimentKind::Scale(spec) => {
                 spec.configs()?;
             }
             ExperimentKind::FaultSweep(spec) => {
-                spec.topology.resolve(topologies)?;
+                spec.topology.resolve()?;
                 spec.points()?;
             }
         }
@@ -776,22 +773,11 @@ impl ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::ProtocolRegistry;
 
     #[test]
     fn every_preset_resolves_and_checks() {
-        let topologies = TopologyRegistry::builtin();
-        let mut protocols = ProtocolRegistry::with_bneck();
-        // The baselines live a layer up; a stand-in BFYZ entry keeps this
-        // check registry-complete (bneck-bench's tests check the real one).
-        protocols.register("BFYZ", |network| {
-            Box::new(bneck_core::BneckSimulation::new(
-                network,
-                bneck_core::BneckConfig::default(),
-            ))
-        });
         for spec in ExperimentSpec::presets() {
-            spec.check(&topologies, &protocols)
+            spec.check()
                 .unwrap_or_else(|e| panic!("preset {} does not check: {e}", spec.name));
             assert!(ExperimentSpec::preset_summary(&spec.name).is_some());
         }
@@ -801,12 +787,11 @@ mod tests {
 
     #[test]
     fn exp1_preset_lowers_to_the_former_binary_defaults() {
-        let topologies = TopologyRegistry::builtin();
         let spec = ExperimentSpec::preset("exp1").unwrap();
         let ExperimentKind::Joins(joins) = &spec.experiment else {
             panic!("exp1 is a joins sweep");
         };
-        let configs = joins.configs(&topologies).unwrap();
+        let configs = joins.configs().unwrap();
         // Topology-major, hosts = 2 * sessions (at least 20), seed = position + 1.
         let mut expected = Vec::new();
         let scenarios: Vec<fn(usize) -> NetworkScenario> = vec![
@@ -830,12 +815,11 @@ mod tests {
 
     #[test]
     fn validate_preset_lowers_to_the_former_binary_points() {
-        let topologies = TopologyRegistry::builtin();
         let spec = ExperimentSpec::preset("validate").unwrap();
         let ExperimentKind::Validation(validation) = &spec.experiment else {
             panic!("validate is a validation spec");
         };
-        let configs = validation.configs(&topologies).unwrap();
+        let configs = validation.configs().unwrap();
         assert_eq!(configs.len(), 4 * 3);
         // Four flavours × three runs: topology seeds 1.., workload seeds 100..
         let sessions = 60;
@@ -926,13 +910,11 @@ mod tests {
         const US: u64 = u64::MAX / 1_000 + 1;
         const MS: u64 = u64::MAX / 1_000_000 + 1;
         let kind = |name| ExperimentSpec::preset(name).unwrap().experiment;
-        let (K::Joins(joins), K::Churn(churn), K::Accuracy(mut accuracy)) =
+        let (K::Joins(joins), K::Churn(churn), K::Accuracy(accuracy)) =
             (kind("exp1"), kind("exp2"), kind("exp3"))
         else {
             unreachable!("exp1..3 are joins, churn and accuracy specs")
         };
-        // B-Neck alone, so the B-Neck-only registry below checks it.
-        accuracy.baselines.clear();
         let (K::Validation(validation), K::FaultSweep(faults)) = (kind("validate"), kind("faults"))
         else {
             unreachable!("validate and faults are validation and fault-sweep specs")
@@ -967,40 +949,49 @@ mod tests {
             absurd!(FaultSweep(faults).rto_us = US),
             absurd!(FaultSweep(faults).horizon_ms = MS),
         ];
-        let topologies = TopologyRegistry::builtin();
-        let protocols = ProtocolRegistry::with_bneck();
         // Seeds wrap instead of overflowing: the last base seed still lowers.
         let mut wraps = joins.clone();
         wraps.base_seed = u64::MAX;
-        assert_eq!(wraps.configs(&topologies).unwrap()[1].seed, 0);
+        assert_eq!(wraps.configs().unwrap()[1].seed, 0);
         let mut wraps = validation.clone();
         (wraps.topo_seed_base, wraps.workload_seed_base) = (u64::MAX, u64::MAX);
-        assert_eq!(wraps.configs(&topologies).unwrap()[1].seed, 0);
+        assert_eq!(wraps.configs().unwrap()[1].seed, 0);
         for (experiment, field) in cases {
             let spec = ExperimentSpec {
                 name: "absurd".to_string(),
                 experiment,
                 output: OutputSpec::default(),
             };
-            assert_eq!(
-                spec.check(&topologies, &protocols),
-                Err(SpecError::Invalid(field)),
-                "{spec:?}"
-            );
+            assert_eq!(spec.check(), Err(SpecError::Invalid(field)), "{spec:?}");
         }
     }
 
     #[test]
     fn unknown_topologies_are_reported_by_name() {
-        let topologies = TopologyRegistry::builtin();
-        let spec = ScenarioSpec::new("moon/lan", 10);
-        assert_eq!(
-            spec.resolve(&topologies),
-            Err(SpecError::UnknownTopology("moon/lan".to_string()))
-        );
+        // `big/wan` and `small/fixed` are labels a scenario can print, but no
+        // preset builds them.
+        for name in ["moon/lan", "big/wan", "small/fixed"] {
+            assert_eq!(
+                ScenarioSpec::new(name, 10).resolve(),
+                Err(SpecError::UnknownTopology(name.to_string()))
+            );
+        }
         assert_eq!(
             SpecError::UnknownTopology("moon/lan".to_string()).to_string(),
             "unknown topology preset `moon/lan`"
+        );
+        let mut spec = ExperimentSpec::preset("exp3").unwrap();
+        let ExperimentKind::Accuracy(accuracy) = &mut spec.experiment else {
+            panic!("exp3 is an accuracy spec");
+        };
+        accuracy.baselines = vec!["BFYZ".to_string(), "XCP".to_string()];
+        assert_eq!(
+            spec.check(),
+            Err(SpecError::UnknownProtocol("XCP".to_string()))
+        );
+        assert_eq!(
+            SpecError::UnknownProtocol("XCP".to_string()).to_string(),
+            "unknown protocol `XCP`"
         );
     }
 }
