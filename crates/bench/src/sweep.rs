@@ -17,10 +17,9 @@
 //!
 //! The thread count comes from the `BNECK_THREADS` environment variable when
 //! set (the knob CI's `scale-smoke` job uses), otherwise from
-//! [`std::thread::available_parallelism`]; the session planner reads the same
-//! knob through the same parser.
+//! [`std::thread::available_parallelism`]. This module is the one reader of
+//! the variable; session planning is sequential and reads no environment.
 
-use bneck_workload::sessions::threads_from_env;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -39,9 +38,9 @@ impl SweepRunner {
         }
     }
 
-    /// A runner honoring the `BNECK_THREADS` environment variable, falling
-    /// back to the machine's available parallelism (see
-    /// [`threads_from_env`]).
+    /// A runner honoring the `BNECK_THREADS` environment variable; unset,
+    /// empty, zero or unparsable values fall back to the machine's available
+    /// parallelism.
     pub fn from_env() -> Self {
         Self::new(threads_from_env())
     }
@@ -119,9 +118,44 @@ impl Default for SweepRunner {
     }
 }
 
+/// Worker-thread count from `BNECK_THREADS`, falling back to the available
+/// parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "thread count selects scheduling only; results are bit-identical at any value (determinism suite)"
+)]
+fn threads_from_env() -> usize {
+    parse_threads(std::env::var("BNECK_THREADS").ok().as_deref())
+}
+
+fn parse_threads(value: Option<&str>) -> usize {
+    match value.map(str::trim).map(str::parse::<usize>) {
+        Some(Ok(n)) if n >= 1 => n,
+        _ => available_parallelism(),
+    }
+}
+
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_knob_parsing() {
+        assert_eq!(parse_threads(Some("3")), 3);
+        assert_eq!(parse_threads(Some(" 12 ")), 12);
+        // Unset, empty, zero and junk all fall back to the machine default.
+        let fallback = available_parallelism();
+        assert_eq!(parse_threads(None), fallback);
+        assert_eq!(parse_threads(Some("")), fallback);
+        assert_eq!(parse_threads(Some("0")), fallback);
+        assert_eq!(parse_threads(Some("lots")), fallback);
+    }
 
     #[test]
     fn results_come_back_in_point_order() {

@@ -50,13 +50,12 @@ fn paper_scale_10k_matches_oracle() {
 }
 
 /// Join → quiescence at 250,000 sessions on the Medium transit–stub network,
-/// planned once with a sequential planner and once with routing-tree
-/// construction fanned across 4 worker threads. Both runs must be quiescent
-/// and oracle-exact, and their serialized scale reports must be
-/// byte-identical — parallel planning is a wall-clock optimization only.
+/// run twice. Both runs must be quiescent and oracle-exact, and their
+/// serialized scale reports must be byte-identical: a report is a pure
+/// function of its spec.
 #[test]
 #[ignore = "paper-scale run: execute in release with -- --ignored"]
-fn paper_scale_250k_parallel_planning_matches_sequential_report() {
+fn paper_scale_250k_report_is_byte_identical_across_runs() {
     use bneck_bench::{run_spec, ExperimentReport, SweepRunner};
     use bneck_workload::spec::{ExperimentKind, ExperimentSpec, OutputSpec, ScaleSpec};
 
@@ -75,33 +74,27 @@ fn paper_scale_250k_parallel_planning_matches_sequential_report() {
             other => panic!("scale spec produced {other:?}"),
         }
     };
-    // The planner reads its worker-thread count from BNECK_THREADS. Thread
-    // counts are invisible in every deterministic output by design, so
-    // flipping the variable here cannot disturb concurrently running tests.
-    std::env::set_var("BNECK_THREADS", "1");
-    let sequential = run();
-    std::env::set_var("BNECK_THREADS", "4");
-    let parallel = run();
-    std::env::remove_var("BNECK_THREADS");
+    let first = run();
+    let second = run();
 
-    assert!(parallel.quiescent);
-    assert_eq!(parallel.joins_applied, 250_000);
+    assert!(second.quiescent);
+    assert_eq!(second.joins_applied, 250_000);
     assert_eq!(
-        parallel.mismatches,
+        second.mismatches,
         Some(0),
         "distributed rates must match the oracle exactly at 250k"
     );
-    assert!(parallel.ok());
+    assert!(second.ok());
 
-    let sequential_bytes = serde_json::to_value(&sequential)
+    let first_bytes = serde_json::to_value(&first)
         .expect("infallible in the shim")
         .to_json_pretty();
-    let parallel_bytes = serde_json::to_value(&parallel)
+    let second_bytes = serde_json::to_value(&second)
         .expect("infallible in the shim")
         .to_json_pretty();
     assert_eq!(
-        sequential_bytes, parallel_bytes,
-        "parallel planning changed the report bytes"
+        first_bytes, second_bytes,
+        "two runs of one spec wrote different report bytes"
     );
 }
 

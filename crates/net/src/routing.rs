@@ -7,7 +7,7 @@
 
 use crate::graph::{LinkId, Network, NodeId};
 use crate::path::Path;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Shortest-path (minimum hop) router over a [`Network`].
 ///
@@ -35,23 +35,114 @@ pub struct Router<'a> {
     queue: VecDeque<NodeId>,
     /// Reverse parent walk, reused across queries.
     link_buf: Vec<LinkId>,
-    /// Dense index of each router among the routers (`u32::MAX` for hosts);
-    /// built on first use of [`Router::host_path_cached`].
-    router_index: Vec<u32>,
-    /// Router nodes in dense-index order.
-    router_nodes: Vec<NodeId>,
-    /// Per-source-router BFS parent trees over the router-only subgraph,
-    /// keyed by source router and indexed by dense router index
-    /// (`LinkId(u32::MAX)` marks unreachable). Hosts never forward, so a
-    /// host-to-host shortest path is its access links around a router-level
-    /// shortest path; router graphs stay small (the paper's Big network has
-    /// 11,000 routers) even when hundreds of thousands of hosts attach, so
-    /// these trees make planning huge session populations cheap.
-    router_trees: BTreeMap<NodeId, Box<[LinkId]>>,
+    /// The router-only subgraph and its tree cache; built on first use of
+    /// [`Router::host_path_cached`].
+    routers: Option<RouterGraph>,
 }
 
 /// Sentinel parent for unreachable routers in a cached router tree.
 const NO_LINK: LinkId = LinkId(u32::MAX);
+
+/// The router-only subgraph in compressed sparse row form, plus one BFS
+/// parent tree per source router served from it.
+///
+/// Hosts never forward, so a host-to-host shortest path is its access links
+/// around a router-level shortest path. Router graphs stay small (the paper's
+/// Big network has 11,000 routers) even when hundreds of thousands of hosts
+/// attach, and the adjacency leaves every host link out, so a tree costs
+/// routers plus router-to-router links whatever the host count.
+#[derive(Debug)]
+struct RouterGraph {
+    /// Dense index of each node among the routers (`u32::MAX` for hosts).
+    index: Vec<u32>,
+    /// Router `r`'s out-links to other routers are
+    /// `edges[start[r]..start[r + 1]]`, in `out_links` order.
+    start: Vec<u32>,
+    /// `(neighbour router index, link)` pairs.
+    edges: Vec<(u32, LinkId)>,
+    /// Per-source-router parent trees indexed by dense router index: the
+    /// link leading back toward the source, or [`NO_LINK`] when unreachable.
+    /// Built on first use.
+    trees: Vec<Option<Box<[LinkId]>>>,
+    /// BFS frontier of router indices, reused across trees.
+    queue: VecDeque<u32>,
+}
+
+impl RouterGraph {
+    fn new(network: &Network) -> Self {
+        let mut index = vec![u32::MAX; network.node_count()];
+        for (i, node) in network.routers().enumerate() {
+            index[node.id().index()] = i as u32;
+        }
+        let mut start = Vec::with_capacity(network.router_count() + 1);
+        let mut edges = Vec::new();
+        start.push(0);
+        for node in network.routers() {
+            for &link in network.out_links(node.id()) {
+                let next = index[network.link(link).dst().index()];
+                if next != u32::MAX {
+                    edges.push((next, link));
+                }
+            }
+            start.push(edges.len() as u32);
+        }
+        RouterGraph {
+            index,
+            start,
+            edges,
+            trees: vec![None; network.router_count()],
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Pushes the router-level path from router `from` to router `to` onto
+    /// `buf` in upstream order (the link into `to` first). Returns `false`
+    /// when `to` is unreachable.
+    fn route(&mut self, network: &Network, from: u32, to: u32, buf: &mut Vec<LinkId>) -> bool {
+        let RouterGraph {
+            index,
+            start,
+            edges,
+            trees,
+            queue,
+        } = self;
+        let tree = trees[from as usize].get_or_insert_with(|| bfs_tree(start, edges, queue, from));
+        let mut node = to;
+        while node != from {
+            let parent = tree[node as usize];
+            if parent == NO_LINK {
+                return false;
+            }
+            buf.push(parent);
+            node = index[network.link(parent).src().index()];
+        }
+        true
+    }
+}
+
+/// BFS from router `root` over the CSR adjacency, recording for every router
+/// the link leading back toward `root`.
+fn bfs_tree(
+    start: &[u32],
+    edges: &[(u32, LinkId)],
+    queue: &mut VecDeque<u32>,
+    root: u32,
+) -> Box<[LinkId]> {
+    let mut tree = vec![NO_LINK; start.len() - 1].into_boxed_slice();
+    queue.clear();
+    queue.push_back(root);
+    while let Some(router) = queue.pop_front() {
+        let r = router as usize;
+        for &(next, link) in &edges[start[r] as usize..start[r + 1] as usize] {
+            if next == root || tree[next as usize] != NO_LINK {
+                continue;
+            }
+            tree[next as usize] = link;
+            queue.push_back(next);
+        }
+    }
+    tree
+}
 
 impl<'a> Router<'a> {
     /// Creates a router for the given network.
@@ -63,9 +154,7 @@ impl<'a> Router<'a> {
             generation: 0,
             queue: VecDeque::new(),
             link_buf: Vec::new(),
-            router_index: Vec::new(),
-            router_nodes: Vec::new(),
-            router_trees: BTreeMap::new(),
+            routers: None,
         }
     }
 
@@ -120,10 +209,10 @@ impl<'a> Router<'a> {
     /// [`Router::shortest_path`] between two *hosts*, through a per-router
     /// tree cache: the path is the source's access link, a shortest path over
     /// the router-only subgraph, and the destination's access link. One BFS
-    /// over the (small) router graph is kept per source router, so planning
-    /// hundreds of thousands of host-to-host sessions costs at most one
-    /// router-graph BFS per stub router instead of one whole-network BFS per
-    /// session.
+    /// over the (small) router graph is kept per source router, built the
+    /// first time that router sources a path, so planning hundreds of
+    /// thousands of host-to-host sessions costs at most one router-graph BFS
+    /// per stub router instead of one whole-network BFS per session.
     ///
     /// Paths have the same (minimum) hop count as [`Router::shortest_path`];
     /// among equal-length paths the tie-break may differ. Returns `None` when
@@ -133,152 +222,32 @@ impl<'a> Router<'a> {
     ///
     /// Panics if `src` or `dst` is not a host.
     pub fn host_path_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Path> {
+        let network = self.network;
         assert!(
-            self.network.node(src).kind().is_host() && self.network.node(dst).kind().is_host(),
+            network.node(src).kind().is_host() && network.node(dst).kind().is_host(),
             "host_path_cached requires host endpoints"
         );
         if src == dst {
             return None;
         }
         // A host's single outgoing link leads to its attachment router.
-        let src_access = self.network.out_links(src)[0];
-        let src_router = self.network.link(src_access).dst();
-        let dst_up = self.network.out_links(dst)[0];
-        let dst_router = self.network.link(dst_up).dst();
-        let dst_access = self.network.reverse_link(dst_up)?;
-        if src_router == dst_router {
-            return Some(Path::from_links(self.network, vec![src_access, dst_access]));
-        }
-        self.ensure_router_index();
-        if !self.router_trees.contains_key(&src_router) {
-            let tree = self.build_router_tree(src_router);
-            self.router_trees.insert(src_router, tree);
-        }
-        let tree = &self.router_trees[&src_router];
+        let src_access = network.out_links(src)[0];
+        let src_router = network.link(src_access).dst();
+        let dst_up = network.out_links(dst)[0];
+        let dst_router = network.link(dst_up).dst();
+        let dst_access = network.reverse_link(dst_up)?;
+        let graph = self
+            .routers
+            .get_or_insert_with(|| RouterGraph::new(network));
+        let from = graph.index[src_router.index()];
+        let to = graph.index[dst_router.index()];
         // Walk the tree from the destination's router back to the source's.
-        let mut buf = std::mem::take(&mut self.link_buf);
+        let buf = &mut self.link_buf;
         buf.clear();
         buf.push(dst_access);
-        let mut node = dst_router;
-        while node != src_router {
-            let parent = tree[self.router_index[node.index()] as usize];
-            if parent == NO_LINK {
-                self.link_buf = buf;
-                return None;
-            }
-            buf.push(parent);
-            node = self.network.link(parent).src();
-        }
+        let reached = graph.route(network, from, to, buf);
         buf.push(src_access);
-        let links: Vec<LinkId> = buf.iter().rev().copied().collect();
-        self.link_buf = buf;
-        Some(Path::from_links(self.network, links))
-    }
-
-    /// Builds the dense router index on first use.
-    fn ensure_router_index(&mut self) {
-        if !self.router_index.is_empty() {
-            return;
-        }
-        self.router_index = vec![u32::MAX; self.network.node_count()];
-        for node in self.network.routers() {
-            self.router_index[node.id().index()] = self.router_nodes.len() as u32;
-            self.router_nodes.push(node.id());
-        }
-    }
-
-    /// Runs a BFS from `root` over the router-only subgraph, recording for
-    /// every router the link leading back toward `root`.
-    fn build_router_tree(&mut self, root: NodeId) -> Box<[LinkId]> {
-        build_router_tree_with_scratch(
-            self.network,
-            &self.router_index,
-            self.router_nodes.len(),
-            root,
-            &mut self.visited_mark,
-            &mut self.generation,
-            &mut self.queue,
-        )
-    }
-
-    /// Pre-builds the router-tree cache entries serving the access routers of
-    /// `hosts`, splitting construction across up to `threads` scoped worker
-    /// threads. Roots already cached are skipped; non-host nodes and hosts
-    /// without an access link are ignored. Returns the number of trees built.
-    ///
-    /// Each tree is a pure function of the network (see
-    /// [`Router::host_path_cached`]), so the cache contents — and every path
-    /// later served from them — are bit-identical at any thread count; only
-    /// wall-clock time changes.
-    pub fn warm_router_trees(&mut self, hosts: &[NodeId], threads: usize) -> usize {
-        self.ensure_router_index();
-        let mut seen = BTreeSet::new();
-        let mut roots: Vec<NodeId> = Vec::new();
-        for &host in hosts {
-            if !self.network.node(host).kind().is_host() {
-                continue;
-            }
-            let Some(&access) = self.network.out_links(host).first() else {
-                continue;
-            };
-            let root = self.network.link(access).dst();
-            if !self.router_trees.contains_key(&root) && seen.insert(root) {
-                roots.push(root);
-            }
-        }
-        let built = roots.len();
-        if roots.is_empty() {
-            return 0;
-        }
-        let threads = threads.clamp(1, roots.len());
-        if threads == 1 {
-            for root in roots {
-                let tree = self.build_router_tree(root);
-                self.router_trees.insert(root, tree);
-            }
-            return built;
-        }
-        let network = self.network;
-        let router_index: &[u32] = &self.router_index;
-        let tree_len = self.router_nodes.len();
-        let shards: Vec<Vec<(NodeId, Box<[LinkId]>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let shard: Vec<NodeId> =
-                        roots.iter().copied().skip(t).step_by(threads).collect();
-                    scope.spawn(move || {
-                        let mut mark = vec![0u64; network.node_count()];
-                        let mut generation = 0u64;
-                        let mut queue = VecDeque::new();
-                        shard
-                            .into_iter()
-                            .map(|root| {
-                                let tree = build_router_tree_with_scratch(
-                                    network,
-                                    router_index,
-                                    tree_len,
-                                    root,
-                                    &mut mark,
-                                    &mut generation,
-                                    &mut queue,
-                                );
-                                (root, tree)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("router-tree worker panicked"))
-                .collect()
-        });
-        for shard in shards {
-            for (root, tree) in shard {
-                self.router_trees.insert(root, tree);
-            }
-        }
-        built
+        reached.then(|| Path::from_links(network, buf.iter().rev().copied().collect()))
     }
 
     /// Builds the path from `src` to `dst` out of a parent-link tree.
@@ -321,47 +290,13 @@ impl<'a> Router<'a> {
     }
 }
 
-/// BFS from `root` over the router-only subgraph using caller-provided
-/// scratch, recording for every router the link leading back toward `root`.
-/// A free function (rather than a method) so parallel tree warming can run it
-/// on worker threads against a shared `&Network`; the single-threaded path
-/// goes through the same code, which makes "identical trees at any thread
-/// count" true by construction.
-fn build_router_tree_with_scratch(
-    network: &Network,
-    router_index: &[u32],
-    tree_len: usize,
-    root: NodeId,
-    mark: &mut [u64],
-    generation: &mut u64,
-    queue: &mut VecDeque<NodeId>,
-) -> Box<[LinkId]> {
-    let mut tree = vec![NO_LINK; tree_len].into_boxed_slice();
-    *generation += 1;
-    let generation = *generation;
-    mark[root.index()] = generation;
-    queue.clear();
-    queue.push_back(root);
-    while let Some(node) = queue.pop_front() {
-        for &link_id in network.out_links(node) {
-            let next = network.link(link_id).dst();
-            if mark[next.index()] == generation || network.node(next).kind().is_host() {
-                continue;
-            }
-            mark[next.index()] = generation;
-            tree[router_index[next.index()] as usize] = link_id;
-            queue.push_back(next);
-        }
-    }
-    tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::Capacity;
     use crate::delay::Delay;
     use crate::graph::NetworkBuilder;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn caps() -> (Capacity, Delay) {
         (Capacity::from_mbps(100.0), Delay::from_micros(1))
@@ -442,33 +377,128 @@ mod tests {
         assert_eq!(dist[h2.index()], p.hop_count());
     }
 
-    #[test]
-    fn host_path_cached_matches_bfs_hop_counts() {
-        let net = crate::topology::transit_stub::paper_network(
-            crate::topology::transit_stub::NetworkSize::Small,
-            40,
-            crate::topology::DelayModel::Lan,
-            23,
-        );
+    /// The per-source-router tree BFS as it stood before the router-only
+    /// adjacency: it walks every out-link of every router and skips hosts by
+    /// node kind. Returns the node-indexed parent links of `root`'s tree.
+    fn reference_tree(net: &Network, root: NodeId) -> Vec<LinkId> {
+        let mut tree = vec![NO_LINK; net.node_count()];
+        let mut mark = vec![false; net.node_count()];
+        let mut queue = VecDeque::new();
+        mark[root.index()] = true;
+        queue.push_back(root);
+        while let Some(node) = queue.pop_front() {
+            for &link_id in net.out_links(node) {
+                let next = net.link(link_id).dst();
+                if mark[next.index()] || net.node(next).kind().is_host() {
+                    continue;
+                }
+                mark[next.index()] = true;
+                tree[next.index()] = link_id;
+                queue.push_back(next);
+            }
+        }
+        tree
+    }
+
+    /// The host-to-host path the reference trees give: access link, tree
+    /// walk, access link.
+    fn reference_path(
+        net: &Network,
+        trees: &mut BTreeMap<NodeId, Vec<LinkId>>,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<Path> {
+        if src == dst {
+            return None;
+        }
+        let src_access = net.out_links(src)[0];
+        let src_router = net.link(src_access).dst();
+        let dst_up = net.out_links(dst)[0];
+        let dst_router = net.link(dst_up).dst();
+        let dst_access = net.reverse_link(dst_up)?;
+        let tree = trees
+            .entry(src_router)
+            .or_insert_with(|| reference_tree(net, src_router));
+        let mut links = vec![dst_access];
+        let mut node = dst_router;
+        while node != src_router {
+            let parent = tree[node.index()];
+            if parent == NO_LINK {
+                return None;
+            }
+            links.push(parent);
+            node = net.link(parent).src();
+        }
+        links.push(src_access);
+        links.reverse();
+        Some(Path::from_links(net, links))
+    }
+
+    /// Every cached path equals the reference tree's path link for link, and
+    /// has the hop count of a whole-network BFS.
+    fn assert_cached_paths_match_reference(net: &Network) {
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut router = Router::new(&net);
+        let mut router = Router::new(net);
+        let mut trees = BTreeMap::new();
         for i in 0..hosts.len() {
             let a = hosts[i];
             let b = hosts[(i * 7 + 3) % hosts.len()];
-            let bfs = router.shortest_path(a, b);
             let cached = router.host_path_cached(a, b);
-            match (bfs, cached) {
+            assert_eq!(cached, reference_path(net, &mut trees, a, b), "{a} -> {b}");
+            match (router.shortest_path(a, b), cached) {
                 (None, None) => {}
                 (Some(p), Some(q)) => {
                     assert_eq!(p.hop_count(), q.hop_count(), "{a} -> {b}");
                     assert_eq!(q.source(), a);
                     assert_eq!(q.destination(), b);
-                    // The cached path is a valid chain of existing links.
-                    for pair in q.links().windows(2) {
-                        assert_eq!(net.link(pair[0]).dst(), net.link(pair[1]).src());
-                    }
                 }
                 (p, q) => panic!("reachability disagrees for {a} -> {b}: {p:?} vs {q:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn host_path_cached_matches_bfs_hop_counts() {
+        use crate::topology::transit_stub::{paper_network, NetworkSize};
+        use crate::topology::DelayModel;
+        assert_cached_paths_match_reference(&paper_network(
+            NetworkSize::Small,
+            40,
+            DelayModel::Lan,
+            23,
+        ));
+        assert_cached_paths_match_reference(&paper_network(
+            NetworkSize::Medium,
+            1_500,
+            DelayModel::Lan,
+            7,
+        ));
+    }
+
+    #[test]
+    fn adjacency_holds_exactly_the_router_to_router_links() {
+        use crate::topology::transit_stub::{paper_network, NetworkSize};
+        use crate::topology::DelayModel;
+        // The Medium LAN of the 20k-session join burst.
+        let net = paper_network(NetworkSize::Medium, 25_008, DelayModel::Lan, 1);
+        let graph = RouterGraph::new(&net);
+        let adjacency: BTreeSet<LinkId> = graph.edges.iter().map(|&(_, link)| link).collect();
+        let router_links: BTreeSet<LinkId> = net
+            .links()
+            .filter(|l| {
+                net.node(l.src()).kind().is_router() && net.node(l.dst()).kind().is_router()
+            })
+            .map(|l| l.id())
+            .collect();
+        assert_eq!(net.link_count(), 53_778);
+        assert_eq!(graph.edges.len(), 3_762);
+        assert_eq!(adjacency, router_links);
+        // Each entry sits in its source router's row and names its far end.
+        for (r, node) in net.routers().enumerate() {
+            let row = &graph.edges[graph.start[r] as usize..graph.start[r + 1] as usize];
+            for &(next, link) in row {
+                assert_eq!(net.link(link).src(), node.id());
+                assert_eq!(graph.index[net.link(link).dst().index()], next);
             }
         }
     }
@@ -500,51 +530,6 @@ mod tests {
         let net = b.build();
         let mut router = Router::new(&net);
         assert!(router.host_path_cached(h0, h1).is_none());
-    }
-
-    #[test]
-    fn warmed_trees_serve_identical_paths_at_any_thread_count() {
-        let net = crate::topology::transit_stub::paper_network(
-            crate::topology::transit_stub::NetworkSize::Small,
-            40,
-            crate::topology::DelayModel::Lan,
-            23,
-        );
-        let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut lazy = Router::new(&net);
-        let mut warmed: Vec<(usize, Router<'_>)> = [1usize, 2, 4]
-            .into_iter()
-            .map(|threads| {
-                let mut r = Router::new(&net);
-                let built = r.warm_router_trees(&hosts, threads);
-                assert!(built > 0, "warming must build at least one tree");
-                // A second warm finds everything cached.
-                assert_eq!(r.warm_router_trees(&hosts, threads), 0);
-                (threads, r)
-            })
-            .collect();
-        for i in 0..hosts.len() {
-            let a = hosts[i];
-            let b = hosts[(i * 7 + 3) % hosts.len()];
-            let want = lazy.host_path_cached(a, b);
-            for (threads, r) in warmed.iter_mut() {
-                assert_eq!(
-                    r.host_path_cached(a, b),
-                    want,
-                    "warmed path ({threads} threads) diverges for {a} -> {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warming_skips_non_hosts_and_empty_input() {
-        let (net, h0, _) = diamond();
-        let mut router = Router::new(&net);
-        assert_eq!(router.warm_router_trees(&[], 4), 0);
-        let r0 = net.routers().next().unwrap().id();
-        assert_eq!(router.warm_router_trees(&[r0], 4), 0);
-        assert_eq!(router.warm_router_trees(&[h0, h0], 4), 1);
     }
 
     #[test]

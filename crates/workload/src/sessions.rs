@@ -82,21 +82,12 @@ pub struct SessionPlanner<'a> {
     rng: SmallRng,
     used_sources: BTreeSet<NodeId>,
     next_id: u64,
-    /// Worker threads used to pre-build per-router routing trees before the
-    /// (serial) random planning loop; never affects planner output, only
-    /// wall-clock time.
-    threads: usize,
 }
 
 impl<'a> SessionPlanner<'a> {
-    /// Creates a planner over the hosts of `network`.
-    ///
-    /// The worker-thread count for routing-tree construction comes from the
-    /// `BNECK_THREADS` environment variable (the same knob the experiment
-    /// driver honors), falling back to the available parallelism; override it
-    /// with [`SessionPlanner::with_threads`]. Planner output is bit-identical
-    /// at any thread count — only tree construction is parallel, while the
-    /// random choice of endpoints and limits stays a single sequential pass.
+    /// Creates a planner over the hosts of `network`. Planning is one
+    /// sequential pass and reads no environment: the plan is a pure function
+    /// of the network and the seed.
     ///
     /// # Panics
     ///
@@ -110,14 +101,7 @@ impl<'a> SessionPlanner<'a> {
             rng: SmallRng::seed_from_u64(seed),
             used_sources: BTreeSet::new(),
             next_id: 0,
-            threads: threads_from_env(),
         }
-    }
-
-    /// Overrides the worker-thread count used for routing-tree construction.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Number of hosts still available as session sources.
@@ -142,11 +126,6 @@ impl<'a> SessionPlanner<'a> {
             .filter(|h| !self.used_sources.contains(h))
             .collect();
         candidates.shuffle(&mut self.rng);
-        // Pre-build the per-router BFS trees the routing below will hit, in
-        // parallel. Trees are pure functions of the network, so this is
-        // invisible to the sequential RNG-driven loop — the plan comes out
-        // bit-identical at any thread count, it just arrives sooner.
-        self.router.warm_router_trees(&candidates, self.threads);
         for source in candidates {
             if requests.len() >= count {
                 break;
@@ -193,46 +172,10 @@ impl<'a> SessionPlanner<'a> {
     }
 }
 
-/// Worker-thread count from `BNECK_THREADS`, the one thread knob of both the
-/// planner and the sweep runner; unset, empty, zero or unparsable values fall
-/// back to the available parallelism.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "thread count selects scheduling only; results are bit-identical at any value (determinism suite)"
-)]
-pub fn threads_from_env() -> usize {
-    parse_threads(std::env::var("BNECK_THREADS").ok().as_deref())
-}
-
-fn parse_threads(value: Option<&str>) -> usize {
-    match value.map(str::trim).map(str::parse::<usize>) {
-        Some(Ok(n)) if n >= 1 => n,
-        _ => available_parallelism(),
-    }
-}
-
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::NetworkScenario;
-
-    #[test]
-    fn thread_knob_parsing() {
-        assert_eq!(parse_threads(Some("3")), 3);
-        assert_eq!(parse_threads(Some(" 12 ")), 12);
-        // Unset, empty, zero and junk all fall back to the machine default.
-        let fallback = available_parallelism();
-        assert_eq!(parse_threads(None), fallback);
-        assert_eq!(parse_threads(Some("")), fallback);
-        assert_eq!(parse_threads(Some("0")), fallback);
-        assert_eq!(parse_threads(Some("lots")), fallback);
-    }
 
     #[test]
     fn plans_distinct_sources_and_valid_destinations() {
@@ -298,26 +241,6 @@ mod tests {
         let a = SessionPlanner::new(&net, 5).plan(10, LimitPolicy::Unlimited);
         let b = SessionPlanner::new(&net, 5).plan(10, LimitPolicy::Unlimited);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn plans_are_identical_at_any_thread_count() {
-        let net = NetworkScenario::small_wan(48).build();
-        let limits = LimitPolicy::RandomFinite {
-            probability: 0.4,
-            min_bps: 1e6,
-            max_bps: 20e6,
-        };
-        let baseline = SessionPlanner::new(&net, 17)
-            .with_threads(1)
-            .plan(30, limits);
-        assert!(!baseline.is_empty());
-        for threads in [2, 4, 7] {
-            let plan = SessionPlanner::new(&net, 17)
-                .with_threads(threads)
-                .plan(30, limits);
-            assert_eq!(plan, baseline, "plan diverges at {threads} threads");
-        }
     }
 
     #[test]

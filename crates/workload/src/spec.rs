@@ -692,7 +692,7 @@ impl ExperimentSpec {
             }),
             // Beyond the paper's largest point (300k): one million sessions
             // on the Medium LAN network, exercising the cache-local hot path
-            // and parallel planning end to end.
+            // and router-graph planning end to end.
             "paper_1m" => ExperimentKind::Scale(ScaleSpec {
                 sessions: vec![1_000_000],
                 validate: true,
