@@ -75,7 +75,7 @@ impl BfyzController {
     /// The advertised (water-filled) share: sessions whose recorded rate is
     /// below the share are treated as restricted elsewhere and keep their
     /// recording; the remaining capacity is split among the others.
-    pub fn advertised_rate(&self) -> Rate {
+    pub(crate) fn advertised_rate(&self) -> Rate {
         let mut rates: Vec<Rate> = self.recorded.values().copied().collect();
         if rates.is_empty() {
             return self.capacity;

@@ -85,14 +85,9 @@ pub struct CgController {
 }
 
 impl CgController {
-    /// The link's current estimate of the number of crossing sessions.
-    pub fn session_estimate(&self) -> f64 {
-        self.session_estimate
-    }
-
     /// The rate the link currently advertises: an equal share of its capacity
     /// based on the session-count estimate.
-    pub fn advertised_rate(&self) -> Rate {
+    pub(crate) fn advertised_rate(&self) -> Rate {
         self.capacity / self.session_estimate.max(1.0)
     }
 }
@@ -144,9 +139,9 @@ mod tests {
             }
         }
         assert!(
-            c.session_estimate() > 2.0,
+            c.session_estimate > 2.0,
             "estimate {} should approach the 3 probing sessions",
-            c.session_estimate()
+            c.session_estimate
         );
         // The advertised rate is roughly an equal share.
         assert!(c.advertised_rate() < 60e6);
@@ -161,12 +156,12 @@ mod tests {
                 c.on_probe(SessionId(s), 1e9, 0.0, SimTime::from_millis(ms));
             }
         }
-        let busy = c.session_estimate();
+        let busy = c.session_estimate;
         // Only one session keeps probing afterwards.
         for ms in 10..40u64 {
             c.on_probe(SessionId(0), 1e9, 0.0, SimTime::from_millis(ms));
         }
-        assert!(c.session_estimate() < busy);
+        assert!(c.session_estimate < busy);
         c.on_leave(SessionId(0));
         assert!(c.advertised_rate() <= 100e6);
     }
@@ -175,7 +170,7 @@ mod tests {
     fn idle_link_advertises_its_capacity() {
         let c = CobbGouda::default().controller(100e6);
         assert_eq!(c.advertised_rate(), 100e6);
-        assert_eq!(c.session_estimate(), 1.0);
+        assert_eq!(c.session_estimate, 1.0);
     }
 
     #[test]

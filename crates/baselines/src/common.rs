@@ -72,20 +72,6 @@ pub trait BaselineProtocol: Send {
     fn mean_error_tolerance_pct(&self) -> f64;
 }
 
-/// Configuration of a [`BaselineSimulation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct BaselineConfig {
-    /// Size of a control packet in bits (transmission-time model).
-    pub packet_bits: u64,
-}
-
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        BaselineConfig { packet_bits: 256 }
-    }
-}
-
 /// Packet counters of a baseline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
@@ -358,7 +344,7 @@ impl<P: BaselineProtocol> World for BaselineWorld<P> {
 /// let net = synthetic::dumbbell(2, Capacity::from_mbps(100.0),
 ///                               Capacity::from_mbps(60.0), Delay::from_micros(1));
 /// let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-/// let mut sim = BaselineSimulation::new(&net, Bfyz::default(), BaselineConfig::default());
+/// let mut sim = BaselineSimulation::new(&net, Bfyz::default());
 /// sim.join(SimTime::ZERO, SessionId(0), hosts[0], hosts[1], RateLimit::unlimited());
 /// sim.join(SimTime::ZERO, SessionId(1), hosts[2], hosts[3], RateLimit::unlimited());
 /// sim.run_until(SimTime::from_millis(50));
@@ -371,16 +357,16 @@ pub struct BaselineSimulation<'a, P: BaselineProtocol> {
     engine: Engine<Message>,
     network: &'a Network,
     name: &'static str,
-    config: BaselineConfig,
     world: BaselineWorld<P>,
     router: Router<'a>,
 }
 
 impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
-    /// Creates a simulation of `protocol` over `network`.
-    pub fn new(network: &'a Network, protocol: P, config: BaselineConfig) -> Self {
+    /// Creates a simulation of `protocol` over `network`, with B-Neck's
+    /// control-packet size ([`CONTROL_PACKET_BITS`](bneck_core::world::CONTROL_PACKET_BITS)).
+    pub fn new(network: &'a Network, protocol: P) -> Self {
         let mut engine = Engine::new();
-        let links = LinkTable::new(network, &mut engine, config.packet_bits);
+        let links = LinkTable::new(network, &mut engine);
         let name = protocol.name();
         let probe_interval = protocol.probe_interval();
         let mut controllers = Vec::new();
@@ -403,7 +389,6 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
             engine,
             network,
             name,
-            config,
             world,
             router: Router::new(network),
         }
@@ -576,11 +561,6 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     pub fn stats(&self) -> BaselineStats {
         self.world.stats
     }
-
-    /// The configured control-packet size in bits.
-    pub fn packet_bits(&self) -> u64 {
-        self.config.packet_bits
-    }
 }
 
 impl<'a, P: BaselineProtocol> ScheduleTarget for BaselineSimulation<'a, P> {
@@ -686,7 +666,7 @@ mod tests {
     fn probing_is_periodic_and_never_stops() {
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         assert!(sim.join(
             SimTime::ZERO,
             SessionId(0),
@@ -713,7 +693,7 @@ mod tests {
     fn leave_stops_the_sessions_probing() {
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         sim.join(
             SimTime::ZERO,
             SessionId(0),
@@ -752,7 +732,7 @@ mod tests {
         let h1 = b.add_host("h1", r3, Capacity::from_mbps(50.0), Delay::from_micros(1));
         let h2 = b.add_host("h2", r0, Capacity::from_mbps(80.0), Delay::from_micros(1));
         let net = b.build();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         for probe_us in 1..12u64 {
             let start = sim.now() + Delay::from_micros(1);
             assert!(sim.join(start, SessionId(0), h0, h1, RateLimit::unlimited()));
@@ -788,7 +768,7 @@ mod tests {
         // processed, the identifier is free to rejoin along a new path.
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         assert!(sim.join(
             SimTime::ZERO,
             SessionId(0),
@@ -831,7 +811,7 @@ mod tests {
     fn join_and_change_validation() {
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         assert!(!sim.join(
             SimTime::ZERO,
             SessionId(0),
@@ -868,14 +848,13 @@ mod tests {
         let rate = sim.current_rates().rate(SessionId(0)).unwrap();
         assert!((rate - 5e6).abs() < 1.0, "demand caps the granted rate");
         assert_eq!(sim.protocol_name(), "grant-all");
-        assert_eq!(sim.packet_bits(), 256);
     }
 
     #[test]
     fn rate_events_report_adoption_changes_only() {
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         let events = sim.rate_events();
         sim.join(
             SimTime::ZERO,
@@ -918,7 +897,7 @@ mod tests {
         fn assert_send<T: Send>(_: &T) {}
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         assert_send(&sim);
         sim.join(
             SimTime::ZERO,
@@ -947,7 +926,7 @@ mod tests {
         // returns — not silently succeed against a dying incarnation.
         let net = network();
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
-        let mut sim = BaselineSimulation::new(&net, GrantAll, BaselineConfig::default());
+        let mut sim = BaselineSimulation::new(&net, GrantAll);
         assert!(sim.join(
             SimTime::ZERO,
             SessionId(0),

@@ -35,23 +35,20 @@ pub mod rcp;
 
 pub use bfyz::Bfyz;
 pub use cg::CobbGouda;
-pub use common::{
-    BaselineConfig, BaselineProtocol, BaselineSimulation, BaselineStats, LinkController,
-};
+pub use common::{BaselineProtocol, BaselineSimulation, BaselineStats, LinkController};
 pub use rcp::Rcp;
 
 use bneck_net::Network;
 use bneck_workload::{Baseline, ProtocolWorld};
 
 /// A fresh simulation of `baseline` over `net`, with the protocol's default
-/// parameters and [`BaselineConfig::default`]. Adding a protocol means
-/// adding a [`Baseline`] variant and its arm here.
+/// parameters. Adding a protocol means adding a [`Baseline`] variant and its
+/// arm here.
 pub fn simulation(baseline: Baseline, net: &Network) -> Box<dyn ProtocolWorld + '_> {
-    let config = BaselineConfig::default();
     match baseline {
-        Baseline::Bfyz => Box::new(BaselineSimulation::new(net, Bfyz::default(), config)),
-        Baseline::Cg => Box::new(BaselineSimulation::new(net, CobbGouda::default(), config)),
-        Baseline::Rcp => Box::new(BaselineSimulation::new(net, Rcp::default(), config)),
+        Baseline::Bfyz => Box::new(BaselineSimulation::new(net, Bfyz::default())),
+        Baseline::Cg => Box::new(BaselineSimulation::new(net, CobbGouda::default())),
+        Baseline::Rcp => Box::new(BaselineSimulation::new(net, Rcp::default())),
     }
 }
 
@@ -59,8 +56,6 @@ pub fn simulation(baseline: Baseline, net: &Network) -> Box<dyn ProtocolWorld + 
 pub mod prelude {
     pub use crate::bfyz::Bfyz;
     pub use crate::cg::CobbGouda;
-    pub use crate::common::{
-        BaselineConfig, BaselineProtocol, BaselineSimulation, BaselineStats, LinkController,
-    };
+    pub use crate::common::{BaselineProtocol, BaselineSimulation, BaselineStats, LinkController};
     pub use crate::rcp::Rcp;
 }

@@ -88,13 +88,6 @@ pub struct RcpController {
     offered_in_window: Rate,
 }
 
-impl RcpController {
-    /// The rate the link currently advertises to every session.
-    pub fn advertised_rate(&self) -> Rate {
-        self.rate
-    }
-}
-
 impl LinkController for RcpController {
     fn on_probe(&mut self, _session: SessionId, demand: Rate, current: Rate, now: SimTime) -> Rate {
         // Aggregate offered load: each session contributes its current rate
@@ -138,7 +131,7 @@ mod tests {
                 *rate = adv;
             }
         }
-        let share = c.advertised_rate();
+        let share = c.rate;
         assert!(
             (share - 50e6).abs() < 10e6,
             "advertised rate {share} should approach the 50 Mbps fair share"
@@ -148,23 +141,23 @@ mod tests {
     #[test]
     fn underload_raises_the_advertised_rate() {
         let mut c = Rcp::default().controller(100e6);
-        let initial = c.advertised_rate();
+        let initial = c.rate;
         for ms in 1..20u64 {
             c.on_probe(SessionId(0), 100e6, 1e6, SimTime::from_millis(ms));
         }
-        assert!(c.advertised_rate() > initial);
+        assert!(c.rate > initial);
     }
 
     #[test]
     fn overload_lowers_the_advertised_rate() {
         let mut c = Rcp::default().controller(100e6);
-        let initial = c.advertised_rate();
+        let initial = c.rate;
         for ms in 1..20u64 {
             for s in 0..4u64 {
                 c.on_probe(SessionId(s), 100e6, 80e6, SimTime::from_millis(ms));
             }
         }
-        assert!(c.advertised_rate() < initial);
+        assert!(c.rate < initial);
         c.on_leave(SessionId(0));
     }
 
@@ -176,8 +169,8 @@ mod tests {
                 c.on_probe(SessionId(s), 100e6, 100e6, SimTime::from_millis(ms));
             }
         }
-        assert!(c.advertised_rate() >= 100e3);
-        assert!(c.advertised_rate() <= 100e6);
+        assert!(c.rate >= 100e3);
+        assert!(c.rate <= 100e6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! declarative [`ExperimentSpec`] — a shipped preset or a JSON spec file:
 //!
 //! ```text
-//! bneck run (--preset NAME | SPEC.json) [overrides] [--json] [--out PATH]
+//! bneck run (--preset NAME | SPEC.json) [--sessions N[,N...]] [--json] [--out PATH]
 //! bneck sweep [--preset paper_scale] [--sessions N[,N...]] [--threads N]
 //! bneck node [--nodes N] [--sessions N] [--routers N] [--transport tcp|channel]
 //! bneck validate [SPEC.json ...]
@@ -14,13 +14,17 @@
 //! `run` executes a spec and prints the text tables, CSV and (on request)
 //! the machine-readable JSON report; reports are bit-identical at any
 //! `BNECK_THREADS`/`--threads` worker count. `sweep` is `run` specialised to
-//! the paper-scale session sweep. Every subcommand rejects a flag it does
-//! not know (exit 2). `node` leaves the simulator entirely: it spins up a
-//! loopback cluster of real worker threads (`bneck-node`), joins every
-//! session, waits for the control plane to go measurably silent, and
-//! cross-checks the final rates against the centralized oracle. `validate`
-//! checks spec files without running anything: every topology and baseline
-//! name must resolve (CI's `spec-check`). `bench-presets` lists the shipped presets.
+//! the paper-scale session sweep. `--sessions` is the one override of a
+//! spec's contents; any other change (repeats, baselines, fault grid,
+//! recovery, oracle check) goes in an edited copy of a spec file such as
+//! `crates/bench/tests/specs/faults.json`. Every subcommand rejects a flag it
+//! does not know, a flag given twice, or a second spec (exit 2). `node`
+//! leaves the simulator entirely: it spins up a loopback cluster of real
+//! worker threads (`bneck-node`), joins every session, waits for the control
+//! plane to go measurably silent, and cross-checks the final rates against
+//! the centralized oracle. `validate` checks spec files without running
+//! anything: every topology and baseline name must resolve (CI's
+//! `spec-check`). `bench-presets` lists the shipped presets.
 
 use crate::report::{render_tables, ExperimentReport, ScaleCurvePoint, SpecOutcome};
 use crate::runner::run_spec;
@@ -49,16 +53,6 @@ RUN OPTIONS:
     --threads N           worker threads for fanning sweep points
                           (overrides BNECK_THREADS; default: BNECK_THREADS,
                           then all cores)
-    --repeats N           override the repeat count (churn specs)
-    --baselines A[,B...]  override the baselines (accuracy specs)
-    --no-validate         skip the oracle cross-check (scale specs)
-    --faults P[,P...]     run a fault sweep over these drop probabilities
-                          (defaults to the `faults` preset when no spec is
-                          given; the JSON report carries per-channel
-                          injected-fault counters for every run)
-    --dup P[,P...]        override the duplication axis (fault sweeps)
-    --fault-seed N        override the fault-plan seed (fault sweeps)
-    --no-recovery         skip the recovery-enabled runs (fault sweeps)
     --scale-curve         write the per-point performance curve — ns/event,
                           phase timings, peak RSS — as JSON (scale specs)
     --curve-out PATH      scale-curve output path (default: BENCH_SCALE.json)
@@ -142,13 +136,6 @@ const RUN_FLAGS: Flags = &[
     ("--preset", true),
     ("--sessions", true),
     ("--threads", true),
-    ("--repeats", true),
-    ("--baselines", true),
-    ("--no-validate", false),
-    ("--faults", true),
-    ("--dup", true),
-    ("--fault-seed", true),
-    ("--no-recovery", false),
     ("--scale-curve", false),
     ("--curve-out", true),
     ("--json", false),
@@ -177,19 +164,24 @@ const BENCH_PRESETS_FLAGS: Flags = &[("--json", false)];
 ///
 /// # Errors
 ///
-/// A `--flag` the table does not list, or a value-taking flag with nothing
-/// after it: silently skipping either would run something other than what
-/// was asked for.
+/// A `--flag` the table does not list, a value-taking flag with nothing
+/// after it, or a flag given twice: silently skipping any of them would run
+/// something other than what was asked for.
 fn positionals(args: &[String], flags: Flags) -> Result<Vec<&str>, String> {
     let mut positional = Vec::new();
+    let mut seen = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
         match flags.iter().find(|(name, _)| *name == arg) {
+            Some(_) if seen.contains(&arg) => return Err(format!("{arg} is given twice")),
             Some(&(_, true)) if i + 1 == args.len() => {
                 return Err(format!("{arg} takes a value"));
             }
-            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
+            Some(&(_, takes_value)) => {
+                seen.push(arg);
+                i += 1 + usize::from(takes_value);
+            }
             None if arg.starts_with("--") => {
                 return Err(format!("unknown flag `{arg}`; see `bneck help`"));
             }
@@ -215,148 +207,60 @@ fn value_of(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_list<T: std::str::FromStr>(list: &str, what: &str) -> Result<Vec<T>, String> {
-    list.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<T>()
-                .map_err(|_| format!("{what} takes a comma-separated list, got `{s}`"))
-        })
-        .collect()
-}
-
-/// Loads the spec named by `--preset` or by the positional JSON file path.
+/// Loads the spec named by `--preset` or by the one positional JSON file
+/// path, falling back to `default_preset` when neither is given.
 fn load_spec(
     args: &[String],
-    path: Option<&str>,
+    paths: &[&str],
     default_preset: Option<&str>,
 ) -> Result<ExperimentSpec, String> {
-    if let Some(name) = value_of(args, "--preset") {
-        return ExperimentSpec::preset(&name)
-            .ok_or_else(|| format!("unknown preset `{name}`; see `bneck bench-presets`"));
-    }
-    match path {
-        Some(path) => {
+    match (value_of(args, "--preset"), paths) {
+        (Some(_), [path, ..]) => Err(format!(
+            "`--preset` and the spec file `{path}` conflict; give one of them"
+        )),
+        (_, [first, second, ..]) => Err(format!(
+            "one spec file at a time, got `{first}` and `{second}`"
+        )),
+        (Some(name), []) => ExperimentSpec::preset(&name)
+            .ok_or_else(|| format!("unknown preset `{name}`; see `bneck bench-presets`")),
+        (None, [path]) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read spec file `{path}`: {e}"))?;
             serde_json::from_str::<ExperimentSpec>(&text)
                 .map_err(|e| format!("cannot parse spec file `{path}`: {e}"))
         }
-        // `--faults` without a spec runs the shipped fault-sweep preset with
-        // the flag's grid overrides applied.
-        None if value_of(args, "--faults").is_some() => {
-            Ok(ExperimentSpec::preset("faults").expect("shipped preset resolves"))
-        }
-        None => match default_preset {
+        (None, []) => match default_preset {
             Some(name) => Ok(ExperimentSpec::preset(name).expect("shipped preset resolves")),
             None => Err("`bneck run` needs `--preset NAME` or a spec file".to_string()),
         },
     }
 }
 
-/// Applies the CLI overrides to the loaded spec.
-fn apply_overrides(spec: &mut ExperimentSpec, args: &[String]) -> Result<(), String> {
-    if let Some(list) = value_of(args, "--sessions") {
-        let sessions: Vec<usize> = parse_list(&list, "--sessions")?;
-        match &mut spec.experiment {
-            ExperimentKind::Joins(joins) => joins.sessions = sessions,
-            ExperimentKind::Scale(scale) => scale.sessions = sessions,
-            ExperimentKind::FaultSweep(faults) => match sessions[..] {
-                [one] => faults.sessions = one,
-                _ => return Err("--sessions takes one session count for fault sweeps".into()),
-            },
-            other => {
-                return Err(format!(
-                    "--sessions applies to joins/scale specs and fault sweeps, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(value) = value_of(args, "--repeats") {
-        let repeats: usize = value
-            .parse()
-            .map_err(|_| "--repeats takes an integer".to_string())?;
-        match &mut spec.experiment {
-            ExperimentKind::Churn(churn) => churn.repeats = repeats,
-            other => {
-                return Err(format!(
-                    "--repeats applies to churn specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(list) = value_of(args, "--baselines") {
-        let baselines: Vec<String> = list.split(',').map(|s| s.trim().to_string()).collect();
-        match &mut spec.experiment {
-            ExperimentKind::Accuracy(accuracy) => accuracy.baselines = baselines,
-            other => {
-                return Err(format!(
-                    "--baselines applies to accuracy specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--no-validate") {
-        match &mut spec.experiment {
-            ExperimentKind::Scale(scale) => scale.validate = false,
-            other => {
-                return Err(format!(
-                    "--no-validate applies to scale specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(list) = value_of(args, "--faults") {
-        let drops: Vec<f64> = parse_list(&list, "--faults")?;
-        match &mut spec.experiment {
-            ExperimentKind::FaultSweep(faults) => faults.drop = drops,
-            other => {
-                return Err(format!(
-                    "--faults applies to fault-sweep specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(list) = value_of(args, "--dup") {
-        let dups: Vec<f64> = parse_list(&list, "--dup")?;
-        match &mut spec.experiment {
-            ExperimentKind::FaultSweep(faults) => faults.duplicate = dups,
-            other => {
-                return Err(format!(
-                    "--dup applies to fault-sweep specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if let Some(value) = value_of(args, "--fault-seed") {
-        let seed: u64 = value
-            .parse()
-            .map_err(|_| "--fault-seed takes an integer".to_string())?;
-        match &mut spec.experiment {
-            ExperimentKind::FaultSweep(faults) => faults.fault_seed = seed,
-            other => {
-                return Err(format!(
-                    "--fault-seed applies to fault-sweep specs, not `{}`",
-                    other.label()
-                ))
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--no-recovery") {
-        match &mut spec.experiment {
-            ExperimentKind::FaultSweep(faults) => faults.with_recovery = false,
-            other => {
-                return Err(format!(
-                    "--no-recovery applies to fault-sweep specs, not `{}`",
-                    other.label()
-                ))
-            }
+/// Applies `--sessions`, the one spec override, to the loaded spec.
+fn override_sessions(spec: &mut ExperimentSpec, args: &[String]) -> Result<(), String> {
+    let Some(list) = value_of(args, "--sessions") else {
+        return Ok(());
+    };
+    let sessions = list
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse::<usize>()
+                .map_err(|_| format!("--sessions takes a comma-separated list, got `{s}`"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    match &mut spec.experiment {
+        ExperimentKind::Joins(joins) => joins.sessions = sessions,
+        ExperimentKind::Scale(scale) => scale.sessions = sessions,
+        ExperimentKind::FaultSweep(faults) => match sessions[..] {
+            [one] => faults.sessions = one,
+            _ => return Err("--sessions takes one session count for fault sweeps".into()),
+        },
+        other => {
+            return Err(format!(
+                "--sessions applies to joins/scale specs and fault sweeps, not `{}`",
+                other.label()
+            ))
         }
     }
     Ok(())
@@ -371,8 +275,8 @@ fn cmd_run(args: &[String], default_preset: Option<&str>) -> i32 {
 
 fn parse_run_options(args: &[String], default_preset: Option<&str>) -> Result<RunOptions, String> {
     let positional = positionals(args, RUN_FLAGS)?;
-    let mut spec = load_spec(args, positional.first().copied(), default_preset)?;
-    apply_overrides(&mut spec, args)?;
+    let mut spec = load_spec(args, &positional, default_preset)?;
+    override_sessions(&mut spec, args)?;
     let json_flag = args.iter().any(|a| a == "--json");
     let out = value_of(args, "--out");
     if json_flag || out.is_some() {
@@ -752,6 +656,63 @@ mod tests {
                 Some("unknown flag `--no-such-flag`"),
             ),
             ("run", "--preset", Some("--preset takes a value")),
+            (
+                "run",
+                "--preset validate /nonexistent/spec.json --no-tables --no-csv",
+                Some("`--preset` and the spec file `/nonexistent/spec.json` conflict"),
+            ),
+            (
+                "run",
+                "a.json b.json",
+                Some("one spec file at a time, got `a.json` and `b.json`"),
+            ),
+            (
+                "run",
+                "--preset exp1 --sessions 5 --sessions 6",
+                Some("--sessions is given twice"),
+            ),
+            (
+                "run",
+                "--preset exp1 --out a --out b",
+                Some("--out is given twice"),
+            ),
+            (
+                "node",
+                "--nodes 2 --nodes 3",
+                Some("--nodes is given twice"),
+            ),
+            // A spec's other contents come from the spec file, not flags.
+            (
+                "run",
+                "--preset exp2 --repeats 4",
+                Some("unknown flag `--repeats`"),
+            ),
+            (
+                "run",
+                "--preset exp3 --baselines BFYZ",
+                Some("unknown flag `--baselines`"),
+            ),
+            (
+                "sweep",
+                "--no-validate",
+                Some("unknown flag `--no-validate`"),
+            ),
+            ("run", "--faults 0.01", Some("unknown flag `--faults`")),
+            (
+                "run",
+                "--preset faults --dup 0.01",
+                Some("unknown flag `--dup`"),
+            ),
+            (
+                "run",
+                "--preset faults --fault-seed 3",
+                Some("unknown flag `--fault-seed`"),
+            ),
+            (
+                "run",
+                "--preset faults --no-recovery",
+                Some("unknown flag `--no-recovery`"),
+            ),
             (
                 "run",
                 "--json",

@@ -41,7 +41,7 @@ impl SweepRunner {
     /// A runner honoring the `BNECK_THREADS` environment variable; unset,
     /// empty, zero or unparsable values fall back to the machine's available
     /// parallelism.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         Self::new(threads_from_env())
     }
 

@@ -159,11 +159,11 @@ fn fault_sweep_is_bit_identical_at_any_thread_count_and_repeat() {
     assert!(cells.iter().all(|c| c.ok()));
 }
 
-/// Scale reports must come out byte-identical with session planning at
-/// 1, 2, 4 and 16 worker threads, with same-link event batching active in
-/// the engine (it always is in `run_until`). The planner reads
-/// `BNECK_THREADS`, the sweep runner takes its count explicitly; both are
-/// varied together.
+/// Scale reports must come out byte-identical at 1, 2, 4 and 16 worker
+/// threads, with same-link event batching active in the engine (it always is
+/// in `run_until`). Session planning is sequential and reads no environment;
+/// only the sweep runner's `from_env` reads `BNECK_THREADS`. The test sets
+/// the variable and hands the runner the same count explicitly.
 #[cfg(feature = "serde")]
 #[test]
 fn scale_reports_are_byte_identical_at_any_planner_thread_count() {

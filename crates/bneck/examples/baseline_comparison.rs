@@ -39,7 +39,7 @@ fn main() {
     // B-Neck.
     let mut bneck = BneckSimulation::new(&network, BneckConfig::default());
     // BFYZ on the same network and workload.
-    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default(), BaselineConfig::default());
+    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default());
     for r in &requests {
         bneck
             .join(SimTime::ZERO, r.session, r.source, r.destination, r.limit)

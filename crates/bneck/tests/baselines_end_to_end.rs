@@ -29,7 +29,7 @@ fn oracle(network: &bneck::net::Network, requests: &[SessionRequest]) -> (Sessio
 fn bfyz_approaches_the_max_min_rates_but_never_stops() {
     let (network, requests) = workload(30, 1);
     let (_sessions, fair) = oracle(&network, &requests);
-    let mut sim = BaselineSimulation::new(&network, Bfyz::default(), BaselineConfig::default());
+    let mut sim = BaselineSimulation::new(&network, Bfyz::default());
     for r in &requests {
         assert!(sim.join(SimTime::ZERO, r.session, r.source, r.destination, r.limit));
     }
@@ -69,8 +69,8 @@ fn cg_and_rcp_only_approximate_the_allocation() {
     );
     let (_sessions, fair) = oracle(&network, &requests);
 
-    let mut cg = BaselineSimulation::new(&network, CobbGouda::default(), BaselineConfig::default());
-    let mut rcp = BaselineSimulation::new(&network, Rcp::default(), BaselineConfig::default());
+    let mut cg = BaselineSimulation::new(&network, CobbGouda::default());
+    let mut rcp = BaselineSimulation::new(&network, Rcp::default());
     for r in &requests {
         cg.join(SimTime::ZERO, r.session, r.source, r.destination, r.limit);
         rcp.join(SimTime::ZERO, r.session, r.source, r.destination, r.limit);
@@ -100,7 +100,7 @@ fn bneck_is_conservative_while_bfyz_overshoots_transiently() {
     let (_sessions, fair) = oracle(&network, &requests);
 
     let mut bneck = BneckSimulation::new(&network, BneckConfig::default());
-    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default(), BaselineConfig::default());
+    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default());
     for r in &requests {
         bneck
             .join(SimTime::ZERO, r.session, r.source, r.destination, r.limit)
@@ -136,7 +136,7 @@ fn bneck_is_conservative_while_bfyz_overshoots_transiently() {
 fn bneck_traffic_stops_while_baseline_traffic_continues() {
     let (network, requests) = workload(25, 4);
     let mut bneck = BneckSimulation::new(&network, BneckConfig::default());
-    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default(), BaselineConfig::default());
+    let mut bfyz = BaselineSimulation::new(&network, Bfyz::default());
     for r in &requests {
         bneck
             .join(SimTime::ZERO, r.session, r.source, r.destination, r.limit)
@@ -168,7 +168,7 @@ fn bneck_traffic_stops_while_baseline_traffic_continues() {
 #[test]
 fn baselines_track_departures() {
     let (network, requests) = workload(20, 5);
-    let mut sim = BaselineSimulation::new(&network, Bfyz::default(), BaselineConfig::default());
+    let mut sim = BaselineSimulation::new(&network, Bfyz::default());
     for r in &requests {
         sim.join(SimTime::ZERO, r.session, r.source, r.destination, r.limit);
     }

@@ -1,20 +1,19 @@
 //! Configuration of a B-Neck simulation.
 
 use crate::recovery::RecoveryConfig;
-use bneck_maxmin::Tolerance;
 use bneck_net::Delay;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of a [`crate::harness::BneckSimulation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// What the paper's §IV evaluation holds fixed is a constant, not a field:
+/// every control packet is
+/// [`CONTROL_PACKET_BITS`](crate::world::CONTROL_PACKET_BITS) long, and every
+/// rate comparison uses the default [`Tolerance`](bneck_maxmin::Tolerance).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BneckConfig {
-    /// Size of a control packet in bits, used to compute per-link transmission
-    /// times (the paper models both transmission and propagation times).
-    pub packet_bits: u64,
-    /// Tolerance used for every rate comparison performed by the protocol.
-    pub tolerance: Tolerance,
     /// When set, protocol packets travel inside sequenced, acknowledged and
     /// retransmitted frames (see [`crate::recovery`]), making the protocol
     /// correct over lossy, duplicating or reordering channels. `None` (the
@@ -24,34 +23,7 @@ pub struct BneckConfig {
     pub recovery: Option<RecoveryConfig>,
 }
 
-impl Default for BneckConfig {
-    fn default() -> Self {
-        BneckConfig {
-            packet_bits: 256,
-            tolerance: Tolerance::default(),
-            recovery: None,
-        }
-    }
-}
-
 impl BneckConfig {
-    /// Sets the control packet size in bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero.
-    pub fn with_packet_bits(mut self, bits: u64) -> Self {
-        assert!(bits > 0, "control packets must have a positive size");
-        self.packet_bits = bits;
-        self
-    }
-
-    /// Sets the rate-comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: Tolerance) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
     /// Enables the recovery layer with the given retransmission timeout.
     ///
     /// # Panics
@@ -70,7 +42,6 @@ mod tests {
     #[test]
     fn default_values() {
         let c = BneckConfig::default();
-        assert_eq!(c.packet_bits, 256);
         assert!(c.recovery.is_none());
     }
 
@@ -78,20 +49,5 @@ mod tests {
     fn recovery_builder_sets_the_rto() {
         let c = BneckConfig::default().with_recovery(Delay::from_micros(250));
         assert_eq!(c.recovery.unwrap().rto, Delay::from_micros(250));
-    }
-
-    #[test]
-    fn builder_methods_compose() {
-        let c = BneckConfig::default()
-            .with_packet_bits(512)
-            .with_tolerance(Tolerance::new(1e-6, 1.0));
-        assert_eq!(c.packet_bits, 512);
-        assert_eq!(c.tolerance, Tolerance::new(1e-6, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive size")]
-    fn zero_packet_size_rejected() {
-        let _ = BneckConfig::default().with_packet_bits(0);
     }
 }

@@ -82,7 +82,7 @@ mod tests {
     fn handle(d: &DestinationNode, packet: Packet) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         d.handle(packet, &mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl SubscriberSet {
     }
 
     /// Tells every subscriber the event queue drained.
-    pub fn announce_quiescent(&mut self, at: SimTime) {
+    pub(crate) fn announce_quiescent(&mut self, at: SimTime) {
         for subscriber in &mut self.subscribers {
             subscriber.on_quiescent(at);
         }

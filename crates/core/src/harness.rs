@@ -28,7 +28,7 @@ use crate::router_link::RouterLink;
 use crate::source::SourceNode;
 use crate::stats::PacketStats;
 use crate::world::LinkTable;
-use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
+use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet, Tolerance};
 use bneck_net::{LinkId, Network, NodeId, Path, Router};
 use bneck_sim::{
     Address, ChannelId, Context, Engine, FaultCounters, FaultPlan, RunReport, ScheduleCursor,
@@ -324,8 +324,8 @@ impl BneckWorld {
     fn new(network: &Network, engine: &mut Engine<Envelope>, config: BneckConfig) -> Self {
         let recovery = |rc| Box::new(RecoveryState::new(rc, network.link_count()));
         BneckWorld {
-            host: TaskHost::new(TaskHost::link_tables(network), config.tolerance),
-            links: LinkTable::new(network, engine, config.packet_bits),
+            host: TaskHost::new(TaskHost::link_tables(network), Tolerance::default()),
+            links: LinkTable::new(network, engine),
             recovery: config.recovery.map(recovery),
             armed: false,
         }
@@ -639,7 +639,7 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// The `SourceNode` task of a session, if the session ever joined.
-    pub fn source_task(&self, session: SessionId) -> Option<&SourceNode> {
+    pub(crate) fn source_task(&self, session: SessionId) -> Option<&SourceNode> {
         let host = &self.world.host;
         host.source(host.arena().slot_of(session)?)
     }

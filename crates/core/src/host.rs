@@ -191,7 +191,7 @@ impl TaskHost {
 
     /// Deactivates `session`, clearing its notified rate. Returns the slot it
     /// occupied, or `None` if the session was not active.
-    pub fn deregister_session(&mut self, session: SessionId) -> Option<u32> {
+    pub(crate) fn deregister_session(&mut self, session: SessionId) -> Option<u32> {
         let slot = self.state.arena.leave(session)?;
         self.state.notified[slot as usize] = f64::NAN;
         Some(slot)
@@ -199,7 +199,7 @@ impl TaskHost {
 
     /// Updates `session`'s requested rate limit in the arena. Returns its
     /// slot, or `None` if the session is not active.
-    pub fn change_session(&mut self, session: SessionId, limit: RateLimit) -> Option<u32> {
+    pub(crate) fn change_session(&mut self, session: SessionId, limit: RateLimit) -> Option<u32> {
         self.state.arena.change(session, limit)
     }
 
@@ -219,13 +219,13 @@ impl TaskHost {
     }
 
     /// Tells the observers the host went quiescent at `at`.
-    pub fn announce_quiescent(&mut self, at: SimTime) {
+    pub(crate) fn announce_quiescent(&mut self, at: SimTime) {
         self.state.subscribers.announce_quiescent(at);
     }
 
     /// The last rate notified to the source task in `slot` (`NaN` when the
     /// slot has never been notified since its last join).
-    pub fn notified_rate(&self, slot: u32) -> Rate {
+    pub(crate) fn notified_rate(&self, slot: u32) -> Rate {
         self.state.notified[slot as usize]
     }
 
@@ -235,12 +235,12 @@ impl TaskHost {
     }
 
     /// The `RouterLink` task of `link`, if a packet ever reached it.
-    pub fn link_task(&self, link: LinkId) -> Option<&RouterLink> {
+    pub(crate) fn link_task(&self, link: LinkId) -> Option<&RouterLink> {
         self.router_links.get(link.index())?.as_ref()
     }
 
     /// Every `RouterLink` task created so far.
-    pub fn link_tasks(&self) -> impl Iterator<Item = &RouterLink> {
+    pub(crate) fn link_tasks(&self) -> impl Iterator<Item = &RouterLink> {
         self.router_links.iter().flatten()
     }
 
@@ -839,7 +839,7 @@ mod tests {
         actions: ActionBuffer,
         out: &mut Recorder,
     ) {
-        for action in actions.into_vec() {
+        for &action in actions.as_slice() {
             let (packet, downstream) = match action {
                 Action::NotifyRate { session, rate } => {
                     if let Some(slot) = host.state.arena.slot_of(session) {

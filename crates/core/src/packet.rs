@@ -112,22 +112,6 @@ impl Packet {
             Packet::Leave { .. } => PacketKind::Leave,
         }
     }
-
-    /// `true` if the packet travels downstream (along the session's path).
-    pub fn is_downstream(&self) -> bool {
-        matches!(
-            self,
-            Packet::Join { .. }
-                | Packet::Probe { .. }
-                | Packet::SetBottleneck { .. }
-                | Packet::Leave { .. }
-        )
-    }
-
-    /// `true` if the packet travels upstream (along the reverse path).
-    pub fn is_upstream(&self) -> bool {
-        !self.is_downstream()
-    }
 }
 
 impl fmt::Display for Packet {
@@ -268,25 +252,6 @@ mod tests {
         for (packet, kind) in sample_packets().iter().zip(PacketKind::ALL) {
             assert_eq!(packet.kind(), kind);
             assert_eq!(packet.session(), SessionId(1));
-        }
-    }
-
-    #[test]
-    fn direction_classification() {
-        for packet in sample_packets() {
-            match packet.kind() {
-                PacketKind::Join
-                | PacketKind::Probe
-                | PacketKind::SetBottleneck
-                | PacketKind::Leave => {
-                    assert!(packet.is_downstream());
-                    assert!(!packet.is_upstream());
-                }
-                _ => {
-                    assert!(packet.is_upstream());
-                    assert!(!packet.is_downstream());
-                }
-            }
         }
     }
 

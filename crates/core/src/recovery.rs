@@ -36,7 +36,7 @@
 //! The RTO is one constant, so deadlines are born sorted and a FIFO of
 //! `(due, lane, seq)`, appended at every (re)transmission, is the only timer
 //! structure. A host asks [`RecoveryState::due`] what to resend now and
-//! [`RecoveryState::next_deadline`] when to ask again; entries of frames
+//! `RecoveryState::next_deadline` when to ask again; entries of frames
 //! acked since are dropped at the head and never reach it. The simulator
 //! keeps one engine wake-up armed at the earliest live deadline, the node
 //! runtime asks between blobs, and both resend what one timer per frame would:
@@ -292,7 +292,7 @@ impl RecoveryState {
 
     /// When the host must next ask [`RecoveryState::due`]: the earliest deadline of a frame
     /// still unacked (entries of frames acked since are dropped on the way), if any.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
         while let Some(&(due, lane, seq)) = self.deadlines.front() {
             if self.lanes[lane as usize].awaiting(seq).is_some() {
                 return Some(due);

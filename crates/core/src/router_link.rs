@@ -149,16 +149,6 @@ impl RouterLink {
         self.slot(session).map(|i| self.members[i].mu)
     }
 
-    /// The assigned rate `λ_e^s` of a session, if one has been recorded.
-    pub fn assigned_rate(&self, session: SessionId) -> Option<Rate> {
-        let i = self.slot(session)?;
-        if self.members[i].lambda.is_nan() {
-            None
-        } else {
-            Some(self.members[i].lambda)
-        }
-    }
-
     /// The link's current bottleneck rate estimate `B_e`.
     ///
     /// Returns `f64::INFINITY` when no session is restricted at this link (the
@@ -174,7 +164,7 @@ impl RouterLink {
     /// Definition 2 of the paper: every known session is `IDLE`, every session
     /// in `R_e` sits exactly at `B_e`, and (when `R_e` is non-empty) every
     /// session in `F_e` sits strictly below `B_e`.
-    pub fn is_stable(&self) -> bool {
+    pub(crate) fn is_stable(&self) -> bool {
         let be = self.bottleneck_rate();
         for m in &self.members {
             if !m.mu.is_idle() || m.lambda.is_nan() {
@@ -415,7 +405,12 @@ impl RouterLink {
     /// [`RouterLink::handle`] with a member-slot cache the caller keeps per
     /// session: `hint` is trusted only when it names the record of
     /// `packet`'s session, and is left naming that record's slot.
-    pub fn handle_hinted(&mut self, packet: Packet, hint: &mut u32, actions: &mut impl Emit) {
+    pub(crate) fn handle_hinted(
+        &mut self,
+        packet: Packet,
+        hint: &mut u32,
+        actions: &mut impl Emit,
+    ) {
         self.hint = *hint;
         self.handle(packet, actions);
         *hint = self.slot(packet.session()).map_or(u32::MAX, |i| i as u32);
@@ -681,12 +676,18 @@ mod tests {
         RouterLink::new(LinkId(7), CAP, Tolerance::default())
     }
 
+    /// The assigned rate `λ_e^s` of a session, if one has been recorded.
+    fn assigned_rate(rl: &RouterLink, session: SessionId) -> Option<Rate> {
+        let lambda = rl.members[rl.slot(session)?].lambda;
+        (!lambda.is_nan()).then_some(lambda)
+    }
+
     /// Test shim: runs one packet through the handler and collects the
     /// emitted actions.
     fn handle(rl: &mut RouterLink, packet: Packet) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         rl.handle(packet, &mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     fn join(s: u64, rate: Rate) -> Packet {
@@ -776,7 +777,7 @@ mod tests {
             ref other => panic!("unexpected action {other:?}"),
         }
         assert_eq!(rl.probe_state(SessionId(1)), Some(ProbeState::Idle));
-        assert_eq!(rl.assigned_rate(SessionId(1)), Some(CAP));
+        assert_eq!(assigned_rate(&rl, SessionId(1)), Some(CAP));
         assert!(rl.is_stable());
     }
 
@@ -813,7 +814,7 @@ mod tests {
             }
             other => panic!("unexpected action {other:?}"),
         }
-        assert_eq!(rl.assigned_rate(SessionId(1)), Some(20e6));
+        assert_eq!(assigned_rate(&rl, SessionId(1)), Some(20e6));
         assert_eq!(rl.probe_state(SessionId(1)), Some(ProbeState::Idle));
     }
 
@@ -1132,7 +1133,7 @@ mod tests {
             if r == 0 {
                 return f64::INFINITY;
             }
-            let assigned: Rate = rl.unrestricted().filter_map(|s| rl.assigned_rate(s)).sum();
+            let assigned: Rate = rl.unrestricted().filter_map(|s| assigned_rate(rl, s)).sum();
             (rl.capacity() - assigned).max(0.0) / r as f64
         };
         let mut rl = link();
@@ -1240,7 +1241,7 @@ mod tests {
                 let mut got = ActionBuffer::new();
                 hinted.handle_hinted(packet, &mut hint, &mut got);
                 cache[s] = hint;
-                prop_assert_eq!(got.into_vec(), want);
+                prop_assert_eq!(got.as_slice().to_vec(), want);
                 let slot = hinted.members.iter().position(|m| m.id == session);
                 prop_assert_eq!(slot.map_or(u32::MAX, |i| i as u32), hint);
                 let sets = |rl: &RouterLink| {
@@ -1250,7 +1251,7 @@ mod tests {
                 prop_assert_eq!(sets(&hinted), sets(&plain));
                 for id in (0..sessions).map(SessionId) {
                     prop_assert_eq!(hinted.probe_state(id), plain.probe_state(id));
-                    prop_assert_eq!(hinted.assigned_rate(id), plain.assigned_rate(id));
+                    prop_assert_eq!(assigned_rate(&hinted, id), assigned_rate(&plain, id));
                 }
                 prop_assert_eq!(hinted.bottleneck_rate(), plain.bottleneck_rate());
                 prop_assert_eq!(hinted.is_stable(), plain.is_stable());

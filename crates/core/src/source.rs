@@ -78,19 +78,8 @@ impl SourceNode {
     /// Before convergence this is B-Neck's *transient* rate; the paper points
     /// out that these transient rates never exceed the final max-min fair
     /// rates.
-    pub fn current_rate(&self) -> Rate {
+    pub(crate) fn current_rate(&self) -> Rate {
         self.lambda.unwrap_or(0.0)
-    }
-
-    /// `true` once the session has been told (via `API.Rate`) that its current
-    /// rate is its max-min fair rate, and no later event invalidated it.
-    pub fn is_settled(&self) -> bool {
-        self.bottleneck_received
-    }
-
-    /// The source's probe state for its own link.
-    pub fn probe_state(&self) -> ProbeState {
-        self.mu
     }
 
     /// `API.Join(s, r)` (Figure 3, lines 3–6).
@@ -108,7 +97,7 @@ impl SourceNode {
     }
 
     /// `API.Leave(s)` (Figure 3, lines 8–9).
-    pub fn api_leave(&mut self, actions: &mut impl Emit) {
+    pub(crate) fn api_leave(&mut self, actions: &mut impl Emit) {
         self.membership = Membership::Gone;
         self.mu = ProbeState::Idle;
         self.lambda = None;
@@ -119,7 +108,7 @@ impl SourceNode {
     }
 
     /// `API.Change(s, r)` (Figure 3, lines 11–18).
-    pub fn api_change(&mut self, limit: RateLimit, actions: &mut impl Emit) {
+    pub(crate) fn api_change(&mut self, limit: RateLimit, actions: &mut impl Emit) {
         self.demand = limit.effective_demand(self.first_capacity);
         if self.mu.is_idle() {
             if self.membership == Membership::Unrestricted {
@@ -257,25 +246,25 @@ mod tests {
     fn handle(s: &mut SourceNode, packet: Packet) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         s.handle(packet, &mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     fn api_join(s: &mut SourceNode, limit: RateLimit) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         s.api_join(limit, &mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     fn api_change(s: &mut SourceNode, limit: RateLimit) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         s.api_change(limit, &mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     fn api_leave(s: &mut SourceNode) -> Vec<Action> {
         let mut buf = ActionBuffer::new();
         s.api_leave(&mut buf);
-        buf.into_vec()
+        buf.as_slice().to_vec()
     }
 
     fn response(kind: ResponseKind, rate: Rate) -> Packet {
@@ -315,7 +304,7 @@ mod tests {
             "no API.Rate before the bottleneck is confirmed"
         );
         assert_eq!(s.current_rate(), 40e6);
-        assert!(!s.is_settled());
+        assert!(!s.bottleneck_received);
         // The Bottleneck packet confirms the rate.
         let actions = handle(
             &mut s,
@@ -331,7 +320,7 @@ mod tests {
             actions[1],
             Action::SendDownstream(Packet::SetBottleneck { found: false, .. })
         ));
-        assert!(s.is_settled());
+        assert!(s.bottleneck_received);
     }
 
     #[test]
@@ -347,7 +336,7 @@ mod tests {
             actions[1],
             Action::SendDownstream(Packet::SetBottleneck { found: true, .. })
         ));
-        assert!(s.is_settled());
+        assert!(s.bottleneck_received);
     }
 
     #[test]
@@ -362,7 +351,7 @@ mod tests {
             actions[1],
             Action::SendDownstream(Packet::SetBottleneck { found: false, .. })
         ));
-        assert!(s.is_settled());
+        assert!(s.bottleneck_received);
         // A duplicate Bottleneck packet afterwards is ignored.
         assert!(handle(
             &mut s,
@@ -386,7 +375,7 @@ mod tests {
                 restricting: LinkId(0)
             })]
         );
-        assert!(!s.is_settled());
+        assert!(!s.bottleneck_received);
     }
 
     #[test]
@@ -424,7 +413,7 @@ mod tests {
             actions[0],
             Action::SendDownstream(Packet::Probe { .. })
         ));
-        assert!(!s.is_settled());
+        assert!(!s.bottleneck_received);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub enum ProbeState {
 
 impl ProbeState {
     /// `true` when the state is [`ProbeState::Idle`].
-    pub fn is_idle(self) -> bool {
+    pub(crate) fn is_idle(self) -> bool {
         matches!(self, ProbeState::Idle)
     }
 }
@@ -89,11 +89,6 @@ impl ActionBuffer {
     /// Removes all buffered actions, keeping the allocation.
     pub fn clear(&mut self) {
         self.actions.clear();
-    }
-
-    /// Consumes the buffer into a plain vector (mainly for tests).
-    pub fn into_vec(self) -> Vec<Action> {
-        self.actions
     }
 }
 

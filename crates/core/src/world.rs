@@ -28,7 +28,7 @@
 //! A stale envelope — one emitted by a previous incarnation of a session
 //! identifier that left and rejoined along a different path while packets
 //! were still in flight — is detected and re-resolved (or dropped) by
-//! [`SessionArena::resolve_hop`].
+//! `SessionArena::resolve_hop`.
 
 use crate::host::TaskHost;
 use bneck_maxmin::{Allocation, IdSlotMap, Rate, RateLimit, Session, SessionId, SessionSet};
@@ -37,6 +37,11 @@ use bneck_sim::{ChannelId, ChannelSpec, Engine};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Size of every control packet in bits, from which each link's transmission
+/// time follows (the paper models both transmission and propagation times).
+/// The §IV evaluation uses one size for every packet kind and protocol.
+pub const CONTROL_PACKET_BITS: u64 = 256;
 
 /// Per-directed-link world state, indexed by [`LinkId::index`]: the capacity
 /// and the precomputed reverse of each link (so no harness consults the
@@ -51,11 +56,12 @@ pub struct LinkTable {
 
 impl LinkTable {
     /// Registers every directed link of `network` as a simulator channel with
-    /// its bandwidth, delay and the given packet size — link `e` as channel
+    /// its bandwidth, delay and [`CONTROL_PACKET_BITS`] — link `e` as channel
     /// `e`, so `engine` must have none yet — and builds the link tables.
-    pub fn new<M>(network: &Network, engine: &mut Engine<M>, packet_bits: u64) -> Self {
+    pub fn new<M>(network: &Network, engine: &mut Engine<M>) -> Self {
         for link in network.links() {
-            let spec = ChannelSpec::new(link.capacity().as_bps(), link.delay(), packet_bits);
+            let spec =
+                ChannelSpec::new(link.capacity().as_bps(), link.delay(), CONTROL_PACKET_BITS);
             let channel = engine.add_channel(spec);
             assert_eq!(channel.0, link.id().0, "link e is registered as channel e");
         }
@@ -187,7 +193,7 @@ impl SessionArena {
     }
 
     /// The active sessions with their slots, in increasing identifier order.
-    pub fn active_slots(&self) -> impl Iterator<Item = (SessionId, u32)> + '_ {
+    pub(crate) fn active_slots(&self) -> impl Iterator<Item = (SessionId, u32)> + '_ {
         self.active
             .iter()
             .filter_map(move |s| Some((*s, self.slot_of.get(*s)?)))
@@ -255,7 +261,7 @@ impl SessionArena {
     }
 
     /// The path of a session, if the identifier ever joined.
-    pub fn path_of(&self, session: SessionId) -> Option<&Path> {
+    pub(crate) fn path_of(&self, session: SessionId) -> Option<&Path> {
         Some(self.path(self.slot_of(session)?))
     }
 
@@ -305,7 +311,7 @@ impl SessionArena {
     /// (leave + rejoin with the same identifier) is re-resolved against the
     /// current path of the packet's session, and dropped (`None`) when that
     /// session never joined or `link` is no longer on its path.
-    pub fn resolve_hop(
+    pub(crate) fn resolve_hop(
         &self,
         session: SessionId,
         origin_session: SessionId,
@@ -386,7 +392,7 @@ mod tests {
     fn link_table_mirrors_the_network() {
         let network = net();
         let mut engine: Engine<u32> = Engine::new();
-        let links = LinkTable::new(&network, &mut engine, 256);
+        let links = LinkTable::new(&network, &mut engine);
         assert_eq!(engine.channel_count(), network.link_count());
         for link in network.links() {
             let id = link.id();

@@ -149,7 +149,6 @@ proptest! {
         for link in network.links() {
             if let Some(task) = sim.link_task(link.id()) {
                 prop_assert!(task.probe_state(victim).is_none());
-                prop_assert!(task.assigned_rate(victim).is_none());
             }
         }
     }

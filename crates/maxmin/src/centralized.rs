@@ -36,7 +36,7 @@ pub struct LinkBottleneck {
 impl LinkBottleneck {
     /// `true` if this link is a bottleneck of the system (some session is
     /// restricted at it).
-    pub fn is_bottleneck(&self) -> bool {
+    pub(crate) fn is_bottleneck(&self) -> bool {
         self.bottleneck_rate.is_some()
     }
 }
@@ -90,23 +90,12 @@ impl CentralizedSolution {
 pub struct CentralizedBneck<'a> {
     network: &'a Network,
     sessions: &'a SessionSet,
-    tolerance: Tolerance,
 }
 
 impl<'a> CentralizedBneck<'a> {
     /// Creates a solver for the given network and session set.
     pub fn new(network: &'a Network, sessions: &'a SessionSet) -> Self {
-        CentralizedBneck {
-            network,
-            sessions,
-            tolerance: Tolerance::default(),
-        }
-    }
-
-    /// Overrides the comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: Tolerance) -> Self {
-        self.tolerance = tolerance;
-        self
+        CentralizedBneck { network, sessions }
     }
 
     /// Computes the max-min fair allocation.
@@ -170,7 +159,7 @@ impl<'a> CentralizedBneck<'a> {
     /// incrementally: assigning a session only touches the constraints on its
     /// path.
     fn run(&self, ws: &mut SolverWorkspace) -> Allocation {
-        let tol = self.tolerance;
+        let tol = Tolerance::default();
 
         ws.init_link_constraints(self.network, self.sessions);
         let link_cons = ws.link_ids.len();

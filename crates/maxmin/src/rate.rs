@@ -170,16 +170,6 @@ impl Tolerance {
     pub fn ge(self, a: Rate, b: Rate) -> bool {
         !self.lt(a, b)
     }
-
-    /// The relative difference `|a - b| / max(|a|, |b|)` (0 when both are 0).
-    pub fn relative_difference(self, a: Rate, b: Rate) -> f64 {
-        let denom = a.abs().max(b.abs());
-        if denom == 0.0 {
-            0.0
-        } else {
-            (a - b).abs() / denom
-        }
-    }
 }
 
 #[cfg(test)]
@@ -251,13 +241,6 @@ mod tests {
         assert!(tol.eq(1.0, 1.0));
         assert!(!tol.eq(1.0, 1.0 + f64::EPSILON));
         assert!(tol.lt(1.0, 1.0 + f64::EPSILON));
-    }
-
-    #[test]
-    fn relative_difference() {
-        let tol = Tolerance::default();
-        assert_eq!(tol.relative_difference(0.0, 0.0), 0.0);
-        assert!((tol.relative_difference(90.0, 100.0) - 0.1).abs() < 1e-12);
     }
 
     #[test]

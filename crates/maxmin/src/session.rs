@@ -55,7 +55,7 @@ impl Session {
     }
 
     /// Replaces the maximum requested rate (models `API.Change`).
-    pub fn set_limit(&mut self, limit: RateLimit) {
+    pub(crate) fn set_limit(&mut self, limit: RateLimit) {
         self.limit = limit;
     }
 }
@@ -83,7 +83,7 @@ struct LinkSessions {
 /// vectors instead of hash maps. The link reverse index is likewise a flat
 /// vector indexed by [`LinkId`], exposing both session identifiers
 /// ([`sessions_on_link`](SessionSet::sessions_on_link)) and arena slots
-/// ([`slots_on_link`](SessionSet::slots_on_link)).
+/// (`slots_on_link`, for this crate's solvers).
 #[derive(Debug, Clone, Default)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SessionSet {
@@ -211,7 +211,7 @@ impl SessionSet {
     /// The arena slots of the sessions crossing `link`, parallel to
     /// [`sessions_on_link`](SessionSet::sessions_on_link) (and with the same
     /// ordering contract).
-    pub fn slots_on_link(&self, link: LinkId) -> &[u32] {
+    pub(crate) fn slots_on_link(&self, link: LinkId) -> &[u32] {
         self.by_link
             .get(link.index())
             .map(|e| e.slots.as_slice())
@@ -219,7 +219,7 @@ impl SessionSet {
     }
 
     /// Iterates over the links crossed by at least one session.
-    pub fn used_links(&self) -> impl Iterator<Item = LinkId> + '_ {
+    pub(crate) fn used_links(&self) -> impl Iterator<Item = LinkId> + '_ {
         self.used
             .iter()
             .copied()
@@ -228,7 +228,7 @@ impl SessionSet {
 
     /// Upper bound (exclusive) on the arena slots currently handed out; usable
     /// as the length of per-session scratch vectors indexed by slot.
-    pub fn slot_capacity(&self) -> usize {
+    pub(crate) fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
 
@@ -238,12 +238,12 @@ impl SessionSet {
     }
 
     /// The session occupying an arena slot, if any.
-    pub fn session_at(&self, slot: u32) -> Option<&Session> {
+    pub(crate) fn session_at(&self, slot: u32) -> Option<&Session> {
         self.slots.get(slot as usize)?.as_ref()
     }
 
     /// Iterates over `(slot, session)` pairs in identifier order.
-    pub fn iter_with_slots(&self) -> impl Iterator<Item = (u32, &Session)> {
+    pub(crate) fn iter_with_slots(&self) -> impl Iterator<Item = (u32, &Session)> {
         self.index.values().map(|slot| {
             (
                 *slot,
@@ -311,7 +311,7 @@ impl Allocation {
 
     /// The sum of the assigned rates of the given sessions (missing sessions
     /// contribute zero).
-    pub fn sum_over<'a>(&self, sessions: impl IntoIterator<Item = &'a SessionId>) -> Rate {
+    pub(crate) fn sum_over<'a>(&self, sessions: impl IntoIterator<Item = &'a SessionId>) -> Rate {
         sessions.into_iter().filter_map(|s| self.rate(*s)).sum()
     }
 }

@@ -124,7 +124,7 @@ pub fn verify_max_min(
 ///
 /// Returns the list of violated conditions if the allocation is not max-min
 /// fair within the tolerance.
-pub fn verify_max_min_with(
+pub(crate) fn verify_max_min_with(
     network: &Network,
     sessions: &SessionSet,
     allocation: &Allocation,

@@ -38,23 +38,12 @@ use bneck_net::Network;
 pub struct WaterFilling<'a> {
     network: &'a Network,
     sessions: &'a SessionSet,
-    tolerance: Tolerance,
 }
 
 impl<'a> WaterFilling<'a> {
     /// Creates a solver for the given network and session set.
     pub fn new(network: &'a Network, sessions: &'a SessionSet) -> Self {
-        WaterFilling {
-            network,
-            sessions,
-            tolerance: Tolerance::default(),
-        }
-    }
-
-    /// Overrides the comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: Tolerance) -> Self {
-        self.tolerance = tolerance;
-        self
+        WaterFilling { network, sessions }
     }
 
     /// Computes the max-min fair allocation.
@@ -65,7 +54,7 @@ impl<'a> WaterFilling<'a> {
     /// are maintained incrementally — freezing a session only touches the
     /// links on its path — instead of rescanning every link × session pair.
     pub fn solve(&self) -> Allocation {
-        let tol = self.tolerance;
+        let tol = Tolerance::default();
         let mut allocation = Allocation::new();
         if self.sessions.is_empty() {
             return allocation;

@@ -42,16 +42,6 @@ impl Table {
         }
     }
 
-    /// The table's title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Appends a row.
     ///
     /// # Panics
@@ -124,8 +114,8 @@ mod tests {
         let mut t = Table::new("demo", &["a", "longer_header"]);
         t.push(&[1, 2]);
         t.push(&[300, 4]);
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.title(), "demo");
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.title, "demo");
         let text = t.to_string();
         assert!(text.contains("# demo"));
         assert!(text.contains("longer_header"));

@@ -39,7 +39,7 @@ impl PacketTimeSeries {
     /// Builds a series directly from per-interval snapshots (used by harnesses
     /// that sample cumulative counters between bounded runs instead of logging
     /// every packet).
-    pub fn from_bins(interval: Delay, bins: Vec<PacketStats>) -> Self {
+    pub(crate) fn from_bins(interval: Delay, bins: Vec<PacketStats>) -> Self {
         assert!(interval > Delay::ZERO, "the bin width must be positive");
         PacketTimeSeries { interval, bins }
     }
@@ -63,11 +63,6 @@ impl PacketTimeSeries {
     /// The packet counts of bin `index` (empty counts past the end).
     pub fn bin(&self, index: usize) -> PacketStats {
         self.bins.get(index).copied().unwrap_or_default()
-    }
-
-    /// Total packets in bin `index`.
-    pub fn total_in_bin(&self, index: usize) -> u64 {
-        self.bin(index).total()
     }
 
     /// Total packets across all bins.
@@ -156,10 +151,10 @@ mod tests {
     fn bins_packets_by_interval() {
         let series = from_log(&log(), Delay::from_millis(5));
         assert_eq!(series.len(), 3);
-        assert_eq!(series.total_in_bin(0), 3);
-        assert_eq!(series.total_in_bin(1), 1);
-        assert_eq!(series.total_in_bin(2), 1);
-        assert_eq!(series.total_in_bin(99), 0);
+        assert_eq!(series.bin(0).total(), 3);
+        assert_eq!(series.bin(1).total(), 1);
+        assert_eq!(series.bin(2).total(), 1);
+        assert_eq!(series.bin(99).total(), 0);
         assert_eq!(series.total(), 5);
         assert_eq!(series.bin(0).count(PacketKind::Join), 2);
         assert_eq!(series.last_active_bin(), Some(2));

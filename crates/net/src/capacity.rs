@@ -36,14 +36,9 @@ impl Capacity {
     /// # Panics
     ///
     /// Panics if `bps` is negative or NaN.
-    pub fn from_bps(bps: f64) -> Self {
+    pub(crate) fn from_bps(bps: f64) -> Self {
         assert!(!bps.is_nan() && bps >= 0.0, "capacity must be non-negative");
         Capacity(bps)
-    }
-
-    /// Creates a capacity from kilobits per second.
-    pub fn from_kbps(kbps: f64) -> Self {
-        Self::from_bps(kbps * 1e3)
     }
 
     /// Creates a capacity from megabits per second.
@@ -140,7 +135,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(Capacity::from_mbps(200.0).as_bps(), 2e8);
         assert_eq!(Capacity::from_gbps(1.0).as_mbps(), 1000.0);
-        assert_eq!(Capacity::from_kbps(1.0).as_bps(), 1000.0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Returns `true` if the node is a host.
-    pub fn is_host(self) -> bool {
+    pub(crate) fn is_host(self) -> bool {
         matches!(self, NodeKind::Host)
     }
 
@@ -295,7 +295,7 @@ impl NetworkBuilder {
     }
 
     /// Adds a router at a specific hierarchy level.
-    pub fn add_router_at(&mut self, name: impl Into<String>, level: RouterLevel) -> NodeId {
+    pub(crate) fn add_router_at(&mut self, name: impl Into<String>, level: RouterLevel) -> NodeId {
         self.push_node(NodeKind::Router(level), name.into())
     }
 
@@ -349,7 +349,7 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if the link already exists or `src == dst`.
-    pub fn add_directed_link(
+    pub(crate) fn add_directed_link(
         &mut self,
         src: NodeId,
         dst: NodeId,

@@ -77,32 +77,9 @@ impl Path {
         self.links[0]
     }
 
-    /// The last link of the path.
-    pub fn last_link(&self) -> LinkId {
-        *self.links.last().expect("paths are never empty")
-    }
-
     /// Number of links in the path.
     pub fn hop_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// Returns the link that follows `link` on the path (downstream
-    /// direction), or `None` if `link` is the last one.
-    pub fn next_downstream(&self, link: LinkId) -> Option<LinkId> {
-        let idx = self.position(link)?;
-        self.links.get(idx + 1).copied()
-    }
-
-    /// Returns the link that precedes `link` on the path (i.e. the next hop in
-    /// the upstream direction), or `None` if `link` is the first one.
-    pub fn next_upstream(&self, link: LinkId) -> Option<LinkId> {
-        let idx = self.position(link)?;
-        if idx == 0 {
-            None
-        } else {
-            Some(self.links[idx - 1])
-        }
     }
 
     /// Returns the index of `link` within the path, if present.
@@ -113,13 +90,6 @@ impl Path {
     /// Returns `true` if the path traverses `link`.
     pub fn contains(&self, link: LinkId) -> bool {
         self.position(link).is_some()
-    }
-
-    /// Total propagation delay accumulated along the path.
-    pub fn total_delay(&self, network: &Network) -> crate::delay::Delay {
-        self.links.iter().fold(crate::delay::Delay::ZERO, |acc, l| {
-            acc + network.link(*l).delay()
-        })
     }
 
     /// The smallest link capacity along the path (an upper bound on any rate
@@ -175,20 +145,15 @@ mod tests {
         let (net, nodes) = line3();
         let p = path_between(&net, &nodes);
         let links = p.links().to_vec();
-        assert_eq!(p.next_downstream(links[0]), Some(links[1]));
-        assert_eq!(p.next_downstream(links[2]), None);
-        assert_eq!(p.next_upstream(links[0]), None);
-        assert_eq!(p.next_upstream(links[2]), Some(links[1]));
+        assert_eq!(p.position(links[2]), Some(2));
         assert!(p.contains(links[1]));
         assert_eq!(p.first_link(), links[0]);
-        assert_eq!(p.last_link(), links[2]);
     }
 
     #[test]
     fn delay_and_capacity_aggregation() {
         let (net, nodes) = line3();
         let p = path_between(&net, &nodes);
-        assert_eq!(p.total_delay(&net), Delay::from_micros(4));
         assert_eq!(p.min_capacity(&net), Capacity::from_mbps(100.0));
     }
 

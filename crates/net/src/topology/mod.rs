@@ -62,7 +62,7 @@ pub enum DelayModel {
 
 impl DelayModel {
     /// Samples the delay of a host access link.
-    pub fn host_delay<R: Rng + ?Sized>(&self, _rng: &mut R) -> Delay {
+    pub(crate) fn host_delay<R: Rng + ?Sized>(&self, _rng: &mut R) -> Delay {
         match self {
             DelayModel::Lan | DelayModel::Wan => Delay::from_micros(1),
             DelayModel::Fixed(d) => *d,
@@ -70,7 +70,7 @@ impl DelayModel {
     }
 
     /// Samples the delay of a router-to-router link.
-    pub fn router_delay<R: Rng + ?Sized>(&self, rng: &mut R) -> Delay {
+    pub(crate) fn router_delay<R: Rng + ?Sized>(&self, rng: &mut R) -> Delay {
         match self {
             DelayModel::Lan => Delay::from_micros(1),
             DelayModel::Wan => {

@@ -68,6 +68,10 @@ impl std::fmt::Display for NetworkSize {
 
 /// Configuration of the transit–stub generator.
 ///
+/// The link capacities are not part of it: every generated network uses the
+/// paper's §IV plan, [`LinkPlan::default`] (100 Mbps host access, 200 Mbps
+/// stub, 500 Mbps transit), the one plan the evaluation fixes.
+///
 /// # Example
 ///
 /// ```
@@ -94,8 +98,6 @@ pub struct TransitStubConfig {
     pub routers_per_stub_domain: usize,
     /// Total number of hosts, attached to uniformly random stub routers.
     pub hosts: usize,
-    /// Capacity plan for the three link classes.
-    pub link_plan: LinkPlan,
     /// Propagation delay model (LAN or WAN in the paper).
     pub delay_model: DelayModel,
     /// Probability of adding a chord edge (beyond the connectivity ring)
@@ -116,7 +118,6 @@ impl TransitStubConfig {
             stub_domains_per_transit_router: sdtr,
             routers_per_stub_domain: rpsd,
             hosts: 0,
-            link_plan: LinkPlan::default(),
             delay_model: DelayModel::Lan,
             intra_domain_chord_probability: 0.2,
             seed: 1,
@@ -132,12 +133,6 @@ impl TransitStubConfig {
     /// Sets the propagation delay model.
     pub fn with_delay_model(mut self, model: DelayModel) -> Self {
         self.delay_model = model;
-        self
-    }
-
-    /// Sets the capacity plan.
-    pub fn with_link_plan(mut self, plan: LinkPlan) -> Self {
-        self.link_plan = plan;
         self
     }
 
@@ -192,6 +187,7 @@ impl TransitStubGenerator {
     /// (including the seed).
     pub fn generate(&self) -> Network {
         let cfg = &self.config;
+        let plan = LinkPlan::default();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut b = NetworkBuilder::new();
 
@@ -201,7 +197,7 @@ impl TransitStubGenerator {
             let routers: Vec<NodeId> = (0..cfg.transit_routers_per_domain)
                 .map(|i| b.add_router_at(format!("t{t}.{i}"), RouterLevel::Transit))
                 .collect();
-            self.connect_domain(&mut b, &routers, cfg.link_plan.transit, &mut rng);
+            self.connect_domain(&mut b, &routers, plan.transit, &mut rng);
             transit_domains.push(routers);
         }
 
@@ -215,7 +211,7 @@ impl TransitStubGenerator {
                     let bnode = *pick(&transit_domains[next], &mut rng);
                     if !b.has_link(a, bnode) {
                         let d = cfg.delay_model.router_delay(&mut rng);
-                        b.connect(a, bnode, cfg.link_plan.transit, d);
+                        b.connect(a, bnode, plan.transit, d);
                     }
                 }
             }
@@ -229,11 +225,11 @@ impl TransitStubGenerator {
                     let routers: Vec<NodeId> = (0..cfg.routers_per_stub_domain)
                         .map(|j| b.add_router_at(format!("s{t}.{i}.{s}.{j}"), RouterLevel::Stub))
                         .collect();
-                    self.connect_domain(&mut b, &routers, cfg.link_plan.stub, &mut rng);
+                    self.connect_domain(&mut b, &routers, plan.stub, &mut rng);
                     // Attach the stub domain to its sponsoring transit router.
                     let gateway = *pick(&routers, &mut rng);
                     let d = cfg.delay_model.router_delay(&mut rng);
-                    b.connect(gateway, transit_router, cfg.link_plan.stub, d);
+                    b.connect(gateway, transit_router, plan.stub, d);
                     stub_routers.extend(routers);
                 }
             }
@@ -243,7 +239,7 @@ impl TransitStubGenerator {
         for h in 0..cfg.hosts {
             let router = *pick(&stub_routers, &mut rng);
             let d = cfg.delay_model.host_delay(&mut rng);
-            b.add_host(format!("h{h}"), router, cfg.link_plan.host_access, d);
+            b.add_host(format!("h{h}"), router, plan.host_access, d);
         }
 
         b.build()

@@ -247,7 +247,6 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
     };
     let config = NodeConfig {
         recovery: spec.recovery,
-        ..NodeConfig::default()
     };
     let mut runtime = NodeRuntime::spawn(plan, endpoints, config);
     runtime.join_all();

@@ -99,24 +99,21 @@ fn since(start: Instant) -> SimTime {
     SimTime::from_nanos(start.elapsed().as_nanos() as u64)
 }
 
+/// How long a worker blocks waiting for a frame before checking its
+/// retransmission deadlines and shutdown flag.
+const POLL: Duration = Duration::from_micros(500);
+
 /// Tunables of a node worker.
-#[derive(Debug, Clone, Copy)]
+///
+/// The recovery layer is the one choice. How long a worker waits for a frame
+/// between deadline checks is a constant (500 µs): like the paper's §IV
+/// model parameters it is fixed, and it changes only how soon a worker
+/// notices a due retransmission or the shutdown flag, never a rate.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeConfig {
     /// The recovery layer's tunables, or `None` to run bare (the default:
     /// both bundled transports are reliable and FIFO per lane).
     pub recovery: Option<RecoveryConfig>,
-    /// How long a worker blocks waiting for a frame before checking its
-    /// retransmission deadlines and shutdown flag.
-    pub poll: Duration,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            recovery: None,
-            poll: Duration::from_micros(500),
-        }
-    }
 }
 
 /// The immutable cluster layout every node shares: which node owns which
@@ -189,7 +186,7 @@ impl ClusterPlan {
     }
 
     /// The node hosting `slot`'s source task.
-    pub fn source_owner(&self, slot: u32) -> usize {
+    pub(crate) fn source_owner(&self, slot: u32) -> usize {
         self.placement.source_shard(slot)
     }
 
@@ -345,7 +342,6 @@ impl Outbox {
 struct NodeWorker {
     host: TaskHost,
     io: NodeIo,
-    poll: Duration,
     done: bool,
 }
 
@@ -389,7 +385,6 @@ impl NodeWorker {
                 decode_errors: 0,
                 blobs: 0,
             },
-            poll: config.poll,
             done: false,
         }
     }
@@ -401,7 +396,7 @@ impl NodeWorker {
             // too, which covers exit.
             self.io.fire_due_retransmits();
             let _ = self.io.out.flush();
-            match self.io.out.transport.recv_blob(self.poll) {
+            match self.io.out.transport.recv_blob(POLL) {
                 Ok(Some(blob)) => self.handle_wire(&blob),
                 Ok(None) => {}
                 Err(_) => break,
@@ -834,7 +829,6 @@ mod tests {
         let shared = Arc::new(Shared::new(plan.slot_count()));
         let config = NodeConfig {
             recovery: Some(recovery),
-            ..NodeConfig::default()
         };
         let endpoint = transport(&shared, &links);
         let worker = NodeWorker::new(0, &plan, &shared, endpoint, wall_now(), config);

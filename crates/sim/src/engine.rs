@@ -219,15 +219,6 @@ impl<M> Engine<M> {
         self.faults.as_deref().map(|f| &f.plan)
     }
 
-    /// Faults injected on one channel so far (zero when no plan is active or
-    /// the channel never rolled a fault).
-    pub fn fault_counters(&self, channel: ChannelId) -> FaultCounters {
-        self.faults
-            .as_deref()
-            .and_then(|f| f.counters.get(channel.index()).copied())
-            .unwrap_or_default()
-    }
-
     /// Sum of the injected-fault counters over every channel.
     pub fn fault_totals(&self) -> FaultCounters {
         let mut total = FaultCounters::default();
@@ -277,11 +268,6 @@ impl<M> Engine<M> {
         self.channels.len()
     }
 
-    /// Total messages sent through a specific channel so far.
-    pub fn channel_sent(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.index()].sent
-    }
-
     /// The current simulated time (time of the last processed event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -295,16 +281,6 @@ impl<M> Engine<M> {
     /// `true` when no event is pending: the simulated network is quiescent.
     pub fn is_quiescent(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total messages sent through channels since the engine was created.
-    pub fn total_messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Total events processed since the engine was created.
-    pub fn total_events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Injects an external event (for example an `API.Join` call from the
@@ -479,8 +455,8 @@ mod tests {
         // Each hop takes 1 us transmission + 10 us propagation.
         assert_eq!(report.quiescent_at, SimTime::from_micros(44));
         assert!(engine.is_quiescent());
-        assert_eq!(engine.channel_sent(f), 2);
-        assert_eq!(engine.channel_sent(b), 2);
+        assert_eq!(engine.channels[f.index()].sent, 2);
+        assert_eq!(engine.channels[b.index()].sent, 2);
     }
 
     #[test]
@@ -678,10 +654,9 @@ mod tests {
         let totals = engine.fault_totals();
         assert!(totals.dropped > 0, "a 30% plan over 200 sends drops some");
         assert_eq!(world.delivered.len() as u64, 200 - totals.dropped);
-        assert_eq!(engine.fault_counters(ChannelId(0)).dropped, totals.dropped);
-        assert_eq!(engine.fault_breakdown().len(), 1);
+        assert_eq!(engine.fault_breakdown(), [(ChannelId(0), totals)]);
         // Dropped messages still occupied the transmitter.
-        assert_eq!(engine.channel_sent(ChannelId(0)), 200);
+        assert_eq!(engine.channels[0].sent, 200);
     }
 
     #[test]

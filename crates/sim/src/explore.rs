@@ -15,7 +15,7 @@
 //! [`Engine::step_explored`](crate::Engine::step_explored), which consults a
 //! [`ScheduleCursor`]. The cursor replays a prescribed prefix of choices and
 //! extends it canonically (choice 0 = the engine's native FIFO order); after
-//! the run, [`ScheduleCursor::next_schedule`] advances to the
+//! the run, `ScheduleCursor::next_schedule` advances to the
 //! lexicographically next unexplored schedule, exactly like incrementing a
 //! mixed-radix counter whose digit arities were recorded during the run.
 //!
@@ -99,14 +99,14 @@ impl ScheduleCursor {
     }
 
     /// Number of non-trivial choice points the current run has passed.
-    pub fn choice_points(&self) -> usize {
+    pub(crate) fn choice_points(&self) -> usize {
         self.depth
     }
 
     /// Advances to the next unexplored schedule, returning `false` when the
     /// whole choice space has been covered. Must be called between runs;
     /// it also rewinds the cursor for the next run.
-    pub fn next_schedule(&mut self) -> bool {
+    pub(crate) fn next_schedule(&mut self) -> bool {
         // Truncate the recording to what the *current* run actually visited
         // (an earlier, longer run may have recorded deeper points that this
         // branch never reaches).

@@ -71,11 +71,6 @@ impl FaultPlan {
             reorder_window,
         }
     }
-
-    /// `true` when the plan can never perturb a delivery.
-    pub fn is_noop(&self) -> bool {
-        self.drop == 0.0 && self.duplicate == 0.0 && self.reorder == 0.0
-    }
 }
 
 /// Per-channel counters of the faults actually injected, for reports: a
@@ -93,7 +88,7 @@ pub struct FaultCounters {
 
 impl FaultCounters {
     /// Sums another counter set into this one.
-    pub fn absorb(&mut self, other: FaultCounters) {
+    pub(crate) fn absorb(&mut self, other: FaultCounters) {
         self.dropped += other.dropped;
         self.duplicated += other.duplicated;
         self.delayed += other.delayed;
@@ -188,8 +183,12 @@ mod tests {
     #[test]
     fn plan_validation() {
         let plan = FaultPlan::new(1, 0.05, 0.01, 0.1, 4);
-        assert!(!plan.is_noop());
-        assert!(FaultPlan::new(1, 0.0, 0.0, 0.0, 0).is_noop());
+        assert_eq!(
+            (plan.drop, plan.duplicate, plan.reorder, plan.reorder_window),
+            (0.05, 0.01, 0.1, 4)
+        );
+        // No reorder probability needs no reorder window.
+        assert_eq!(FaultPlan::new(1, 0.0, 0.0, 0.0, 0).reorder_window, 0);
     }
 
     #[test]

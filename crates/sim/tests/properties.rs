@@ -98,7 +98,7 @@ proptest! {
         let channel = engine.add_channel(spec);
         let mut world = Burst { to_send: count as u32, channel, arrivals: Vec::new() };
         engine.inject(SimTime::ZERO, Address(0), 0);
-        engine.run(&mut world);
+        let report = engine.run(&mut world);
 
         prop_assert_eq!(world.arrivals.len(), count);
         // FIFO: payloads arrive in the order they were sent.
@@ -114,7 +114,7 @@ proptest! {
             prop_assert!(*at >= min_arrival,
                 "packet {i} arrived at {at} ns, before the physical minimum {min_arrival} ns");
         }
-        prop_assert_eq!(engine.channel_sent(channel), count as u64);
+        prop_assert_eq!(report.messages_sent, count as u64);
     }
 
     /// Splitting a run at an arbitrary horizon never changes what is delivered

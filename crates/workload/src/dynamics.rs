@@ -137,7 +137,7 @@ mod tests {
         );
         assert_eq!(schedule.breakdown(), (20, 0, 0));
         assert_eq!(planner.active_count(), 20);
-        assert!(schedule.last_time().unwrap() <= SimTime::from_millis(1));
+        assert!(schedule.iter().last().unwrap().at <= SimTime::from_millis(1));
     }
 
     #[test]

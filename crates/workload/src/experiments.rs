@@ -170,7 +170,7 @@ mod tests {
         let net = config.scenario.build();
         let schedule = config.schedule(&net);
         assert_eq!(schedule.breakdown(), (40, 0, 0));
-        assert!(schedule.last_time().unwrap() <= SimTime::from_millis(1));
+        assert!(schedule.iter().last().unwrap().at <= SimTime::from_millis(1));
     }
 
     #[test]
@@ -200,7 +200,7 @@ mod tests {
         assert_eq!(leaves, spec.leaves);
         assert_eq!(changes, 0);
         let window = Delay::from_micros(spec.change_window_us);
-        assert!(schedule.last_time().unwrap() <= SimTime::ZERO + window);
+        assert!(schedule.iter().last().unwrap().at <= SimTime::ZERO + window);
         // Leaves happen after the corresponding join (joins are in the first
         // half of the window, leaves in the second half).
         let half = SimTime::ZERO + Delay::from_nanos(window.as_nanos() / 2);

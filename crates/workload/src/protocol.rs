@@ -111,7 +111,7 @@ impl Baseline {
     }
 
     /// The baseline spelled `name`, or `None` for any other name.
-    pub fn from_name(name: &str) -> Option<Baseline> {
+    pub(crate) fn from_name(name: &str) -> Option<Baseline> {
         Self::ALL
             .into_iter()
             .find(|baseline| baseline.name() == name)

@@ -63,7 +63,7 @@ impl NetworkScenario {
     }
 
     /// A Big LAN network with the given number of hosts.
-    pub fn big_lan(hosts: usize) -> Self {
+    pub(crate) fn big_lan(hosts: usize) -> Self {
         NetworkScenario {
             size: NetworkSize::Big,
             delay_model: DelayModel::Lan,

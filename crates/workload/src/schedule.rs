@@ -100,8 +100,8 @@ impl ScheduleTarget for BneckSimulation<'_> {
 /// Events are stored in push order and sorted lazily: [`Schedule::push`] is
 /// O(1) (the schedule used to re-sort the whole vector on every push, which
 /// is quadratic and ruled out paper-scale workloads of tens of thousands of
-/// joins), and the ordered accessors ([`Schedule::iter`],
-/// [`Schedule::apply`], [`Schedule::last_time`]) sort a temporary index
+/// joins), and the ordered accessors ([`Schedule::iter`] and
+/// [`Schedule::apply`]) sort a temporary index
 /// permutation when pushes arrived out of order. Equal timestamps keep their
 /// push order, as before.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -133,19 +133,8 @@ impl Schedule {
     }
 
     /// Adds a join event built from a [`SessionRequest`].
-    pub fn push_join(&mut self, at: SimTime, request: SessionRequest) {
+    pub(crate) fn push_join(&mut self, at: SimTime, request: SessionRequest) {
         self.push(at, WorkloadEvent::Join { request });
-    }
-
-    /// Merges another schedule into this one.
-    pub fn merge(&mut self, other: Schedule) {
-        if let (Some(last), Some(first)) = (self.events.last(), other.events.first()) {
-            if first.at < last.at {
-                self.sorted = false;
-            }
-        }
-        self.sorted &= other.sorted;
-        self.events.extend(other.events);
     }
 
     /// Number of events.
@@ -173,15 +162,6 @@ impl Schedule {
         self.time_order()
             .into_iter()
             .map(move |i| &self.events[i as usize])
-    }
-
-    /// The time of the last event, if any.
-    pub fn last_time(&self) -> Option<SimTime> {
-        if self.sorted {
-            self.events.last().map(|e| e.at)
-        } else {
-            self.events.iter().map(|e| e.at).max()
-        }
     }
 
     /// Number of events of each kind `(joins, leaves, changes)`.
@@ -321,7 +301,10 @@ mod tests {
         let s = sample_schedule();
         let times: Vec<u64> = s.iter().map(|e| e.at.as_micros()).collect();
         assert_eq!(times, vec![10, 20, 30]);
-        assert_eq!(s.last_time(), Some(SimTime::from_micros(30)));
+        assert_eq!(
+            s.iter().last().map(|e| e.at),
+            Some(SimTime::from_micros(30))
+        );
         assert_eq!(s.breakdown(), (1, 1, 1));
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
@@ -357,11 +340,8 @@ mod tests {
 
     #[test]
     fn merge_and_collect() {
-        let mut a = sample_schedule();
-        let b = sample_schedule();
-        a.merge(b);
-        assert_eq!(a.len(), 6);
-        let collected: Schedule = a.iter().cloned().collect();
+        let (a, b) = (sample_schedule(), sample_schedule());
+        let collected: Schedule = a.iter().chain(b.iter()).cloned().collect();
         assert_eq!(collected.len(), 6);
         let times: Vec<u64> = collected.iter().map(|e| e.at.as_micros()).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));

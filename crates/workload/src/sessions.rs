@@ -104,13 +104,8 @@ impl<'a> SessionPlanner<'a> {
         }
     }
 
-    /// Number of hosts still available as session sources.
-    pub fn free_sources(&self) -> usize {
-        self.hosts.len() - self.used_sources.len()
-    }
-
     /// Marks a source host as free again (used after planning a `Leave`).
-    pub fn release_source(&mut self, host: NodeId) {
+    pub(crate) fn release_source(&mut self, host: NodeId) {
         self.used_sources.remove(&host);
     }
 
@@ -189,7 +184,7 @@ mod tests {
             assert_ne!(r.source, r.destination);
             assert!(r.limit.is_unlimited());
         }
-        assert_eq!(planner.free_sources(), 60 - 25);
+        assert_eq!(planner.used_sources.len(), 25);
     }
 
     #[test]
@@ -208,11 +203,11 @@ mod tests {
         let mut planner = SessionPlanner::new(&net, 3);
         let requests = planner.plan(50, LimitPolicy::Unlimited);
         assert!(requests.len() <= 10);
-        assert_eq!(planner.free_sources(), 10 - requests.len());
+        assert_eq!(planner.used_sources.len(), requests.len());
         // Releasing a source makes it plannable again.
         let released = requests[0].source;
         planner.release_source(released);
-        assert_eq!(planner.free_sources(), 10 - requests.len() + 1);
+        assert_eq!(planner.used_sources.len(), requests.len() - 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! family of that matrix as plain *data*: a serializable document naming the
 //! topology presets (resolved by [`NetworkScenario::preset`]), the workload
 //! parameters, the baselines under test (resolved by
-//! [`Baseline::from_name`]), the seeds and repeats, and the output
+//! `Baseline::from_name`), the seeds and repeats, and the output
 //! selection. The `bneck` CLI in `bneck-bench` runs specs from JSON files or
 //! from the shipped presets ([`ExperimentSpec::preset`]), the one place the
 //! paper's parameter sets are written down.
