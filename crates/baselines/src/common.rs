@@ -27,8 +27,6 @@ use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
 use bneck_net::{Network, NodeId, Path, Router};
 use bneck_sim::{Address, Context, Engine, RunReport, SimTime, World};
 use bneck_workload::{ProtocolWorld, ScheduleTarget, SessionRequest};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -74,7 +72,6 @@ pub trait BaselineProtocol: Send {
 
 /// Packet counters of a baseline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BaselineStats {
     /// Probe packets transmitted (one count per link traversal).
     pub probes: u64,

@@ -28,14 +28,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "serde")]
 pub mod cli;
 pub mod report;
 pub mod runner;
 pub mod sweep;
 
 pub use report::{
-    render_tables, ChannelFaultSummary, Experiment1Point, Experiment2PhaseResult, Experiment2Run,
+    ChannelFaultSummary, Experiment1Point, Experiment2PhaseResult, Experiment2Run,
     Experiment3Result, Experiment3Sample, ExperimentReport, FaultOutcome, FaultPointReport,
     FaultRunResult, ScaleReport, SpecOutcome, ValidationReport,
 };

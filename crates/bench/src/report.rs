@@ -5,19 +5,17 @@
 //! 6's runs, …), tagged by kind; [`SpecOutcome`] adds the run's
 //! machine-dependent notes and timings. Reports depend only on the spec
 //! (every point's RNG seed is part of the lowered configuration), so they
-//! are bit-identical at any `BNECK_THREADS`. [`render_tables`] renders a
+//! are bit-identical at any `BNECK_THREADS`. `render_tables` renders a
 //! report into the text tables of the paper's figures, keeping the
 //! human-readable output next to the JSON.
 
 use bneck_core::{PacketKind, PacketStats, RecoveryStats};
 use bneck_metrics::{PacketTimeSeries, Summary, Table};
 use bneck_sim::FaultCounters;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of Figure 5: a session count on one scenario.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Experiment1Point {
     /// Scenario label (`small/lan`, `medium/wan`, …).
     pub scenario: String,
@@ -34,8 +32,7 @@ pub struct Experiment1Point {
 }
 
 /// One phase of Figure 6.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Experiment2PhaseResult {
     /// Phase name (`join`, `leave`, `change`, `join-2`, `mixed`).
     pub name: String,
@@ -53,8 +50,7 @@ pub struct Experiment2PhaseResult {
 
 /// One full Experiment 2 run: the seed it was planned with, its five phase
 /// results and the packet time series of the whole run.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Experiment2Run {
     /// The planner seed of this repeat.
     pub seed: u64,
@@ -65,8 +61,7 @@ pub struct Experiment2Run {
 }
 
 /// One sampling instant of Experiment 3, for one protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Experiment3Sample {
     /// Sampling time in microseconds.
     pub at_us: u64,
@@ -79,8 +74,7 @@ pub struct Experiment3Sample {
 }
 
 /// The outcome of Experiment 3 for one protocol.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Experiment3Result {
     /// Protocol name (`B-Neck`, `BFYZ`, `CG`, `RCP`).
     pub protocol: String,
@@ -94,8 +88,7 @@ pub struct Experiment3Result {
 }
 
 /// Result of validating one randomized scenario against the oracle.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ValidationReport {
     /// Scenario label.
     pub scenario: String,
@@ -115,8 +108,7 @@ pub struct ValidationReport {
 /// (the wall-clock timings live in [`SpecOutcome::timings`], outside the
 /// report, so reports stay bit-identical at any thread count and across
 /// machines).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScaleReport {
     /// Number of sessions the point planned.
     pub sessions: usize,
@@ -151,7 +143,6 @@ impl ScaleReport {
 /// bit-identical across thread counts and hosts — but carried next to it so
 /// performance tooling (`bneck sweep --scale-curve`) can emit them.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ScaleTimings {
     /// Seconds spent building the network.
     pub build_s: f64,
@@ -172,8 +163,7 @@ pub struct ScaleTimings {
 /// One point of the machine-readable scale curve (`BENCH_SCALE.json`): the
 /// deterministic outcome of a paper-scale run joined with its wall-clock
 /// phase breakdown, per-event cost and peak RSS.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScaleCurvePoint {
     /// Number of sessions the point planned.
     pub sessions: usize,
@@ -232,8 +222,7 @@ impl ScaleCurvePoint {
 /// construction: a run is [`Converged`](FaultOutcome::Converged) only when it
 /// both reached quiescence *and* every rate matched the centralized oracle —
 /// a corrupted run can never be reported as a success.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultOutcome {
     /// Quiescent with oracle-exact rates.
     Converged,
@@ -257,8 +246,7 @@ impl FaultOutcome {
 }
 
 /// Injected-fault counters of one channel, keyed by the raw channel index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ChannelFaultSummary {
     /// The engine channel the faults were injected on.
     pub channel: u32,
@@ -267,8 +255,7 @@ pub struct ChannelFaultSummary {
 }
 
 /// The outcome of one fault-injected run (raw or recovery-enabled).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultRunResult {
     /// The honest classification of the run.
     pub outcome: FaultOutcome,
@@ -296,8 +283,7 @@ pub struct FaultRunResult {
 /// The report of one fault-sweep cell: the raw run's honest outcome, and —
 /// when requested — the recovery-enabled run that is expected to restore
 /// oracle-exact convergence.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPointReport {
     /// Per-transmission drop probability of this cell.
     pub drop: f64,
@@ -328,8 +314,7 @@ impl FaultPointReport {
 /// The typed outcome of one
 /// [`ExperimentSpec`](bneck_workload::spec::ExperimentSpec) run: one kind's
 /// rows, tagged by experiment kind.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ExperimentReport {
     /// Experiment 1 points (Figure 5).
     Joins(Vec<Experiment1Point>),
@@ -387,7 +372,7 @@ pub struct SpecOutcome {
 }
 
 /// Renders a report into the text tables of the paper's figures.
-pub fn render_tables(report: &ExperimentReport) -> Vec<Table> {
+pub(crate) fn render_tables(report: &ExperimentReport) -> Vec<Table> {
     match report {
         ExperimentReport::Joins(points) => {
             let mut left = Table::new(

@@ -164,7 +164,6 @@ fn fault_sweep_is_bit_identical_at_any_thread_count_and_repeat() {
 /// in `run_until`). Session planning is sequential and reads no environment;
 /// only the sweep runner's `from_env` reads `BNECK_THREADS`. The test sets
 /// the variable and hands the runner the same count explicitly.
-#[cfg(feature = "serde")]
 #[test]
 fn scale_reports_are_byte_identical_at_any_planner_thread_count() {
     use bneck_workload::spec::ScaleSpec;

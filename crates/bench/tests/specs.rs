@@ -14,8 +14,6 @@
 //! field order there too, so the fixtures survive a swap to the real
 //! crates.)
 
-#![cfg(feature = "serde")]
-
 use bneck_workload::spec::{ExperimentSpec, PAPER_FULL, PRESET_NAMES};
 use std::path::{Path, PathBuf};
 

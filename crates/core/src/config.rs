@@ -2,8 +2,6 @@
 
 use crate::recovery::RecoveryConfig;
 use bneck_net::Delay;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of a [`crate::harness::BneckSimulation`].
 ///
@@ -12,14 +10,12 @@ use serde::{Deserialize, Serialize};
 /// [`CONTROL_PACKET_BITS`](crate::world::CONTROL_PACKET_BITS) long, and every
 /// rate comparison uses the default [`Tolerance`](bneck_maxmin::Tolerance).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BneckConfig {
     /// When set, protocol packets travel inside sequenced, acknowledged and
     /// retransmitted frames (see [`crate::recovery`]), making the protocol
     /// correct over lossy, duplicating or reordering channels. `None` (the
     /// default) is paper mode: channels are assumed reliable and the hot path
     /// carries no recovery machinery.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub recovery: Option<RecoveryConfig>,
 }
 

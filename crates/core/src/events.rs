@@ -20,14 +20,11 @@
 use crate::packet::PacketKind;
 use bneck_maxmin::{Rate, SessionId};
 use bneck_sim::SimTime;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Why an `API.Rate` notification fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RateCause {
     /// First rate delivered to this incarnation of the session after its
     /// `API.Join`.
@@ -44,7 +41,6 @@ pub enum RateCause {
 
 /// One `API.Rate(s, r)` invocation, as delivered to [`Subscriber`]s.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RateEvent {
     /// Simulated time of the notification.
     pub at: SimTime,

@@ -34,8 +34,6 @@ use bneck_sim::{
     Address, ChannelId, Context, Engine, FaultCounters, FaultPlan, RunReport, ScheduleCursor,
     SimTime, World,
 };
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -82,7 +80,6 @@ enum Payload {
 /// with [`UnknownSession`], which is its own type — callers match exactly the
 /// failures an operation can produce instead of a shared catch-all.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum JoinError {
     /// No path exists between the requested source and destination hosts.
     NoPath {
@@ -127,7 +124,6 @@ impl std::error::Error for JoinError {}
 
 /// Error returned by `API.Leave` and `API.Change`: the session is not active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct UnknownSession(pub SessionId);
 
 impl fmt::Display for UnknownSession {
@@ -171,7 +167,6 @@ impl From<SessionHandle> for SessionId {
 
 /// Summary of a run to quiescence.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct QuiescenceReport {
     /// Whether the run actually reached quiescence (always `true` for
     /// [`BneckSimulation::run_to_quiescence`], may be `false` for horizon

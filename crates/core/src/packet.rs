@@ -2,14 +2,11 @@
 
 use bneck_maxmin::{Rate, SessionId};
 use bneck_net::LinkId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The `τ` field of a [`Packet::Response`]: the next action the source node
 /// must perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ResponseKind {
     /// A plain answer to a Probe cycle carrying the granted rate.
     Response,
@@ -26,7 +23,6 @@ pub enum ResponseKind {
 /// session's path); `Response`, `Update` and `Bottleneck` travel *upstream*
 /// (along the reverse path).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Packet {
     /// Announces a new session and acts as the first Probe of its Probe cycle.
     /// `rate` is the estimated bottleneck rate `λ` gathered so far and
@@ -146,7 +142,6 @@ impl fmt::Display for Packet {
 /// The seven packet kinds, used as keys for packet accounting (Figure 6 of the
 /// paper breaks down control traffic by these kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PacketKind {
     /// A `Join` packet.
     Join,

@@ -63,13 +63,11 @@ use crate::packet::Packet;
 use bneck_maxmin::{IdSlotMap, SessionId};
 use bneck_net::{Delay, LinkId};
 use bneck_sim::SimTime;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Tunables of the recovery layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RecoveryConfig {
     /// The retransmission timeout. Must comfortably exceed one data + ack
     /// round trip of the slowest lane, or spurious retransmissions (harmless
@@ -118,8 +116,7 @@ pub struct PendingFrame {
 
 /// Counters of the recovery layer's work, for reports and overhead
 /// measurements.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecoveryStats {
     /// Sequenced data frames sent (first transmissions only).
     pub frames_sent: u64,

@@ -1,8 +1,7 @@
 //! Packet accounting.
 
 use crate::packet::PacketKind;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -11,8 +10,7 @@ use std::ops::{Add, AddAssign};
 /// Following the paper, "every packet sent across a link is accounted for":
 /// the harness records one count per link traversal, so a Probe cycle of a
 /// session with a path of `h` links contributes `2h` packets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PacketStats {
     counts: [u64; 7],
 }

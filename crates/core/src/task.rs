@@ -9,12 +9,9 @@
 
 use crate::packet::Packet;
 use bneck_maxmin::{Rate, SessionId};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Per-session probe state at a link (`μ_e^s` in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ProbeState {
     /// No probe activity pending for this session at this link.
     #[default]
@@ -36,7 +33,6 @@ impl ProbeState {
 
 /// An effect produced by a task handler.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Action {
     /// Send a packet downstream (towards the session's destination).
     SendDownstream(Packet),

@@ -15,12 +15,9 @@ use crate::rate::{Rate, Tolerance};
 use crate::session::{Allocation, SessionId, SessionSet};
 use crate::workspace::{SolverWorkspace, NONE};
 use bneck_net::{LinkId, Network};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// The bottleneck structure of one link in the max-min fair allocation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LinkBottleneck {
     /// The link this entry describes.
     pub link: LinkId,
@@ -44,7 +41,6 @@ impl LinkBottleneck {
 /// Result of a centralized B-Neck computation: the allocation plus the
 /// per-link bottleneck structure.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CentralizedSolution {
     /// The max-min fair rate of every session.
     pub allocation: Allocation,

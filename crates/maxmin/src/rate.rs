@@ -7,8 +7,6 @@
 //! repository goes through a [`Tolerance`], a single policy point combining a
 //! relative and an absolute epsilon.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A transmission rate in bits per second.
@@ -19,7 +17,6 @@ pub type Rate = f64;
 /// The maximum rate requested by a session (`r_s` in the paper), which may be
 /// unlimited (the paper's "maximum rate ∞").
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RateLimit(f64);
 
 impl RateLimit {
@@ -89,7 +86,6 @@ impl fmt::Display for RateLimit {
 /// assert!(!tol.lt(1e8, 1e8 + 1e-3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Tolerance {
     /// Relative epsilon.
     pub rel: f64,

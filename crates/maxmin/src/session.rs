@@ -2,8 +2,6 @@
 
 use crate::rate::{Rate, RateLimit};
 use bneck_net::{LinkId, Path};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,7 +11,6 @@ use std::fmt;
 /// generator uses consecutive integers); they only need to be unique among
 /// concurrently active sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SessionId(pub u64);
 
 impl fmt::Display for SessionId {
@@ -25,7 +22,6 @@ impl fmt::Display for SessionId {
 /// A session: a static path from a source host to a destination host plus the
 /// maximum rate the session requests.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Session {
     id: SessionId,
     path: Path,
@@ -63,7 +59,6 @@ impl Session {
 /// The sessions crossing one link, kept as parallel identifier / arena-slot
 /// arrays so that callers can pick whichever representation is cheaper.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 struct LinkSessions {
     ids: Vec<SessionId>,
     slots: Vec<u32>,
@@ -85,7 +80,6 @@ struct LinkSessions {
 /// ([`sessions_on_link`](SessionSet::sessions_on_link)) and arena slots
 /// (`slots_on_link`, for this crate's solvers).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SessionSet {
     /// Dense arena; `None` marks a reusable vacant slot.
     slots: Vec<Option<Session>>,
@@ -273,7 +267,6 @@ impl Extend<Session> for SessionSet {
 
 /// A rate allocation: the rate assigned to each session.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Allocation {
     rates: BTreeMap<SessionId, Rate>,
 }

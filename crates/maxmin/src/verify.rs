@@ -14,14 +14,11 @@
 use crate::rate::{Rate, Tolerance};
 use crate::session::{Allocation, SessionId, SessionSet};
 use bneck_net::{LinkId, Network};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A violation of the max-min fairness conditions (or a disagreement between
 /// two allocations).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Violation {
     /// A session has no assigned rate.
     MissingRate {

@@ -4,13 +4,10 @@
 use crate::percentile::Summary;
 use bneck_maxmin::{Allocation, CentralizedSolution, SessionId};
 use bneck_sim::SimTime;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One sampling instant of an error distribution: the summary statistics of
 /// the per-session (or per-link) relative errors at that time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ErrorSample {
     /// When the sample was taken.
     pub at: SimTime,

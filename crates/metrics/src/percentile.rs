@@ -1,7 +1,6 @@
 //! Order statistics used by the error-distribution figures.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics, or `None` for an empty slice.
@@ -29,8 +28,7 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
 
 /// The five summary statistics reported for each sample instant in Figure 7:
 /// 10th percentile, median, mean, 90th percentile, plus the sample count.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

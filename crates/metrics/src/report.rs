@@ -1,7 +1,5 @@
 //! Plain-text table rendering for the experiment binaries.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple column-aligned table that can also be emitted as CSV.
@@ -20,7 +18,6 @@ use std::fmt;
 /// assert!(table.to_csv().starts_with("sessions,"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Table {
     title: String,
     headers: Vec<String>,

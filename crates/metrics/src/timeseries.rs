@@ -3,15 +3,13 @@
 use bneck_core::{PacketKind, PacketStats, RateEvent, Subscriber};
 use bneck_net::Delay;
 use bneck_sim::SimTime;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::{Arc, Mutex};
 
 /// Packet counts aggregated in fixed-size time intervals, broken down by
 /// packet kind — the data behind Figure 6 ("packets of each type transmitted,
 /// aggregated in time intervals of 5 milliseconds") and Figure 8.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PacketTimeSeries {
     interval: Delay,
     bins: Vec<PacketStats>,

@@ -1,7 +1,5 @@
 //! Link capacity expressed in bits per second.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -21,7 +19,6 @@ use std::ops::{Add, Div, Mul, Sub};
 /// assert_eq!(c.as_mbps(), 100.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Capacity(f64);
 
 impl Capacity {

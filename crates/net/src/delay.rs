@@ -1,7 +1,6 @@
 //! Propagation delay of a link, in nanoseconds.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, Mul};
 
@@ -19,8 +18,7 @@ use std::ops::{Add, Mul};
 /// assert_eq!(d.as_nanos(), 1_000);
 /// assert_eq!(Delay::from_millis(10).as_micros(), 10_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Delay(u64);
 
 impl Delay {

@@ -3,8 +3,6 @@
 
 use crate::capacity::Capacity;
 use crate::delay::Delay;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,7 +11,6 @@ use std::fmt;
 /// Node identifiers are dense indices assigned by the [`NetworkBuilder`] in
 /// insertion order, so they can be used to index per-node vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -35,7 +32,6 @@ impl fmt::Display for NodeId {
 /// be used to index per-link vectors (the B-Neck `RouterLink` tasks are stored
 /// that way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -53,7 +49,6 @@ impl fmt::Display for LinkId {
 
 /// Hierarchy level of a router in a transit–stub topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum RouterLevel {
     /// Backbone (transit domain) router.
     Transit,
@@ -63,7 +58,6 @@ pub enum RouterLevel {
 
 /// The role of a node in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NodeKind {
     /// An interior router; sessions only traverse routers.
     Router(RouterLevel),
@@ -86,7 +80,6 @@ impl NodeKind {
 
 /// A node of the network graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -112,7 +105,6 @@ impl Node {
 
 /// A directed, capacitated link of the network graph.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Link {
     id: LinkId,
     src: NodeId,
@@ -154,7 +146,6 @@ impl Link {
 /// (the paper keeps the physical network fixed and only varies the session
 /// population).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -2,8 +2,6 @@
 //! destination host.
 
 use crate::graph::{LinkId, Network, NodeId};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The static path `π(s)` of a session: the ordered list of directed links
@@ -16,10 +14,7 @@ use std::sync::Arc;
 /// The link and node sequences are stored in shared `Arc` slices, so cloning
 /// a path (the workload planner, the harness and the oracle's session-set
 /// snapshots all keep one) is two reference-count bumps, not a deep copy.
-/// (With the real `serde` enabled, `Arc<[T]>` serialization needs serde's
-/// `rc` feature.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Path {
     links: Arc<[LinkId]>,
     nodes: Arc<[NodeId]>,

@@ -15,15 +15,12 @@ pub mod transit_stub;
 use crate::capacity::Capacity;
 use crate::delay::Delay;
 use rand::Rng;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// Capacity plan for the three classes of links in a transit–stub topology.
 ///
 /// The defaults follow the paper: 100 Mbps between hosts and stub routers,
 /// 200 Mbps between stub routers, and 500 Mbps on transit routers' links.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LinkPlan {
     /// Capacity of host ↔ stub-router links.
     pub host_access: Capacity,
@@ -50,7 +47,6 @@ impl Default for LinkPlan {
 /// * **WAN** — router-to-router links get a delay drawn uniformly at random
 ///   in 1–10 ms; host access links keep a 1 µs delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum DelayModel {
     /// Fixed 1 µs propagation delay on every link.
     Lan,

@@ -20,12 +20,9 @@ use crate::graph::{Network, NetworkBuilder, NodeId, RouterLevel};
 use crate::topology::{DelayModel, LinkPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// The three network sizes evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NetworkSize {
     /// 110 routers (10 transit + 100 stub).
     Small,
@@ -86,7 +83,6 @@ impl std::fmt::Display for NetworkSize {
 /// assert_eq!(net.host_count(), 200);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TransitStubConfig {
     /// Number of transit domains.
     pub transit_domains: usize,

@@ -8,13 +8,10 @@
 
 use crate::time::SimTime;
 use bneck_net::Delay;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a channel registered with an [`crate::Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {
@@ -32,7 +29,6 @@ impl fmt::Display for ChannelId {
 
 /// Static description of a channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ChannelSpec {
     /// Bandwidth in bits per second used to compute transmission times.
     pub bandwidth_bps: f64,

@@ -6,8 +6,6 @@ use crate::explore::ScheduleCursor;
 use crate::fault::{self, FaultCounters, FaultPlan, FaultState};
 use crate::time::SimTime;
 use bneck_net::Delay;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An opaque endpoint that can receive messages.
@@ -15,7 +13,6 @@ use std::fmt;
 /// The protocol harness decides what addresses mean (in the B-Neck harness,
 /// every directed link task and every source/destination task gets one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Address(pub u32);
 
 impl Address {
@@ -149,7 +146,6 @@ impl<'a, M> Context<'a, M> {
 
 /// Summary of an [`Engine::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct RunReport {
     /// Number of events delivered to the world during this run.
     pub events_processed: u64,

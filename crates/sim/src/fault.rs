@@ -14,8 +14,7 @@
 //! externally injected API events model local computation, not network
 //! delivery, and are never perturbed.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A seeded description of how unreliable every channel is.
 ///
@@ -24,7 +23,6 @@ use serde::{Deserialize, Serialize};
 /// propagation), so a delayed packet can be overtaken by at most roughly
 /// `reorder_window` later packets on the same channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultPlan {
     /// Seed from which every per-packet decision is derived.
     pub seed: u64,
@@ -75,8 +73,7 @@ impl FaultPlan {
 
 /// Per-channel counters of the faults actually injected, for reports: a
 /// failing faulty run must be diagnosable from its artifacts alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultCounters {
     /// Messages accepted by the transmitter but never delivered.
     pub dropped: u64,

@@ -1,8 +1,6 @@
 //! Simulated time.
 
 use bneck_net::Delay;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -23,7 +21,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t - SimTime::from_micros(1_000), Delay::from_millis(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -53,7 +53,10 @@ impl<'a> DynamicsPlanner<'a> {
     /// can immediately be reused by a new session within the same phase.
     ///
     /// Returns the schedule of the phase. Fewer events than requested are
-    /// planned when there are not enough free source hosts or active sessions.
+    /// planned when there are not enough free source hosts or active
+    /// sessions; no spec can ask for that, since
+    /// [`ExperimentSpec::check`](crate::spec::ExperimentSpec::check) rejects
+    /// one whose topology or population is too small for its phases.
     pub fn phase(
         &mut self,
         start: SimTime,

@@ -15,13 +15,10 @@ use crate::spec::{AccuracySpec, ChurnSpec};
 use bneck_net::{Delay, Network};
 use bneck_sim::SimTime;
 use rand::Rng;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A join burst: many sessions join simultaneously; measure the time to
 /// quiescence and the control traffic (Experiment 1, Figure 5).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Experiment1Config {
     /// The network scenario to run on.
     pub scenario: NetworkScenario,

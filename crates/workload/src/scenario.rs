@@ -2,8 +2,6 @@
 
 use bneck_net::topology::transit_stub::{paper_network, NetworkSize};
 use bneck_net::{DelayModel, Network};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A network scenario: a transit–stub topology size, a delay model (LAN or
 /// WAN) and a host count.
@@ -12,7 +10,6 @@ use serde::{Deserialize, Serialize};
 /// networks in both LAN (1 µs links) and WAN (1–10 ms links) flavours, with up
 /// to 600,000 hosts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NetworkScenario {
     /// Topology size class.
     pub size: NetworkSize,

@@ -5,12 +5,9 @@ use bneck_core::BneckSimulation;
 use bneck_maxmin::{RateLimit, SessionId};
 
 use bneck_sim::SimTime;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// One workload action (an invocation of an API primitive).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum WorkloadEvent {
     /// `API.Join(s, r)` for a planned session (the request carries the
     /// already-routed path, so targets need not repeat the shortest-path
@@ -35,7 +32,6 @@ pub enum WorkloadEvent {
 
 /// A workload event with the time at which it is injected.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TimedEvent {
     /// Injection time.
     pub at: SimTime,
@@ -45,7 +41,6 @@ pub struct TimedEvent {
 
 /// Counters of how a schedule was applied to a harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ApplyStats {
     /// Join events accepted.
     pub joins: usize,
@@ -105,7 +100,6 @@ impl ScheduleTarget for BneckSimulation<'_> {
 /// permutation when pushes arrived out of order. Equal timestamps keep their
 /// push order, as before.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Schedule {
     events: Vec<TimedEvent>,
     /// `true` while `events` is non-decreasing in time (pushes appended in

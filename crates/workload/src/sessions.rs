@@ -5,13 +5,11 @@ use bneck_net::{Network, NodeId, Path, Router};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Policy for choosing the maximum requested rate of planned sessions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LimitPolicy {
     /// Every session requests an unlimited rate (`r_s = ∞`).
     Unlimited,
@@ -53,7 +51,6 @@ impl LimitPolicy {
 /// [`Path`] directly instead of re-running the shortest-path search the
 /// planner already performed (paths clone by reference count).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SessionRequest {
     /// The session identifier the planner assigned.
     pub session: SessionId,

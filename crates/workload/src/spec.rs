@@ -20,10 +20,8 @@ use crate::protocol::Baseline;
 use crate::scenario::NetworkScenario;
 use crate::sessions::LimitPolicy;
 use bneck_net::Delay;
-use std::fmt;
-
-#[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Error produced when a spec does not resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,8 +62,7 @@ fn checked_delay(value: u64, unit_ns: u64, field: &'static str) -> Result<Delay,
 
 /// A topology reference: a preset name plus the host count and topology
 /// seed to instantiate it with.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Preset name (`small/lan`, `medium/wan`, ...).
     pub preset: String,
@@ -90,8 +87,13 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::UnknownTopology`] when no preset has that name.
+    /// [`SpecError::UnknownTopology`] when no preset has that name,
+    /// [`SpecError::Invalid`] on fewer than two hosts (a session needs a
+    /// source and a distinct destination).
     pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
+        if self.hosts < 2 {
+            return Err(SpecError::Invalid("hosts"));
+        }
         NetworkScenario::preset(&self.preset, self.hosts)
             .map(|scenario| scenario.with_seed(self.seed))
             .ok_or_else(|| SpecError::UnknownTopology(self.preset.clone()))
@@ -99,8 +101,7 @@ impl ScenarioSpec {
 }
 
 /// What the driver should emit for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutputSpec {
     /// Print the human-readable text tables.
     pub tables: bool,
@@ -123,8 +124,7 @@ impl Default for OutputSpec {
 
 /// One declarative experiment: a name, the experiment kind with its
 /// parameters, and the output selection.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentSpec {
     /// Display name (also the preset name for shipped specs).
     pub name: String,
@@ -135,8 +135,7 @@ pub struct ExperimentSpec {
 }
 
 /// The workload families of the paper's evaluation.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExperimentKind {
     /// Experiment 1 (Figure 5): simultaneous joins, time to quiescence and
     /// control traffic over a (topology × session-count) sweep.
@@ -176,8 +175,7 @@ impl ExperimentKind {
 
 /// Experiment 1 as data: a (topology preset × session count) sweep of
 /// simultaneous-join runs.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JoinsSpec {
     /// Topology preset names (resolved by [`NetworkScenario::preset`]).
     pub topologies: Vec<String>,
@@ -207,8 +205,9 @@ impl JoinsSpec {
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] on unresolvable
     /// or empty inputs, [`SpecError::Invalid`] on a zero session count, a
-    /// host count that overflows `usize` or a join window too long to count
-    /// in nanoseconds.
+    /// host count that overflows `usize` or is below the session count (every
+    /// session needs its own source host), or a join window too long to
+    /// count in nanoseconds.
     pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
@@ -228,6 +227,9 @@ impl JoinsSpec {
                     .checked_mul(sessions)
                     .ok_or(SpecError::Invalid("hosts_per_session"))?
                     .max(self.min_hosts);
+                if hosts < sessions {
+                    return Err(SpecError::Invalid("hosts_per_session"));
+                }
                 let scenario = ScenarioSpec {
                     preset: preset.clone(),
                     hosts,
@@ -248,8 +250,7 @@ impl JoinsSpec {
 }
 
 /// Experiment 2 as data: the five-phase churn workload, with repeats.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnSpec {
     /// The network to run on.
     pub topology: ScenarioSpec,
@@ -273,12 +274,21 @@ impl ChurnSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Invalid`] on
-    /// unresolvable or degenerate inputs, a change window included.
+    /// unresolvable or degenerate inputs, a change window included. The
+    /// topology needs a source host per initial session, and the "change"
+    /// and "mixed" phases draw `2 * churn` distinct sessions from the
+    /// initial population.
     pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
         if self.repeats == 0 {
             return Err(SpecError::Invalid("repeats"));
         }
         let scenario = self.topology.resolve()?;
+        if self.topology.hosts < self.initial_sessions {
+            return Err(SpecError::Invalid("hosts"));
+        }
+        if self.churn > self.initial_sessions / 2 {
+            return Err(SpecError::Invalid("churn"));
+        }
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
         Ok(scenario)
     }
@@ -286,8 +296,7 @@ impl ChurnSpec {
 
 /// Experiment 3 as data: joins plus early leaves, sampled against the
 /// oracle's rates, for B-Neck and the named baselines.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccuracySpec {
     /// The network to run on.
     pub topology: ScenarioSpec,
@@ -316,13 +325,20 @@ impl AccuracySpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
-    /// [`SpecError::Invalid`] on a zero sample interval or a duration too
-    /// long to count in nanoseconds.
+    /// [`SpecError::Invalid`] on fewer hosts than joins, more leaves than
+    /// joins, a zero sample interval or a duration too long to count in
+    /// nanoseconds.
     pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
         if self.sample_interval_us == 0 {
             return Err(SpecError::Invalid("sample_interval_us"));
         }
         let scenario = self.topology.resolve()?;
+        if self.topology.hosts < self.joins {
+            return Err(SpecError::Invalid("hosts"));
+        }
+        if self.leaves > self.joins {
+            return Err(SpecError::Invalid("leaves"));
+        }
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
         checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?;
         checked_delay(self.horizon_us, 1_000, "horizon_us")?;
@@ -348,8 +364,7 @@ impl AccuracySpec {
 /// The §IV validation methodology as data: every named topology × `runs`
 /// seeds, each with a randomized rate-limited workload
 /// ([`VALIDATION_LIMITS`], joining within 1 ms).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValidationSpec {
     /// Topology preset names.
     pub topologies: Vec<String>,
@@ -384,7 +399,7 @@ impl ValidationSpec {
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] /
     /// [`SpecError::Invalid`] on unresolvable or degenerate inputs, a host
-    /// count that overflows `usize` included.
+    /// count that overflows `usize` or is below the session count included.
     pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
@@ -399,10 +414,12 @@ impl ValidationSpec {
             .hosts_per_session
             .checked_mul(self.sessions)
             .ok_or(SpecError::Invalid("hosts_per_session"))?;
+        if hosts < self.sessions {
+            return Err(SpecError::Invalid("hosts_per_session"));
+        }
         let mut out = Vec::with_capacity(self.topologies.len() * self.runs);
         for preset in &self.topologies {
-            let base = NetworkScenario::preset(preset, hosts)
-                .ok_or_else(|| SpecError::UnknownTopology(preset.clone()))?;
+            let base = ScenarioSpec::new(preset.clone(), hosts).resolve()?;
             for i in 0..self.runs as u64 {
                 out.push(Experiment1Config {
                     scenario: base.with_seed(self.topo_seed_base.wrapping_add(i)),
@@ -420,8 +437,7 @@ impl ValidationSpec {
 /// Paper-scale runs as data: a list of session counts, each lowered through
 /// [`Experiment1Config::paper_scale`] (Medium LAN with one source host per
 /// session plus headroom).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleSpec {
     /// The session counts to run.
     pub sessions: Vec<usize>,
@@ -453,7 +469,6 @@ impl ScaleSpec {
 
 /// One cell of a fault sweep's (drop × duplicate) grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultPoint {
     /// Per-transmission drop probability.
     pub drop: f64,
@@ -467,8 +482,7 @@ pub struct FaultPoint {
 /// converged/stuck/wrong-rates outcome) and, when `with_recovery` is set,
 /// a second run with the retransmission layer enabled — which is expected to
 /// restore oracle-exact quiescent convergence at the price of the RTO tail.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSweepSpec {
     /// The network to run on.
     pub topology: ScenarioSpec,
@@ -506,11 +520,15 @@ impl FaultSweepSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
-    /// [`SpecError::Invalid`] on a join window too long to count in
-    /// nanoseconds.
+    /// [`SpecError::Invalid`] on fewer hosts than sessions or a join window
+    /// too long to count in nanoseconds.
     pub fn config(&self) -> Result<Experiment1Config, SpecError> {
+        let scenario = self.topology.resolve()?;
+        if self.topology.hosts < self.sessions {
+            return Err(SpecError::Invalid("hosts"));
+        }
         Ok(Experiment1Config {
-            scenario: self.topology.resolve()?,
+            scenario,
             sessions: self.sessions,
             join_window: checked_delay(self.join_window_us, 1_000, "join_window_us")?,
             limits: self.limits,
@@ -737,8 +755,9 @@ impl ExperimentSpec {
     }
 
     /// Checks the spec without running anything: all topology presets
-    /// resolve, all baseline names are [`Baseline`]s, and no required list is
-    /// empty.
+    /// resolve, all baseline names are [`Baseline`]s, no required list is
+    /// empty, and every topology has a source host for each session it
+    /// plans, so no run comes up short.
     ///
     /// # Errors
     ///
@@ -762,7 +781,7 @@ impl ExperimentSpec {
                 spec.configs()?;
             }
             ExperimentKind::FaultSweep(spec) => {
-                spec.topology.resolve()?;
+                spec.config()?;
                 spec.points()?;
             }
         }
@@ -923,6 +942,11 @@ mod tests {
         const HOSTS: usize = usize::MAX / 2 + 1;
         // One field set to an absurd value; the error must name that field.
         macro_rules! absurd {
+            ($kind:ident($base:expr).topology.hosts = $value:expr) => {{
+                let mut spec = $base.clone();
+                spec.topology.hosts = $value;
+                (K::$kind(spec), "hosts")
+            }};
             ($kind:ident($base:expr).$field:ident = $value:expr) => {{
                 let mut spec = $base.clone();
                 spec.$field = $value;
@@ -948,6 +972,18 @@ mod tests {
             absurd!(FaultSweep(faults).join_window_us = US),
             absurd!(FaultSweep(faults).rto_us = US),
             absurd!(FaultSweep(faults).horizon_ms = MS),
+            // Too few hosts for the sessions planned: each needs its own
+            // source host, and a topology needs two hosts at all.
+            absurd!(Joins(joins).hosts_per_session = 0),
+            absurd!(Validation(validation).hosts_per_session = 0),
+            absurd!(Churn(churn).topology.hosts = 20),
+            absurd!(Churn(churn).topology.hosts = 1),
+            absurd!(Accuracy(accuracy).topology.hosts = 20),
+            absurd!(FaultSweep(faults).topology.hosts = 4),
+            // Churn phases draw leaves and changes from one pool without
+            // overlap; leaves come from the joined sessions.
+            absurd!(Churn(churn).churn = 151),
+            absurd!(Accuracy(accuracy).leaves = 251),
         ];
         // Seeds wrap instead of overflowing: the last base seed still lowers.
         let mut wraps = joins.clone();
