@@ -9,7 +9,7 @@
 //! oracle. The report's `mismatches` count is the demo's verdict — CI greps
 //! for `mismatches=0`.
 
-use crate::runtime::{ClusterPlan, NodeConfig, NodeRuntime, SilenceTimeout};
+use crate::runtime::{wall_now, ClusterPlan, NodeConfig, NodeRuntime, SilenceTimeout};
 use crate::transport::{channel_mesh, tcp_mesh, Transport};
 use bneck_core::{RecoveryConfig, RecoveryStats};
 use bneck_maxmin::{compare_allocations, CentralizedBneck, RateLimit, SessionId, Tolerance};
@@ -84,12 +84,14 @@ pub struct ClusterReport {
     pub frames: u64,
     /// Throughput over the join → silent interval.
     pub frames_per_sec: f64,
-    /// Transport writes the nodes made, summed (the coordinator's one write
-    /// per API call is not in it): `frames / writes` is the batching reached.
+    /// Transport writes the nodes made, summed (the coordinator's few writes
+    /// of the join burst are not in it): `frames / writes` is the batching
+    /// reached.
     pub writes: u64,
     /// Blobs the nodes received, summed.
     pub blobs: u64,
-    /// Wall time from the first join frame to the counters first matching.
+    /// Wall time from the first join frame to the counters first matching:
+    /// the burst's injection plus the wait for silence, settle excluded.
     pub join_to_silent: Duration,
     /// Sessions whose final notified rate disagrees with the centralized
     /// max-min oracle (plus sessions missing a notification).
@@ -249,9 +251,11 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         recovery: spec.recovery,
     };
     let mut runtime = NodeRuntime::spawn(plan, endpoints, config);
+    let first_join = wall_now();
     runtime.join_all();
+    let injected = first_join.elapsed();
     let join_to_silent = match runtime.await_silence(spec.settle, spec.timeout) {
-        Ok(latency) => latency,
+        Ok(latency) => injected + latency,
         Err(timeout) => {
             runtime.shutdown();
             return Err(ClusterError::Timeout(timeout));

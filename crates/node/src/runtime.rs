@@ -90,7 +90,7 @@ use std::time::{Duration, Instant};
     clippy::disallowed_methods,
     reason = "the node runtime runs on wall-clock time by design; timers and latency reports are real-time quantities"
 )]
-fn wall_now() -> Instant {
+pub(crate) fn wall_now() -> Instant {
     Instant::now()
 }
 
@@ -675,7 +675,8 @@ impl NodeRuntime {
     }
 
     /// Sends one API frame from the coordinator to the node owning the
-    /// slot's source task: one write per call.
+    /// slot's source task, in a write of its own: a single call waits on
+    /// nothing else.
     fn send_api(&mut self, slot: u32, frame: WireFrame) {
         self.out.push(self.plan.source_owner(slot), &frame);
         self.out.flush().expect("coordinator send to a live node");
@@ -687,13 +688,18 @@ impl NodeRuntime {
         self.send_api(slot, WireFrame::Join { slot, limit });
     }
 
-    /// Issues `API.Join` for every slot of the plan, in slot order — one
-    /// write each: handed over as one block per node, the joins redo more
-    /// protocol work before the first cross-node frame arrives.
+    /// Issues `API.Join` for every slot of the plan, in slot order, as one
+    /// buffered write per node; a burst past the 64 KiB buffer leaves in a
+    /// few. Under the per-frame drain a node runs every join of a write, with
+    /// its local cascade, before any cross-node frame queued behind it: a
+    /// burst that fits one write is wholly local first.
     pub fn join_all(&mut self) {
         for slot in 0..self.plan.slot_count() as u32 {
-            self.join(slot);
+            let limit = self.plan.limit(slot);
+            let frame = WireFrame::Join { slot, limit };
+            self.out.push(self.plan.source_owner(slot), &frame);
         }
+        self.out.flush().expect("coordinator send to a live node");
     }
 
     /// Issues `API.Leave` for `slot`.
@@ -851,6 +857,57 @@ mod tests {
         }
         assert!(bytes.is_empty(), "only whole frames are ever written");
         frames
+    }
+
+    #[test]
+    fn the_join_burst_leaves_in_one_write_per_node() {
+        // A four-router chain on two nodes: sources sit on routers 0–2, so
+        // both nodes own some, and 40 joins fit one 64 KiB buffer.
+        let spec = crate::cluster::ClusterSpec {
+            routers: 4,
+            sessions: 40,
+            ..crate::cluster::ClusterSpec::default()
+        };
+        let (network, sessions) = crate::cluster::build_cluster_topology(&spec);
+        let plan = Arc::new(ClusterPlan::new(
+            &network,
+            &sessions,
+            2,
+            Tolerance::default(),
+        ));
+        let shared = Arc::new(Shared::new(plan.slot_count()));
+        // The coordinator alone, with no workers: the nodes' endpoints stay
+        // here to be read.
+        let mut mesh = channel_mesh(3);
+        let coordinator = Box::new(mesh.pop().unwrap());
+        let mut runtime = NodeRuntime {
+            out: Outbox::new(2, &plan, &shared, coordinator),
+            plan: Arc::clone(&plan),
+            shared,
+            handles: Vec::new(),
+            events: Vec::new(),
+        };
+        runtime.join_all();
+        let owned = |node| -> Vec<u32> {
+            let slots = 0..plan.slot_count() as u32;
+            slots
+                .filter(|&slot| plan.source_owner(slot) == node)
+                .collect()
+        };
+        assert!(!owned(0).is_empty() && !owned(1).is_empty());
+        assert_eq!(runtime.out.writes, 2, "one write per node owning a source");
+        assert_eq!(runtime.frames_sent(), plan.slot_count() as u64);
+        for (node, endpoint) in mesh.iter_mut().enumerate() {
+            let blob = endpoint.recv_blob(Duration::ZERO).unwrap().unwrap();
+            let joins: Vec<_> = owned(node)
+                .into_iter()
+                .map(|slot| WireFrame::Join {
+                    slot,
+                    limit: plan.limit(slot),
+                })
+                .collect();
+            assert_eq!(blob, encoded(2, &joins), "node {node}'s first blob");
+        }
     }
 
     /// Hands the worker one encoded frame, as the transport would.
