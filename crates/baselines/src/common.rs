@@ -9,8 +9,8 @@
 //! so the probing never stops — the defining contrast with B-Neck.
 //!
 //! The harness is built on the same shared world plumbing as the B-Neck
-//! harness (`bneck_core::world`): a [`LinkTable`] of per-link channels,
-//! capacities and reverse channels, and a [`SessionArena`] assigning dense
+//! harness (`bneck_core::world`): a [`LinkTable`] of per-link channels and
+//! capacities, and a [`SessionArena`] assigning dense
 //! session slots with slot + hop envelope addressing and a cached
 //! `Arc<SessionSet>` oracle snapshot. Only the per-slot *protocol* state
 //! (probing flag, demand, adopted rate) and the per-link controllers are
@@ -141,8 +141,7 @@ struct BaselineWorld<P: BaselineProtocol> {
     /// Controller of each directed link, indexed by `LinkId::index()`;
     /// created lazily when the first probe crosses the link.
     controllers: Vec<Option<P::Controller>>,
-    /// Channels, capacities and the reverse-channel table, indexed by
-    /// `LinkId`.
+    /// Channels and capacities, indexed by `LinkId`.
     links: LinkTable,
     /// The shared session-slot arena: id ↔ slot, paths, limits, active set
     /// and the cached oracle snapshot.
@@ -292,7 +291,7 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                 self.subscribers
                     .note_packet(ctx.now(), PacketKind::Response);
                 ctx.send(
-                    self.links.reverse_channel(forward),
+                    self.links.channel(forward.reverse()),
                     Address(0),
                     Message::Response {
                         slot,
@@ -402,7 +401,8 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     }
 
     /// Starts a session at time `at` between two hosts. Returns `false` if no
-    /// path exists or the identifier is already in use by an active session.
+    /// path exists (the endpoints are not two connected hosts) or the
+    /// identifier is already in use by an active session.
     pub fn join(
         &mut self,
         at: SimTime,
@@ -816,6 +816,17 @@ mod tests {
             hosts[0],
             RateLimit::unlimited()
         ));
+        // A router is not a session endpoint.
+        let router = net.routers().next().unwrap().id();
+        for (source, destination) in [(router, hosts[1]), (hosts[0], router)] {
+            assert!(!sim.join(
+                SimTime::ZERO,
+                SessionId(0),
+                source,
+                destination,
+                RateLimit::unlimited()
+            ));
+        }
         assert!(sim.join(
             SimTime::ZERO,
             SessionId(0),

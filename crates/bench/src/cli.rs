@@ -62,8 +62,8 @@ RUN OPTIONS:
     --no-csv              suppress the CSV renderings
 
 NODE OPTIONS (multi-node loopback cluster, no simulator):
-    --nodes N             worker threads to partition the topology over
-                          (default 4)
+    --nodes N             worker threads to partition the topology over,
+                          at most --routers (default 4)
     --sessions N          client sessions, one fresh host pair each
                           (default 1000)
     --routers N           routers in the trunk chain (default 8)
@@ -409,6 +409,14 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
             "`bneck node` needs --nodes in 1..=65535, --sessions >= 1, --routers >= 2".into(),
         );
     }
+    // Each node owns a block of routers and the hosts on them, so a node
+    // past the last router would own no task.
+    if spec.nodes > spec.routers {
+        return Err(format!(
+            "`bneck node` needs --nodes <= --routers, got --nodes {} and --routers {}",
+            spec.nodes, spec.routers
+        ));
+    }
     Ok(spec)
 }
 
@@ -618,7 +626,23 @@ mod tests {
                 "--nodes 4 --routers 8 --sessions 1000 --transport tcp",
                 None,
             ),
-            ("node", "--nodes 65535 --recovery --rto-ms 50", None),
+            (
+                "node",
+                "--nodes 65535 --routers 65535 --recovery --rto-ms 50",
+                None,
+            ),
+            ("node", "--nodes 2 --routers 2", None),
+            (
+                "node",
+                "--nodes 3 --routers 2",
+                Some("--nodes <= --routers"),
+            ),
+            (
+                "node",
+                "--nodes 4 --routers 2 --sessions 10 --transport channel",
+                Some("got --nodes 4 and --routers 2"),
+            ),
+            ("node", "--nodes 9", Some("--nodes <= --routers")),
             ("node", "--sesions 99", Some("unknown flag `--sesions`")),
             ("node", "--rto-ms 0", Some("--rto-ms")),
             ("node", "--recovery --rto-ms 0", Some("--rto-ms")),

@@ -81,7 +81,8 @@ enum Payload {
 /// failures an operation can produce instead of a shared catch-all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinError {
-    /// No path exists between the requested source and destination hosts.
+    /// No path exists between the requested source and destination: they
+    /// are the same host, not connected, or one of them is not a host.
     NoPath {
         /// The requested source host.
         source: NodeId,
@@ -195,7 +196,7 @@ impl From<RunReport> for QuiescenceReport {
 /// state (the channel of every link, the recovery lanes).
 struct BneckWorld {
     host: TaskHost,
-    /// Channels of the links and of their reverses, indexed by `LinkId`.
+    /// Channels and capacities of the links, indexed by `LinkId`.
     links: LinkTable,
     /// The recovery layer's sequencing/retransmission state, present only
     /// when [`BneckConfig::recovery`] is set. Boxed so paper-mode worlds pay
@@ -279,7 +280,7 @@ impl ChannelSink<'_, '_> {
                 // duplicate). Acks are consumed here, never routed to a
                 // task, so their target is a placeholder.
                 self.ctx.send(
-                    self.links.reverse_channel(link),
+                    self.links.channel(link.reverse()),
                     Address(0),
                     Envelope {
                         target: Target::Source(u32::MAX),
@@ -319,7 +320,7 @@ impl BneckWorld {
     fn new(network: &Network, engine: &mut Engine<Envelope>, config: BneckConfig) -> Self {
         let recovery = |rc| Box::new(RecoveryState::new(rc, network.link_count()));
         BneckWorld {
-            host: TaskHost::new(TaskHost::link_tables(network), Tolerance::default()),
+            host: TaskHost::new(TaskHost::link_capacities(network), Tolerance::default()),
             links: LinkTable::new(network, engine),
             recovery: config.recovery.map(recovery),
             armed: false,
@@ -430,7 +431,8 @@ impl<'a> BneckSimulation<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`JoinError::NoPath`] if the hosts are not connected and
+    /// Returns [`JoinError::NoPath`] if the endpoints are not two connected
+    /// hosts and
     /// [`JoinError::DuplicateSession`] if the identifier is already in use.
     pub fn join(
         &mut self,
@@ -951,6 +953,23 @@ mod tests {
                 destination: hosts[0]
             })
         );
+        // A router is not a session endpoint.
+        let router = net.routers().next().unwrap().id();
+        for (source, destination) in [(router, hosts[3]), (hosts[2], router)] {
+            assert_eq!(
+                sim.join(
+                    SimTime::ZERO,
+                    SessionId(1),
+                    source,
+                    destination,
+                    RateLimit::unlimited()
+                ),
+                Err(JoinError::NoPath {
+                    source,
+                    destination
+                })
+            );
+        }
         assert_eq!(
             sim.leave(SimTime::ZERO, SessionId(9)),
             Err(UnknownSession(SessionId(9)))

@@ -6,8 +6,8 @@
 //! reliable FIFO links (§II, Figures 2–4); nothing in that depends on what
 //! carries the packets. [`TaskHost`] is that host-independent part: it owns
 //! the [`RouterLink`], [`SourceNode`] and [`DestinationNode`] tasks, the
-//! [`SessionArena`] of slots and paths, the per-link capacity and reverse
-//! tables, the `API.Rate` cause tracking, the packet counters and the
+//! [`SessionArena`] of slots and paths, the per-link capacities, the
+//! `API.Rate` cause tracking, the packet counters and the
 //! observers, and it holds the only copy of task dispatch, API-call handling
 //! and next-hop routing. A handler's actions are carried out as it emits
 //! them: the host hands it an emitter that routes, counts and transmits each
@@ -105,8 +105,6 @@ pub struct TaskHost {
 /// writes: all of it but the tasks and the capacities they are built with.
 #[derive(Debug)]
 struct HostState {
-    /// Reverse of each directed link (`None` for one-way links), by `LinkId`.
-    reverse: Vec<Option<LinkId>>,
     /// Last notified rate per session slot; `NaN` = never notified / cleared.
     notified: Vec<Rate>,
     /// What a slot's *next* `API.Rate` notification means: `Joined` after a
@@ -119,23 +117,15 @@ struct HostState {
 }
 
 impl TaskHost {
-    /// What a host needs to know about `network`'s links: the capacity (bits
-    /// per second) and the reverse of each, both indexed by `LinkId`.
-    pub fn link_tables(network: &Network) -> (Vec<Rate>, Vec<Option<LinkId>>) {
-        let capacities = network.links().map(|l| l.capacity().as_bps()).collect();
-        let reverse = network
-            .links()
-            .map(|l| network.reverse_link(l.id()))
-            .collect();
-        (capacities, reverse)
+    /// What a host needs to know about `network`'s links: the capacity of
+    /// each in bits per second, indexed by `LinkId`.
+    pub fn link_capacities(network: &Network) -> Vec<Rate> {
+        network.links().map(|l| l.capacity().as_bps()).collect()
     }
 
-    /// A host over links with the given [`TaskHost::link_tables`], with no
-    /// session yet.
-    pub fn new(
-        (capacities, reverse): (Vec<Rate>, Vec<Option<LinkId>>),
-        tolerance: Tolerance,
-    ) -> Self {
+    /// A host over links with the given [`TaskHost::link_capacities`], with
+    /// no session yet.
+    pub fn new(capacities: Vec<Rate>, tolerance: Tolerance) -> Self {
         TaskHost {
             tolerance,
             router_links: capacities.iter().map(|_| None).collect(),
@@ -143,7 +133,6 @@ impl TaskHost {
             sources: Vec::new(),
             destinations: Vec::new(),
             state: HostState {
-                reverse,
                 notified: Vec::new(),
                 causes: Vec::new(),
                 arena: SessionArena::new(),
@@ -404,8 +393,7 @@ impl HostState {
     /// while it handled a packet of `origin_session`: the directed link the
     /// packet travels over and the task at its far end. `None` when there is no
     /// such hop — the session never joined, the origin is no longer on its path
-    /// (a stray packet of a previous incarnation), the path ends here, or the
-    /// link has no reverse to carry an upstream packet.
+    /// (a stray packet of a previous incarnation), or the path ends here.
     ///
     /// A task sits at the *sending* end of its link: the source task owns hop 0,
     /// `RouterLink` of hop `h` forwards downstream over link `h` itself, and the
@@ -463,7 +451,7 @@ impl HostState {
             } else {
                 Target::Source(slot)
             };
-            Some((self.reverse[links[previous].index()]?, to))
+            Some((links[previous].reverse(), to))
         }
     }
 }
@@ -499,7 +487,7 @@ mod tests {
     }
 
     fn host_over(network: &Network) -> TaskHost {
-        TaskHost::new(TaskHost::link_tables(network), Tolerance::default())
+        TaskHost::new(TaskHost::link_capacities(network), Tolerance::default())
     }
 
     /// The path over the `len` chain links starting at router `start`.
@@ -563,7 +551,10 @@ mod tests {
                     .links()
                     .iter()
                     .rev()
-                    .map(|l| network.reverse_link(*l).unwrap())
+                    .map(|l| {
+                        let l = network.link(*l);
+                        network.link_between(l.dst(), l.src()).unwrap()
+                    })
                     .collect();
                 prop_assert_eq!(up, reversed);
 

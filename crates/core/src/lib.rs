@@ -30,8 +30,9 @@
 //!   `API.Join` / `API.Leave` / `API.Change` primitives plus quiescence
 //!   detection and packet accounting.
 //! * [`world`] — the shared world plumbing every protocol harness in the
-//!   workspace builds on: the [`world::LinkTable`] of per-link channels,
-//!   capacities and reverse links, and the [`world::SessionArena`] dense
+//!   workspace builds on: the [`world::LinkTable`] of per-link channels and
+//!   capacities (upstream traffic takes the channel of the link's pair,
+//!   `LinkId::reverse`), and the [`world::SessionArena`] dense
 //!   session-slot arena with slot + hop envelope addressing and a cached
 //!   `Arc<SessionSet>` oracle snapshot. `bneck-baselines` instantiates the
 //!   same module for its probing harness.

@@ -5,10 +5,9 @@
 //! (`BaselineSimulation` in `bneck-baselines`) — runs over the same two
 //! pieces of world state, which used to be duplicated in each harness:
 //!
-//! * [`LinkTable`] — the per-directed-link vectors, indexed by
-//!   [`LinkId::index`]: each link's capacity and reverse link. Link `e`
-//!   travels over simulator channel `e`, and upstream traffic over the
-//!   channel of its reverse.
+//! * [`LinkTable`] — each directed link's capacity, indexed by
+//!   [`LinkId::index`]. Link `e` travels over simulator channel `e`, and
+//!   upstream traffic over the channel of its [`LinkId::reverse`].
 //! * [`SessionArena`] — the dense session-slot arena: a per-simulation slot
 //!   is assigned to each session identifier at join (and reused when the
 //!   identifier rejoins after a leave), the id → slot map, the per-slot path
@@ -44,12 +43,9 @@ use std::sync::Arc;
 pub const CONTROL_PACKET_BITS: u64 = 256;
 
 /// Per-directed-link world state, indexed by [`LinkId::index`]: the capacity
-/// and the precomputed reverse of each link (so no harness consults the
-/// network's endpoint hash map on a per-packet basis).
+/// of each link, and the simulator channel it travels over.
 #[derive(Debug)]
 pub struct LinkTable {
-    /// Reverse link of each directed link (`None` for one-way links).
-    reverse: Vec<Option<LinkId>>,
     /// Capacity of each directed link, in bits per second.
     capacities: Vec<Rate>,
 }
@@ -57,7 +53,7 @@ pub struct LinkTable {
 impl LinkTable {
     /// Registers every directed link of `network` as a simulator channel with
     /// its bandwidth, delay and [`CONTROL_PACKET_BITS`] — link `e` as channel
-    /// `e`, so `engine` must have none yet — and builds the link tables.
+    /// `e`, so `engine` must have none yet — and records their capacities.
     pub fn new<M>(network: &Network, engine: &mut Engine<M>) -> Self {
         for link in network.links() {
             let spec =
@@ -65,22 +61,14 @@ impl LinkTable {
             let channel = engine.add_channel(spec);
             assert_eq!(channel.0, link.id().0, "link e is registered as channel e");
         }
-        let (capacities, reverse) = TaskHost::link_tables(network);
         LinkTable {
-            reverse,
-            capacities,
+            capacities: TaskHost::link_capacities(network),
         }
     }
 
     /// The simulator channel of a directed link.
     pub fn channel(&self, link: LinkId) -> ChannelId {
         ChannelId(link.0)
-    }
-
-    /// The channel upstream traffic over `link` travels on: the reverse
-    /// link's channel, or the forward channel if the link has no reverse.
-    pub fn reverse_channel(&self, link: LinkId) -> ChannelId {
-        self.channel(self.reverse[link.index()].unwrap_or(link))
     }
 
     /// The capacity of a directed link, in bits per second.
@@ -398,10 +386,9 @@ mod tests {
             let id = link.id();
             assert_eq!(links.capacity(id), link.capacity().as_bps());
             assert_eq!(links.channel(id), ChannelId(id.0));
-            match network.reverse_link(id) {
-                Some(r) => assert_eq!(links.reverse_channel(id), links.channel(r)),
-                None => assert_eq!(links.reverse_channel(id), links.channel(id)),
-            }
+            // Upstream traffic over `id` takes the channel of its pair.
+            let back = network.link_between(link.dst(), link.src());
+            assert_eq!(back, Some(id.reverse()));
         }
     }
 

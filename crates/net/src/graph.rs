@@ -3,7 +3,7 @@
 
 use crate::capacity::Capacity;
 use crate::delay::Delay;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node (router or host) in a [`Network`].
@@ -38,6 +38,13 @@ impl LinkId {
     /// Returns the identifier as an index usable with per-link vectors.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The link between the same two nodes in the opposite direction.
+    /// [`NetworkBuilder::connect`] adds every link as one of the pair
+    /// `2k`, `2k + 1`, so the reverse of `e` is `e ^ 1`.
+    pub fn reverse(self) -> LinkId {
+        LinkId(self.0 ^ 1)
     }
 }
 
@@ -154,8 +161,6 @@ pub struct Network {
     /// allocation keeps BFS traversals on a contiguous cache-friendly array.
     out_offsets: Vec<u32>,
     out_link_ids: Vec<LinkId>,
-    /// Lookup from `(src, dst)` to the connecting link, if any.
-    by_endpoints: BTreeMap<(NodeId, NodeId), LinkId>,
 }
 
 impl Network {
@@ -224,26 +229,20 @@ impl Network {
         &self.out_link_ids[start..end]
     }
 
-    /// Returns the link from `src` to `dst`, if one exists.
+    /// Returns the link from `src` to `dst`, if one exists (a scan of
+    /// `src`'s out-links).
     pub fn link_between(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.by_endpoints.get(&(src, dst)).copied()
-    }
-
-    /// Returns the reverse link of `link` (the link connecting the same nodes
-    /// in the opposite direction), if one exists.
-    ///
-    /// The paper assumes connected nodes have links in both directions, so for
-    /// networks built by the provided generators this never returns `None`.
-    pub fn reverse_link(&self, link: LinkId) -> Option<LinkId> {
-        let l = self.link(link);
-        self.link_between(l.dst(), l.src())
+        self.out_links(src)
+            .iter()
+            .copied()
+            .find(|&link| self.link(link).dst() == dst)
     }
 
     /// Computes the shortest path (in hops) from `src` to `dst`.
     ///
     /// Convenience wrapper over [`crate::routing::Router::shortest_path`] for
     /// one-off queries; repeated queries should use a [`crate::routing::Router`]
-    /// which reuses its internal scratch buffers.
+    /// which caches its search trees.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<crate::path::Path> {
         crate::routing::Router::new(self).shortest_path(src, dst)
     }
@@ -271,7 +270,8 @@ impl Network {
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    by_endpoints: BTreeMap<(NodeId, NodeId), LinkId>,
+    /// The `(src, dst)` pair of every link added so far.
+    endpoints: BTreeSet<(NodeId, NodeId)>,
 }
 
 impl NetworkBuilder {
@@ -313,7 +313,9 @@ impl NetworkBuilder {
     }
 
     /// Adds a pair of directed links (one in each direction) between `a` and
-    /// `b`, both with the given capacity and delay.
+    /// `b`, both with the given capacity and delay. The pair takes the next
+    /// two link identifiers, `2k` and `2k + 1`, so each is the other's
+    /// [`LinkId::reverse`].
     ///
     /// Returns the identifiers of the `a → b` and `b → a` links.
     ///
@@ -327,46 +329,25 @@ impl NetworkBuilder {
         capacity: Capacity,
         delay: Delay,
     ) -> (LinkId, LinkId) {
-        let ab = self.add_directed_link(a, b, capacity, delay);
-        let ba = self.add_directed_link(b, a, capacity, delay);
-        (ab, ba)
-    }
-
-    /// Adds a single directed link from `src` to `dst`.
-    ///
-    /// Most callers want [`NetworkBuilder::connect`]; this is exposed for
-    /// asymmetric test topologies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link already exists or `src == dst`.
-    pub(crate) fn add_directed_link(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        capacity: Capacity,
-        delay: Delay,
-    ) -> LinkId {
-        assert_ne!(src, dst, "self-loops are not allowed");
-        assert!(
-            !self.by_endpoints.contains_key(&(src, dst)),
-            "link {src} -> {dst} already exists"
-        );
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            id,
-            src,
-            dst,
-            capacity,
-            delay,
-        });
-        self.by_endpoints.insert((src, dst), id);
-        id
+        assert_ne!(a, b, "self-loops are not allowed");
+        let ab = LinkId(self.links.len() as u32);
+        for (id, src, dst) in [(ab, a, b), (ab.reverse(), b, a)] {
+            let added = self.endpoints.insert((src, dst));
+            assert!(added, "link {src} -> {dst} already exists");
+            self.links.push(Link {
+                id,
+                src,
+                dst,
+                capacity,
+                delay,
+            });
+        }
+        (ab, ab.reverse())
     }
 
     /// Returns `true` if a link from `src` to `dst` has been added.
     pub fn has_link(&self, src: NodeId, dst: NodeId) -> bool {
-        self.by_endpoints.contains_key(&(src, dst))
+        self.endpoints.contains(&(src, dst))
     }
 
     /// Number of nodes added so far.
@@ -397,7 +378,6 @@ impl NetworkBuilder {
             links: self.links,
             out_offsets,
             out_link_ids,
-            by_endpoints: self.by_endpoints,
         }
     }
 
@@ -445,8 +425,9 @@ mod tests {
         let net = b.build();
         assert_eq!(net.link_between(r0, r1), Some(ab));
         assert_eq!(net.link_between(r1, r0), Some(ba));
-        assert_eq!(net.reverse_link(ab), Some(ba));
-        assert_eq!(net.reverse_link(ba), Some(ab));
+        assert_eq!(ab.reverse(), ba);
+        assert_eq!(ba.reverse(), ab);
+        assert_eq!(net.link_between(r0, r0), None);
         assert_eq!(net.link(ab).src(), r0);
         assert_eq!(net.link(ab).dst(), r1);
     }

@@ -11,13 +11,15 @@ use std::sync::Arc;
 /// the reverse sequence of nodes are *upstream* packets (Section II of the
 /// paper).
 ///
-/// The link and node sequences are stored in shared `Arc` slices, so cloning
-/// a path (the workload planner, the harness and the oracle's session-set
-/// snapshots all keep one) is two reference-count bumps, not a deep copy.
+/// The link sequence is stored in a shared `Arc` slice beside the two end
+/// hosts, so cloning a path (the workload planner, the harness and the
+/// oracle's session-set snapshots all keep one) is one reference-count bump,
+/// not a deep copy. The nodes in between are the links' far ends.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     links: Arc<[LinkId]>,
-    nodes: Arc<[NodeId]>,
+    source: NodeId,
+    destination: NodeId,
 }
 
 impl Path {
@@ -29,8 +31,6 @@ impl Path {
     /// in `network`.
     pub fn from_links(network: &Network, links: Vec<LinkId>) -> Self {
         assert!(!links.is_empty(), "a path must contain at least one link");
-        let mut nodes = Vec::with_capacity(links.len() + 1);
-        nodes.push(network.link(links[0]).src());
         for pair in links.windows(2) {
             assert_eq!(
                 network.link(pair[0]).dst(),
@@ -38,12 +38,10 @@ impl Path {
                 "links do not form a chain"
             );
         }
-        for l in &links {
-            nodes.push(network.link(*l).dst());
-        }
         Path {
+            source: network.link(links[0]).src(),
+            destination: network.link(links[links.len() - 1]).dst(),
             links: links.into(),
-            nodes: nodes.into(),
         }
     }
 
@@ -52,19 +50,14 @@ impl Path {
         &self.links
     }
 
-    /// The nodes of the path, from source host to destination host.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
     /// The source host of the path.
     pub fn source(&self) -> NodeId {
-        self.nodes[0]
+        self.source
     }
 
     /// The destination host of the path.
     pub fn destination(&self) -> NodeId {
-        *self.nodes.last().expect("paths are never empty")
+        self.destination
     }
 
     /// The first link of the path (the link owned by the `SourceNode` task).
@@ -132,7 +125,8 @@ mod tests {
         assert_eq!(p.source(), nodes[0]);
         assert_eq!(p.destination(), nodes[3]);
         assert_eq!(p.hop_count(), 3);
-        assert_eq!(p.nodes(), &nodes[..]);
+        let far_ends: Vec<NodeId> = p.links().iter().map(|l| net.link(*l).dst()).collect();
+        assert_eq!(far_ends, &nodes[1..]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Shortest-path routing for sessions.
 //!
 //! The paper routes every session along a shortest path (in hops) from its
-//! source host to its destination host. The [`Router`] here implements
-//! breadth-first search with reusable scratch buffers so that generating
+//! source host to its destination host. The [`Router`] here answers that
+//! query with one search: a breadth-first tree over the router-only
+//! subgraph per source router, built once and cached, so generating
 //! hundreds of thousands of session paths stays cheap.
 
 use crate::graph::{LinkId, Network, NodeId};
@@ -26,17 +27,9 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct Router<'a> {
     network: &'a Network,
-    /// `visited_mark[n] == generation` means node `n` was reached in the
-    /// current BFS; avoids clearing the whole vector between queries.
-    visited_mark: Vec<u64>,
-    parent_link: Vec<LinkId>,
-    generation: u64,
-    /// BFS frontier, reused across queries.
-    queue: VecDeque<NodeId>,
-    /// Reverse parent walk, reused across queries.
+    /// Reverse tree walk, reused across queries.
     link_buf: Vec<LinkId>,
-    /// The router-only subgraph and its tree cache; built on first use of
-    /// [`Router::host_path_cached`].
+    /// The router-only subgraph and its tree cache; built on the first query.
     routers: Option<RouterGraph>,
 }
 
@@ -149,10 +142,6 @@ impl<'a> Router<'a> {
     pub fn new(network: &'a Network) -> Self {
         Router {
             network,
-            visited_mark: vec![0; network.node_count()],
-            parent_link: vec![LinkId(0); network.node_count()],
-            generation: 0,
-            queue: VecDeque::new(),
             link_buf: Vec::new(),
             routers: None,
         }
@@ -163,71 +152,21 @@ impl<'a> Router<'a> {
         self.network
     }
 
-    /// Computes a minimum-hop path from `src` to `dst`, or `None` when `dst`
-    /// is unreachable from `src` (or `src == dst`).
+    /// Computes a minimum-hop path from host `src` to host `dst`: the
+    /// source's access link, a shortest path over the router-only subgraph,
+    /// and the destination's access link. Hosts only ever end a path, so
+    /// no path traverses one, matching the paper's model where hosts hang off
+    /// a single router.
     ///
-    /// Hosts are only usable as path endpoints: a path never traverses a host
-    /// as an intermediate node, matching the paper's model where hosts hang
-    /// off a single router.
+    /// One BFS tree over the (small) router graph is kept per source router,
+    /// built the first time that router sources a path, so planning hundreds
+    /// of thousands of sessions costs at most one router-graph BFS per stub
+    /// router. Returns `None` when `src == dst`, when either endpoint is not
+    /// a host, or when the hosts are not connected.
     pub fn shortest_path(&mut self, src: NodeId, dst: NodeId) -> Option<Path> {
-        if src == dst {
-            return None;
-        }
-        self.generation += 1;
-        let generation = self.generation;
-        self.queue.clear();
-        self.visited_mark[src.index()] = generation;
-        self.queue.push_back(src);
-        'bfs: while let Some(node) = self.queue.pop_front() {
-            for &link_id in self.network.out_links(node) {
-                let link = self.network.link(link_id);
-                let next = link.dst();
-                if self.visited_mark[next.index()] == generation {
-                    continue;
-                }
-                // Intermediate hosts never forward traffic.
-                if next != dst && self.network.node(next).kind().is_host() {
-                    continue;
-                }
-                self.visited_mark[next.index()] = generation;
-                self.parent_link[next.index()] = link_id;
-                if next == dst {
-                    break 'bfs;
-                }
-                self.queue.push_back(next);
-            }
-        }
-        if self.visited_mark[dst.index()] != generation {
-            return None;
-        }
-        let parents = std::mem::take(&mut self.parent_link);
-        let path = self.walk_parents(&parents, src, dst);
-        self.parent_link = parents;
-        Some(path)
-    }
-
-    /// [`Router::shortest_path`] between two *hosts*, through a per-router
-    /// tree cache: the path is the source's access link, a shortest path over
-    /// the router-only subgraph, and the destination's access link. One BFS
-    /// over the (small) router graph is kept per source router, built the
-    /// first time that router sources a path, so planning hundreds of
-    /// thousands of host-to-host sessions costs at most one router-graph BFS
-    /// per stub router instead of one whole-network BFS per session.
-    ///
-    /// Paths have the same (minimum) hop count as [`Router::shortest_path`];
-    /// among equal-length paths the tie-break may differ. Returns `None` when
-    /// the hosts are equal or not connected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is not a host.
-    pub fn host_path_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Path> {
         let network = self.network;
-        assert!(
-            network.node(src).kind().is_host() && network.node(dst).kind().is_host(),
-            "host_path_cached requires host endpoints"
-        );
-        if src == dst {
+        let is_host = |node: NodeId| network.node(node).kind().is_host();
+        if src == dst || !is_host(src) || !is_host(dst) {
             return None;
         }
         // A host's single outgoing link leads to its attachment router.
@@ -235,7 +174,6 @@ impl<'a> Router<'a> {
         let src_router = network.link(src_access).dst();
         let dst_up = network.out_links(dst)[0];
         let dst_router = network.link(dst_up).dst();
-        let dst_access = network.reverse_link(dst_up)?;
         let graph = self
             .routers
             .get_or_insert_with(|| RouterGraph::new(network));
@@ -244,46 +182,39 @@ impl<'a> Router<'a> {
         // Walk the tree from the destination's router back to the source's.
         let buf = &mut self.link_buf;
         buf.clear();
-        buf.push(dst_access);
+        buf.push(dst_up.reverse());
         let reached = graph.route(network, from, to, buf);
         buf.push(src_access);
         reached.then(|| Path::from_links(network, buf.iter().rev().copied().collect()))
     }
 
-    /// Builds the path from `src` to `dst` out of a parent-link tree.
-    fn walk_parents(&mut self, parents: &[LinkId], src: NodeId, dst: NodeId) -> Path {
-        self.link_buf.clear();
-        let mut node = dst;
-        while node != src {
-            let link_id = parents[node.index()];
-            self.link_buf.push(link_id);
-            node = self.network.link(link_id).src();
-        }
-        let links: Vec<LinkId> = self.link_buf.iter().rev().copied().collect();
-        Path::from_links(self.network, links)
+    /// The same as [`Router::shortest_path`], for callers that use this name.
+    pub fn host_path_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Path> {
+        self.shortest_path(src, dst)
     }
 
-    /// Computes minimum hop distances (in links) from `src` to every node.
+    /// Computes minimum hop distances (in links) from `src` to every node,
+    /// by a BFS over the whole network in which hosts other than `src` do not
+    /// forward.
     ///
     /// Unreachable nodes get `usize::MAX`. Useful for topology diagnostics and
-    /// tests.
-    pub fn hop_distances(&mut self, src: NodeId) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.network.node_count()];
+    /// as the tests' oracle for [`Router::shortest_path`].
+    pub fn hop_distances(&self, src: NodeId) -> Vec<usize> {
+        let network = self.network;
+        let mut dist = vec![usize::MAX; network.node_count()];
         dist[src.index()] = 0;
-        self.queue.clear();
-        self.queue.push_back(src);
-        while let Some(node) = self.queue.pop_front() {
-            for &link_id in self.network.out_links(node) {
-                let next = self.network.link(link_id).dst();
-                if dist[next.index()] != usize::MAX {
-                    continue;
+        let mut queue = VecDeque::from([src]);
+        while let Some(node) = queue.pop_front() {
+            // Hosts do not forward.
+            if node != src && network.node(node).kind().is_host() {
+                continue;
+            }
+            for &link_id in network.out_links(node) {
+                let next = network.link(link_id).dst();
+                if dist[next.index()] == usize::MAX {
+                    dist[next.index()] = dist[node.index()] + 1;
+                    queue.push_back(next);
                 }
-                // Hosts do not forward.
-                if self.network.node(node).kind().is_host() && node != src {
-                    continue;
-                }
-                dist[next.index()] = dist[node.index()] + 1;
-                self.queue.push_back(next);
             }
         }
         dist
@@ -363,9 +294,20 @@ mod tests {
         let net = b.build();
         let mut router = Router::new(&net);
         let p = router.shortest_path(h0, h2).unwrap();
-        for n in &p.nodes()[1..p.nodes().len() - 1] {
-            assert!(net.node(*n).kind().is_router());
+        for link in &p.links()[..p.hop_count() - 1] {
+            assert!(net.node(net.link(*link).dst()).kind().is_router());
         }
+    }
+
+    #[test]
+    fn router_endpoints_have_no_path() {
+        let (net, h0, h2) = diamond();
+        let r0 = net.link(net.out_links(h0)[0]).dst();
+        let r2 = net.link(net.out_links(h2)[0]).dst();
+        let mut router = Router::new(&net);
+        assert!(router.shortest_path(r0, h2).is_none());
+        assert!(router.shortest_path(h0, r2).is_none());
+        assert!(router.shortest_path(r0, r2).is_none());
     }
 
     #[test]
@@ -415,7 +357,7 @@ mod tests {
         let src_router = net.link(src_access).dst();
         let dst_up = net.out_links(dst)[0];
         let dst_router = net.link(dst_up).dst();
-        let dst_access = net.reverse_link(dst_up)?;
+        let dst_access = dst_up.reverse();
         let tree = trees
             .entry(src_router)
             .or_insert_with(|| reference_tree(net, src_router));
@@ -434,45 +376,69 @@ mod tests {
         Some(Path::from_links(net, links))
     }
 
-    /// Every cached path equals the reference tree's path link for link, and
-    /// has the hop count of a whole-network BFS.
-    fn assert_cached_paths_match_reference(net: &Network) {
+    /// Every path equals the reference tree's path link for link and is as
+    /// long as the whole-network BFS distance, or is `None` exactly where that
+    /// BFS does not reach. Each host is paired with a host seven places on
+    /// and with the next host on its own router. Returns how many same-router
+    /// and unreachable pairs were checked.
+    fn assert_paths_match_reference(net: &Network) -> (usize, usize) {
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
+        let router_of = |h: NodeId| net.link(net.out_links(h)[0]).dst();
         let mut router = Router::new(net);
         let mut trees = BTreeMap::new();
-        for i in 0..hosts.len() {
-            let a = hosts[i];
-            let b = hosts[(i * 7 + 3) % hosts.len()];
-            let cached = router.host_path_cached(a, b);
-            assert_eq!(cached, reference_path(net, &mut trees, a, b), "{a} -> {b}");
-            match (router.shortest_path(a, b), cached) {
-                (None, None) => {}
-                (Some(p), Some(q)) => {
-                    assert_eq!(p.hop_count(), q.hop_count(), "{a} -> {b}");
-                    assert_eq!(q.source(), a);
-                    assert_eq!(q.destination(), b);
+        let (mut same_router, mut unreachable) = (0, 0);
+        for (i, &a) in hosts.iter().enumerate() {
+            let distances = router.hop_distances(a);
+            let neighbour = hosts[i + 1..]
+                .iter()
+                .copied()
+                .find(|&h| router_of(h) == router_of(a));
+            let far = hosts[(i * 7 + 3) % hosts.len()];
+            for b in [Some(far), neighbour].into_iter().flatten() {
+                let path = router.shortest_path(a, b);
+                assert_eq!(path, reference_path(net, &mut trees, a, b), "{a} -> {b}");
+                match &path {
+                    Some(p) => {
+                        assert_eq!(p.hop_count(), distances[b.index()], "{a} -> {b}");
+                        assert_eq!((p.source(), p.destination()), (a, b));
+                    }
+                    None if a == b => {}
+                    None => {
+                        assert_eq!(distances[b.index()], usize::MAX, "{a} -> {b}");
+                        unreachable += 1;
+                    }
                 }
-                (p, q) => panic!("reachability disagrees for {a} -> {b}: {p:?} vs {q:?}"),
+                same_router += usize::from(a != b && router_of(a) == router_of(b));
             }
         }
+        (same_router, unreachable)
     }
 
     #[test]
-    fn host_path_cached_matches_bfs_hop_counts() {
+    fn shortest_paths_match_the_reference_trees_and_bfs() {
         use crate::topology::transit_stub::{paper_network, NetworkSize};
         use crate::topology::DelayModel;
-        assert_cached_paths_match_reference(&paper_network(
-            NetworkSize::Small,
-            40,
-            DelayModel::Lan,
-            23,
-        ));
-        assert_cached_paths_match_reference(&paper_network(
-            NetworkSize::Medium,
-            1_500,
-            DelayModel::Lan,
-            7,
-        ));
+        let small = paper_network(NetworkSize::Small, 40, DelayModel::Lan, 23);
+        let (same_router, unreachable) = assert_paths_match_reference(&small);
+        assert!(same_router > 0);
+        assert_eq!(unreachable, 0);
+        let medium = paper_network(NetworkSize::Medium, 1_500, DelayModel::Lan, 7);
+        let (same_router, unreachable) = assert_paths_match_reference(&medium);
+        assert!(same_router > 0);
+        assert_eq!(unreachable, 0);
+        // Two islands: pairs across them are unreachable.
+        let (c, d) = caps();
+        let mut b = NetworkBuilder::new();
+        let routers: Vec<NodeId> = (0..5).map(|i| b.add_router(format!("r{i}"))).collect();
+        b.connect(routers[0], routers[1], c, d);
+        b.connect(routers[1], routers[2], c, d);
+        b.connect(routers[3], routers[4], c, d);
+        for (i, &r) in routers.iter().cycle().take(12).enumerate() {
+            b.add_host(format!("h{i}"), r, c, d);
+        }
+        let (same_router, unreachable) = assert_paths_match_reference(&b.build());
+        assert!(same_router > 0);
+        assert!(unreachable > 0);
     }
 
     #[test]

@@ -7,10 +7,12 @@ use bneck_net::topology::transit_stub::paper_network;
 use proptest::prelude::*;
 
 fn check_network_invariants(network: &Network) {
-    // Every link has a reverse companion (the paper's model: connected nodes
-    // have links in both directions) and sane attributes.
+    // Every link's pair is its reverse (the paper's model: connected nodes
+    // have links in both directions), and its attributes are sane.
     for link in network.links() {
-        assert!(network.reverse_link(link.id()).is_some());
+        let reverse = network.link(link.id().reverse());
+        assert_eq!((reverse.src(), reverse.dst()), (link.dst(), link.src()));
+        assert_eq!(reverse.id().reverse(), link.id());
         assert!(link.capacity().as_bps() > 0.0);
         assert_ne!(link.src(), link.dst());
         assert_eq!(network.link(link.id()).id(), link.id());
@@ -84,8 +86,8 @@ proptest! {
         for pair in path.links().windows(2) {
             prop_assert_eq!(network.link(pair[0]).dst(), network.link(pair[1]).src());
         }
-        for node in &path.nodes()[1..path.nodes().len() - 1] {
-            prop_assert!(network.node(*node).kind().is_router());
+        for link in &path.links()[..path.hop_count() - 1] {
+            prop_assert!(network.node(network.link(*link).dst()).kind().is_router());
         }
     }
 
@@ -103,14 +105,19 @@ proptest! {
         let line = synthetic::line(n, host, core, delay);
         prop_assert_eq!(line.router_count(), n);
         prop_assert_eq!(line.host_count(), n);
+        check_network_invariants(&line);
 
         let star = synthetic::star(n, host, delay);
         prop_assert_eq!(star.router_count(), 1);
         prop_assert_eq!(star.host_count(), n);
         prop_assert_eq!(star.link_count(), 2 * n);
+        check_network_invariants(&star);
 
         let dumbbell = synthetic::dumbbell(n, host, core, delay);
         prop_assert_eq!(dumbbell.host_count(), 2 * n);
         check_network_invariants(&dumbbell);
+
+        check_network_invariants(&synthetic::parking_lot(n, host, core, delay));
+        check_network_invariants(&synthetic::binary_tree(2, n, host, core, delay));
     }
 }

@@ -214,15 +214,15 @@ pub fn build_cluster_topology(spec: &ClusterSpec) -> (Network, Vec<(SessionId, P
         hosts.push((src, dst));
     }
     let network = builder.build();
-    // One router for the list: a fresh whole-network search per session made
-    // set-up quadratic, and the chain has one simple path per host pair.
+    // One router for the list, so its search trees are built once; the chain
+    // has one simple path per host pair.
     let mut router = Router::new(&network);
     let sessions = hosts
         .into_iter()
         .enumerate()
         .map(|(i, (src, dst))| {
             let path = router
-                .host_path_cached(src, dst)
+                .shortest_path(src, dst)
                 .expect("the chain is connected");
             (SessionId(i as u64), path, RateLimit::unlimited())
         })

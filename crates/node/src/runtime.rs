@@ -118,7 +118,7 @@ pub struct NodeConfig {
 
 /// The immutable cluster layout every node shares: which node owns which
 /// task, the session list every node builds its [`TaskHost`] from, and the
-/// per-link capacities and reverse links the hosts route with.
+/// per-link capacities the hosts are built with.
 ///
 /// Built once from a [`Network`] and a session list; the runtime never
 /// changes membership placement after spawn (sessions may join, change and
@@ -130,8 +130,8 @@ pub struct ClusterPlan {
     tolerance: Tolerance,
     /// Task placement, with one shard per node.
     placement: WorldPartition,
-    /// The [`TaskHost::link_tables`] of the network.
-    links: (Vec<Rate>, Vec<Option<LinkId>>),
+    /// The [`TaskHost::link_capacities`] of the network.
+    capacities: Vec<Rate>,
     sessions: Vec<(SessionId, Path, RateLimit)>,
 }
 
@@ -165,7 +165,7 @@ impl ClusterPlan {
             nodes,
             tolerance,
             placement,
-            links: TaskHost::link_tables(network),
+            capacities: TaskHost::link_capacities(network),
             sessions: sessions.to_vec(),
         }
     }
@@ -206,7 +206,7 @@ impl ClusterPlan {
     /// A fresh task host over the plan's links with every session of the
     /// plan registered, slot `i` being the `i`-th session.
     fn host(&self) -> TaskHost {
-        let mut host = TaskHost::new(self.links.clone(), self.tolerance);
+        let mut host = TaskHost::new(self.capacities.clone(), self.tolerance);
         for (session, path, limit) in &self.sessions {
             host.register_session(*session, path.clone(), *limit);
         }
@@ -381,7 +381,7 @@ impl NodeWorker {
                 pending: VecDeque::new(),
                 recovery: config
                     .recovery
-                    .map(|rc| RecoveryState::new(rc, plan.links.0.len())),
+                    .map(|rc| RecoveryState::new(rc, plan.capacities.len())),
                 decode_errors: 0,
                 blobs: 0,
             },
@@ -461,7 +461,7 @@ impl NodeWorker {
     fn on_a_lane(&self, to: Target, link: LinkId, packet: &Packet) -> bool {
         let (Target::Source(slot) | Target::Destination(slot) | Target::Link { slot, .. }) = to;
         let plan = &self.io.plan;
-        link.index() < plan.links.0.len() && packet.session() == plan.session(slot)
+        link.index() < plan.capacities.len() && packet.session() == plan.session(slot)
     }
 
     fn handle_frame(&mut self, from: u16, frame: WireFrame) {

@@ -124,17 +124,15 @@ impl<'a> SessionPlanner<'a> {
             }
             // Destination: any other host, uniformly at random; retry a few
             // times in case the first pick is unreachable or equal. Routing
-            // goes through the per-router tree cache: at most one (small)
-            // router-graph BFS per stub router for the whole plan, instead of
-            // one whole-network BFS per session — the difference between
-            // seconds and minutes when planning paper-scale populations.
+            // goes through the router's per-router tree cache: at most one
+            // (small) router-graph BFS per stub router for the whole plan.
             let mut routed = None;
             for _ in 0..8 {
                 let candidate = self.hosts[self.rng.gen_range(0..self.hosts.len())];
                 if candidate == source {
                     continue;
                 }
-                if let Some(path) = self.router.host_path_cached(source, candidate) {
+                if let Some(path) = self.router.shortest_path(source, candidate) {
                     routed = Some((candidate, path));
                     break;
                 }
