@@ -29,9 +29,7 @@
 use crate::report::{render_tables, ExperimentReport, ScaleCurvePoint, SpecOutcome};
 use crate::runner::run_spec;
 use crate::sweep::SweepRunner;
-use bneck_core::RecoveryConfig;
 use bneck_metrics::Table;
-use bneck_net::Delay;
 use bneck_node::{run_cluster, ClusterSpec, ClusterTransport};
 use bneck_workload::spec::{ExperimentKind, ExperimentSpec, PAPER_FULL, PRESET_NAMES};
 use std::time::Duration;
@@ -71,13 +69,6 @@ NODE OPTIONS (multi-node loopback cluster, no simulator):
                           all sessions on one trunk hop (default 10)
     --transport KIND      `tcp` (loopback sockets) or `channel` (in-process;
                           default tcp)
-    --recovery            frame protocol packets through the ack/retransmit
-                          recovery layer (off by default: both transports
-                          are already reliable and FIFO per lane)
-    --rto-ms N            recovery retransmission timeout in milliseconds
-                          (default 200; implies --recovery)
-    --settle-ms N         how long the global counters must stay frozen for
-                          silence to count as measured (default 2)
     --timeout-s N         give-up bound on the join -> silent wait
                           (default 120)
 
@@ -150,9 +141,6 @@ const NODE_FLAGS: Flags = &[
     ("--routers", true),
     ("--long-every", true),
     ("--transport", true),
-    ("--recovery", false),
-    ("--rto-ms", true),
-    ("--settle-ms", true),
     ("--timeout-s", true),
 ];
 
@@ -375,32 +363,12 @@ fn parse_node_spec(args: &[String]) -> Result<ClusterSpec, String> {
             ))
         }
     };
-    let rto_ms = value_of(args, "--rto-ms")
-        .map(|value| {
-            value
-                .parse::<u64>()
-                .ok()
-                // Positive (`RecoveryConfig::with_rto` asserts it) and
-                // representable in the nanoseconds a `Delay` counts.
-                .filter(|&ms| ms >= 1 && ms.checked_mul(1_000_000).is_some())
-                .ok_or_else(|| format!("--rto-ms takes a positive number, got `{value}`"))
-        })
-        .transpose()?;
-    let recovery = if args.iter().any(|a| a == "--recovery") || rto_ms.is_some() {
-        Some(RecoveryConfig::with_rto(Delay::from_millis(
-            rto_ms.unwrap_or(200),
-        )))
-    } else {
-        None
-    };
     let spec = ClusterSpec {
         nodes: parsed(args, "--nodes", defaults.nodes)?,
         routers: parsed(args, "--routers", defaults.routers)?,
         sessions: parsed(args, "--sessions", defaults.sessions)?,
         long_every: parsed(args, "--long-every", defaults.long_every)?,
         transport,
-        recovery,
-        settle: Duration::from_millis(parsed(args, "--settle-ms", 2u64)?),
         timeout: Duration::from_secs(parsed(args, "--timeout-s", 120u64)?),
     };
     if !(1..=usize::from(u16::MAX)).contains(&spec.nodes) || spec.sessions == 0 || spec.routers < 2
@@ -626,11 +594,7 @@ mod tests {
                 "--nodes 4 --routers 8 --sessions 1000 --transport tcp",
                 None,
             ),
-            (
-                "node",
-                "--nodes 65535 --routers 65535 --recovery --rto-ms 50",
-                None,
-            ),
+            ("node", "--nodes 65535 --routers 65535", None),
             ("node", "--nodes 2 --routers 2", None),
             (
                 "node",
@@ -644,9 +608,11 @@ mod tests {
             ),
             ("node", "--nodes 9", Some("--nodes <= --routers")),
             ("node", "--sesions 99", Some("unknown flag `--sesions`")),
-            ("node", "--rto-ms 0", Some("--rto-ms")),
-            ("node", "--recovery --rto-ms 0", Some("--rto-ms")),
-            ("node", "--rto-ms 99999999999999999", Some("--rto-ms")),
+            // The runtime trusts its transports: no recovery framing, no
+            // settle window.
+            ("node", "--recovery", Some("unknown flag `--recovery`")),
+            ("node", "--rto-ms 50", Some("unknown flag `--rto-ms`")),
+            ("node", "--settle-ms 2", Some("unknown flag `--settle-ms`")),
             ("node", "--nodes 70000", Some("--nodes in 1..=65535")),
             ("node", "--nodes 0", Some("--nodes in 1..=65535")),
             ("node", "--sessions", Some("--sessions takes a value")),

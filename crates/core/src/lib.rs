@@ -90,7 +90,7 @@ pub use events::{RateCause, RateEvent, RateEvents, Subscriber, SubscriberSet};
 pub use harness::{BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession};
 pub use host::{ApiCall, Sink, Target, TaskHost};
 pub use packet::{Packet, PacketKind, ResponseKind};
-pub use recovery::{PendingFrame, RecoveryConfig, RecoveryState, RecoveryStats};
+pub use recovery::{RecoveryConfig, RecoveryStats};
 pub use stats::PacketStats;
 pub use task::{Action, ActionBuffer, Emit};
 pub use world::{LinkTable, SessionArena, SlotJoin};

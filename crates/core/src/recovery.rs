@@ -29,24 +29,23 @@
 //! two counters, one unacked frame *inline*, and two spills left unallocated
 //! until a second frame is in flight or one arrives ahead of a gap. Records
 //! are found through one id → index table per directed link, sized once from
-//! the host's link count: a link index past it (the node runtime takes lane
-//! keys off the wire) answers `None` / `false` and opens nothing. Lanes are
-//! never reclaimed.
+//! the host's link count: a link index past it answers `None` / `false` and
+//! opens nothing. Lanes are never reclaimed.
 //!
 //! The RTO is one constant, so deadlines are born sorted and a FIFO of
 //! `(due, lane, seq)`, appended at every (re)transmission, is the only timer
-//! structure. A host asks [`RecoveryState::due`] what to resend now and
+//! structure. The host asks `RecoveryState::due` what to resend now and
 //! `RecoveryState::next_deadline` when to ask again; entries of frames
 //! acked since are dropped at the head and never reach it. The simulator
-//! keeps one engine wake-up armed at the earliest live deadline, the node
-//! runtime asks between blobs, and both resend what one timer per frame would:
+//! keeps one engine wake-up armed at the earliest live deadline and resends
+//! what one timer per frame would:
 //!
 //! * **R1** — a frame (re)sent at `t` is resent at exactly `t + rto` iff still
 //!   unacked then (on the simulator in that instant's timer class, so an ack
 //!   landing *at* the deadline loses);
 //! * **R2** — frames due at one instant are resent in arming order;
 //! * **R3** — a live entry has a wake-up armed at or before it, so an empty
-//!   event queue implies [`RecoveryState::unacked_frames`]` == 0`;
+//!   event queue implies `RecoveryState::unacked_frames() == 0`;
 //! * **R4** — a recovered run reaches quiescence after its last armed wake-up,
 //!   at most one RTO after the last send: the measurable "price of
 //!   reliability" recorded in `BENCH_NOTES.md`.
@@ -101,11 +100,11 @@ impl RecoveryConfig {
 
 /// A lane, as [`RecoveryState::receive`] hands it to [`RecoveryState::release`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lane(u32);
+pub(crate) struct Lane(u32);
 
 /// A sent frame awaiting its ack.
 #[derive(Debug, Clone, Copy)]
-pub struct PendingFrame {
+pub(crate) struct PendingFrame {
     /// The directed link the frame travels over.
     pub over: LinkId,
     /// The receiving task.
@@ -153,11 +152,11 @@ impl LaneState {
     }
 }
 
-/// The sender/receiver state of the recovery layer, shared by the simulation
-/// harness and the `bneck-node` runtime: lanes and retransmission deadlines
-/// live here, a host adds only its clock and the way frames and acks travel.
+/// The sender/receiver state of the recovery layer: lanes and retransmission
+/// deadlines live here, the simulation harness adds only its clock and the
+/// way frames and acks travel.
 #[derive(Debug)]
-pub struct RecoveryState {
+pub(crate) struct RecoveryState {
     /// The layer's tunables.
     pub config: RecoveryConfig,
     /// Work counters, for reports and overhead measurements.

@@ -11,7 +11,6 @@
 
 use crate::runtime::{wall_now, ClusterPlan, NodeConfig, NodeRuntime, SilenceTimeout};
 use crate::transport::{channel_mesh, tcp_mesh, Transport};
-use bneck_core::{RecoveryConfig, RecoveryStats};
 use bneck_maxmin::{compare_allocations, CentralizedBneck, RateLimit, SessionId, Tolerance};
 use bneck_net::{Capacity, Delay, Network, NetworkBuilder, Path, Router};
 use std::fmt;
@@ -51,11 +50,6 @@ pub struct ClusterSpec {
     pub long_every: usize,
     /// The transport to run on.
     pub transport: ClusterTransport,
-    /// Recovery-layer tunables, or `None` to run bare.
-    pub recovery: Option<RecoveryConfig>,
-    /// How long the counters must stay frozen for silence to count as
-    /// *measured* (see [`NodeRuntime::await_silence`]).
-    pub settle: Duration,
     /// Give-up bound on the whole join → silent wait.
     pub timeout: Duration,
 }
@@ -68,8 +62,6 @@ impl Default for ClusterSpec {
             sessions: 1000,
             long_every: 10,
             transport: ClusterTransport::Tcp,
-            recovery: None,
-            settle: Duration::from_millis(2),
             timeout: Duration::from_secs(120),
         }
     }
@@ -91,7 +83,7 @@ pub struct ClusterReport {
     /// Blobs the nodes received, summed.
     pub blobs: u64,
     /// Wall time from the first join frame to the counters first matching:
-    /// the burst's injection plus the wait for silence, settle excluded.
+    /// the burst's injection plus the wait for silence.
     pub join_to_silent: Duration,
     /// Sessions whose final notified rate disagrees with the centralized
     /// max-min oracle (plus sessions missing a notification).
@@ -102,53 +94,33 @@ pub struct ClusterReport {
     pub decode_errors: u64,
     /// Transport send failures, summed over nodes (zero in health).
     pub transport_errors: u64,
-    /// Aggregated recovery counters, when recovery was on.
-    pub recovery: Option<RecoveryStats>,
 }
 
 impl fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "bneck-node cluster: nodes={} routers={} sessions={} transport={} recovery={}",
+            "bneck-node cluster: nodes={} routers={} sessions={} transport={}",
             self.spec.nodes,
             self.spec.routers,
             self.spec.sessions,
             self.spec.transport.name(),
-            if self.spec.recovery.is_some() {
-                "on"
-            } else {
-                "off"
-            },
         )?;
         writeln!(
             f,
-            "  frames={} ({:.0} frames/s) writes={} blobs={} join->silent={:.3}s silent=confirmed(settle {:?})",
+            "  frames={} ({:.0} frames/s) writes={} blobs={} join->silent={:.3}s",
             self.frames,
             self.frames_per_sec,
             self.writes,
             self.blobs,
             self.join_to_silent.as_secs_f64(),
-            self.spec.settle,
         )?;
         writeln!(f, "  oracle check: mismatches={}", self.mismatches)?;
         write!(
             f,
             "  rate_events={} decode_errors={} transport_errors={}",
             self.rate_events, self.decode_errors, self.transport_errors
-        )?;
-        if let Some(r) = self.recovery {
-            write!(
-                f,
-                "\n  recovery: frames={} retransmits={} acks={} duplicates={} reordered={}",
-                r.frames_sent,
-                r.retransmits,
-                r.acks_sent,
-                r.duplicates_dropped,
-                r.reordered_buffered
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -237,8 +209,8 @@ fn boxed<T: Transport + 'static>(endpoints: Vec<T>) -> Vec<Box<dyn Transport>> {
         .collect()
 }
 
-/// Runs the demo end to end: spawn, join every session, wait for measured
-/// silence, cross-check rates against the centralized oracle, shut down.
+/// Runs the demo end to end: spawn, join every session, wait for silence,
+/// cross-check rates against the centralized oracle, shut down.
 pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
     let (network, sessions) = build_cluster_topology(&spec);
     let plan = ClusterPlan::new(&network, &sessions, spec.nodes, Tolerance::default());
@@ -247,14 +219,11 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         ClusterTransport::Channel => boxed(channel_mesh(spec.nodes + 1)),
         ClusterTransport::Tcp => boxed(tcp_mesh(spec.nodes + 1)?),
     };
-    let config = NodeConfig {
-        recovery: spec.recovery,
-    };
-    let mut runtime = NodeRuntime::spawn(plan, endpoints, config);
+    let mut runtime = NodeRuntime::spawn(plan, endpoints, NodeConfig::default());
     let first_join = wall_now();
     runtime.join_all();
     let injected = first_join.elapsed();
-    let join_to_silent = match runtime.await_silence(spec.settle, spec.timeout) {
+    let join_to_silent = match runtime.await_silence(Duration::ZERO, spec.timeout) {
         Ok(latency) => injected + latency,
         Err(timeout) => {
             runtime.shutdown();
@@ -276,17 +245,6 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
     let transport_errors = outcomes.iter().map(|o| o.transport_errors).sum();
     let writes = outcomes.iter().map(|o| o.writes).sum();
     let blobs = outcomes.iter().map(|o| o.blobs).sum();
-    let recovery = spec.recovery.map(|_| {
-        let mut total = RecoveryStats::default();
-        for stats in outcomes.iter().filter_map(|o| o.recovery) {
-            total.frames_sent += stats.frames_sent;
-            total.retransmits += stats.retransmits;
-            total.acks_sent += stats.acks_sent;
-            total.duplicates_dropped += stats.duplicates_dropped;
-            total.reordered_buffered += stats.reordered_buffered;
-        }
-        total
-    });
     let secs = join_to_silent.as_secs_f64();
     Ok(ClusterReport {
         spec,
@@ -303,7 +261,6 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         rate_events,
         decode_errors,
         transport_errors,
-        recovery,
     })
 }
 

@@ -11,9 +11,13 @@
 //! `from` is the index of the sending node (the coordinator uses the index
 //! one past the last node). The tag selects a [`WireFrame`] variant; the body
 //! is a fixed-width field sequence — `u32`/`u64` little-endian for
-//! identifiers and sequence numbers, IEEE-754 bit patterns for rates (so
-//! every value, including infinities, round-trips exactly), one byte for
-//! enums and booleans.
+//! identifiers, IEEE-754 bit patterns for rates (so every value, including
+//! infinities, round-trips exactly), one byte for enums and booleans.
+//!
+//! Tags 1 and 2 are retired: they carried a sequenced-packet and an ack
+//! frame that no build sends any more. They are never reused, so such a
+//! frame decodes to [`DecodeError::UnknownFrameTag`] and is never misread,
+//! and the format keeps its version.
 //!
 //! Decoding is total: [`decode_frame`] returns a typed [`DecodeError`] for
 //! truncated, oversized, trailing-garbage or out-of-range input and never
@@ -37,8 +41,8 @@ pub use bneck_core::Target as NodeTarget;
 pub const WIRE_VERSION: u8 = 1;
 
 /// Upper bound on a frame payload. The largest legitimate payload (a
-/// sequenced `Data` frame carrying a `Response`) is under 64 bytes; anything
-/// bigger is garbage and is rejected before any allocation happens.
+/// `Packet` frame carrying a `Response`) is under 64 bytes; anything bigger
+/// is garbage and is rejected before any allocation happens.
 pub const MAX_FRAME_LEN: usize = 1024;
 
 /// Bytes of the length prefix in front of every frame payload.
@@ -47,33 +51,12 @@ pub const LEN_PREFIX: usize = 4;
 /// Everything that travels between nodes, one enum variant per frame tag.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireFrame {
-    /// A protocol packet routed directly to a task (recovery off).
+    /// A protocol packet routed directly to a task.
     Packet {
         /// The receiving task.
         to: NodeTarget,
         /// The protocol packet.
         packet: Packet,
-    },
-    /// A sequenced protocol packet under the recovery layer. The lane is
-    /// `(packet.session(), link)`.
-    Data {
-        /// The receiving task.
-        to: NodeTarget,
-        /// The directed link the lane runs over.
-        link: LinkId,
-        /// Per-lane sequence number.
-        seq: u32,
-        /// The framed protocol packet.
-        packet: Packet,
-    },
-    /// Acknowledges the `Data` frame `seq` of lane `(session, link)`.
-    Ack {
-        /// The lane's session.
-        session: SessionId,
-        /// The lane's directed link.
-        link: LinkId,
-        /// The acknowledged sequence number.
-        seq: u32,
     },
     /// Coordinator → node: issue `API.Join` on the slot's source task.
     Join {
@@ -186,24 +169,6 @@ pub fn encode_frame(from: u16, frame: &WireFrame, out: &mut Vec<u8>) -> usize {
             put_target(out, to);
             put_packet(out, packet);
         }
-        WireFrame::Data {
-            to,
-            link,
-            seq,
-            ref packet,
-        } => {
-            out.push(1);
-            put_target(out, to);
-            put_u32(out, link.index() as u32);
-            put_u32(out, seq);
-            put_packet(out, packet);
-        }
-        WireFrame::Ack { session, link, seq } => {
-            out.push(2);
-            put_u64(out, session.0);
-            put_u32(out, link.index() as u32);
-            put_u32(out, seq);
-        }
         WireFrame::Join { slot, limit } => {
             out.push(3);
             put_u32(out, slot);
@@ -260,17 +225,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u16, WireFrame), DecodeError> {
         0 => WireFrame::Packet {
             to: r.target()?,
             packet: r.packet()?,
-        },
-        1 => WireFrame::Data {
-            to: r.target()?,
-            link: LinkId(r.u32()?),
-            seq: r.u32()?,
-            packet: r.packet()?,
-        },
-        2 => WireFrame::Ack {
-            session: SessionId(r.u64()?),
-            link: LinkId(r.u32()?),
-            seq: r.u32()?,
         },
         3 => WireFrame::Join {
             slot: r.u32()?,
@@ -543,20 +497,13 @@ mod tests {
                     restricting: LinkId(u32::MAX),
                 },
             },
-            WireFrame::Data {
+            WireFrame::Packet {
                 to: NodeTarget::Destination(0),
-                link: LinkId(5),
-                seq: 1_000_000,
                 packet: Packet::Join {
                     session: SessionId(1),
                     rate: f64::INFINITY,
                     restricting: LinkId(0),
                 },
-            },
-            WireFrame::Ack {
-                session: SessionId(77),
-                link: LinkId(3),
-                seq: 0,
             },
             WireFrame::Join {
                 slot: 12,

@@ -6,11 +6,12 @@
 //! Everything above the byte-moving layer is shared with the simulation
 //! harness — the same pure [`bneck_core::source`] / [`bneck_core::destination`]
 //! / [`bneck_core::router_link`] handlers behind the same
-//! [`bneck_core::TaskHost`], the same config-gated [`bneck_core::recovery`]
-//! layer. What this crate adds is the part the simulator faked:
+//! [`bneck_core::TaskHost`]. Both transports are reliable and FIFO, as the
+//! paper assumes, so no recovery layer runs here. What this crate adds is the
+//! part the simulator faked:
 //!
 //! * [`codec`] — a compact, versioned, length-prefixed binary format for
-//!   protocol packets, recovery envelopes and API calls. Decoding is total:
+//!   protocol packets and API calls. Decoding is total:
 //!   malformed bytes become a typed [`codec::DecodeError`], never a panic.
 //! * [`transport`] — the [`transport::Transport`] trait with two meshes:
 //!   in-process channels (deterministic tests) and loopback TCP sockets

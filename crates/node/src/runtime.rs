@@ -14,17 +14,18 @@
 //!   node, the `RouterLink` task of link `e` lives on the node of `src(e)`.
 //!   With that placement only router→router trunk hops ever cross a node
 //!   boundary;
-//! * the config-gated recovery layer ([`RecoveryState`]) provides per-lane
-//!   sequencing, acks and retransmission over transports that may lose or
-//!   reorder — on reliable loopback it is off by default, because each lane
-//!   has a single sending thread and both transports preserve per-connection
-//!   FIFO, which implies the per-lane FIFO the paper assumes. The runtime
-//!   adds only the wall clock: between blobs it asks the state what is due.
+//! * the runtime trusts its transports: both bundled ones, loopback TCP and
+//!   in-process channels, are reliable and FIFO per connection, and each
+//!   lane has a single sending thread, which gives the reliable per-lane
+//!   FIFO the paper assumes (§II). A cross-node hop is one
+//!   [`WireFrame::Packet`], with no sequence number, ack or retransmission.
+//!   Loss is modelled on the simulator instead, under a fault plan, where
+//!   `bneck_core::recovery` restores the assumption.
 //!
 //! Every node builds its host from the plan's whole session list, so every
 //! node can route for every session; a task only ever *runs* on the node
 //! that owns it, because frames naming a task hosted elsewhere — like frames
-//! naming a slot, link, hop or sender that does not exist — are counted in
+//! naming a slot, link or hop that does not exist — are counted in
 //! [`NodeOutcome::decode_errors`] and dropped before they reach the host.
 //!
 //! ## Quiescence without a simulator
@@ -45,33 +46,28 @@
 //!   cascades produced is in `sent`: the outbox is flushed at blob end, then
 //!   comes the credit.
 //! * **I3** — a worker never blocks in receive, and never exits, with a
-//!   non-empty outbox; every coordinator method has written what it buffered
-//!   before it returns.
+//!   non-empty outbox: a worker writes into its outbox only while it handles
+//!   a blob, and handling a blob always ends on a flush. Every coordinator
+//!   method has written what it buffered before it returns.
 //!
-//! The outbox is flushed at blob end, before blocking, when a peer's buffer
-//! reaches 64 KiB, and every 256 handler deliveries into a blob's cascades (a
-//! count, never a clock read): batches grow with load, a lone frame still
-//! leaves at once, and a long local cascade does not sit on its output.
+//! The outbox is flushed at blob end, when a peer's buffer reaches 64 KiB,
+//! and every 256 handler deliveries into a blob's cascades (a count, never a
+//! clock read): batches grow with load, a lone frame still leaves at once,
+//! and a long local cascade does not sit on its output.
 //!
 //! The coordinator reads `received` first, then `sent`: since
 //! `received ≤ sent` always, reading `received = r` and then `sent = s`
 //! with `r == s` proves no frame sits in a buffer, a socket, an inbox or a
 //! cascade — and since nodes only act on arriving frames, no new frame can
-//! appear. With recovery enabled, a third counter of unacked frames
-//! must also be zero, or a retransmission could come due after the
-//! counters match. [`NodeRuntime::await_silence`] additionally re-reads the
-//! counters after a settle delay, making the silence *measurable* rather
-//! than merely inferred.
+//! appear. These two counters are the whole silence argument: no frame waits
+//! for an ack, so none can come due after they match.
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 use crate::codec::{self, WireFrame};
 use crate::partition::WorldPartition;
 use crate::transport::{whole_frame, Transport};
-use bneck_core::{
-    ApiCall, Packet, PacketStats, RateEvent, RateEvents, RecoveryConfig, RecoveryState,
-    RecoveryStats, Sink, Target, TaskHost,
-};
+use bneck_core::{ApiCall, Packet, PacketStats, RateEvent, RateEvents, Sink, Target, TaskHost};
 use bneck_maxmin::{Allocation, Rate, RateLimit, Session, SessionId, SessionSet, Tolerance};
 use bneck_net::{LinkId, Network, Path};
 use bneck_sim::SimTime;
@@ -83,38 +79,25 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The wall clock. The node runtime is real-time code — retransmission
-/// deadlines, silence latency and event timestamps are wall-clock quantities —
-/// so this is the one sanctioned call site in the crate.
+/// The wall clock. The node runtime is real-time code — silence latency and
+/// event timestamps are wall-clock quantities — so this is the one
+/// sanctioned call site in the crate.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the node runtime runs on wall-clock time by design; timers and latency reports are real-time quantities"
+    reason = "the node runtime runs on wall-clock time by design; latency reports and event timestamps are real-time quantities"
 )]
 pub(crate) fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// The time on a node's clock: wall time since the cluster's `start`.
-fn since(start: Instant) -> SimTime {
-    SimTime::from_nanos(start.elapsed().as_nanos() as u64)
-}
-
-/// How long a worker blocks waiting for a frame before checking its
-/// retransmission deadlines and shutdown flag.
+/// How long one receive of a worker blocks before the worker asks again.
 const POLL: Duration = Duration::from_micros(500);
 
-/// Tunables of a node worker.
-///
-/// The recovery layer is the one choice. How long a worker waits for a frame
-/// between deadline checks is a constant (500 µs): like the paper's §IV
-/// model parameters it is fixed, and it changes only how soon a worker
-/// notices a due retransmission or the shutdown flag, never a rate.
+/// The node runtime's tunables: there are none. The type is kept, fieldless,
+/// for callers outside this workspace that still pass `NodeConfig::default()`
+/// to [`NodeRuntime::spawn`]; it goes once they stop.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NodeConfig {
-    /// The recovery layer's tunables, or `None` to run bare (the default:
-    /// both bundled transports are reliable and FIFO per lane).
-    pub recovery: Option<RecoveryConfig>,
-}
+pub struct NodeConfig {}
 
 /// The immutable cluster layout every node shares: which node owns which
 /// task, the session list every node builds its [`TaskHost`] from, and the
@@ -222,7 +205,6 @@ impl ClusterPlan {
 struct Shared {
     sent: AtomicU64,
     received: AtomicU64,
-    unacked: AtomicU64,
     notified: Vec<AtomicU64>,
 }
 
@@ -231,7 +213,6 @@ impl Shared {
         Shared {
             sent: AtomicU64::new(0),
             received: AtomicU64::new(0),
-            unacked: AtomicU64::new(0),
             notified: (0..slots)
                 .map(|_| AtomicU64::new(f64::NAN.to_bits()))
                 .collect(),
@@ -246,10 +227,8 @@ pub struct NodeOutcome {
     pub node: usize,
     /// Protocol packets this node transmitted, by kind.
     pub stats: PacketStats,
-    /// Recovery-layer counters, when recovery was enabled.
-    pub recovery: Option<RecoveryStats>,
     /// Frames dropped as hostile or corrupt: they failed to decode, or they
-    /// decoded but named a slot, link, hop or sender that does not exist or
+    /// decoded but named a slot, link or hop that does not exist or
     /// a task this node does not host. Always zero in a healthy cluster.
     pub decode_errors: u64,
     /// Transport send failures (peer torn down mid-send), one per write.
@@ -347,7 +326,7 @@ struct NodeWorker {
 
 /// Everything of a node that is not the protocol: where it sits in the
 /// cluster, its transport endpoint behind the outbox, the queue of node-local
-/// deliveries, and the recovery lanes, timed on the wall clock since `start`.
+/// deliveries, and the wall-clock `start` its rate events are timed from.
 /// This is the [`Sink`] the node's [`TaskHost`] transmits into.
 struct NodeIo {
     node: usize,
@@ -356,7 +335,6 @@ struct NodeIo {
     out: Outbox,
     start: Instant,
     pending: VecDeque<(Target, Packet)>,
-    recovery: Option<RecoveryState>,
     decode_errors: u64,
     blobs: u64,
 }
@@ -368,7 +346,6 @@ impl NodeWorker {
         shared: &Arc<Shared>,
         transport: Box<dyn Transport>,
         start: Instant,
-        config: NodeConfig,
     ) -> Self {
         NodeWorker {
             host: plan.host(),
@@ -379,9 +356,6 @@ impl NodeWorker {
                 out: Outbox::new(node, plan, shared, transport),
                 start,
                 pending: VecDeque::new(),
-                recovery: config
-                    .recovery
-                    .map(|rc| RecoveryState::new(rc, plan.capacities.len())),
                 decode_errors: 0,
                 blobs: 0,
             },
@@ -390,12 +364,9 @@ impl NodeWorker {
     }
 
     fn run(mut self) -> NodeOutcome {
+        // I3: only `handle_wire` fills the outbox, and it ends on a flush, so
+        // the outbox is empty whenever the worker waits or exits.
         while !self.done {
-            // I3: what is due goes into the outbox and the outbox onto the
-            // wire before the worker waits; `handle_wire` ends on a flush
-            // too, which covers exit.
-            self.io.fire_due_retransmits();
-            let _ = self.io.out.flush();
             match self.io.out.transport.recv_blob(POLL) {
                 Ok(Some(blob)) => self.handle_wire(&blob),
                 Ok(None) => {}
@@ -405,7 +376,6 @@ impl NodeWorker {
         NodeOutcome {
             node: self.io.node,
             stats: *self.host.stats(),
-            recovery: self.io.recovery.as_ref().map(|r| r.stats),
             decode_errors: self.io.decode_errors,
             transport_errors: self.io.out.transport_errors,
             writes: self.io.out.writes,
@@ -428,7 +398,7 @@ impl NodeWorker {
             bytes = rest;
             frames += 1;
             match codec::decode_payload(&frame[codec::LEN_PREFIX..]) {
-                Ok((from, frame)) => self.handle_frame(from, frame),
+                Ok((_, frame)) => self.handle_frame(frame),
                 Err(_) => self.io.decode_errors += 1,
             }
             // Every action a handler emits either re-enters this queue
@@ -455,44 +425,24 @@ impl NodeWorker {
         self.host.knows(target) && self.io.plan.placement.owner(target) == self.io.node
     }
 
-    /// `true` when a sequenced frame for `to` — a task [`Self::hosts`] vouched
-    /// for — names a lane that can exist: `link` is a link of the plan and the
-    /// packet's session that of the slot `to` addresses.
-    fn on_a_lane(&self, to: Target, link: LinkId, packet: &Packet) -> bool {
+    /// `true` when a routed `packet` may go to `to`: a task [`Self::hosts`]
+    /// vouches for, of the session the packet names. A packet of another
+    /// session would open state for a stranger in that task.
+    fn takes(&self, to: Target, packet: &Packet) -> bool {
         let (Target::Source(slot) | Target::Destination(slot) | Target::Link { slot, .. }) = to;
-        let plan = &self.io.plan;
-        link.index() < plan.capacities.len() && packet.session() == plan.session(slot)
+        self.hosts(to) && packet.session() == self.io.plan.session(slot)
     }
 
-    fn handle_frame(&mut self, from: u16, frame: WireFrame) {
+    fn handle_frame(&mut self, frame: WireFrame) {
         match frame {
-            WireFrame::Packet { to, packet } if self.hosts(to) => {
+            WireFrame::Packet { to, packet } if self.takes(to, &packet) => {
                 self.io.pending.push_back((to, packet));
-            }
-            // The ack goes back to `from`, which must be an endpoint of the
-            // mesh (a node, or the coordinator one past the last node).
-            WireFrame::Data {
-                to,
-                link,
-                seq,
-                packet,
-            } if self.hosts(to)
-                && self.on_a_lane(to, link, &packet)
-                && usize::from(from) <= self.io.plan.nodes =>
-            {
-                self.io.receive_framed(from, to, link, seq, packet);
-            }
-            WireFrame::Ack { session, link, seq } => {
-                let recovery = self.io.recovery.as_mut();
-                if recovery.is_some_and(|r| r.acked(session, link, seq)) {
-                    self.io.shared.unacked.fetch_sub(1, Ordering::SeqCst);
-                }
             }
             WireFrame::Join { slot, limit } => self.api(slot, ApiCall::Join { limit }),
             WireFrame::Leave { slot } => self.api(slot, ApiCall::Leave),
             WireFrame::Change { slot, limit } => self.api(slot, ApiCall::Change { limit }),
             WireFrame::Shutdown => self.done = true,
-            WireFrame::Packet { .. } | WireFrame::Data { .. } => self.io.decode_errors += 1,
+            WireFrame::Packet { .. } => self.io.decode_errors += 1,
         }
     }
 
@@ -507,102 +457,43 @@ impl NodeWorker {
 }
 
 impl Sink for NodeIo {
+    /// Wall time since the cluster's `start`.
     fn now(&self) -> SimTime {
-        since(self.start)
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
 
     fn notified(&mut self, slot: u32, rate: Rate) {
         self.shared.notified[slot as usize].store(rate.to_bits(), Ordering::SeqCst);
     }
 
-    /// A same-node target short-circuits through the local queue — the
-    /// lane's endpoints never straddle nodes-vs-local, because a lane's
-    /// receiving task has a fixed owner, so skipping the recovery framing
-    /// for local hops is safe.
-    fn transmit(&mut self, over: LinkId, to: Target, packet: Packet) {
+    /// A same-node target short-circuits through the local queue; any other
+    /// hop goes into its owner's send buffer as one routed frame.
+    fn transmit(&mut self, _over: LinkId, to: Target, packet: Packet) {
         let owner = self.plan.placement.owner(to);
         if owner == self.node {
             self.pending.push_back((to, packet));
-            return;
-        }
-        let frame = match self.recovery.as_mut() {
-            None => WireFrame::Packet { to, packet },
-            Some(recovery) => {
-                let seq = recovery.frame(since(self.start), over, to, packet);
-                self.shared.unacked.fetch_add(1, Ordering::SeqCst);
-                WireFrame::Data {
-                    to,
-                    link: over,
-                    seq,
-                    packet,
-                }
-            }
-        };
-        self.out.push(owner, &frame);
-    }
-}
-
-impl NodeIo {
-    /// Takes a sequenced frame off the wire: acks it to its sender `from`
-    /// and queues whatever the lane releases for in-order delivery.
-    fn receive_framed(&mut self, from: u16, to: Target, link: LinkId, seq: u32, packet: Packet) {
-        let session = packet.session();
-        // Every frame is acked, duplicates included: the duplicate's ack
-        // replaces a lost one.
-        self.out
-            .push(from as usize, &WireFrame::Ack { session, link, seq });
-        let Some(recovery) = self.recovery.as_mut() else {
-            // Config mismatch (a recovered peer talking to a bare node):
-            // deliver the payload anyway, the sender will stop retransmitting
-            // once our ack lands.
-            self.pending.push_back((to, packet));
-            return;
-        };
-        let mut next = recovery.receive(link, seq, to, packet);
-        while let Some((lane, to, packet)) = next {
-            self.pending.push_back((to, packet));
-            next = recovery.release(lane);
-        }
-    }
-
-    /// Queues every due still-unacked frame for resending.
-    fn fire_due_retransmits(&mut self) {
-        let Some(recovery) = self.recovery.as_mut() else {
-            return;
-        };
-        let now = since(self.start);
-        // A resent frame is due again strictly after `now`, so the loop ends.
-        while let Some((seq, frame)) = recovery.due(now) {
-            let owner = self.plan.placement.owner(frame.target);
-            let data = WireFrame::Data {
-                to: frame.target,
-                link: frame.over,
-                seq,
-                packet: frame.packet,
-            };
-            self.out.push(owner, &data);
+        } else {
+            self.out.push(owner, &WireFrame::Packet { to, packet });
         }
     }
 }
 
-/// The silence wait gave up: frames were still in flight (or unacked) when
-/// the timeout expired.
+/// The silence wait gave up: frames were still in flight when the timeout
+/// expired.
 #[derive(Debug, Clone, Copy)]
 pub struct SilenceTimeout {
     /// Frames handed to transports so far.
     pub sent: u64,
     /// Frames fully processed so far.
     pub received: u64,
-    /// Recovery frames still awaiting an ack.
-    pub unacked: u64,
 }
 
 impl fmt::Display for SilenceTimeout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cluster not silent: sent={} received={} unacked={}",
-            self.sent, self.received, self.unacked
+            "cluster not silent: sent={} received={}",
+            self.sent, self.received
         )
     }
 }
@@ -626,7 +517,7 @@ impl NodeRuntime {
     ///
     /// `endpoints` must hold `plan.nodes() + 1` transport endpoints: index
     /// `i` becomes node `i`'s, the last one becomes the coordinator's (the
-    /// codec's `from` field uses the same indexing).
+    /// codec's `from` field uses the same indexing). `config` has no fields.
     ///
     /// # Panics
     ///
@@ -635,7 +526,7 @@ impl NodeRuntime {
     pub fn spawn(
         plan: ClusterPlan,
         mut endpoints: Vec<Box<dyn Transport>>,
-        config: NodeConfig,
+        _config: NodeConfig,
     ) -> NodeRuntime {
         assert_eq!(
             endpoints.len(),
@@ -651,7 +542,7 @@ impl NodeRuntime {
         for (node, transport) in endpoints.into_iter().enumerate() {
             let (reader, subscriber) = RateEvents::channel();
             events.push(reader);
-            let mut worker = NodeWorker::new(node, &plan, &shared, transport, start, config);
+            let mut worker = NodeWorker::new(node, &plan, &shared, transport, start);
             worker.host.subscribe(subscriber);
             handles.push(
                 std::thread::Builder::new()
@@ -713,14 +604,14 @@ impl NodeRuntime {
     }
 
     /// Blocks until the cluster is silent: every frame handed to a
-    /// transport has been fully processed and (with recovery) no frame
-    /// awaits an ack. Returns the time from this call to the first moment
-    /// the counters matched.
+    /// transport has been fully processed. Returns the time from this call
+    /// to the first moment the counters matched.
     ///
-    /// After the counters first match, they are re-read `settle` later; a
-    /// counter that moved restarts the wait, so a returned `Ok` means the
-    /// control plane was *observed* idle over a real interval, not just
-    /// inferred idle from one sample.
+    /// The read order alone proves silence (module docs), so `settle` adds
+    /// nothing: once the counters match they are re-read `settle` later, and
+    /// a counter that moved would restart the wait — which never happened
+    /// in any measured run. The workspace passes `Duration::ZERO`; the
+    /// parameter stays only while callers outside it still pass a window.
     pub fn await_silence(
         &mut self,
         settle: Duration,
@@ -731,8 +622,7 @@ impl NodeRuntime {
             // Read order matters: received before sent (see module docs).
             let received = self.shared.received.load(Ordering::SeqCst);
             let sent = self.shared.sent.load(Ordering::SeqCst);
-            let unacked = self.shared.unacked.load(Ordering::SeqCst);
-            if sent == received && unacked == 0 {
+            if sent == received {
                 let at = begin.elapsed();
                 std::thread::sleep(settle);
                 let still_received = self.shared.received.load(Ordering::SeqCst);
@@ -743,11 +633,7 @@ impl NodeRuntime {
                 continue; // Something moved during the settle window.
             }
             if begin.elapsed() > timeout {
-                return Err(SilenceTimeout {
-                    sent,
-                    received,
-                    unacked,
-                });
+                return Err(SilenceTimeout { sent, received });
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -800,13 +686,13 @@ mod tests {
     use bneck_net::{Capacity, Delay};
     use std::sync::Mutex;
 
-    /// Node 0 of a two-node dumbbell cluster with recovery on, wired to a
-    /// three-endpoint channel mesh (two nodes and the coordinator) whose
-    /// other ends are returned so sends keep succeeding.
+    /// Node 0 of a two-node dumbbell cluster, wired to a three-endpoint
+    /// channel mesh (two nodes and the coordinator) whose other ends are
+    /// returned so sends keep succeeding.
     fn worker() -> (NodeWorker, Vec<LinkId>, Vec<crate::ChannelEndpoint>) {
         let mut mesh = channel_mesh(3);
         let endpoint = Box::new(mesh.remove(0));
-        let (worker, links, _) = worker_over(|_, _| endpoint, RecoveryConfig::default());
+        let (worker, links, _) = worker_over(|_, _| endpoint);
         (worker, links, mesh)
     }
 
@@ -814,7 +700,6 @@ mod tests {
     /// the cluster's shared counters (returned too) and slot 0's links.
     fn worker_over(
         transport: impl FnOnce(&Arc<Shared>, &[LinkId]) -> Box<dyn Transport>,
-        recovery: RecoveryConfig,
     ) -> (NodeWorker, Vec<LinkId>, Arc<Shared>) {
         let network = synthetic::dumbbell(
             1,
@@ -833,11 +718,8 @@ mod tests {
             Tolerance::default(),
         ));
         let shared = Arc::new(Shared::new(plan.slot_count()));
-        let config = NodeConfig {
-            recovery: Some(recovery),
-        };
         let endpoint = transport(&shared, &links);
-        let worker = NodeWorker::new(0, &plan, &shared, endpoint, wall_now(), config);
+        let worker = NodeWorker::new(0, &plan, &shared, endpoint, wall_now());
         (worker, links, shared)
     }
 
@@ -947,52 +829,27 @@ mod tests {
         for to in hostile {
             let errors = worker.io.decode_errors;
             feed(&mut worker, 1, WireFrame::Packet { to, packet });
-            let data = WireFrame::Data {
-                to,
-                link: links[1],
-                seq: 0,
-                packet,
-            };
-            feed(&mut worker, 1, data);
-            blobs += 2;
-            assert_eq!(worker.io.decode_errors, errors + 2, "{to:?}");
+            blobs += 1;
+            assert_eq!(worker.io.decode_errors, errors + 1, "{to:?}");
         }
-        // A sequenced frame whose sender is no endpoint of the mesh cannot
-        // be acked; an API call for a slot that does not exist has no task.
+        // A packet of a session that is not the addressed slot's has no
+        // task either; an API call for a slot that does not exist has none.
         let errors = worker.io.decode_errors;
-        let data = WireFrame::Data {
-            to: good,
-            link: links[1],
-            seq: 0,
-            packet,
-        };
-        feed(&mut worker, u16::MAX, data);
-        feed(&mut worker, 2, WireFrame::Leave { slot: u32::MAX });
-        // A sequenced frame for a real task whose lane cannot exist — a link
-        // past the plan's, or a session that is not the addressed slot's —
-        // is neither acked nor delivered, and opens no lane.
-        let (to, seq) = (good, 0);
-        let far = LinkId(u32::MAX);
         let stranger = Packet::Update {
             session: SessionId(u64::MAX),
         };
-        let stray = WireFrame::Data {
-            to,
-            link: far,
-            seq,
-            packet,
-        };
-        feed(&mut worker, 1, stray);
-        let stray = WireFrame::Data {
-            to,
-            link: links[1],
-            seq,
-            packet: stranger,
-        };
-        feed(&mut worker, 1, stray);
-        blobs += 4;
-        assert_eq!(worker.io.decode_errors, errors + 4);
-        assert_eq!(worker.io.recovery.as_ref().unwrap().stats.acks_sent, 0);
+        let to = good;
+        feed(
+            &mut worker,
+            1,
+            WireFrame::Packet {
+                to,
+                packet: stranger,
+            },
+        );
+        feed(&mut worker, 2, WireFrame::Leave { slot: u32::MAX });
+        blobs += 2;
+        assert_eq!(worker.io.decode_errors, errors + 2);
         assert!(worker.io.pending.is_empty());
         assert_eq!(worker.host.stats().total(), 0, "no handler ever ran");
         // Silence cannot wedge: every blob was counted as received, and
@@ -1001,43 +858,31 @@ mod tests {
         assert_eq!(received, blobs);
         assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 0);
 
-        // The well-formed twin of the frames above is acked and delivered.
-        feed(&mut worker, 1, data);
-        assert_eq!(worker.io.decode_errors, errors + 4);
-        assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 1, "the ack");
-        let stats = worker.io.recovery.as_ref().unwrap().stats;
-        assert_eq!(stats.acks_sent, 1);
-
-        // An ack naming a link no table has, or a lane nobody opened, is a
-        // silent no-op: the frame awaiting its ack keeps waiting.
+        // The well-formed twin of the frames above is delivered, and a real
+        // join leaves for node 1 as one routed frame.
+        feed(&mut worker, 1, WireFrame::Packet { to: good, packet });
         let limit = RateLimit::unlimited();
         feed(&mut worker, 2, WireFrame::Join { slot: 0, limit });
-        let awaiting = |worker: &NodeWorker| {
-            let counted = worker.io.shared.unacked.load(Ordering::SeqCst);
-            let held = worker.io.recovery.as_ref().unwrap().unacked_frames();
-            (counted, held)
-        };
-        assert_eq!(awaiting(&worker), (1, 1), "the join left for node 1");
-        for (session, link) in [(SessionId(0), far), (SessionId(u64::MAX), links[1])] {
-            feed(&mut worker, 1, WireFrame::Ack { session, link, seq });
-        }
-        assert_eq!(awaiting(&worker), (1, 1));
-        assert_eq!(worker.io.decode_errors, errors + 4);
+        assert_eq!(worker.io.decode_errors, errors + 2);
+        let received = worker.io.shared.received.load(Ordering::SeqCst);
+        assert_eq!(received, blobs + 2);
+        let sent = worker.io.shared.sent.load(Ordering::SeqCst);
+        assert_eq!(sent, 1, "the join left for node 1");
     }
 
-    /// Frame `seq` of a well-formed sequenced lane into node 0: an `Update`
-    /// for the trunk link's task at hop 1 of slot 0's path.
-    fn trunk_data(links: &[LinkId], seq: u32) -> WireFrame {
-        WireFrame::Data {
+    /// A well-formed routed frame into node 0: a `Join` for the trunk link's
+    /// task at hop 1 of slot 0's path, which forwards it to node 1.
+    fn trunk_join(links: &[LinkId]) -> WireFrame {
+        WireFrame::Packet {
             to: Target::Link {
                 link: links[1],
                 hop: 1,
                 slot: 0,
             },
-            link: links[1],
-            seq,
-            packet: Packet::Update {
+            packet: Packet::Join {
                 session: SessionId(0),
+                rate: f64::INFINITY,
+                restricting: links[0],
             },
         }
     }
@@ -1045,28 +890,26 @@ mod tests {
     #[test]
     fn one_bad_frame_does_not_take_its_blob_with_it() {
         let (mut worker, links, _peers) = worker();
-        let data = |seq| trunk_data(&links, seq);
+        let join = trunk_join(&links);
         // A valid prefix over a payload that is not a frame (a wire version
-        // nobody speaks), between two good sequenced frames of one lane.
+        // nobody speaks), between two good frames.
         let corrupt = [&4u32.to_le_bytes()[..], &[0xff; 4]].concat();
-        let blob = [encoded(1, &[data(0)]), corrupt, encoded(1, &[data(1)])].concat();
+        let blob = [encoded(1, &[join]), corrupt, encoded(1, &[join])].concat();
         worker.handle_wire(&blob);
         assert_eq!(worker.io.decode_errors, 1);
         assert_eq!(worker.io.shared.received.load(Ordering::SeqCst), 3);
-        // Both good frames were acked — the acks are written, and counted,
-        // by the time the blob is credited — and delivered to the link task.
-        let stats = worker.io.recovery.as_ref().unwrap().stats;
-        assert_eq!(stats.acks_sent, 2);
+        // Both good frames reached the link task, which forwarded each join
+        // to node 1 — written, and counted, by the time the blob is credited.
         assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 2);
-        assert_eq!(worker.io.out.writes, 1, "two acks to one peer, one write");
+        assert_eq!(worker.io.out.writes, 1, "two frames to one peer, one write");
 
         // Bytes that cannot be framed end the blob, uncredited; the frame in
         // front of them still counts.
-        let torn = [encoded(1, &[data(2)]), vec![0xff; 7]].concat();
+        let torn = [encoded(1, &[join]), vec![0xff; 7]].concat();
         worker.handle_wire(&torn);
         assert_eq!(worker.io.decode_errors, 2);
         assert_eq!(worker.io.shared.received.load(Ordering::SeqCst), 4);
-        assert_eq!(worker.io.recovery.as_ref().unwrap().stats.acks_sent, 3);
+        assert_eq!(worker.io.shared.sent.load(Ordering::SeqCst), 3);
     }
 
     /// What the recording transport saw, with the shared counters as they
@@ -1087,13 +930,12 @@ mod tests {
         },
     }
 
-    /// A transport double that plays a script of receives — `None` sleeps
-    /// `nap` and reports an elapsed wait — then a `Shutdown`, and records
-    /// every call with a snapshot of the counters.
+    /// A transport double that plays a script of receives — `None` reports
+    /// an elapsed wait — then a `Shutdown`, and records every call with a
+    /// snapshot of the counters.
     struct Recording {
         shared: Arc<Shared>,
         script: VecDeque<Option<Vec<u8>>>,
-        nap: Duration,
         seen: Arc<Mutex<Vec<Seen>>>,
     }
 
@@ -1131,9 +973,6 @@ mod tests {
                 sent,
                 received,
             });
-            if step.is_none() {
-                std::thread::sleep(self.nap);
-            }
             Ok(step)
         }
     }
@@ -1141,23 +980,16 @@ mod tests {
     /// Runs node 0's real loop over a [`Recording`] of `script` and returns
     /// what the double saw, the node's outcome and the final counters.
     fn record(
-        rto: Duration,
-        nap: Duration,
         script: impl FnOnce(&[LinkId]) -> Vec<Option<Vec<u8>>>,
     ) -> (Vec<Seen>, NodeOutcome, (u64, u64)) {
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let recovery = RecoveryConfig::with_rto(Delay::from_micros(rto.as_micros() as u64));
-        let (worker, _, shared) = worker_over(
-            |shared, links| {
-                Box::new(Recording {
-                    shared: Arc::clone(shared),
-                    script: script(links).into(),
-                    nap,
-                    seen: Arc::clone(&seen),
-                })
-            },
-            recovery,
-        );
+        let (worker, _, shared) = worker_over(|shared, links| {
+            Box::new(Recording {
+                shared: Arc::clone(shared),
+                script: script(links).into(),
+                seen: Arc::clone(&seen),
+            })
+        });
         let outcome = worker.run();
         let counters = (
             shared.sent.load(Ordering::SeqCst),
@@ -1168,7 +1000,7 @@ mod tests {
     }
 
     /// Slot 0's join, from the coordinator: its `Join` packet runs two local
-    /// hops on node 0 and leaves for node 1 as one sequenced frame.
+    /// hops on node 0 and leaves for node 1 as one routed frame.
     fn join_blob() -> Option<Vec<u8>> {
         let limit = RateLimit::unlimited();
         Some(encoded(2, &[WireFrame::Join { slot: 0, limit }]))
@@ -1176,12 +1008,10 @@ mod tests {
 
     #[test]
     fn counters_keep_their_order_around_every_write() {
-        // An RTO no test run reaches: every write below is a blob's output.
-        let (seen, outcome, (sent, received)) =
-            record(Duration::from_secs(3600), Duration::ZERO, |links| {
-                let two = [trunk_data(links, 0), trunk_data(links, 1)];
-                vec![join_blob(), None, Some(encoded(1, &two))]
-            });
+        let (seen, outcome, (sent, received)) = record(|links| {
+            let two = [trunk_join(links), trunk_join(links)];
+            vec![join_blob(), None, Some(encoded(1, &two))]
+        });
         // Replay: `credited` covers the blobs fully processed, `in_hand` is
         // the one being processed, `handed` the frames written so far.
         let (mut handed, mut credited, mut in_hand) = (0, 0, 0);
@@ -1213,35 +1043,17 @@ mod tests {
                 }
             }
         }
-        // Join → one data frame; an idle turn; two data frames → two acks in
-        // one write; shutdown. Each blob's output left within its own turn.
+        // Each blob's output left within its own turn: the coordinator's
+        // join crosses to node 1 as one frame; the idle turn writes nothing;
+        // the trunk task forwards each of the two joins it is handed, both
+        // in one write; the shutdown writes nothing.
         assert_eq!(written_per_turn, [1, 0, 2, 0], "{seen:?}");
-        let stats = outcome.recovery.expect("recovery is on");
-        assert_eq!((stats.frames_sent, stats.acks_sent), (1, 2));
+        // Node 0 transmitted only joins: the coordinator's took two hops,
+        // source to trunk task and trunk task to node 1, and each trunk join
+        // one.
+        let joins = outcome.stats.count(bneck_core::PacketKind::Join);
+        assert_eq!((joins, outcome.stats.total()), (4, 4));
         assert_eq!((outcome.writes, outcome.blobs), (2, 3));
         assert_eq!((sent, received), (3, 4), "three made, four taken");
-    }
-
-    #[test]
-    fn a_due_retransmission_is_written_before_the_worker_blocks() {
-        // The join's data frame is never acked; the second receive naps past
-        // the RTO, so the turn after it finds the retransmission due.
-        let rto = Duration::from_millis(200);
-        let nap = Duration::from_millis(250);
-        let (seen, outcome, (sent, _)) = record(rto, nap, |_| vec![join_blob(), None, None]);
-        let blocks: Vec<usize> = (0..seen.len())
-            .filter(|&i| matches!(seen[i], Seen::Block { .. }))
-            .collect();
-        // I3: the resent frame went out in front of the third receive, not
-        // at the end of whatever blob came next.
-        assert!(
-            matches!(seen[blocks[2] - 1], Seen::Write { frames: 1, .. }),
-            "{seen:?}"
-        );
-        let stats = outcome.recovery.expect("recovery is on");
-        assert!(stats.retransmits >= 1, "{seen:?}");
-        // ... and nothing was left in the outbox at exit.
-        assert_eq!(sent, stats.frames_sent + stats.retransmits, "{seen:?}");
-        assert_eq!(outcome.writes, sent, "one frame per write here: {seen:?}");
     }
 }

@@ -4,9 +4,9 @@
 //! A transport connects `N + 1` endpoints — one per node plus a coordinator —
 //! each addressed by index. It moves the codec's length-prefixed frames and
 //! promises per-sender-per-peer FIFO order and nothing else, which is exactly
-//! the substrate the runtime needs: every reliability lane has a single
-//! sending task on a single thread, so per-connection FIFO implies per-lane
-//! FIFO.
+//! the substrate the runtime needs: every lane — one session's packets over
+//! one directed link — has a single sending task on a single thread, so
+//! per-connection FIFO implies the per-lane FIFO the paper assumes.
 //!
 //! Frames move in batches. [`Transport::send_to`] takes one or more whole
 //! frames and has written them when it returns — it never defers; when to

@@ -1,7 +1,7 @@
 //! Property tests of the wire codec: every frame variant — all seven
-//! protocol packets, the recovery `Data`/`Ack` envelopes, the API control
-//! frames — round-trips exactly through encode/decode, and no byte string,
-//! however hostile, makes the decoder panic.
+//! protocol packets, the API control frames — round-trips exactly through
+//! encode/decode, and no byte string, however hostile, makes the decoder
+//! panic.
 
 use bneck_core::packet::{Packet, ResponseKind};
 use bneck_maxmin::{RateLimit, SessionId};
@@ -65,8 +65,9 @@ fn target(tag: u8, link: u32, hop: u32, slot: u32) -> NodeTarget {
     }
 }
 
-/// Builds any frame variant from drawn raw material. Tags 0–6 mirror the
-/// codec's frame tags; the packet/target material is reused across variants.
+/// Builds any frame variant from drawn raw material. Draws 0–4 stand for the
+/// codec's live frame tags 0 and 3–6; the packet/target material is reused
+/// across variants.
 #[expect(
     clippy::too_many_arguments,
     reason = "one parameter per drawn strategy value; a struct would only restate the strategy tuple"
@@ -81,7 +82,6 @@ fn frame(
     link: u32,
     hop: u32,
     slot: u32,
-    seq: u32,
     kind: u8,
     found: bool,
 ) -> WireFrame {
@@ -92,22 +92,11 @@ fn frame(
     } else {
         RateLimit::finite(rate)
     };
-    match ftag % 7 {
+    match ftag % 5 {
         0 => WireFrame::Packet { to, packet: pkt },
-        1 => WireFrame::Data {
-            to,
-            link: LinkId(link),
-            seq,
-            packet: pkt,
-        },
-        2 => WireFrame::Ack {
-            session: SessionId(session),
-            link: LinkId(link),
-            seq,
-        },
-        3 => WireFrame::Join { slot, limit },
-        4 => WireFrame::Leave { slot },
-        5 => WireFrame::Change { slot, limit },
+        1 => WireFrame::Join { slot, limit },
+        2 => WireFrame::Leave { slot },
+        3 => WireFrame::Change { slot, limit },
         _ => WireFrame::Shutdown,
     }
 }
@@ -122,15 +111,15 @@ proptest! {
     #[test]
     fn every_frame_variant_round_trips_exactly(
         from in 0u16..u16::MAX,
-        (ftag, ttag, ptag, kind) in (0u8..7, 0u8..3, 0u8..7, 0u8..3),
+        (ftag, ttag, ptag, kind) in (0u8..5, 0u8..3, 0u8..7, 0u8..3),
         (session, link, hop) in (0u64..u64::MAX, 0u32..u32::MAX, 0u32..64),
-        (slot, seq) in (0u32..u32::MAX, 0u32..u32::MAX),
+        slot in 0u32..u32::MAX,
         rate in 0.001f64..1.0e18,
         unlimited in proptest::bool::ANY,
         found in proptest::bool::ANY,
     ) {
         let original = frame(
-            ftag, ttag, ptag, session, rate, unlimited, link, hop, slot, seq, kind, found,
+            ftag, ttag, ptag, session, rate, unlimited, link, hop, slot, kind, found,
         );
         let mut wire = Vec::new();
         let appended = encode_frame(from, &original, &mut wire);
@@ -154,12 +143,12 @@ proptest! {
     /// panic, never a bogus success.
     #[test]
     fn truncations_of_valid_frames_never_panic(
-        (ftag, ttag, ptag) in (0u8..7, 0u8..3, 0u8..7),
+        (ftag, ttag, ptag) in (0u8..5, 0u8..3, 0u8..7),
         (session, link) in (0u64..u64::MAX, 0u32..u32::MAX),
         rate in 0.001f64..1.0e18,
         cut_seed in 0u32..u32::MAX,
     ) {
-        let original = frame(ftag, ttag, ptag, session, rate, false, link, 3, 7, 11, 1, true);
+        let original = frame(ftag, ttag, ptag, session, rate, false, link, 3, 7, 1, true);
         let mut wire = Vec::new();
         encode_frame(9, &original, &mut wire);
         let cut = cut_seed as usize % wire.len();
@@ -196,12 +185,12 @@ proptest! {
     /// decodes, the result is a structurally valid frame.
     #[test]
     fn single_byte_corruption_never_panics(
-        (ftag, ttag, ptag) in (0u8..7, 0u8..3, 0u8..7),
+        (ftag, ttag, ptag) in (0u8..5, 0u8..3, 0u8..7),
         session in 0u64..u64::MAX,
         rate in 0.001f64..1.0e18,
         (pos_seed, xor) in (0u32..u32::MAX, 1u8..255),
     ) {
-        let original = frame(ftag, ttag, ptag, session, rate, false, 5, 2, 4, 8, 0, false);
+        let original = frame(ftag, ttag, ptag, session, rate, false, 5, 2, 4, 0, false);
         let mut wire = Vec::new();
         encode_frame(3, &original, &mut wire);
         let pos = pos_seed as usize % wire.len();
@@ -233,4 +222,18 @@ fn decode_error_classification_is_stable() {
         decode_payload(&[1, 0, 0, 42]),
         Err(DecodeError::UnknownFrameTag(42))
     );
+    // The retired sequenced-packet (1) and ack (2) tags are unknown, never
+    // misread as another frame, whatever body follows them.
+    for tag in [1, 2] {
+        assert_eq!(
+            decode_payload(&[1, 0, 0, tag]),
+            Err(DecodeError::UnknownFrameTag(tag))
+        );
+        let mut payload = vec![1, 0, 0, tag];
+        payload.extend_from_slice(&[0; 24]);
+        assert_eq!(
+            decode_payload(&payload),
+            Err(DecodeError::UnknownFrameTag(tag))
+        );
+    }
 }

@@ -3,7 +3,6 @@
 //! exactly on the centralized max-min oracle and the control plane must go
 //! measurably silent.
 
-use bneck_core::RecoveryConfig;
 use bneck_maxmin::{compare_allocations, CentralizedBneck, RateLimit, SessionId, Tolerance};
 use bneck_net::topology::synthetic;
 use bneck_net::{Capacity, Delay, Network, Path};
@@ -118,9 +117,7 @@ fn tcp_cluster_matches_oracle() {
         sessions: 48,
         long_every: 6,
         transport: ClusterTransport::Tcp,
-        settle: SETTLE,
         timeout: TIMEOUT,
-        ..ClusterSpec::default()
     })
     .expect("tcp cluster run");
     assert_eq!(report.mismatches, 0, "{report}");
@@ -139,7 +136,6 @@ fn more_nodes_than_routers_leave_idle_nodes_and_stay_oracle_exact() {
         routers: 2,
         sessions: 12,
         transport: ClusterTransport::Channel,
-        settle: SETTLE,
         timeout: TIMEOUT,
         ..ClusterSpec::default()
     })
@@ -147,32 +143,6 @@ fn more_nodes_than_routers_leave_idle_nodes_and_stay_oracle_exact() {
     assert_eq!(report.mismatches, 0, "{report}");
     assert_eq!(report.decode_errors, 0, "{report}");
     assert_eq!(report.transport_errors, 0, "{report}");
-}
-
-#[test]
-fn recovery_layer_stays_oracle_exact_on_reliable_transport() {
-    let report = run_cluster(ClusterSpec {
-        nodes: 2,
-        routers: 3,
-        sessions: 24,
-        long_every: 4,
-        transport: ClusterTransport::Channel,
-        recovery: Some(RecoveryConfig::with_rto(Delay::from_micros(200_000))),
-        settle: SETTLE,
-        timeout: TIMEOUT,
-    })
-    .expect("recovered cluster run");
-    assert_eq!(report.mismatches, 0, "{report}");
-    let recovery = report.recovery.expect("recovery stats are reported");
-    assert!(recovery.frames_sent > 0, "{report}");
-    // Every delivered frame (first transmission or retransmission) is acked.
-    assert_eq!(
-        recovery.acks_sent,
-        recovery.frames_sent + recovery.retransmits,
-        "{report}"
-    );
-    // A reliable in-order transport never forces reorder buffering.
-    assert_eq!(recovery.reordered_buffered, 0, "{report}");
 }
 
 #[test]
@@ -197,22 +167,20 @@ fn single_node_cluster_works_without_any_wire_traffic_beyond_api() {
 
 /// Every session crosses the one trunk, so every protocol packet crosses the
 /// socket: the shape where frames must leave and arrive in batches.
-fn wire_bound(recovery: Option<RecoveryConfig>) -> ClusterSpec {
+fn wire_bound() -> ClusterSpec {
     ClusterSpec {
         nodes: 2,
         routers: 2,
         sessions: 2_000,
         long_every: 0,
         transport: ClusterTransport::Tcp,
-        recovery,
-        settle: SETTLE,
         timeout: TIMEOUT,
     }
 }
 
 #[test]
 fn wire_bound_tcp_cluster_batches_its_frames_and_stays_oracle_exact() {
-    let report = run_cluster(wire_bound(None)).expect("wire-bound tcp run");
+    let report = run_cluster(wire_bound()).expect("wire-bound tcp run");
     assert_eq!(report.mismatches, 0, "{report}");
     assert_eq!(report.decode_errors, 0, "{report}");
     assert_eq!(report.transport_errors, 0, "{report}");
@@ -220,21 +188,4 @@ fn wire_bound_tcp_cluster_batches_its_frames_and_stays_oracle_exact() {
     // bar only says that a frame no longer costs a write.
     assert!(report.writes > 0 && report.blobs > 0, "{report}");
     assert!(report.frames >= 2 * report.writes, "{report}");
-}
-
-#[test]
-fn wire_bound_tcp_cluster_with_recovery_acks_every_frame_and_goes_silent() {
-    // Silence is only ever reported with nothing unacked, so `Ok` is that
-    // half of the claim.
-    let recovery = RecoveryConfig::with_rto(Delay::from_micros(200_000));
-    let report = run_cluster(wire_bound(Some(recovery))).expect("recovered wire-bound run");
-    assert_eq!(report.mismatches, 0, "{report}");
-    assert_eq!(report.decode_errors, 0, "{report}");
-    assert_eq!(report.transport_errors, 0, "{report}");
-    let recovery = report.recovery.expect("recovery stats are reported");
-    assert_eq!(
-        recovery.acks_sent,
-        recovery.frames_sent + recovery.retransmits,
-        "{report}"
-    );
 }
