@@ -718,16 +718,16 @@ mod tests {
         // dropped, not indexed.
         use bneck_net::prelude::*;
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
-        let r2 = b.add_router("r2");
-        let r3 = b.add_router("r3");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
+        let r2 = b.add_router();
+        let r3 = b.add_router();
         b.connect(r0, r1, Capacity::from_mbps(100.0), Delay::from_micros(1));
         b.connect(r1, r2, Capacity::from_mbps(100.0), Delay::from_micros(1));
         b.connect(r2, r3, Capacity::from_mbps(100.0), Delay::from_micros(1));
-        let h0 = b.add_host("h0", r0, Capacity::from_mbps(100.0), Delay::from_micros(1));
-        let h1 = b.add_host("h1", r3, Capacity::from_mbps(50.0), Delay::from_micros(1));
-        let h2 = b.add_host("h2", r0, Capacity::from_mbps(80.0), Delay::from_micros(1));
+        let h0 = b.add_host(r0, Capacity::from_mbps(100.0), Delay::from_micros(1));
+        let h1 = b.add_host(r3, Capacity::from_mbps(50.0), Delay::from_micros(1));
+        let h2 = b.add_host(r0, Capacity::from_mbps(80.0), Delay::from_micros(1));
         let net = b.build();
         let mut sim = BaselineSimulation::new(&net, GrantAll);
         for probe_us in 1..12u64 {

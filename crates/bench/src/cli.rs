@@ -32,6 +32,8 @@ use crate::sweep::SweepRunner;
 use bneck_metrics::Table;
 use bneck_node::{run_cluster, ClusterSpec, ClusterTransport};
 use bneck_workload::spec::{ExperimentKind, ExperimentSpec, PAPER_FULL, PRESET_NAMES};
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -80,6 +82,22 @@ The worker-thread count precedence is --threads, then BNECK_THREADS, then
 all cores; reports are bit-identical at any thread count.
 ";
 
+/// Prints `text` and a newline to stdout, as `println!` does, except that a
+/// closed stdout (a reader that went away, as `head` does) ends the output
+/// instead of the process: the exit code stays the run's own verdict.
+///
+/// # Panics
+///
+/// On any other write error, as `println!` does.
+fn say(text: impl Display) {
+    if let Err(error) = writeln!(io::stdout().lock(), "{text}") {
+        assert!(
+            error.kind() == io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {error}"
+        );
+    }
+}
+
 /// Runs the CLI on the given arguments (without the program name), returning
 /// the process exit code.
 pub fn run_main(args: &[String]) -> i32 {
@@ -90,7 +108,7 @@ pub fn run_main(args: &[String]) -> i32 {
         Some("validate") => cmd_validate(&args[1..]),
         Some("bench-presets") => cmd_bench_presets(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
-            print!("{USAGE}");
+            say(USAGE.trim_end());
             0
         }
         Some(other) => {
@@ -325,7 +343,7 @@ fn cmd_node(args: &[String]) -> i32 {
     );
     match run_cluster(spec) {
         Ok(report) => {
-            println!("{report}");
+            say(&report);
             if report.mismatches > 0 {
                 eprintln!(
                     "[bneck] FAILURES: {} session(s) off the max-min oracle",
@@ -435,18 +453,18 @@ fn execute(options: RunOptions) -> i32 {
     let tables = render_tables(&report);
     if options.tables {
         for table in &tables {
-            println!("{table}");
+            say(table);
         }
     }
     if options.csv {
         for table in &tables {
-            println!("{}", table.to_csv());
+            say(table.to_csv());
         }
     }
     if options.spec.output.json {
         let document = json_report(&options.spec, &report);
         if options.json || options.out.is_none() {
-            println!("{}", document.to_json_pretty());
+            say(document.to_json_pretty());
         }
         if let Some(path) = &options.out {
             if let Err(error) = std::fs::write(path, document.to_json_pretty()) {
@@ -463,7 +481,7 @@ fn execute(options: RunOptions) -> i32 {
         return 1;
     }
     if matches!(report, ExperimentReport::Validation(_)) {
-        println!("all runs converged to the exact max-min fair rates");
+        say("all runs converged to the exact max-min fair rates");
     }
     0
 }
@@ -494,9 +512,9 @@ fn cmd_validate(args: &[String]) -> i32 {
         // preset that cannot survive its own serialization fails here).
         for spec in ExperimentSpec::presets() {
             match check_round_trip(&spec) {
-                Ok(()) => println!("ok preset {}", spec.name),
+                Ok(()) => say(format_args!("ok preset {}", spec.name)),
                 Err(message) => {
-                    println!("FAIL preset {}: {message}", spec.name);
+                    say(format_args!("FAIL preset {}: {message}", spec.name));
                     failures += 1;
                 }
             }
@@ -510,9 +528,13 @@ fn cmd_validate(args: &[String]) -> i32 {
             })
             .and_then(|spec| spec.check().map_err(|e| e.to_string()).map(|()| spec))
         {
-            Ok(spec) => println!("ok {path} ({} · {})", spec.name, spec.experiment.label()),
+            Ok(spec) => say(format_args!(
+                "ok {path} ({} · {})",
+                spec.name,
+                spec.experiment.label()
+            )),
             Err(message) => {
-                println!("FAIL {path}: {message}");
+                say(format_args!("FAIL {path}: {message}"));
                 failures += 1;
             }
         }
@@ -541,12 +563,9 @@ fn cmd_bench_presets(args: &[String]) -> i32 {
     }
     if args.iter().any(|a| a == "--json") {
         let specs = ExperimentSpec::presets();
-        println!(
-            "{}",
-            serde_json::to_value(&specs)
-                .expect("infallible in the shim")
-                .to_json_pretty()
-        );
+        say(serde_json::to_value(&specs)
+            .expect("infallible in the shim")
+            .to_json_pretty());
         return 0;
     }
     let mut table = Table::new(
@@ -563,7 +582,7 @@ fn cmd_bench_presets(args: &[String]) -> i32 {
                 .to_string(),
         ]);
     }
-    println!("{table}");
+    say(table);
     0
 }
 

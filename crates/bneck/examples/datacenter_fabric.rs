@@ -84,8 +84,8 @@ fn main() {
         let l = network.link(link.link);
         println!(
             "  {} -> {}: bottleneck rate {:.1} Mbps, {} flows restricted here, {} restricted elsewhere",
-            network.node(l.src()).name(),
-            network.node(l.dst()).name(),
+            l.src(),
+            l.dst(),
             link.bottleneck_rate.unwrap_or(0.0) / 1e6,
             link.restricted.len(),
             link.unrestricted.len()

@@ -1287,16 +1287,16 @@ mod tests {
         // carry hop indices of the old path; they must be dropped (or
         // re-resolved), not indexed into the new, shorter path.
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
-        let r2 = b.add_router("r2");
-        let r3 = b.add_router("r3");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
+        let r2 = b.add_router();
+        let r3 = b.add_router();
         b.connect(r0, r1, mbps(100.0), us(1));
         b.connect(r1, r2, mbps(100.0), us(1));
         b.connect(r2, r3, mbps(100.0), us(1));
-        let h0 = b.add_host("h0", r0, mbps(100.0), us(1));
-        let h1 = b.add_host("h1", r3, mbps(50.0), us(1));
-        let h2 = b.add_host("h2", r0, mbps(80.0), us(1));
+        let h0 = b.add_host(r0, mbps(100.0), us(1));
+        let h1 = b.add_host(r3, mbps(50.0), us(1));
+        let h2 = b.add_host(r0, mbps(80.0), us(1));
         let net = b.build();
         let mut sim = BneckSimulation::new(&net, BneckConfig::default());
         // Try a range of interruption points so packets are caught in flight

@@ -472,9 +472,7 @@ mod tests {
     /// reverse.
     fn chain() -> (Network, Vec<NodeId>) {
         let mut builder = NetworkBuilder::new();
-        let routers: Vec<NodeId> = (0..=CHAIN)
-            .map(|i| builder.add_router(format!("r{i}")))
-            .collect();
+        let routers: Vec<NodeId> = (0..=CHAIN).map(|_| builder.add_router()).collect();
         for pair in routers.windows(2) {
             builder.connect(
                 pair[0],
@@ -906,7 +904,7 @@ mod tests {
             let mut in_flight: Vec<(Target, Packet)> = Vec::new();
             let steps = script.len();
             // After the script, drain what is still in flight FIFO.
-            let drain = std::iter::repeat((3, 0, 0)).take(20_000);
+            let drain = std::iter::repeat_n((3, 0, 0), 20_000);
             for (step, (op, a, b)) in script.into_iter().chain(drain).enumerate() {
                 if step >= steps && in_flight.is_empty() {
                     break;

@@ -197,7 +197,7 @@ impl RecoveryState {
     /// Queues the look at frame `seq` of `lane`, (re)sent at `now`.
     fn arm(&mut self, now: SimTime, lane: u32, seq: u32) {
         let due = now + self.config.rto;
-        let sorted = self.deadlines.back().map_or(true, |last| last.0 <= due);
+        let sorted = self.deadlines.back().is_none_or(|last| last.0 <= due);
         debug_assert!(sorted, "one constant RTO and a monotone clock");
         self.deadlines.push_back((due, lane, seq));
     }

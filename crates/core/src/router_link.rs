@@ -1182,7 +1182,11 @@ mod tests {
         let rates = [be, 10e6, 25e6, CAP / 3.0, CAP, 500e6];
         let rate = Some(rates[pick as usize % 6]).filter(|r| r.is_finite());
         let rate = rate.unwrap_or(500e6);
-        let restricting = if pick % 3 == 0 { LinkId(3) } else { LinkId(7) };
+        let restricting = if pick.is_multiple_of(3) {
+            LinkId(3)
+        } else {
+            LinkId(7)
+        };
         let kind_of = |k| [ResponseKind::Response, ResponseKind::Update][k as usize % 2];
         match kind {
             0 => Packet::Join {
@@ -1205,7 +1209,7 @@ mod tests {
             5 => Packet::Bottleneck { session },
             6 => Packet::SetBottleneck {
                 session,
-                found: pick % 2 == 0,
+                found: pick.is_multiple_of(2),
             },
             _ => Packet::Leave { session },
         }

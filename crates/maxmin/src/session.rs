@@ -412,8 +412,8 @@ mod tests {
         // path that crosses the same link twice. Removal walks the path's
         // link list, so it must drop one reverse-index entry per crossing.
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         let (ab, ba) = b.connect(r0, r1, Capacity::from_mbps(100.0), Delay::from_micros(1));
         let net = b.build();
         let loopy = Path::from_links(&net, vec![ab, ba, ab]);

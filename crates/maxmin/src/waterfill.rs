@@ -262,16 +262,16 @@ mod tests {
         // Classic 3-session example: s0 and s1 share link A (cap 100),
         // s1 and s2 share link B (cap 40). Max-min: s1 = 20, s2 = 20, s0 = 80.
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
-        let r2 = b.add_router("r2");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
+        let r2 = b.add_router();
         b.connect(r0, r1, mbps(100.0), us(1)); // link A
         b.connect(r1, r2, mbps(40.0), us(1)); // link B
-        let h0 = b.add_host("h0", r0, mbps(1000.0), us(1));
-        let h1 = b.add_host("h1", r0, mbps(1000.0), us(1));
-        let h2 = b.add_host("h2", r1, mbps(1000.0), us(1));
-        let d1 = b.add_host("d1", r1, mbps(1000.0), us(1));
-        let d2 = b.add_host("d2", r2, mbps(1000.0), us(1));
+        let h0 = b.add_host(r0, mbps(1000.0), us(1));
+        let h1 = b.add_host(r0, mbps(1000.0), us(1));
+        let h2 = b.add_host(r1, mbps(1000.0), us(1));
+        let d1 = b.add_host(r1, mbps(1000.0), us(1));
+        let d2 = b.add_host(r2, mbps(1000.0), us(1));
         let net = b.build();
         let mut router = Router::new(&net);
         let mut sessions = SessionSet::new();

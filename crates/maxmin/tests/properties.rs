@@ -19,9 +19,7 @@ fn random_instance(
 ) -> (Network, SessionSet) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut builder = NetworkBuilder::new();
-    let router_ids: Vec<_> = (0..routers)
-        .map(|i| builder.add_router(format!("r{i}")))
-        .collect();
+    let router_ids: Vec<_> = (0..routers).map(|_| builder.add_router()).collect();
     // Ring for connectivity plus random chords with random capacities.
     for i in 0..routers {
         let j = (i + 1) % routers;
@@ -42,10 +40,8 @@ fn random_instance(
     }
     let hosts: Vec<_> = router_ids
         .iter()
-        .enumerate()
-        .map(|(i, r)| {
+        .map(|r| {
             builder.add_host(
-                format!("h{i}"),
                 *r,
                 Capacity::from_mbps(rng.gen_range(50.0..150.0)),
                 Delay::from_micros(1),

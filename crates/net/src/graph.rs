@@ -54,20 +54,11 @@ impl fmt::Display for LinkId {
     }
 }
 
-/// Hierarchy level of a router in a transit–stub topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouterLevel {
-    /// Backbone (transit domain) router.
-    Transit,
-    /// Edge (stub domain) router; hosts attach to stub routers.
-    Stub,
-}
-
 /// The role of a node in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An interior router; sessions only traverse routers.
-    Router(RouterLevel),
+    Router,
     /// A host; sessions start and end at hosts, and each host connects to
     /// exactly one router through a dedicated link.
     Host,
@@ -81,7 +72,7 @@ impl NodeKind {
 
     /// Returns `true` if the node is a router.
     pub fn is_router(self) -> bool {
-        matches!(self, NodeKind::Router(_))
+        matches!(self, NodeKind::Router)
     }
 }
 
@@ -90,7 +81,6 @@ impl NodeKind {
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
-    name: String,
 }
 
 impl Node {
@@ -102,11 +92,6 @@ impl Node {
     /// The node's role.
     pub fn kind(&self) -> NodeKind {
         self.kind
-    }
-
-    /// The node's human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -256,11 +241,11 @@ impl Network {
 /// use bneck_net::prelude::*;
 ///
 /// let mut b = NetworkBuilder::new();
-/// let r0 = b.add_router("r0");
-/// let r1 = b.add_router("r1");
+/// let r0 = b.add_router();
+/// let r1 = b.add_router();
 /// b.connect(r0, r1, Capacity::from_mbps(200.0), Delay::from_micros(1));
-/// let h0 = b.add_host("h0", r0, Capacity::from_mbps(100.0), Delay::from_micros(1));
-/// let h1 = b.add_host("h1", r1, Capacity::from_mbps(100.0), Delay::from_micros(1));
+/// let h0 = b.add_host(r0, Capacity::from_mbps(100.0), Delay::from_micros(1));
+/// let h1 = b.add_host(r1, Capacity::from_mbps(100.0), Delay::from_micros(1));
 /// let net = b.build();
 /// assert_eq!(net.router_count(), 2);
 /// assert_eq!(net.host_count(), 2);
@@ -280,14 +265,9 @@ impl NetworkBuilder {
         Self::default()
     }
 
-    /// Adds a stub-level router with the given name and returns its identifier.
-    pub fn add_router(&mut self, name: impl Into<String>) -> NodeId {
-        self.add_router_at(name, RouterLevel::Stub)
-    }
-
-    /// Adds a router at a specific hierarchy level.
-    pub(crate) fn add_router_at(&mut self, name: impl Into<String>, level: RouterLevel) -> NodeId {
-        self.push_node(NodeKind::Router(level), name.into())
+    /// Adds a router and returns its identifier.
+    pub fn add_router(&mut self) -> NodeId {
+        self.push_node(NodeKind::Router)
     }
 
     /// Adds a host attached to `router` with a dedicated bidirectional link of
@@ -296,18 +276,12 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if `router` is not a router node.
-    pub fn add_host(
-        &mut self,
-        name: impl Into<String>,
-        router: NodeId,
-        capacity: Capacity,
-        delay: Delay,
-    ) -> NodeId {
+    pub fn add_host(&mut self, router: NodeId, capacity: Capacity, delay: Delay) -> NodeId {
         assert!(
             self.nodes[router.index()].kind().is_router(),
             "hosts must attach to routers"
         );
-        let host = self.push_node(NodeKind::Host, name.into());
+        let host = self.push_node(NodeKind::Host);
         self.connect(host, router, capacity, delay);
         host
     }
@@ -350,11 +324,6 @@ impl NetworkBuilder {
         self.endpoints.contains(&(src, dst))
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Finalizes the builder into an immutable [`Network`].
     pub fn build(self) -> Network {
         // Counting sort of the links by source node into CSR form, preserving
@@ -381,9 +350,9 @@ impl NetworkBuilder {
         }
     }
 
-    fn push_node(&mut self, kind: NodeKind, name: String) -> NodeId {
+    fn push_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { id, kind, name });
+        self.nodes.push(Node { id, kind });
         id
     }
 }
@@ -400,10 +369,10 @@ mod tests {
     fn builder_assigns_dense_ids() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         b.connect(r0, r1, c, d);
-        let h = b.add_host("h", r0, c, d);
+        let h = b.add_host(r0, c, d);
         assert_eq!(r0, NodeId(0));
         assert_eq!(r1, NodeId(1));
         assert_eq!(h, NodeId(2));
@@ -419,8 +388,8 @@ mod tests {
     fn link_lookup_and_reverse() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         let (ab, ba) = b.connect(r0, r1, c, d);
         let net = b.build();
         assert_eq!(net.link_between(r0, r1), Some(ab));
@@ -436,9 +405,9 @@ mod tests {
     fn out_links_are_indexed_per_node() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
-        let r2 = b.add_router("r2");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
+        let r2 = b.add_router();
         b.connect(r0, r1, c, d);
         b.connect(r0, r2, c, d);
         let net = b.build();
@@ -452,8 +421,8 @@ mod tests {
     fn duplicate_links_rejected() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         b.connect(r0, r1, c, d);
         b.connect(r0, r1, c, d);
     }
@@ -463,17 +432,17 @@ mod tests {
     fn host_must_attach_to_router() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let h0 = b.add_host("h0", r0, c, d);
-        b.add_host("h1", h0, c, d);
+        let r0 = b.add_router();
+        let h0 = b.add_host(r0, c, d);
+        b.add_host(h0, c, d);
     }
 
     #[test]
     fn node_kind_predicates() {
         assert!(NodeKind::Host.is_host());
         assert!(!NodeKind::Host.is_router());
-        assert!(NodeKind::Router(RouterLevel::Transit).is_router());
-        assert!(!NodeKind::Router(RouterLevel::Stub).is_host());
+        assert!(NodeKind::Router.is_router());
+        assert!(!NodeKind::Router.is_host());
     }
 
     #[test]

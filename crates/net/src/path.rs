@@ -102,11 +102,11 @@ mod tests {
         let c = Capacity::from_mbps(100.0);
         let d = Delay::from_micros(1);
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         b.connect(r0, r1, Capacity::from_mbps(200.0), Delay::from_micros(2));
-        let h0 = b.add_host("h0", r0, c, d);
-        let h1 = b.add_host("h1", r1, c, d);
+        let h0 = b.add_host(r0, c, d);
+        let h1 = b.add_host(r1, c, d);
         (b.build(), vec![h0, r0, r1, h1])
     }
 

@@ -237,14 +237,14 @@ mod tests {
     fn diamond() -> (Network, NodeId, NodeId) {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
-        let r2 = b.add_router("r2");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
+        let r2 = b.add_router();
         b.connect(r0, r1, c, d);
         b.connect(r1, r2, c, d);
         b.connect(r0, r2, c, d);
-        let h0 = b.add_host("h0", r0, c, d);
-        let h2 = b.add_host("h2", r2, c, d);
+        let h0 = b.add_host(r0, c, d);
+        let h2 = b.add_host(r2, c, d);
         (b.build(), h0, h2)
     }
 
@@ -270,10 +270,10 @@ mod tests {
     fn unreachable_returns_none() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1"); // never connected to r0
-        let h0 = b.add_host("h0", r0, c, d);
-        let h1 = b.add_host("h1", r1, c, d);
+        let r0 = b.add_router();
+        let r1 = b.add_router(); // never connected to r0
+        let h0 = b.add_host(r0, c, d);
+        let h1 = b.add_host(r1, c, d);
         let net = b.build();
         let mut router = Router::new(&net);
         assert!(router.shortest_path(h0, h1).is_none());
@@ -285,12 +285,12 @@ mod tests {
         // must never route "through" h1.
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1");
+        let r0 = b.add_router();
+        let r1 = b.add_router();
         b.connect(r0, r1, c, d);
-        let h0 = b.add_host("h0", r0, c, d);
-        let _h1 = b.add_host("h1", r0, c, d);
-        let h2 = b.add_host("h2", r1, c, d);
+        let h0 = b.add_host(r0, c, d);
+        let _h1 = b.add_host(r0, c, d);
+        let h2 = b.add_host(r1, c, d);
         let net = b.build();
         let mut router = Router::new(&net);
         let p = router.shortest_path(h0, h2).unwrap();
@@ -429,12 +429,12 @@ mod tests {
         // Two islands: pairs across them are unreachable.
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let routers: Vec<NodeId> = (0..5).map(|i| b.add_router(format!("r{i}"))).collect();
+        let routers: Vec<NodeId> = (0..5).map(|_| b.add_router()).collect();
         b.connect(routers[0], routers[1], c, d);
         b.connect(routers[1], routers[2], c, d);
         b.connect(routers[3], routers[4], c, d);
-        for (i, &r) in routers.iter().cycle().take(12).enumerate() {
-            b.add_host(format!("h{i}"), r, c, d);
+        for &r in routers.iter().cycle().take(12) {
+            b.add_host(r, c, d);
         }
         let (same_router, unreachable) = assert_paths_match_reference(&b.build());
         assert!(same_router > 0);
@@ -473,9 +473,9 @@ mod tests {
     fn host_path_cached_same_router_and_self() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let h0 = b.add_host("h0", r0, c, d);
-        let h1 = b.add_host("h1", r0, c, d);
+        let r0 = b.add_router();
+        let h0 = b.add_host(r0, c, d);
+        let h1 = b.add_host(r0, c, d);
         let net = b.build();
         let mut router = Router::new(&net);
         assert!(router.host_path_cached(h0, h0).is_none());
@@ -489,10 +489,10 @@ mod tests {
     fn host_path_cached_unreachable_returns_none() {
         let (c, d) = caps();
         let mut b = NetworkBuilder::new();
-        let r0 = b.add_router("r0");
-        let r1 = b.add_router("r1"); // never connected to r0
-        let h0 = b.add_host("h0", r0, c, d);
-        let h1 = b.add_host("h1", r1, c, d);
+        let r0 = b.add_router();
+        let r1 = b.add_router(); // never connected to r0
+        let h0 = b.add_host(r0, c, d);
+        let h1 = b.add_host(r1, c, d);
         let net = b.build();
         let mut router = Router::new(&net);
         assert!(router.host_path_cached(h0, h1).is_none());

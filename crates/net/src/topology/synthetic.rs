@@ -31,12 +31,12 @@ pub fn line(
     assert!(routers > 0, "a line needs at least one router");
     let mut b = NetworkBuilder::new();
     let mut prev: Option<NodeId> = None;
-    for i in 0..routers {
-        let r = b.add_router(format!("r{i}"));
+    for _ in 0..routers {
+        let r = b.add_router();
         if let Some(p) = prev {
             b.connect(p, r, backbone_capacity, delay);
         }
-        b.add_host(format!("h{i}"), r, host_capacity, delay);
+        b.add_host(r, host_capacity, delay);
         prev = Some(r);
     }
     b.build()
@@ -50,9 +50,9 @@ pub fn line(
 pub fn star(hosts: usize, host_capacity: Capacity, delay: Delay) -> Network {
     assert!(hosts > 0, "a star needs at least one host");
     let mut b = NetworkBuilder::new();
-    let hub = b.add_router("hub");
-    for i in 0..hosts {
-        b.add_host(format!("h{i}"), hub, host_capacity, delay);
+    let hub = b.add_router();
+    for _ in 0..hosts {
+        b.add_host(hub, host_capacity, delay);
     }
     b.build()
 }
@@ -77,12 +77,12 @@ pub fn dumbbell(
 ) -> Network {
     assert!(pairs > 0, "a dumbbell needs at least one pair");
     let mut b = NetworkBuilder::new();
-    let left = b.add_router("left");
-    let right = b.add_router("right");
+    let left = b.add_router();
+    let right = b.add_router();
     b.connect(left, right, bottleneck_capacity, delay);
-    for i in 0..pairs {
-        b.add_host(format!("src{i}"), left, host_capacity, delay);
-        b.add_host(format!("dst{i}"), right, host_capacity, delay);
+    for _ in 0..pairs {
+        b.add_host(left, host_capacity, delay);
+        b.add_host(right, host_capacity, delay);
     }
     b.build()
 }
@@ -121,25 +121,21 @@ pub fn binary_tree(
 ) -> Network {
     assert!(hosts_per_leaf > 0, "need at least one host per leaf");
     let mut b = NetworkBuilder::new();
-    let mut level: Vec<NodeId> = vec![b.add_router("t0")];
-    let mut counter = 1usize;
+    let mut level: Vec<NodeId> = vec![b.add_router()];
     for _ in 0..depth {
         let mut next = Vec::with_capacity(level.len() * 2);
         for &parent in &level {
             for _ in 0..2 {
-                let child = b.add_router(format!("t{counter}"));
-                counter += 1;
+                let child = b.add_router();
                 b.connect(parent, child, backbone_capacity, delay);
                 next.push(child);
             }
         }
         level = next;
     }
-    let mut host_counter = 0usize;
     for &leaf in &level {
         for _ in 0..hosts_per_leaf {
-            b.add_host(format!("h{host_counter}"), leaf, host_capacity, delay);
-            host_counter += 1;
+            b.add_host(leaf, host_capacity, delay);
         }
     }
     b.build()

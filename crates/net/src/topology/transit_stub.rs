@@ -3,7 +3,7 @@
 //! The paper generates its evaluation networks with the gt-itm tool configured
 //! with "a typical Internet transit-stub model" (Zegura et al.), in three
 //! sizes: Small (110 routers), Medium (1,100 routers) and Big (11,000
-//! routers), with up to 600,000 hosts. This module re-implements the
+//! routers), with up to 600,000 hosts. [`paper_network`] re-implements the
 //! transit–stub construction:
 //!
 //! * a set of *transit domains*, each a connected random graph of transit
@@ -16,10 +16,24 @@
 //! stub, 500 Mbps transit) and propagation delays follow the LAN or WAN model.
 
 use crate::capacity::Capacity;
-use crate::graph::{Network, NetworkBuilder, NodeId, RouterLevel};
-use crate::topology::{DelayModel, LinkPlan};
+use crate::delay::Delay;
+use crate::graph::{Network, NetworkBuilder, NodeId};
+use crate::topology::DelayModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// Capacity of host ↔ stub-router links, in Mbps.
+const HOST_ACCESS_MBPS: f64 = 100.0;
+/// Capacity of stub ↔ stub links, including a stub domain's attachment to its
+/// transit router, in Mbps.
+const STUB_MBPS: f64 = 200.0;
+/// Capacity of transit ↔ transit links, in Mbps.
+const TRANSIT_MBPS: f64 = 500.0;
+/// Propagation delay of a host access link, under either delay model.
+const HOST_DELAY: Delay = Delay::from_micros(1);
+/// Probability of a chord (beyond the connectivity ring) between two routers
+/// of the same domain.
+const CHORD_PROBABILITY: f64 = 0.2;
 
 /// The three network sizes evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,11 +49,9 @@ pub enum NetworkSize {
 impl NetworkSize {
     /// The total number of routers of this size class.
     pub fn router_count(self) -> usize {
-        match self {
-            NetworkSize::Small => 110,
-            NetworkSize::Medium => 1_100,
-            NetworkSize::Big => 11_000,
-        }
+        let (domains, transit_per_domain, stubs_per_transit, routers_per_stub) = self.parameters();
+        let transit = domains * transit_per_domain;
+        transit + transit * stubs_per_transit * routers_per_stub
     }
 
     /// The structural parameters (transit domains, transit routers per domain,
@@ -63,215 +75,101 @@ impl std::fmt::Display for NetworkSize {
     }
 }
 
-/// Configuration of the transit–stub generator.
+/// Generates one of the paper's networks with `hosts` hosts, the given delay
+/// model and seed. Deterministic for a given `(size, hosts, delay, seed)`.
 ///
-/// The link capacities are not part of it: every generated network uses the
-/// paper's §IV plan, [`LinkPlan::default`] (100 Mbps host access, 200 Mbps
-/// stub, 500 Mbps transit), the one plan the evaluation fixes.
+/// The transit routers take the first node identifiers, then come the stub
+/// routers, domain by domain, then the hosts.
 ///
 /// # Example
 ///
 /// ```
 /// use bneck_net::prelude::*;
+/// use bneck_net::topology::transit_stub::paper_network;
 ///
-/// let config = TransitStubConfig::of_size(NetworkSize::Small)
-///     .with_hosts(200)
-///     .with_delay_model(DelayModel::Lan)
-///     .with_seed(42);
-/// let net = TransitStubGenerator::new(config).generate();
+/// let net = paper_network(NetworkSize::Small, 200, DelayModel::Lan, 42);
 /// assert_eq!(net.router_count(), 110);
 /// assert_eq!(net.host_count(), 200);
 /// ```
-#[derive(Debug, Clone)]
-pub struct TransitStubConfig {
-    /// Number of transit domains.
-    pub transit_domains: usize,
-    /// Routers per transit domain.
-    pub transit_routers_per_domain: usize,
-    /// Stub domains sponsored by each transit router.
-    pub stub_domains_per_transit_router: usize,
-    /// Routers per stub domain.
-    pub routers_per_stub_domain: usize,
-    /// Total number of hosts, attached to uniformly random stub routers.
-    pub hosts: usize,
-    /// Propagation delay model (LAN or WAN in the paper).
-    pub delay_model: DelayModel,
-    /// Probability of adding a chord edge (beyond the connectivity ring)
-    /// between two routers of the same domain.
-    pub intra_domain_chord_probability: f64,
-    /// Seed for the deterministic random generator.
-    pub seed: u64,
-}
+pub fn paper_network(size: NetworkSize, hosts: usize, delay: DelayModel, seed: u64) -> Network {
+    let (domains, transit_per_domain, stubs_per_transit, routers_per_stub) = size.parameters();
+    let transit = Capacity::from_mbps(TRANSIT_MBPS);
+    let stub = Capacity::from_mbps(STUB_MBPS);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut b = NetworkBuilder::new();
 
-impl TransitStubConfig {
-    /// Returns a configuration matching one of the paper's size classes, with
-    /// no hosts (add them with [`TransitStubConfig::with_hosts`]).
-    pub fn of_size(size: NetworkSize) -> Self {
-        let (td, trpd, sdtr, rpsd) = size.parameters();
-        TransitStubConfig {
-            transit_domains: td,
-            transit_routers_per_domain: trpd,
-            stub_domains_per_transit_router: sdtr,
-            routers_per_stub_domain: rpsd,
-            hosts: 0,
-            delay_model: DelayModel::Lan,
-            intra_domain_chord_probability: 0.2,
-            seed: 1,
+    // 1. Transit domains.
+    let mut transit_domains: Vec<Vec<NodeId>> = Vec::with_capacity(domains);
+    for _ in 0..domains {
+        let routers: Vec<NodeId> = (0..transit_per_domain).map(|_| b.add_router()).collect();
+        connect_domain(&mut b, &routers, transit, delay, &mut rng);
+        transit_domains.push(routers);
+    }
+
+    // 2. Interconnect transit domains in a ring (one link when there are
+    //    two) so the backbone is connected.
+    for t in 0..domains {
+        let next = (t + 1) % domains;
+        if t < next || domains > 2 {
+            let a = *pick(&transit_domains[t], &mut rng);
+            let z = *pick(&transit_domains[next], &mut rng);
+            let d = delay.router_delay(&mut rng);
+            b.connect(a, z, transit, d);
         }
     }
 
-    /// Sets the number of hosts.
-    pub fn with_hosts(mut self, hosts: usize) -> Self {
-        self.hosts = hosts;
-        self
-    }
-
-    /// Sets the propagation delay model.
-    pub fn with_delay_model(mut self, model: DelayModel) -> Self {
-        self.delay_model = model;
-        self
-    }
-
-    /// Sets the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Total number of routers this configuration will generate.
-    pub fn router_count(&self) -> usize {
-        let transit = self.transit_domains * self.transit_routers_per_domain;
-        transit + transit * self.stub_domains_per_transit_router * self.routers_per_stub_domain
-    }
-}
-
-/// Deterministic transit–stub topology generator.
-#[derive(Debug, Clone)]
-pub struct TransitStubGenerator {
-    config: TransitStubConfig,
-}
-
-impl TransitStubGenerator {
-    /// Creates a generator for the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any structural parameter is zero.
-    pub fn new(config: TransitStubConfig) -> Self {
-        assert!(config.transit_domains > 0, "need at least 1 transit domain");
-        assert!(
-            config.transit_routers_per_domain > 0,
-            "need at least 1 transit router per domain"
-        );
-        assert!(
-            config.stub_domains_per_transit_router > 0,
-            "need at least 1 stub domain per transit router"
-        );
-        assert!(
-            config.routers_per_stub_domain > 0,
-            "need at least 1 router per stub domain"
-        );
-        TransitStubGenerator { config }
-    }
-
-    /// The configuration this generator was created with.
-    pub fn config(&self) -> &TransitStubConfig {
-        &self.config
-    }
-
-    /// Generates the network. Deterministic for a given configuration
-    /// (including the seed).
-    pub fn generate(&self) -> Network {
-        let cfg = &self.config;
-        let plan = LinkPlan::default();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut b = NetworkBuilder::new();
-
-        // 1. Transit domains.
-        let mut transit_domains: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.transit_domains);
-        for t in 0..cfg.transit_domains {
-            let routers: Vec<NodeId> = (0..cfg.transit_routers_per_domain)
-                .map(|i| b.add_router_at(format!("t{t}.{i}"), RouterLevel::Transit))
-                .collect();
-            self.connect_domain(&mut b, &routers, plan.transit, &mut rng);
-            transit_domains.push(routers);
+    // 3. Stub domains: every transit router sponsors a fixed number.
+    let mut stub_routers: Vec<NodeId> = Vec::new();
+    for &transit_router in transit_domains.iter().flatten() {
+        for _ in 0..stubs_per_transit {
+            let routers: Vec<NodeId> = (0..routers_per_stub).map(|_| b.add_router()).collect();
+            connect_domain(&mut b, &routers, stub, delay, &mut rng);
+            // Attach the stub domain to its sponsoring transit router.
+            let gateway = *pick(&routers, &mut rng);
+            let d = delay.router_delay(&mut rng);
+            b.connect(gateway, transit_router, stub, d);
+            stub_routers.extend(routers);
         }
+    }
 
-        // 2. Interconnect transit domains in a ring plus random extra links so
-        //    the backbone is connected even with a single pair of domains.
-        if cfg.transit_domains > 1 {
-            for t in 0..cfg.transit_domains {
-                let next = (t + 1) % cfg.transit_domains;
-                if t < next || cfg.transit_domains > 2 || t == 0 {
-                    let a = *pick(&transit_domains[t], &mut rng);
-                    let bnode = *pick(&transit_domains[next], &mut rng);
-                    if !b.has_link(a, bnode) {
-                        let d = cfg.delay_model.router_delay(&mut rng);
-                        b.connect(a, bnode, plan.transit, d);
-                    }
-                }
+    // 4. Hosts, attached to uniformly random stub routers.
+    let host_access = Capacity::from_mbps(HOST_ACCESS_MBPS);
+    for _ in 0..hosts {
+        let router = *pick(&stub_routers, &mut rng);
+        b.add_host(router, host_access, HOST_DELAY);
+    }
+
+    b.build()
+}
+
+/// Connects the routers of one domain: a ring for guaranteed connectivity
+/// plus random chords with probability [`CHORD_PROBABILITY`].
+fn connect_domain(
+    b: &mut NetworkBuilder,
+    routers: &[NodeId],
+    capacity: Capacity,
+    delay: DelayModel,
+    rng: &mut SmallRng,
+) {
+    let n = routers.len();
+    if n == 1 {
+        return;
+    }
+    for i in 0..n {
+        let j = (i + 1) % n;
+        if i < j || n > 2 {
+            let d = delay.router_delay(rng);
+            b.connect(routers[i], routers[j], capacity, d);
+        }
+    }
+    for i in 0..n {
+        for j in (i + 2)..n {
+            if (i, j) == (0, n - 1) {
+                continue; // already part of the ring
             }
-        }
-
-        // 3. Stub domains: every transit router sponsors a fixed number.
-        let mut stub_routers: Vec<NodeId> = Vec::new();
-        for (t, domain) in transit_domains.iter().enumerate() {
-            for (i, &transit_router) in domain.iter().enumerate() {
-                for s in 0..cfg.stub_domains_per_transit_router {
-                    let routers: Vec<NodeId> = (0..cfg.routers_per_stub_domain)
-                        .map(|j| b.add_router_at(format!("s{t}.{i}.{s}.{j}"), RouterLevel::Stub))
-                        .collect();
-                    self.connect_domain(&mut b, &routers, plan.stub, &mut rng);
-                    // Attach the stub domain to its sponsoring transit router.
-                    let gateway = *pick(&routers, &mut rng);
-                    let d = cfg.delay_model.router_delay(&mut rng);
-                    b.connect(gateway, transit_router, plan.stub, d);
-                    stub_routers.extend(routers);
-                }
-            }
-        }
-
-        // 4. Hosts, attached to uniformly random stub routers.
-        for h in 0..cfg.hosts {
-            let router = *pick(&stub_routers, &mut rng);
-            let d = cfg.delay_model.host_delay(&mut rng);
-            b.add_host(format!("h{h}"), router, plan.host_access, d);
-        }
-
-        b.build()
-    }
-
-    /// Connects the routers of one domain: a ring for guaranteed connectivity
-    /// plus random chords with the configured probability.
-    fn connect_domain(
-        &self,
-        b: &mut NetworkBuilder,
-        routers: &[NodeId],
-        capacity: Capacity,
-        rng: &mut SmallRng,
-    ) {
-        let n = routers.len();
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = (i + 1) % n;
-            if (i < j || n > 2) && !b.has_link(routers[i], routers[j]) {
-                let d = self.config.delay_model.router_delay(rng);
+            if rng.gen_bool(CHORD_PROBABILITY) {
+                let d = delay.router_delay(rng);
                 b.connect(routers[i], routers[j], capacity, d);
-            }
-        }
-        for i in 0..n {
-            for j in (i + 2)..n {
-                if (i, j) == (0, n - 1) {
-                    continue; // already part of the ring
-                }
-                if rng.gen_bool(self.config.intra_domain_chord_probability)
-                    && !b.has_link(routers[i], routers[j])
-                {
-                    let d = self.config.delay_model.router_delay(rng);
-                    b.connect(routers[i], routers[j], capacity, d);
-                }
             }
         }
     }
@@ -279,27 +177,6 @@ impl TransitStubGenerator {
 
 fn pick<'a, T, R: Rng + ?Sized>(items: &'a [T], rng: &mut R) -> &'a T {
     &items[rng.gen_range(0..items.len())]
-}
-
-/// Convenience constructor: generates one of the paper's networks with the
-/// given number of hosts, delay model and seed.
-///
-/// # Example
-///
-/// ```
-/// use bneck_net::prelude::*;
-/// let net = bneck_net::topology::transit_stub::paper_network(
-///     NetworkSize::Small, 100, DelayModel::Lan, 7);
-/// assert_eq!(net.router_count(), 110);
-/// ```
-pub fn paper_network(size: NetworkSize, hosts: usize, delay: DelayModel, seed: u64) -> Network {
-    TransitStubGenerator::new(
-        TransitStubConfig::of_size(size)
-            .with_hosts(hosts)
-            .with_delay_model(delay)
-            .with_seed(seed),
-    )
-    .generate()
 }
 
 #[cfg(test)]
@@ -312,13 +189,6 @@ mod tests {
         assert_eq!(NetworkSize::Small.router_count(), 110);
         assert_eq!(NetworkSize::Medium.router_count(), 1_100);
         assert_eq!(NetworkSize::Big.router_count(), 11_000);
-        for size in [NetworkSize::Small, NetworkSize::Medium, NetworkSize::Big] {
-            assert_eq!(
-                TransitStubConfig::of_size(size).router_count(),
-                size.router_count(),
-                "config router count must match the size class {size}"
-            );
-        }
     }
 
     #[test]
@@ -370,17 +240,21 @@ mod tests {
 
     #[test]
     fn capacity_plan_is_applied_per_link_class() {
-        let net = paper_network(NetworkSize::Small, 40, DelayModel::Lan, 9);
-        for link in net.links() {
-            let src = net.node(link.src()).kind();
-            let dst = net.node(link.dst()).kind();
-            let mbps = link.capacity().as_mbps();
-            use crate::graph::NodeKind::*;
-            use crate::graph::RouterLevel::*;
-            match (src, dst) {
-                (Host, _) | (_, Host) => assert_eq!(mbps, 100.0),
-                (Router(Transit), Router(Transit)) => assert_eq!(mbps, 500.0),
-                _ => assert_eq!(mbps, 200.0),
+        // Small has one transit domain of 10 routers: node ids 0..10.
+        let is_transit = |node: NodeId| node.index() < 10;
+        for delay in [DelayModel::Lan, DelayModel::Wan] {
+            let net = paper_network(NetworkSize::Small, 40, delay, 9);
+            for link in net.links() {
+                let (src, dst) = (link.src(), link.dst());
+                let mbps = link.capacity().as_mbps();
+                if net.node(src).kind().is_host() || net.node(dst).kind().is_host() {
+                    assert_eq!(mbps, 100.0);
+                    assert_eq!(link.delay(), Delay::from_micros(1));
+                } else if is_transit(src) && is_transit(dst) {
+                    assert_eq!(mbps, 500.0);
+                } else {
+                    assert_eq!(mbps, 200.0);
+                }
             }
         }
     }

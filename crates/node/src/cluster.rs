@@ -167,9 +167,7 @@ pub fn build_cluster_topology(spec: &ClusterSpec) -> (Network, Vec<(SessionId, P
     let access = Capacity::from_mbps(100.0);
     let delay = Delay::from_micros(5);
     let mut builder = NetworkBuilder::new();
-    let routers: Vec<_> = (0..spec.routers)
-        .map(|i| builder.add_router(format!("r{i}")))
-        .collect();
+    let routers: Vec<_> = (0..spec.routers).map(|_| builder.add_router()).collect();
     for pair in routers.windows(2) {
         builder.connect(pair[0], pair[1], trunk, delay);
     }
@@ -181,8 +179,8 @@ pub fn build_cluster_topology(spec: &ClusterSpec) -> (Network, Vec<(SessionId, P
             let p = i % (spec.routers - 1);
             (p, p + 1)
         };
-        let src = builder.add_host(format!("src{i}"), routers[a], access, delay);
-        let dst = builder.add_host(format!("dst{i}"), routers[b], access, delay);
+        let src = builder.add_host(routers[a], access, delay);
+        let dst = builder.add_host(routers[b], access, delay);
         hosts.push((src, dst));
     }
     let network = builder.build();

@@ -100,7 +100,6 @@ impl NetworkScenario {
         let delay = match self.delay_model {
             DelayModel::Lan => "lan",
             DelayModel::Wan => "wan",
-            DelayModel::Fixed(_) => "fixed",
         };
         format!("{}/{}", self.size, delay)
     }
