@@ -9,26 +9,26 @@
 //! so the probing never stops — the defining contrast with B-Neck.
 //!
 //! The harness is built on the same shared world plumbing as the B-Neck
-//! harness (`bneck_core::world`): a [`LinkTable`] of per-link channels and
-//! capacities, and a [`SessionArena`] assigning dense
-//! session slots with slot + hop envelope addressing and a cached
-//! `Arc<SessionSet>` oracle snapshot. Only the per-slot *protocol* state
+//! harness (`bneck_core::world`): link `e` is simulator channel `e`
+//! ([`add_link_channels`]), and a [`SessionArena`] assigns dense session
+//! slots with slot + hop envelope addressing and builds the oracle's
+//! `SessionSet`. Packets are counted in the same [`PacketStats`] as B-Neck's,
+//! under the kinds the subscribers see. Only the per-slot *protocol* state
 //! (probing flag, demand, adopted rate) and the per-link controllers are
 //! specific to this harness. A fully-built [`BaselineSimulation`] implements
 //! [`ProtocolWorld`], so the experiment drivers run it through the same
 //! unified interface as B-Neck itself.
 
 use bneck_core::events::SubscriberSet;
-use bneck_core::world::{LinkTable, SessionArena};
+use bneck_core::world::{add_link_channels, SessionArena};
 use bneck_core::{
-    PacketKind, QuiescenceReport, RateCause, RateEvent, RateEvents, Subscriber, UnknownSession,
+    PacketKind, PacketStats, QuiescenceReport, RateCause, RateEvent, RateEvents, Subscriber,
+    TaskHost, UnknownSession,
 };
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet};
 use bneck_net::{Network, NodeId, Path, Router};
-use bneck_sim::{Address, Context, Engine, RunReport, SimTime, World};
+use bneck_sim::{Address, ChannelId, Context, Engine, RunReport, SimTime, World};
 use bneck_workload::{ProtocolWorld, ScheduleTarget, SessionRequest};
-use std::fmt;
-use std::sync::Arc;
 
 /// The per-link rate controller of a baseline protocol.
 pub trait LinkController {
@@ -70,46 +70,6 @@ pub trait BaselineProtocol: Send {
     fn mean_error_tolerance_pct(&self) -> f64;
 }
 
-/// Packet counters of a baseline run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BaselineStats {
-    /// Probe packets transmitted (one count per link traversal).
-    pub probes: u64,
-    /// Response packets transmitted.
-    pub responses: u64,
-    /// Leave packets transmitted.
-    pub leaves: u64,
-}
-
-impl BaselineStats {
-    /// Total packets transmitted.
-    pub fn total(&self) -> u64 {
-        self.probes + self.responses + self.leaves
-    }
-
-    /// The difference between this counter and an earlier snapshot.
-    pub fn since(&self, earlier: &BaselineStats) -> BaselineStats {
-        BaselineStats {
-            probes: self.probes - earlier.probes,
-            responses: self.responses - earlier.responses,
-            leaves: self.leaves - earlier.leaves,
-        }
-    }
-}
-
-impl fmt::Display for BaselineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "total={} probes={} responses={} leaves={}",
-            self.total(),
-            self.probes,
-            self.responses,
-            self.leaves
-        )
-    }
-}
-
 /// Messages exchanged by the baseline harness. Sessions are addressed by
 /// their dense slot in the shared session arena, assigned at join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,6 +78,8 @@ enum Message {
     Start { slot: u32 },
     /// API call: stop the session.
     Stop { slot: u32 },
+    /// API call: change the session's maximum requested rate.
+    Change { slot: u32, limit: RateLimit },
     /// Probe travelling downstream; `hop` is the index of the link whose
     /// controller processes it next.
     Probe { slot: u32, granted: Rate, hop: u32 },
@@ -141,10 +103,9 @@ struct BaselineWorld<P: BaselineProtocol> {
     /// Controller of each directed link, indexed by `LinkId::index()`;
     /// created lazily when the first probe crosses the link.
     controllers: Vec<Option<P::Controller>>,
-    /// Channels and capacities, indexed by `LinkId`.
-    links: LinkTable,
-    /// The shared session-slot arena: id ↔ slot, paths, limits, active set
-    /// and the cached oracle snapshot.
+    /// Capacity of each directed link, indexed by `LinkId`.
+    capacities: Vec<Rate>,
+    /// The shared session-slot arena: id ↔ slot, paths, limits, active set.
     arena: SessionArena,
     /// `true` while the slot's probing loop is running. Flipped by the
     /// `Start`/`Stop` events at simulated time, so a leave-then-rejoin of the
@@ -164,16 +125,28 @@ struct BaselineWorld<P: BaselineProtocol> {
     /// What the slot's next rate adoption means to subscribers (`Joined`
     /// after a join, `Changed` after a change, `Converged` afterwards).
     causes: Vec<RateCause>,
-    stats: BaselineStats,
+    stats: PacketStats,
     probe_interval: bneck_net::Delay,
     /// The registered observers (`RateEvents` writers, user callbacks), on
     /// the same shared [`SubscriberSet`] fan-out as the B-Neck harness. The
     /// baseline packet vocabulary maps onto the closest B-Neck
-    /// [`PacketKind`]s for the per-packet callbacks.
+    /// [`PacketKind`]s, for the per-packet callbacks and the counters alike.
     subscribers: SubscriberSet,
 }
 
 impl<P: BaselineProtocol> BaselineWorld<P> {
+    /// Counts one transmitted packet and tells the subscribers that opted in.
+    fn note_packet(&mut self, now: SimTime, kind: PacketKind) {
+        self.stats.record(kind);
+        self.subscribers.note_packet(now, kind);
+    }
+
+    /// A slot's maximum requested rate, clamped to its access link.
+    fn clamped_demand(&self, slot: u32, limit: RateLimit) -> Rate {
+        let first = self.arena.path(slot).first_link();
+        limit.effective_demand(self.capacities[first.index()])
+    }
+
     fn send_probe(&mut self, ctx: &mut Context<'_, Message>, slot: u32) {
         if !self.probing[slot as usize] {
             return;
@@ -210,6 +183,13 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                 });
                 ctx.deliver_now(Address(0), Message::Leave { slot, hop: 0 });
             }
+            Message::Change { slot, limit } => {
+                // A change that outlived its incarnation's probing is void.
+                if self.probing[slot as usize] {
+                    self.demand[slot as usize] = self.clamped_demand(slot, limit);
+                    self.causes[slot as usize] = RateCause::Changed;
+                }
+            }
             Message::Probe { slot, granted, hop } => {
                 if !self.probing[slot as usize] {
                     return;
@@ -225,13 +205,12 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                 let demand = self.demand[slot as usize];
                 let current = self.current[slot as usize];
                 let hops = self.arena.hop_count(slot);
-                let capacity = self.links.capacity(link);
+                let capacity = self.capacities[link.index()];
                 let controller = self.controllers[link.index()]
                     .get_or_insert_with(|| self.protocol.controller(capacity));
                 let advertised = controller.on_probe(session, demand, current, ctx.now());
                 let granted = granted.min(advertised).min(demand);
-                self.stats.probes += 1;
-                self.subscribers.note_packet(ctx.now(), PacketKind::Probe);
+                self.note_packet(ctx.now(), PacketKind::Probe);
                 let next = if (hop as usize) + 1 < hops {
                     Message::Probe {
                         slot,
@@ -245,7 +224,7 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                         hops_left: hops as u32,
                     }
                 };
-                ctx.send(self.links.channel(link), Address(0), next);
+                ctx.send(ChannelId(link.0), Address(0), next);
             }
             Message::Response {
                 slot,
@@ -287,11 +266,9 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                 let Some(forward) = self.arena.link_at(slot, hops_left - 1) else {
                     return;
                 };
-                self.stats.responses += 1;
-                self.subscribers
-                    .note_packet(ctx.now(), PacketKind::Response);
+                self.note_packet(ctx.now(), PacketKind::Response);
                 ctx.send(
-                    self.links.channel(forward.reverse()),
+                    ChannelId(forward.reverse().0),
                     Address(0),
                     Message::Response {
                         slot,
@@ -308,10 +285,9 @@ impl<P: BaselineProtocol> BaselineWorld<P> {
                 if let Some(controller) = &mut self.controllers[link.index()] {
                     controller.on_leave(session);
                 }
-                self.stats.leaves += 1;
-                self.subscribers.note_packet(ctx.now(), PacketKind::Leave);
+                self.note_packet(ctx.now(), PacketKind::Leave);
                 ctx.send(
-                    self.links.channel(link),
+                    ChannelId(link.0),
                     Address(0),
                     Message::Leave { slot, hop: hop + 1 },
                 );
@@ -362,7 +338,7 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     /// control-packet size ([`CONTROL_PACKET_BITS`](bneck_core::world::CONTROL_PACKET_BITS)).
     pub fn new(network: &'a Network, protocol: P) -> Self {
         let mut engine = Engine::new();
-        let links = LinkTable::new(network, &mut engine);
+        add_link_channels(network, &mut engine);
         let name = protocol.name();
         let probe_interval = protocol.probe_interval();
         let mut controllers = Vec::new();
@@ -370,14 +346,14 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
         let world = BaselineWorld {
             protocol,
             controllers,
-            links,
+            capacities: TaskHost::link_capacities(network),
             arena: SessionArena::new(),
             probing: Vec::new(),
             stopping: Vec::new(),
             demand: Vec::new(),
             current: Vec::new(),
             causes: Vec::new(),
-            stats: BaselineStats::default(),
+            stats: PacketStats::new(),
             probe_interval,
             subscribers: SubscriberSet::new(),
         };
@@ -437,11 +413,10 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
                 return false;
             }
         }
-        let first_capacity = self.world.links.capacity(path.first_link());
-        let demand = limit.effective_demand(first_capacity);
         let Some(joined) = self.world.arena.join(session, path, limit) else {
             return false;
         };
+        let demand = self.world.clamped_demand(joined.slot, limit);
         let slot = joined.slot as usize;
         if joined.reused {
             self.world.probing[slot] = false;
@@ -477,8 +452,9 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
         Ok(())
     }
 
-    /// Changes a session's maximum requested rate. The new demand takes
-    /// effect with the next periodic probe.
+    /// Changes a session's maximum requested rate at time `at`. The new
+    /// demand takes effect then, for the probes that follow; the session set
+    /// shows the new limit from the call on, as B-Neck's does.
     ///
     /// # Errors
     ///
@@ -486,19 +462,15 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     /// session that already left but whose `Stop` marker is still queued.
     pub fn change(
         &mut self,
-        _at: SimTime,
+        at: SimTime,
         session: SessionId,
         limit: RateLimit,
     ) -> Result<(), UnknownSession> {
         let Some(slot) = self.world.arena.change(session, limit) else {
             return Err(UnknownSession(session));
         };
-        let first_capacity = self
-            .world
-            .links
-            .capacity(self.world.arena.path(slot).first_link());
-        self.world.demand[slot as usize] = limit.effective_demand(first_capacity);
-        self.world.causes[slot as usize] = RateCause::Changed;
+        self.engine
+            .inject(at, Address(0), Message::Change { slot, limit });
         Ok(())
     }
 
@@ -543,9 +515,7 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
     }
 
     /// The active sessions and their paths/limits, for feeding the oracle.
-    /// Snapshots are cached between membership changes (see
-    /// [`SessionArena::session_set`]).
-    pub fn session_set(&self) -> Arc<SessionSet> {
+    pub fn session_set(&self) -> SessionSet {
         self.world.arena.session_set()
     }
 
@@ -554,8 +524,9 @@ impl<'a, P: BaselineProtocol> BaselineSimulation<'a, P> {
         self.world.arena.active_count()
     }
 
-    /// Cumulative packet counters.
-    pub fn stats(&self) -> BaselineStats {
+    /// Cumulative packet counts by kind: `Probe`, `Response` and `Leave`,
+    /// one per link traversal, the kinds the packet subscribers see.
+    pub fn stats(&self) -> PacketStats {
         self.world.stats
     }
 }
@@ -673,12 +644,12 @@ mod tests {
         ));
         sim.run_until(SimTime::from_millis(10));
         let after_10ms = sim.stats();
-        assert!(after_10ms.probes > 0);
-        assert!(after_10ms.responses > 0);
+        assert!(after_10ms.count(PacketKind::Probe) > 0);
+        assert!(after_10ms.count(PacketKind::Response) > 0);
         assert!(!sim.is_quiescent(), "baselines keep probing forever");
         sim.run_until(SimTime::from_millis(20));
         assert!(
-            sim.stats().probes > after_10ms.probes,
+            sim.stats().count(PacketKind::Probe) > after_10ms.count(PacketKind::Probe),
             "traffic keeps flowing after convergence"
         );
         // The session is granted the minimum capacity along its path.
@@ -707,7 +678,7 @@ mod tests {
             sim.is_quiescent(),
             "with no active session the probing dies out"
         );
-        assert!(sim.stats().leaves > 0);
+        assert!(sim.stats().count(PacketKind::Leave) > 0);
     }
 
     #[test]
@@ -786,7 +757,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(5));
         // Stop processed: the old path received its leave notifications and
         // the identifier can rejoin.
-        assert!(sim.stats().leaves > 0);
+        assert!(sim.stats().count(PacketKind::Leave) > 0);
         assert!(sim.join(
             SimTime::from_millis(6),
             SessionId(0),
@@ -898,6 +869,85 @@ mod tests {
         assert_eq!(after_leave.len(), 1);
         assert_eq!(after_leave[0].cause, RateCause::Left);
         assert!((after_leave[0].rate - 5e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn a_change_takes_effect_at_its_time_not_at_the_call() {
+        let net = network();
+        let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
+        let mut sim = BaselineSimulation::new(&net, crate::Bfyz::default());
+        let events = sim.rate_events();
+        let (session, limit) = (SessionId(0), RateLimit::finite(5e6));
+        assert!(sim.join(
+            SimTime::ZERO,
+            session,
+            hosts[0],
+            hosts[1],
+            RateLimit::unlimited()
+        ));
+        sim.change(SimTime::from_millis(50), session, limit)
+            .unwrap();
+        // The schedule's end state shows at once; the probes wait for 50 ms.
+        assert_eq!(sim.session_set().get(session).unwrap().limit(), limit);
+        sim.run_until(SimTime::from_millis(20));
+        let rate = sim.current_rates().rate(session).unwrap();
+        assert!(
+            (rate - 60e6).abs() < 1.0,
+            "no change before 50 ms, got {rate}"
+        );
+        assert_eq!(events.drain()[0].cause, RateCause::Joined);
+        sim.run_until(SimTime::from_millis(60));
+        let rate = sim.current_rates().rate(session).unwrap();
+        assert!((rate - 5e6).abs() < 1.0, "changed after 50 ms, got {rate}");
+        let changed = events.drain();
+        assert_eq!(changed[0].cause, RateCause::Changed);
+        assert!(changed[0].at >= SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn stats_count_the_packets_the_subscribers_see() {
+        use std::sync::{Arc, Mutex};
+        struct Tally(Arc<Mutex<PacketStats>>);
+        impl Subscriber for Tally {
+            fn on_rate(&mut self, _event: &RateEvent) {}
+            fn on_packet(&mut self, _at: SimTime, kind: PacketKind) {
+                self.0.lock().unwrap().record(kind);
+            }
+            fn wants_packets(&self) -> bool {
+                true
+            }
+        }
+        let net = network();
+        let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
+        let mut sim = BaselineSimulation::new(&net, crate::Bfyz::default());
+        let seen = Arc::new(Mutex::new(PacketStats::new()));
+        sim.subscribe(Tally(Arc::clone(&seen)));
+        let session = SessionId(0);
+        assert!(sim.join(
+            SimTime::ZERO,
+            session,
+            hosts[0],
+            hosts[1],
+            RateLimit::unlimited()
+        ));
+        sim.leave(SimTime::from_millis(5), session).unwrap();
+        sim.run_until(SimTime::from_millis(6));
+        assert!(sim.join(
+            SimTime::from_millis(7),
+            session,
+            hosts[2],
+            hosts[3],
+            RateLimit::unlimited()
+        ));
+        sim.run_until(SimTime::from_millis(12));
+        let (stats, seen) = (sim.stats(), *seen.lock().unwrap());
+        for (kind, count) in stats.iter() {
+            assert_eq!(seen.count(kind), count, "{kind}");
+        }
+        for kind in [PacketKind::Probe, PacketKind::Response, PacketKind::Leave] {
+            assert!(stats.count(kind) > 0, "{kind}");
+        }
+        assert_eq!(stats.total(), ProtocolWorld::packets_sent(&sim));
     }
 
     #[test]

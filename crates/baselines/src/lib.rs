@@ -35,7 +35,7 @@ pub mod rcp;
 
 pub use bfyz::Bfyz;
 pub use cg::CobbGouda;
-pub use common::{BaselineProtocol, BaselineSimulation, BaselineStats, LinkController};
+pub use common::{BaselineProtocol, BaselineSimulation, LinkController};
 pub use rcp::Rcp;
 
 use bneck_net::Network;
@@ -56,6 +56,6 @@ pub fn simulation(baseline: Baseline, net: &Network) -> Box<dyn ProtocolWorld + 
 pub mod prelude {
     pub use crate::bfyz::Bfyz;
     pub use crate::cg::CobbGouda;
-    pub use crate::common::{BaselineProtocol, BaselineSimulation, BaselineStats, LinkController};
+    pub use crate::common::{BaselineProtocol, BaselineSimulation, LinkController};
     pub use crate::rcp::Rcp;
 }

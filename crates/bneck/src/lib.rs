@@ -35,8 +35,8 @@
 //! let mut sim = BneckSimulation::new(&net, BneckConfig::default());
 //! let events = sim.rate_events();     // drainable API.Rate stream
 //!
-//! let s0 = sim.join(SimTime::ZERO, SessionId(0), hosts[0], hosts[1],
-//!                   RateLimit::finite(10e6)).unwrap();
+//! let s0 = SessionId(0);
+//! sim.join(SimTime::ZERO, s0, hosts[0], hosts[1], RateLimit::finite(10e6)).unwrap();
 //! sim.join(SimTime::ZERO, SessionId(1), hosts[2], hosts[3], RateLimit::unlimited()).unwrap();
 //! sim.join(SimTime::ZERO, SessionId(2), hosts[4], hosts[5], RateLimit::unlimited()).unwrap();
 //! let report = sim.run_to_quiescence();
@@ -45,7 +45,7 @@
 //! // The stream delivered each session's convergence, tagged with its cause.
 //! let converged = events.drain();
 //! assert!(converged.iter().any(|e|
-//!     e.session == s0.id() && e.cause == RateCause::Joined && (e.rate - 10e6).abs() < 1.0));
+//!     e.session == s0 && e.cause == RateCause::Joined && (e.rate - 10e6).abs() < 1.0));
 //! assert!(converged.iter().any(|e|
 //!     e.session == SessionId(1) && (e.rate - 40e6).abs() < 1.0));
 //!

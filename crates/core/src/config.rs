@@ -1,6 +1,5 @@
 //! Configuration of a B-Neck simulation.
 
-use crate::recovery::RecoveryConfig;
 use bneck_net::Delay;
 
 /// Tunable parameters of a [`crate::harness::BneckSimulation`].
@@ -12,21 +11,29 @@ use bneck_net::Delay;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BneckConfig {
     /// When set, protocol packets travel inside sequenced, acknowledged and
-    /// retransmitted frames (see [`crate::recovery`]), making the protocol
-    /// correct over lossy, duplicating or reordering channels. `None` (the
-    /// default) is paper mode: channels are assumed reliable and the hot path
-    /// carries no recovery machinery.
-    pub recovery: Option<RecoveryConfig>,
+    /// retransmitted frames (see [`crate::recovery`]), each resent this
+    /// retransmission timeout after its last transmission until acked,
+    /// making the protocol correct over lossy, duplicating or reordering
+    /// channels. `None` (the default) is paper mode: channels are assumed
+    /// reliable and the hot path carries no recovery machinery.
+    pub recovery: Option<Delay>,
 }
 
 impl BneckConfig {
-    /// Enables the recovery layer with the given retransmission timeout.
+    /// Enables the recovery layer with the given retransmission timeout. It
+    /// must comfortably exceed one data + ack round trip of the slowest lane,
+    /// or spurious retransmissions (harmless but wasteful) pile up.
     ///
     /// # Panics
     ///
-    /// Panics if `rto` is zero.
+    /// Panics if `rto` is zero (a zero timeout would retransmit in the same
+    /// instant the frame is sent).
     pub fn with_recovery(mut self, rto: Delay) -> Self {
-        self.recovery = Some(RecoveryConfig::with_rto(rto));
+        assert!(
+            rto > Delay::ZERO,
+            "the retransmission timeout must be positive"
+        );
+        self.recovery = Some(rto);
         self
     }
 }
@@ -44,6 +51,12 @@ mod tests {
     #[test]
     fn recovery_builder_sets_the_rto() {
         let c = BneckConfig::default().with_recovery(Delay::from_micros(250));
-        assert_eq!(c.recovery.unwrap().rto, Delay::from_micros(250));
+        assert_eq!(c.recovery, Some(Delay::from_micros(250)));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn zero_rto_is_rejected() {
+        let _ = BneckConfig::default().with_recovery(Delay::ZERO);
     }
 }

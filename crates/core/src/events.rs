@@ -8,7 +8,8 @@
 //! * [`RateEvent`] — one `API.Rate` invocation, timestamped and tagged with
 //!   the [`RateCause`] that triggered it;
 //! * [`Subscriber`] — the observer trait a harness fans events out to
-//!   (callbacks for rates, per-packet transmissions and quiescence);
+//!   (callbacks for rates and per-packet transmissions; a run's
+//!   `QuiescenceReport` says when it went quiescent);
 //! * [`RateEvents`] — a drainable queue handle for consumers that prefer
 //!   pulling batches over registering a callback (obtained from
 //!   `BneckSimulation::rate_events`).
@@ -66,9 +67,6 @@ pub trait Subscriber: Send {
     /// Called for every packet transmitted over a link — but only when
     /// [`Subscriber::wants_packets`] returns `true` at registration time.
     fn on_packet(&mut self, _at: SimTime, _kind: PacketKind) {}
-
-    /// Called when a run drains the event queue (the network went quiescent).
-    fn on_quiescent(&mut self, _at: SimTime) {}
 
     /// Opt-in for [`Subscriber::on_packet`]: per-packet fan-out costs a
     /// virtual call on the hottest path, so the harness skips subscribers
@@ -205,13 +203,6 @@ impl SubscriberSet {
                     subscriber.on_packet(at, kind);
                 }
             }
-        }
-    }
-
-    /// Tells every subscriber the event queue drained.
-    pub(crate) fn announce_quiescent(&mut self, at: SimTime) {
-        for subscriber in &mut self.subscribers {
-            subscriber.on_quiescent(at);
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::recovery::{RecoveryState, RecoveryStats};
 use crate::router_link::RouterLink;
 use crate::source::SourceNode;
 use crate::stats::PacketStats;
-use crate::world::LinkTable;
+use crate::world::add_link_channels;
 use bneck_maxmin::{Allocation, Rate, RateLimit, SessionId, SessionSet, Tolerance};
 use bneck_net::{LinkId, Network, NodeId, Path, Router};
 use bneck_sim::{
@@ -36,7 +36,6 @@ use bneck_sim::{
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A simulated message: an API call or a protocol packet, with its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,37 +134,6 @@ impl fmt::Display for UnknownSession {
 
 impl std::error::Error for UnknownSession {}
 
-/// A live session, returned by `API.Join`.
-///
-/// The handle pairs the caller's [`SessionId`] with the dense per-simulation
-/// slot the harness assigned, so handle-based queries skip the id → slot
-/// lookup. Handles are plain copyable tokens — they do not keep the session
-/// alive, and a handle of a departed session simply names an inactive one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionHandle {
-    session: SessionId,
-    slot: u32,
-}
-
-impl SessionHandle {
-    /// The session's identifier.
-    pub fn id(&self) -> SessionId {
-        self.session
-    }
-
-    /// The dense slot the harness assigned (stable for the lifetime of the
-    /// simulation; reused if the identifier rejoins after a leave).
-    pub fn slot(&self) -> u32 {
-        self.slot
-    }
-}
-
-impl From<SessionHandle> for SessionId {
-    fn from(handle: SessionHandle) -> SessionId {
-        handle.session
-    }
-}
-
 /// Summary of a run to quiescence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuiescenceReport {
@@ -193,11 +161,9 @@ impl From<RunReport> for QuiescenceReport {
 }
 
 /// The simulation world: the task host plus the simulator-side delivery
-/// state (the channel of every link, the recovery lanes).
+/// state (the recovery lanes).
 struct BneckWorld {
     host: TaskHost,
-    /// Channels and capacities of the links, indexed by `LinkId`.
-    links: LinkTable,
     /// The recovery layer's sequencing/retransmission state, present only
     /// when [`BneckConfig::recovery`] is set. Boxed so paper-mode worlds pay
     /// one pointer, and the hot paths pay one null check.
@@ -210,7 +176,6 @@ struct BneckWorld {
 /// the link it travels over.
 struct ChannelSink<'a, 'c> {
     ctx: &'a mut Context<'c, Envelope>,
-    links: &'a LinkTable,
     recovery: Option<&'a mut RecoveryState>,
     armed: &'a mut bool,
 }
@@ -227,7 +192,7 @@ impl Sink for ChannelSink<'_, '_> {
             return self.arm_wake_up();
         }
         self.ctx.send(
-            self.links.channel(over),
+            ChannelId(over.0),
             Address(0),
             Envelope {
                 target: to,
@@ -244,8 +209,7 @@ impl ChannelSink<'_, '_> {
     fn send_frame(&mut self, link: LinkId, target: Target, seq: u32, packet: Packet) {
         let payload = Payload::Data { link, seq, packet };
         let envelope = Envelope { target, payload };
-        self.ctx
-            .send(self.links.channel(link), Address(0), envelope);
+        self.ctx.send(ChannelId(link.0), Address(0), envelope);
     }
 
     /// Keeps one wake-up in the engine while a frame awaits its ack, at the
@@ -280,7 +244,7 @@ impl ChannelSink<'_, '_> {
                 // duplicate). Acks are consumed here, never routed to a
                 // task, so their target is a placeholder.
                 self.ctx.send(
-                    self.links.channel(link.reverse()),
+                    ChannelId(link.reverse().0),
                     Address(0),
                     Envelope {
                         target: Target::Source(u32::MAX),
@@ -318,10 +282,10 @@ impl BneckWorld {
     /// channel on `engine`. Channels are registered in link order, so channel
     /// identifiers equal link identifiers.
     fn new(network: &Network, engine: &mut Engine<Envelope>, config: BneckConfig) -> Self {
-        let recovery = |rc| Box::new(RecoveryState::new(rc, network.link_count()));
+        add_link_channels(network, engine);
+        let recovery = |rto| Box::new(RecoveryState::new(rto, network.link_count()));
         BneckWorld {
             host: TaskHost::new(TaskHost::link_capacities(network), Tolerance::default()),
-            links: LinkTable::new(network, engine),
             recovery: config.recovery.map(recovery),
             armed: false,
         }
@@ -334,7 +298,6 @@ impl World for BneckWorld {
     fn handle(&mut self, ctx: &mut Context<'_, Envelope>, _to: Address, msg: Envelope) {
         let mut sink = ChannelSink {
             ctx,
-            links: &self.links,
             recovery: self.recovery.as_deref_mut(),
             armed: &mut self.armed,
         };
@@ -394,8 +357,8 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// Registers an observer of this simulation: it sees every `API.Rate`
-    /// notification (as a [`RateEvent`](crate::RateEvent)), quiescence, and —
-    /// when it opts in — every transmitted packet. Closures `FnMut(&RateEvent)` are
+    /// notification (as a [`RateEvent`](crate::RateEvent)) and — when it opts
+    /// in — every transmitted packet. Closures `FnMut(&RateEvent)` are
     /// subscribers.
     pub fn subscribe<S: Subscriber + 'static>(&mut self, subscriber: S) {
         self.world.host.subscribe(Box::new(subscriber));
@@ -426,8 +389,7 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// `API.Join(s, r)` at time `at`, routing the session along a shortest
-    /// path from `source` to `destination`. Returns the session's
-    /// [`SessionHandle`].
+    /// path from `source` to `destination`.
     ///
     /// # Errors
     ///
@@ -441,7 +403,7 @@ impl<'a> BneckSimulation<'a> {
         source: NodeId,
         destination: NodeId,
         limit: RateLimit,
-    ) -> Result<SessionHandle, JoinError> {
+    ) -> Result<(), JoinError> {
         let path = self
             .router
             .shortest_path(source, destination)
@@ -452,8 +414,7 @@ impl<'a> BneckSimulation<'a> {
         self.join_with_path(at, session, path, limit)
     }
 
-    /// `API.Join(s, r)` at time `at` along an explicit path. Returns the
-    /// session's [`SessionHandle`].
+    /// `API.Join(s, r)` at time `at` along an explicit path.
     ///
     /// # Errors
     ///
@@ -466,7 +427,7 @@ impl<'a> BneckSimulation<'a> {
         session: SessionId,
         path: Path,
         limit: RateLimit,
-    ) -> Result<SessionHandle, JoinError> {
+    ) -> Result<(), JoinError> {
         if self.world.host.arena().is_active(session) {
             return Err(JoinError::DuplicateSession(session));
         }
@@ -486,7 +447,7 @@ impl<'a> BneckSimulation<'a> {
                 payload: Payload::Api(ApiCall::Join { limit }),
             },
         );
-        Ok(SessionHandle { session, slot })
+        Ok(())
     }
 
     /// `API.Leave(s)` at time `at`. Subscribers receive a
@@ -540,29 +501,14 @@ impl<'a> BneckSimulation<'a> {
     }
 
     /// Runs the simulation until no protocol event remains (quiescence).
-    /// Subscribers receive [`Subscriber::on_quiescent`] when the queue
-    /// drains.
     pub fn run_to_quiescence(&mut self) -> QuiescenceReport {
-        let report = self.engine.run(&mut self.world);
-        self.announce_quiescence(&report);
-        report.into()
+        self.engine.run(&mut self.world).into()
     }
 
     /// Runs the simulation until `horizon` (inclusive) or quiescence,
     /// whichever comes first.
     pub fn run_until(&mut self, horizon: SimTime) -> QuiescenceReport {
-        let report = self.engine.run_until(&mut self.world, horizon);
-        self.announce_quiescence(&report);
-        report.into()
-    }
-
-    /// Tells the subscribers the event queue drained during a run (only when
-    /// the run actually processed something — repeated runs on an already
-    /// quiescent network stay silent, like the protocol itself).
-    fn announce_quiescence(&mut self, report: &RunReport) {
-        if report.quiescent && report.events_processed > 0 {
-            self.world.host.announce_quiescent(report.quiescent_at);
-        }
+        self.engine.run_until(&mut self.world, horizon).into()
     }
 
     /// The current simulated time.
@@ -606,12 +552,7 @@ impl<'a> BneckSimulation<'a> {
 
     /// The active sessions as a [`SessionSet`] (paths plus requested limits),
     /// suitable for feeding the centralized oracle.
-    ///
-    /// The snapshot is built lazily and cached until the next
-    /// join/leave/change, so repeated calls between membership changes (e.g.
-    /// per-tick oracle cross-checks) are O(1) — callers get a shared handle to
-    /// the same set.
-    pub fn session_set(&self) -> Arc<SessionSet> {
+    pub fn session_set(&self) -> SessionSet {
         self.world.host.arena().session_set()
     }
 
@@ -1055,17 +996,14 @@ mod tests {
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
         let mut sim = BneckSimulation::new(&net, BneckConfig::default());
         let events = sim.rate_events();
-        let handle = sim
-            .join(
-                SimTime::ZERO,
-                SessionId(0),
-                hosts[0],
-                hosts[1],
-                RateLimit::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(handle.id(), SessionId(0));
-        assert_eq!(SessionId::from(handle), SessionId(0));
+        sim.join(
+            SimTime::ZERO,
+            SessionId(0),
+            hosts[0],
+            hosts[1],
+            RateLimit::unlimited(),
+        )
+        .unwrap();
         sim.join(
             SimTime::ZERO,
             SessionId(1),
@@ -1184,7 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_subscribers_and_quiescence_callbacks_fire() {
+    fn closure_subscribers_fire() {
         use std::sync::{Arc, Mutex};
         let net = synthetic::dumbbell(2, mbps(100.0), mbps(60.0), us(1));
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
@@ -1194,16 +1132,6 @@ mod tests {
         sim.subscribe(move |e: &RateEvent| {
             sink.lock().unwrap().push((e.session, e.cause));
         });
-
-        struct QuiescenceProbe(Arc<Mutex<Vec<SimTime>>>);
-        impl Subscriber for QuiescenceProbe {
-            fn on_rate(&mut self, _event: &RateEvent) {}
-            fn on_quiescent(&mut self, at: SimTime) {
-                self.0.lock().unwrap().push(at);
-            }
-        }
-        let quiet: Arc<Mutex<Vec<SimTime>>> = Arc::default();
-        sim.subscribe(QuiescenceProbe(Arc::clone(&quiet)));
 
         for i in 0..2u64 {
             sim.join(
@@ -1215,16 +1143,12 @@ mod tests {
             )
             .unwrap();
         }
-        let report = sim.run_to_quiescence();
+        sim.run_to_quiescence();
         assert!(seen
             .lock()
             .unwrap()
             .iter()
             .any(|(s, c)| *s == SessionId(1) && *c == RateCause::Joined));
-        assert_eq!(quiet.lock().unwrap().as_slice(), &[report.quiescent_at]);
-        // An idle re-run announces nothing new.
-        sim.run_to_quiescence();
-        assert_eq!(quiet.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -1252,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn session_set_snapshot_is_cached_between_membership_changes() {
+    fn session_set_follows_membership_changes() {
         let net = synthetic::dumbbell(2, mbps(100.0), mbps(60.0), us(1));
         let hosts: Vec<_> = net.hosts().map(|h| h.id()).collect();
         let mut sim = BneckSimulation::new(&net, BneckConfig::default());
@@ -1267,16 +1191,13 @@ mod tests {
             .unwrap();
         }
         sim.run_to_quiescence();
-        let a = sim.session_set();
-        let b = sim.session_set();
-        assert!(Arc::ptr_eq(&a, &b), "repeated snapshots share one set");
-        assert_eq!(a.len(), 2);
-        // A membership change invalidates the cache.
+        assert_eq!(sim.session_set().len(), 2);
+        // A leave shows at the call, before the engine processes it.
         let t = sim.now() + bneck_net::Delay::from_millis(1);
         sim.leave(t, SessionId(0)).unwrap();
-        let c = sim.session_set();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.len(), 1);
+        let set = sim.session_set();
+        assert_eq!(set.len(), 1);
+        assert!(set.get(SessionId(1)).is_some());
     }
 
     #[test]

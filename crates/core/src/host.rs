@@ -207,11 +207,6 @@ impl TaskHost {
         self.state.subscribers.subscribe(subscriber);
     }
 
-    /// Tells the observers the host went quiescent at `at`.
-    pub(crate) fn announce_quiescent(&mut self, at: SimTime) {
-        self.state.subscribers.announce_quiescent(at);
-    }
-
     /// The last rate notified to the source task in `slot` (`NaN` when the
     /// slot has never been notified since its last join).
     pub(crate) fn notified_rate(&self, slot: u32) -> Rate {

@@ -30,12 +30,12 @@
 //!   `API.Join` / `API.Leave` / `API.Change` primitives plus quiescence
 //!   detection and packet accounting.
 //! * [`world`] — the shared world plumbing every protocol harness in the
-//!   workspace builds on: the [`world::LinkTable`] of per-link channels and
-//!   capacities (upstream traffic takes the channel of the link's pair,
-//!   `LinkId::reverse`), and the [`world::SessionArena`] dense
-//!   session-slot arena with slot + hop envelope addressing and a cached
-//!   `Arc<SessionSet>` oracle snapshot. `bneck-baselines` instantiates the
-//!   same module for its probing harness.
+//!   workspace builds on: [`world::add_link_channels`] makes link `e`
+//!   simulator channel `e` (upstream traffic takes the channel of the link's
+//!   pair, `LinkId::reverse`), and the [`world::SessionArena`] dense
+//!   session-slot arena keeps slot + hop envelope addressing and builds the
+//!   oracle's `SessionSet`. `bneck-baselines` instantiates the same module
+//!   for its probing harness.
 //!
 //! The task state machines are pure: every handler consumes an input and
 //! emits [`task::Action`]s (packets to send upstream or downstream, or an
@@ -87,24 +87,22 @@ pub mod world;
 
 pub use config::BneckConfig;
 pub use events::{RateCause, RateEvent, RateEvents, Subscriber, SubscriberSet};
-pub use harness::{BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession};
+pub use harness::{BneckSimulation, JoinError, QuiescenceReport, UnknownSession};
 pub use host::{ApiCall, Sink, Target, TaskHost};
 pub use packet::{Packet, PacketKind, ResponseKind};
-pub use recovery::{RecoveryConfig, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use stats::PacketStats;
 pub use task::{Action, ActionBuffer, Emit};
-pub use world::{LinkTable, SessionArena, SlotJoin};
+pub use world::{SessionArena, SlotJoin};
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
     pub use crate::config::BneckConfig;
     pub use crate::events::{RateCause, RateEvent, RateEvents, Subscriber, SubscriberSet};
-    pub use crate::harness::{
-        BneckSimulation, JoinError, QuiescenceReport, SessionHandle, UnknownSession,
-    };
+    pub use crate::harness::{BneckSimulation, JoinError, QuiescenceReport, UnknownSession};
     pub use crate::packet::{Packet, PacketKind, ResponseKind};
-    pub use crate::recovery::{RecoveryConfig, RecoveryStats};
+    pub use crate::recovery::RecoveryStats;
     pub use crate::stats::PacketStats;
     pub use crate::task::{Action, ActionBuffer, Emit};
-    pub use crate::world::{LinkTable, SessionArena, SlotJoin};
+    pub use crate::world::{SessionArena, SlotJoin};
 }

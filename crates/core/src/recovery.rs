@@ -19,7 +19,8 @@
 //!   buffers out-of-order ones, and drops duplicates (re-acking them, since
 //!   the previous ack may have been the casualty);
 //! * the sender keeps unacked frames and retransmits each one
-//!   [`RecoveryConfig::rto`] after its last transmission until acked.
+//!   [`BneckConfig::recovery`](crate::BneckConfig::recovery) (the RTO) after
+//!   its last transmission until acked.
 //!
 //! ## State: dense lanes, one deadline queue
 //!
@@ -64,39 +65,6 @@ use bneck_net::{Delay, LinkId};
 use bneck_sim::SimTime;
 use serde::Serialize;
 use std::collections::VecDeque;
-
-/// Tunables of the recovery layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// The retransmission timeout. Must comfortably exceed one data + ack
-    /// round trip of the slowest lane, or spurious retransmissions (harmless
-    /// but wasteful) pile up.
-    pub rto: Delay,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            rto: Delay::from_micros(500),
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// A config with the given retransmission timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rto` is zero (a zero timeout would retransmit in the same
-    /// instant the frame is sent).
-    pub fn with_rto(rto: Delay) -> Self {
-        assert!(
-            rto > Delay::ZERO,
-            "the retransmission timeout must be positive"
-        );
-        RecoveryConfig { rto }
-    }
-}
 
 /// A lane, as [`RecoveryState::receive`] hands it to [`RecoveryState::release`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +125,8 @@ impl LaneState {
 /// way frames and acks travel.
 #[derive(Debug)]
 pub(crate) struct RecoveryState {
-    /// The layer's tunables.
-    pub config: RecoveryConfig,
+    /// The retransmission timeout.
+    pub rto: Delay,
     /// Work counters, for reports and overhead measurements.
     pub stats: RecoveryStats,
     /// Per directed link: session → index of lane `(session, link)`.
@@ -171,10 +139,11 @@ pub(crate) struct RecoveryState {
 }
 
 impl RecoveryState {
-    /// An empty state with the given tunables over a host of `links` directed links.
-    pub fn new(config: RecoveryConfig, links: usize) -> Self {
+    /// An empty state with retransmission timeout `rto` over a host of
+    /// `links` directed links.
+    pub fn new(rto: Delay, links: usize) -> Self {
         RecoveryState {
-            config,
+            rto,
             stats: RecoveryStats::default(),
             index: vec![IdSlotMap::new(); links],
             lanes: Vec::new(),
@@ -196,7 +165,7 @@ impl RecoveryState {
 
     /// Queues the look at frame `seq` of `lane`, (re)sent at `now`.
     fn arm(&mut self, now: SimTime, lane: u32, seq: u32) {
-        let due = now + self.config.rto;
+        let due = now + self.rto;
         let sorted = self.deadlines.back().is_none_or(|last| last.0 <= due);
         debug_assert!(sorted, "one constant RTO and a monotone clock");
         self.deadlines.push_back((due, lane, seq));
@@ -204,7 +173,7 @@ impl RecoveryState {
 
     /// Sender side, at `now`: assigns `packet` the next sequence number of
     /// its lane `(packet.session(), over)` and keeps the frame, due for
-    /// retransmission every [`RecoveryConfig::rto`] until
+    /// retransmission every RTO until
     /// [`RecoveryState::acked`]. The host sends the frame. Panics if `over`
     /// is not one of the host's links.
     pub fn frame(&mut self, now: SimTime, over: LinkId, target: Target, packet: Packet) -> u32 {
@@ -445,7 +414,7 @@ mod tests {
             ops in prop::collection::vec((0u8..7, 0usize..4, 0u32..1000), 1..300),
         ) {
             let rto = Delay::from_nanos(RTO_NS);
-            let mut dense = RecoveryState::new(RecoveryConfig::with_rto(rto), 3);
+            let mut dense = RecoveryState::new(rto, 3);
             let mut model = TreeModel::new(rto);
             let mut now = SimTime::ZERO;
             for (tag, (op, lane, arg)) in ops.into_iter().enumerate() {
@@ -516,7 +485,7 @@ mod tests {
     }
 
     fn state() -> RecoveryState {
-        RecoveryState::new(RecoveryConfig::default(), 8)
+        RecoveryState::new(Delay::from_micros(500), 8)
     }
 
     #[test]
@@ -557,7 +526,7 @@ mod tests {
     #[test]
     fn a_frame_is_retransmitted_until_acked() {
         let mut state = state();
-        let rto = state.config.rto;
+        let rto = state.rto;
         let (s, link, to) = (SessionId(1), LinkId(3), Target::Destination(4));
         let sent = SimTime::from_nanos(10);
         let seq = state.frame(sent, link, to, packet(1));
@@ -578,7 +547,7 @@ mod tests {
 
     #[test]
     fn keys_off_the_wire_never_size_or_open_anything() {
-        let mut state = RecoveryState::new(RecoveryConfig::default(), 2);
+        let mut state = RecoveryState::new(Delay::from_micros(500), 2);
         let (to, far) = (Target::Source(0), LinkId(u32::MAX));
         assert_eq!(state.receive(LinkId(2), 0, to, packet(1)), None);
         assert_eq!(state.receive(far, 0, to, packet(1)), None);
@@ -591,11 +560,5 @@ mod tests {
         assert_eq!(state.stats, RecoveryStats::default(), "nothing was counted");
         assert!(state.lanes.is_empty() && state.index.len() == 2);
         assert!(state.due(SimTime::from_secs(1)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_rto_is_rejected() {
-        let _ = RecoveryConfig::with_rto(Delay::ZERO);
     }
 }

@@ -5,14 +5,13 @@
 //! (`BaselineSimulation` in `bneck-baselines`) — runs over the same two
 //! pieces of world state, which used to be duplicated in each harness:
 //!
-//! * [`LinkTable`] — each directed link's capacity, indexed by
-//!   [`LinkId::index`]. Link `e` travels over simulator channel `e`, and
-//!   upstream traffic over the channel of its [`LinkId::reverse`].
+//! * [`add_link_channels`] — link `e` travels over simulator channel `e`,
+//!   and upstream traffic over the channel of its [`LinkId::reverse`].
 //! * [`SessionArena`] — the dense session-slot arena: a per-simulation slot
 //!   is assigned to each session identifier at join (and reused when the
 //!   identifier rejoins after a leave), the id → slot map, the per-slot path
-//!   and requested limit, the active-session set, and a cached
-//!   [`Arc<SessionSet>`] snapshot for feeding the centralized oracle.
+//!   and requested limit, and the active-session set, from which
+//!   [`SessionArena::session_set`] builds the centralized oracle's input.
 //!
 //! Envelope addressing is shared too: protocol messages carry their
 //! session's *slot* plus the *hop index* of the link they sit on, so
@@ -29,51 +28,25 @@
 //! were still in flight — is detected and re-resolved (or dropped) by
 //! `SessionArena::resolve_hop`.
 
-use crate::host::TaskHost;
 use bneck_maxmin::{Allocation, IdSlotMap, Rate, RateLimit, Session, SessionId, SessionSet};
 use bneck_net::{LinkId, Network, Path};
-use bneck_sim::{ChannelId, ChannelSpec, Engine};
-use std::cell::RefCell;
+use bneck_sim::{ChannelSpec, Engine};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Size of every control packet in bits, from which each link's transmission
 /// time follows (the paper models both transmission and propagation times).
 /// The §IV evaluation uses one size for every packet kind and protocol.
 pub const CONTROL_PACKET_BITS: u64 = 256;
 
-/// Per-directed-link world state, indexed by [`LinkId::index`]: the capacity
-/// of each link, and the simulator channel it travels over.
-#[derive(Debug)]
-pub struct LinkTable {
-    /// Capacity of each directed link, in bits per second.
-    capacities: Vec<Rate>,
-}
-
-impl LinkTable {
-    /// Registers every directed link of `network` as a simulator channel with
-    /// its bandwidth, delay and [`CONTROL_PACKET_BITS`] — link `e` as channel
-    /// `e`, so `engine` must have none yet — and records their capacities.
-    pub fn new<M>(network: &Network, engine: &mut Engine<M>) -> Self {
-        for link in network.links() {
-            let spec =
-                ChannelSpec::new(link.capacity().as_bps(), link.delay(), CONTROL_PACKET_BITS);
-            let channel = engine.add_channel(spec);
-            assert_eq!(channel.0, link.id().0, "link e is registered as channel e");
-        }
-        LinkTable {
-            capacities: TaskHost::link_capacities(network),
-        }
-    }
-
-    /// The simulator channel of a directed link.
-    pub fn channel(&self, link: LinkId) -> ChannelId {
-        ChannelId(link.0)
-    }
-
-    /// The capacity of a directed link, in bits per second.
-    pub fn capacity(&self, link: LinkId) -> Rate {
-        self.capacities[link.index()]
+/// Registers every directed link of `network` as a simulator channel with
+/// its bandwidth, delay and [`CONTROL_PACKET_BITS`]: link `e` as channel `e`,
+/// so `engine` must have none yet, and upstream traffic over `e` takes the
+/// channel of [`LinkId::reverse`].
+pub fn add_link_channels<M>(network: &Network, engine: &mut Engine<M>) {
+    for link in network.links() {
+        let spec = ChannelSpec::new(link.capacity().as_bps(), link.delay(), CONTROL_PACKET_BITS);
+        let channel = engine.add_channel(spec);
+        assert_eq!(channel.0, link.id().0, "link e is registered as channel e");
     }
 }
 
@@ -138,9 +111,6 @@ pub struct SessionArena {
     limits: Vec<RateLimit>,
     /// The currently active session identifiers.
     active: BTreeSet<SessionId>,
-    /// Lazily built snapshot of the active sessions, invalidated by
-    /// join/leave/change (see [`SessionArena::session_set`]).
-    cache: RefCell<Option<Arc<SessionSet>>>,
 }
 
 impl SessionArena {
@@ -217,7 +187,6 @@ impl SessionArena {
             }
         };
         self.active.insert(session);
-        *self.cache.borrow_mut() = None;
         Some(joined)
     }
 
@@ -227,7 +196,6 @@ impl SessionArena {
         if !self.active.remove(&session) {
             return None;
         }
-        *self.cache.borrow_mut() = None;
         self.slot_of(session)
     }
 
@@ -239,7 +207,6 @@ impl SessionArena {
         }
         let slot = self.slot_of(session)?;
         self.limits[slot as usize] = limit;
-        *self.cache.borrow_mut() = None;
         Some(slot)
     }
 
@@ -317,29 +284,13 @@ impl SessionArena {
 
     /// The active sessions as a [`SessionSet`] (paths plus requested limits),
     /// suitable for feeding the centralized oracle.
-    ///
-    /// The snapshot is built lazily and cached until the next
-    /// join/leave/change, so repeated calls between membership changes (e.g.
-    /// per-tick oracle cross-checks) are O(1) — callers get a shared handle
-    /// to the same set.
-    pub fn session_set(&self) -> Arc<SessionSet> {
-        let mut cache = self.cache.borrow_mut();
-        if let Some(set) = cache.as_ref() {
-            return Arc::clone(set);
-        }
-        let set: SessionSet = self
-            .active_slots()
+    pub fn session_set(&self) -> SessionSet {
+        self.active_slots()
             .map(|(id, slot)| {
-                Session::new(
-                    id,
-                    self.paths[slot as usize].clone(),
-                    self.limits[slot as usize],
-                )
+                let i = slot as usize;
+                Session::new(id, self.paths[i].clone(), self.limits[i])
             })
-            .collect();
-        let set = Arc::new(set);
-        *cache = Some(Arc::clone(&set));
-        set
+            .collect()
     }
 
     /// Collects the rates of the active sessions into an [`Allocation`],
@@ -377,18 +328,15 @@ mod tests {
     }
 
     #[test]
-    fn link_table_mirrors_the_network() {
+    fn link_e_is_channel_e() {
         let network = net();
         let mut engine: Engine<u32> = Engine::new();
-        let links = LinkTable::new(&network, &mut engine);
+        add_link_channels(&network, &mut engine);
         assert_eq!(engine.channel_count(), network.link_count());
         for link in network.links() {
-            let id = link.id();
-            assert_eq!(links.capacity(id), link.capacity().as_bps());
-            assert_eq!(links.channel(id), ChannelId(id.0));
-            // Upstream traffic over `id` takes the channel of its pair.
+            // Upstream traffic over a link takes the channel of its pair.
             let back = network.link_between(link.dst(), link.src());
-            assert_eq!(back, Some(id.reverse()));
+            assert_eq!(back, Some(link.id().reverse()));
         }
     }
 
@@ -445,34 +393,24 @@ mod tests {
     }
 
     #[test]
-    fn session_set_snapshot_is_cached_and_invalidated() {
+    fn session_set_follows_joins_leaves_and_changes() {
         let network = net();
         let mut arena = SessionArena::new();
-        arena
-            .join(
-                SessionId(0),
-                path_between(&network, 0, 1),
-                RateLimit::unlimited(),
-            )
-            .unwrap();
-        arena
-            .join(
-                SessionId(1),
-                path_between(&network, 2, 3),
-                RateLimit::unlimited(),
-            )
-            .unwrap();
-        let a = arena.session_set();
-        let b = arena.session_set();
-        assert!(Arc::ptr_eq(&a, &b), "repeated snapshots share one set");
-        assert_eq!(a.len(), 2);
+        for (id, hosts) in [(0, (0, 1)), (1, (2, 3))] {
+            let path = path_between(&network, hosts.0, hosts.1);
+            arena
+                .join(SessionId(id), path, RateLimit::unlimited())
+                .unwrap();
+        }
+        assert_eq!(arena.session_set().len(), 2);
         arena.leave(SessionId(0));
-        let c = arena.session_set();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.len(), 1);
         arena.change(SessionId(1), RateLimit::finite(1e6));
-        let d = arena.session_set();
-        assert!(!Arc::ptr_eq(&c, &d));
+        let set = arena.session_set();
+        assert_eq!(set.len(), 1);
+        assert_eq!(
+            set.get(SessionId(1)).unwrap().limit(),
+            RateLimit::finite(1e6)
+        );
     }
 
     #[test]

@@ -60,6 +60,28 @@ fn checked_delay(value: u64, unit_ns: u64, field: &'static str) -> Result<Delay,
         .ok_or(SpecError::Invalid(field))
 }
 
+/// `limits`, or [`SpecError::Invalid`] naming `limits` when a session could
+/// not draw from it: a probability outside `[0, 1]`, or bounds that are not
+/// finite with `0 < min_bps <= max_bps`.
+fn checked_limits(limits: LimitPolicy) -> Result<LimitPolicy, SpecError> {
+    match limits {
+        LimitPolicy::Unlimited => Ok(limits),
+        LimitPolicy::RandomFinite {
+            probability,
+            min_bps,
+            max_bps,
+        } => {
+            let drawable = (0.0..=1.0).contains(&probability)
+                && 0.0 < min_bps
+                && min_bps <= max_bps
+                && max_bps.is_finite();
+            drawable
+                .then_some(limits)
+                .ok_or(SpecError::Invalid("limits"))
+        }
+    }
+}
+
 /// A topology reference: a preset name plus the host count and topology
 /// seed to instantiate it with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -206,8 +228,8 @@ impl JoinsSpec {
     /// [`SpecError::UnknownTopology`] / [`SpecError::Empty`] on unresolvable
     /// or empty inputs, [`SpecError::Invalid`] on a zero session count, a
     /// host count that overflows `usize` or is below the session count (every
-    /// session needs its own source host), or a join window too long to
-    /// count in nanoseconds.
+    /// session needs its own source host), a join window too long to count
+    /// in nanoseconds, or `limits` no session could draw from.
     pub fn configs(&self) -> Result<Vec<Experiment1Config>, SpecError> {
         if self.topologies.is_empty() {
             return Err(SpecError::Empty("topologies"));
@@ -219,6 +241,7 @@ impl JoinsSpec {
             return Err(SpecError::Invalid("sessions"));
         }
         let join_window = checked_delay(self.join_window_us, 1_000, "join_window_us")?;
+        let limits = checked_limits(self.limits)?;
         let mut configs = Vec::with_capacity(self.topologies.len() * self.sessions.len());
         for preset in &self.topologies {
             for &sessions in &self.sessions {
@@ -240,7 +263,7 @@ impl JoinsSpec {
                     scenario,
                     sessions,
                     join_window,
-                    limits: self.limits,
+                    limits,
                     seed: self.base_seed.wrapping_add(configs.len() as u64),
                 });
             }
@@ -274,7 +297,8 @@ impl ChurnSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] / [`SpecError::Invalid`] on
-    /// unresolvable or degenerate inputs, a change window included. The
+    /// unresolvable or degenerate inputs, a change window and `limits`
+    /// included. The
     /// topology needs a source host per initial session, and the "change"
     /// and "mixed" phases draw `2 * churn` distinct sessions from the
     /// initial population.
@@ -290,6 +314,7 @@ impl ChurnSpec {
             return Err(SpecError::Invalid("churn"));
         }
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
+        checked_limits(self.limits)?;
         Ok(scenario)
     }
 }
@@ -326,8 +351,9 @@ impl AccuracySpec {
     ///
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
     /// [`SpecError::Invalid`] on fewer hosts than joins, more leaves than
-    /// joins, a zero sample interval or a duration too long to count in
-    /// nanoseconds.
+    /// joins, leaves in a zero change window, a zero sample interval, a
+    /// duration too long to count in nanoseconds, or `limits` no session
+    /// could draw from.
     pub fn resolve(&self) -> Result<NetworkScenario, SpecError> {
         if self.sample_interval_us == 0 {
             return Err(SpecError::Invalid("sample_interval_us"));
@@ -339,9 +365,14 @@ impl AccuracySpec {
         if self.leaves > self.joins {
             return Err(SpecError::Invalid("leaves"));
         }
+        // Leaves fall in the window's second half, which is empty at zero.
+        if self.change_window_us == 0 && self.leaves > 0 {
+            return Err(SpecError::Invalid("change_window_us"));
+        }
         checked_delay(self.change_window_us, 1_000, "change_window_us")?;
         checked_delay(self.sample_interval_us, 1_000, "sample_interval_us")?;
         checked_delay(self.horizon_us, 1_000, "horizon_us")?;
+        checked_limits(self.limits)?;
         Ok(scenario)
     }
 
@@ -520,8 +551,9 @@ impl FaultSweepSpec {
     /// # Errors
     ///
     /// [`SpecError::UnknownTopology`] when the topology does not resolve,
-    /// [`SpecError::Invalid`] on fewer hosts than sessions or a join window
-    /// too long to count in nanoseconds.
+    /// [`SpecError::Invalid`] on fewer hosts than sessions, a join window
+    /// too long to count in nanoseconds, or `limits` no session could draw
+    /// from.
     pub fn config(&self) -> Result<Experiment1Config, SpecError> {
         let scenario = self.topology.resolve()?;
         if self.topology.hosts < self.sessions {
@@ -531,7 +563,7 @@ impl FaultSweepSpec {
             scenario,
             sessions: self.sessions,
             join_window: checked_delay(self.join_window_us, 1_000, "join_window_us")?,
-            limits: self.limits,
+            limits: checked_limits(self.limits)?,
             seed: self.workload_seed,
         })
     }
@@ -957,6 +989,11 @@ mod tests {
             sessions: vec![50_000],
             validate: true,
         };
+        let limits = |probability, min_bps, max_bps| LimitPolicy::RandomFinite {
+            probability,
+            min_bps,
+            max_bps,
+        };
         let cases = [
             absurd!(Joins(joins).sessions = vec![10, 0]),
             absurd!(Scale(scale).sessions = vec![0]),
@@ -984,6 +1021,16 @@ mod tests {
             // overlap; leaves come from the joined sessions.
             absurd!(Churn(churn).churn = 151),
             absurd!(Accuracy(accuracy).leaves = 251),
+            // Leaves fall in the change window's second half.
+            absurd!(Accuracy(accuracy).change_window_us = 0),
+            // Limits no session could draw: a probability past 1, an empty
+            // range, a non-positive or a non-finite bound.
+            absurd!(Joins(joins).limits = limits(2.0, 1e6, 80e6)),
+            absurd!(Joins(joins).limits = limits(0.25, 80e6, 1e6)),
+            absurd!(Churn(churn).limits = limits(-0.5, 1e6, 80e6)),
+            absurd!(Accuracy(accuracy).limits = limits(0.25, 0.0, 80e6)),
+            absurd!(FaultSweep(faults).limits = limits(0.25, 1e6, f64::INFINITY)),
+            absurd!(FaultSweep(faults).limits = limits(f64::NAN, 1e6, 80e6)),
         ];
         // Seeds wrap instead of overflowing: the last base seed still lowers.
         let mut wraps = joins.clone();
